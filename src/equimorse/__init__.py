@@ -13,7 +13,6 @@ from .backend import (
 )
 from .cartan import (
     EqDegreeSpace,
-    EqForm,
     EqOperator,
     build_deformed,
     build_delta_eq,

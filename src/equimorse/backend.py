@@ -166,14 +166,6 @@ class BackendMatrices:
     u_keep: np.ndarray | None = None
     h_keep: np.ndarray | None = None
 
-    @property
-    def has_deformation(self) -> bool:
-        return self.f is not None
-
-    def clifford_signs(self, j: int) -> list[tuple[int, int]]:
-        """(Z1, Z2) eigenvalue pairs of the components of degree j."""
-        return {0: [(-1, -1)], 1: [(+1, -1), (-1, +1)], 2: [(+1, +1)]}[j]
-
 
 def _adjoint(mat: sp.spmatrix, mass_dom: np.ndarray, mass_cod: np.ndarray) -> sp.csr_matrix:
     """Exact adjoint of mat w.r.t. diagonal masses on domain and codomain."""

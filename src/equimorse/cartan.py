@@ -27,7 +27,6 @@ from .backend import BackendMatrices
 
 __all__ = [
     "EqDegreeSpace",
-    "EqForm",
     "EqOperator",
     "AssemblyError",
     "ConfigurationError",
@@ -83,26 +82,6 @@ class EqDegreeSpace:
 
 
 @dataclass
-class EqForm:
-    """A coefficient vector in one EqDegreeSpace."""
-
-    space: EqDegreeSpace
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.space.dim,):
-            raise AssemblyError(
-                f"coefficient length {self.coeffs.shape} does not match "
-                f"space dimension {self.space.dim}")
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        idx = self.space.block_index(i, j)
-        if idx is None:
-            raise KeyError(f"no block (i={i}, j={j}) in degree {self.space.k}")
-        return self.coeffs[self.space.block_slice(idx)]
-
-
-@dataclass
 class EqOperator:
     """A sparse linear map between two equivariant degree spaces."""
 
@@ -115,14 +94,6 @@ class EqOperator:
             raise AssemblyError(
                 f"matrix shape {self.matrix.shape} does not match "
                 f"({self.codomain.dim}, {self.domain.dim})")
-
-    def __matmul__(self, other):
-        if isinstance(other, EqOperator):
-            if other.codomain != self.domain:
-                raise AssemblyError("operator domains do not compose")
-            return EqOperator(other.domain, self.codomain,
-                              sp.csr_matrix(self.matrix @ other.matrix))
-        return self.matrix @ other
 
 
 def degree_space(backend: BackendMatrices, k: int) -> EqDegreeSpace:
@@ -220,14 +191,7 @@ def build_deq_star(backend: BackendMatrices, k: int) -> EqOperator:
 
 def build_delta_eq(backend: BackendMatrices, k: int) -> EqOperator:
     """The equivariant Laplacian d_eq* d_eq + d_eq d_eq* on degree k."""
-    up = build_deq(backend, k)
-    mat = adjoint(backend, up).matrix @ up.matrix
-    if k >= 1:
-        down = build_deq(backend, k - 1)
-        if down.domain.dim:
-            mat = mat + down.matrix @ adjoint(backend, down).matrix
-    space = degree_space(backend, k)
-    return EqOperator(space, space, sp.csr_matrix(mat))
+    return build_deformed(backend, 0.0, k)[2]
 
 
 def deformation_blocks(backend: BackendMatrices, k: int) -> EqOperator:
@@ -249,29 +213,29 @@ def build_deformed(backend: BackendMatrices, s: float, k: int):
     """(d_eq,s, d_eq,s*, Delta_eq,s) at deformation parameter s >= 0.
 
     d_eq,s = d_eq + s (df wedge); the adjoint is exact; the Laplacian is
-    assembled by composition.  At s = 0 the undeformed operators are
-    returned unchanged, so equality is bitwise.
+    assembled by composition.  The df-wedge term is added only for s > 0,
+    so at s = 0 the undeformed operators come out bitwise and backends
+    without a sampled function (the circle) still have a Laplacian.
     """
     if s < 0:
         raise ConfigurationError(f"deformation parameter s = {s} < 0")
-    if s == 0.0:
-        d = build_deq(backend, k)
-        return d, build_deq_star(backend, k + 1), build_delta_eq(backend, k)
-    d_lo = build_deq(backend, k - 1) if k >= 1 else None
-    d_up = build_deq(backend, k)
-    p_up = deformation_blocks(backend, k)
-    ds_up = EqOperator(d_up.domain, d_up.codomain,
-                       sp.csr_matrix(d_up.matrix + s * p_up.matrix))
-    mat = adjoint(backend, ds_up).matrix @ ds_up.matrix
-    ds_lo = None
-    if d_lo is not None and d_lo.domain.dim:
-        p_lo = deformation_blocks(backend, k - 1)
-        ds_lo = EqOperator(d_lo.domain, d_lo.codomain,
-                           sp.csr_matrix(d_lo.matrix + s * p_lo.matrix))
-        mat = mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix
+
+    def deformed(j: int) -> EqOperator:
+        d = build_deq(backend, j)
+        if s > 0:
+            p = deformation_blocks(backend, j)
+            d = EqOperator(d.domain, d.codomain, sp.csr_matrix(d.matrix + s * p.matrix))
+        return d
+
+    ds_up = deformed(k)
+    ds_up_star = adjoint(backend, ds_up)
+    mat = ds_up_star.matrix @ ds_up.matrix
+    if k >= 1:
+        ds_lo = deformed(k - 1)
+        if ds_lo.domain.dim:
+            mat = mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix
     space = degree_space(backend, k)
-    delta = EqOperator(space, space, sp.csr_matrix(mat))
-    return ds_up, adjoint(backend, ds_up), delta
+    return ds_up, ds_up_star, EqOperator(space, space, sp.csr_matrix(mat))
 
 
 def _block_diagonal_term(backend: BackendMatrices, space: EqDegreeSpace,

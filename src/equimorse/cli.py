@@ -20,9 +20,8 @@ configparser; command-line flags override file values.  Recognized keys:
     [deformation]  s_list (comma-separated)
     [trace]        phi_kind (exp_decay | gaussian), phi_scale
 
-The environment variable EQUIMORSE_THREADS caps the worker pool used to
-fan out independent (degree, s) jobs.  Outputs never embed timestamps
-and are written atomically, so repeated runs are byte-identical.
+Outputs never embed timestamps and are written atomically, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import configparser
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 from . import backend as backend_mod
@@ -41,6 +39,7 @@ from . import pipeline as pipeline_mod
 from . import spectral as spectral_mod
 from .backend import CATALOG_CASES
 from .cartan import ConfigurationError as CartanConfigurationError
+from .spectral import write_atomic
 
 __all__ = ["RunConfig", "main"]
 
@@ -64,7 +63,6 @@ class RunConfig:
     phi_scale: float = 1.0
     out: str = "report.json"
     params: dict = field(default_factory=dict)
-    threads: int = 1
 
     def trace_spec(self) -> spectral_mod.TraceSpec:
         return spectral_mod.TraceSpec(self.phi_kind, self.phi_scale)
@@ -79,7 +77,6 @@ class RunConfig:
             "phi_kind": self.phi_kind,
             "phi_scale": self.phi_scale,
             "params": {k: self.params[k] for k in sorted(self.params)},
-            "threads": self.threads,
         }
 
 
@@ -144,26 +141,14 @@ def _build_config(args, default_s=None) -> RunConfig:
             raise ConfigError(f"--param needs key=value, got {item!r}")
         params[key] = float(val)
     cfg = RunConfig(params=params, **values)
-    cfg.threads = max(1, int(os.environ.get("EQUIMORSE_THREADS", "1")))
     if cfg.case not in CATALOG_CASES:
         raise ConfigError(f"unknown case {cfg.case!r}; see `equimorse catalog`")
     if cfg.s_list != sorted(cfg.s_list):
         raise ConfigError("s_list must be ascending")
+    if getattr(args, "k", 0) < 0:
+        raise ConfigError(f"degree --k must be nonnegative, got {args.k}")
     spectral_mod.TraceSpec(cfg.phi_kind, cfg.phi_scale)  # validate
     return cfg
-
-
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".equimorse-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _json_text(payload: dict) -> str:
@@ -195,14 +180,15 @@ def cmd_catalog(_args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _build_config(args)
+    if not cfg.s_list:
+        raise ConfigError("verify needs at least one s value")
     profile, f = backend_mod.catalog(cfg.case, cfg.params, n_grid=cfg.n_grid,
                                      weight=cfg.weight)
     kmax = cfg.kmax if cfg.kmax is not None else 4
-    report = pipeline_mod.run_case(profile, f, cfg.s_list, kmax,
-                                   cfg.trace_spec(), threads=cfg.threads)
+    report = pipeline_mod.run_case(profile, f, cfg.s_list, kmax, cfg.trace_spec())
     report["case"] = cfg.case
     report["config"] = cfg.as_dict()
-    _write_atomic(cfg.out, _json_text(report))
+    write_atomic(cfg.out, _json_text(report))
     print(f"case {cfg.case}: betti {report['betti']}")
     if report["tilde_c"]:
         print(f"  counts c={report['c']} d={report['d']} tilde_c={report['tilde_c']}")
@@ -223,7 +209,7 @@ def cmd_spectrum(args) -> int:
     rep = spectral_mod.delta_spectrum(be, k, s=s_value, count=args.count)
     payload = rep.to_record()
     payload["config"] = cfg.as_dict()
-    _write_atomic(cfg.out, _json_text(payload))
+    write_atomic(cfg.out, _json_text(payload))
     print(f"degree {k}, s={s_value:g}: kernel {rep.kernel_dim}, gap {rep.gap:.6g}"
           f" -> {cfg.out}")
     if args.csv:
@@ -238,7 +224,7 @@ def cmd_sweep(args) -> int:
                                      weight=cfg.weight)
     be = backend_mod.build_backend(profile, f)
     result = spectral_mod.sweep_s(be, args.k, cfg.s_list, cfg.trace_spec(),
-                                  count=args.count, threads=cfg.threads)
+                                  count=args.count)
     out_dir = cfg.out if cfg.out != "report.json" else "sweep_out"
     os.makedirs(out_dir, exist_ok=True)
     eig_path = os.path.join(out_dir, "eigenvalues.csv")
@@ -247,16 +233,16 @@ def cmd_sweep(args) -> int:
     lines = ["k,s,mu"]
     for p in result.points:
         lines.append(f"{args.k},{format(p.s, '.17g')},{format(p.mu, '.17g')}")
-    _write_atomic(mu_path, "\n".join(lines) + "\n")
+    write_atomic(mu_path, "\n".join(lines) + "\n")
     meta = {
         "k": args.k,
         "kernel_constant": result.kernel_constant,
         "gap_monotone_from": result.gap_monotone_from,
-        "gaps": [[p.s, p.report.gap] for p in result.points],
+        "gaps": result.gaps(),
         "notes": result.notes,
         "config": cfg.as_dict(),
     }
-    _write_atomic(os.path.join(out_dir, "sweep.json"), _json_text(meta))
+    write_atomic(os.path.join(out_dir, "sweep.json"), _json_text(meta))
     print(f"sweep k={args.k}, s={cfg.s_list} -> {eig_path}, {mu_path}")
     for note in result.notes:
         print(f"  note: {note}")
@@ -306,7 +292,7 @@ def cmd_local(args) -> int:
         "morse_index": model.index,
         "contributions_deg0_4": contributions,
     }
-    _write_atomic(args.out, _json_text(payload))
+    write_atomic(args.out, _json_text(payload))
     ok = err_a <= tol and err_b <= tol
     print(f"local model q=1, m={m}, eps={eps:+d}, s={s:g}: "
           f"branch errors {err_a:.2e}, {err_b:.2e} "
@@ -391,6 +377,8 @@ def main(argv=None) -> int:
             backend_mod.ProfileValidationError,
             backend_mod.DegenerateCriticalLevelError,
             spectral_mod.AmbiguousKernelError,
+            spectral_mod.SolverError,
+            spectral_mod.TailBoundError,
             CartanConfigurationError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

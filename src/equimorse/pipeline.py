@@ -278,8 +278,7 @@ def euler_characteristic_check(backend: BackendMatrices, counts: MorseCounts | N
 
 
 def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
-             s_probes, kmax: int, trace_spec: spectral.TraceSpec,
-             threads: int = 1) -> dict:
+             s_probes, kmax: int, trace_spec: spectral.TraceSpec) -> dict:
     """Full verification of one catalog case; returns the report payload.
 
     For the circle (no Morse function) only the Betti numbers and the
@@ -296,10 +295,9 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
         counts = morse_counts(levels, kmax)
         counting = verify_counting_inequalities(counts, betti[:kmax + 1], n=be.n)
         status_parts.append(counting.passed)
-        reps = spectral.parallel_map(
-            lambda sv: verify_trace_inequalities(be, sv, min(kmax, be.n + 1),
-                                                 trace_spec, betti=betti),
-            list(s_probes), threads=threads)
+        reps = [verify_trace_inequalities(be, sv, min(kmax, be.n + 1), trace_spec,
+                                          betti=betti)
+                for sv in s_probes]
         trace_per_s = dict(zip(s_probes, reps))
         for rep in reps:
             status_parts.append(rep.passed)

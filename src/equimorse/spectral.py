@@ -16,9 +16,10 @@ otherwise shift-invert Lanczos with a fixed starting vector.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,8 @@ __all__ = [
     "sweep_s",
     "de_rham_index",
     "periodicity_defect",
-    "reports_to_json",
     "reports_to_csv",
+    "write_atomic",
 ]
 
 DENSE_LIMIT = 2000
@@ -54,19 +55,6 @@ KERNEL_TAU_REL = 1e-3
 SEPARATION_FACTOR = 100.0
 RESIDUAL_BOUND = 1e-8
 TRACE_TAIL_BOUND = 1e-6
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map fn over items, optionally on a thread pool; order preserved.
-
-    Each (degree, s) job is independent and the dense solver releases the
-    interpreter lock, so disjoint jobs parallelize safely.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 class SolverError(RuntimeError):
@@ -232,18 +220,14 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
 
 
 def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
-                   count: int | None = None, method: str = "auto") -> SpectrumReport:
+                   count: int | None = None) -> SpectrumReport:
     """Spectrum report of the (deformed) equivariant Laplacian in degree k."""
-    if s == 0.0:
-        delta = cartan.build_delta_eq(backend, k)
-    else:
-        _, _, delta = cartan.build_deformed(backend, s, k)
+    _, _, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
-    return eigensolve(delta, mass, count=count, method=method, k=k, s=s)
+    return eigensolve(delta, mass, count=count, k=k, s=s)
 
 
-def betti_numbers(backend: BackendMatrices, kmax: int, s: float = 0.0,
-                  s_probes=None) -> list[int]:
+def betti_numbers(backend: BackendMatrices, kmax: int, s_probes=None) -> list[int]:
     """Equivariant Betti numbers beta^0..beta^kmax as kernel dimensions.
 
     When s_probes is given (an iterable of deformation parameters, the
@@ -252,7 +236,7 @@ def betti_numbers(backend: BackendMatrices, kmax: int, s: float = 0.0,
     deformation invariance of the cohomology.  A kernel without a
     factor-100 separation from the gap raises AmbiguousKernelError.
     """
-    probes = [s] if s_probes is None else list(s_probes)
+    probes = [0.0] if s_probes is None else list(s_probes)
     results = []
     for sv in probes:
         betti = []
@@ -312,7 +296,7 @@ class SweepResult:
 
 
 def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
-            count: int | None = None, threads: int = 1) -> SweepResult:
+            count: int | None = None) -> SweepResult:
     """Deformation sweep of degree k: spectra and trace values per s.
 
     The kernel dimension must stay constant along the sweep; a change
@@ -325,11 +309,10 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
         raise ValueError("deformation parameters must be nonnegative")
     if sorted(s_values) != s_values:
         raise ValueError("s_list must be ascending")
-    def _one(sv):
+    points = []
+    for sv in s_values:
         rep = delta_spectrum(backend, k, s=sv, count=count)
-        return SweepPoint(s=sv, report=rep, mu=trace_phi(rep, trace_spec))
-
-    points = parallel_map(_one, s_values, threads=threads)
+        points.append(SweepPoint(s=sv, report=rep, mu=trace_phi(rep, trace_spec)))
     kernels = [p.report.kernel_dim for p in points]
     constant = len(set(kernels)) <= 1
     notes = []
@@ -371,22 +354,32 @@ def periodicity_defect(backend: BackendMatrices, k: int) -> float:
     return float(np.abs(a - b).max()) if a.size else 0.0
 
 
-def reports_to_json(reports, path) -> None:
-    """Write spectrum reports as a JSON list with a stable key order."""
-    payload = [r.to_record() for r in reports]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def write_atomic(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path.
+
+    A failure at any point leaves an existing file at path untouched.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".equimorse-")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def reports_to_csv(reports, path) -> None:
-    """Write eigenvalues as CSV rows (k, s, index, value)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "s", "index", "value"])
-        for rep in reports:
-            for idx, lam in enumerate(rep.eigenvalues):
-                writer.writerow([rep.k, _fmt(rep.s), idx, _fmt(lam)])
+    """Write eigenvalues as CSV rows (k, s, index, value), atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "s", "index", "value"])
+    for rep in reports:
+        for idx, lam in enumerate(rep.eigenvalues):
+            writer.writerow([rep.k, _fmt(rep.s), idx, _fmt(lam)])
+    write_atomic(path, buf.getvalue())
 
 
 def _fmt(x: float) -> str:

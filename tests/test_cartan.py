@@ -59,21 +59,6 @@ def test_degree_space_invariants(k):
     assert list(space.blocks) == expected
 
 
-def test_eqform_block_addressing(sphere):
-    space = C.degree_space(sphere, 2)
-    vec = np.arange(space.dim, dtype=float)
-    form = C.EqForm(space, vec)
-    top = form.block(0, 2)
-    bottom = form.block(1, 0)
-    assert len(top) + len(bottom) == space.dim
-    assert top[0] == 0.0
-    assert bottom[0] == float(len(top))
-    with pytest.raises(KeyError):
-        form.block(0, 1)
-    with pytest.raises(C.AssemblyError):
-        C.EqForm(space, np.zeros(space.dim + 1))
-
-
 # ---------------------------------------------------------------------------
 # differential and adjoint
 # ---------------------------------------------------------------------------

@@ -2,14 +2,41 @@
 
 import csv
 import json
+import math
+import os
 
 import pytest
 
 from equimorse import cli
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
 def run(argv):
     return cli.main(argv)
+
+
+def assert_same_report(got, want, path="report"):
+    """Integers, strings and keys exactly; floats within 1e-12 relative.
+
+    Slacks that vanish analytically come out as rounding noise of order
+    1e-12, so floats also pass within 1e-11 absolute.
+    """
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_report(a, b, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-11), \
+            f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, path
 
 
 def test_catalog_lists_cases(capsys):
@@ -61,19 +88,32 @@ def test_verify_is_byte_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_verify_honors_thread_env(tmp_path, monkeypatch):
-    out1 = tmp_path / "serial.json"
-    out2 = tmp_path / "threaded.json"
-    args = ["verify", "--case", "sphere_height", "--n-grid", "64", "--s", "0,4,8"]
-    monkeypatch.setenv("EQUIMORSE_THREADS", "1")
-    assert run(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("EQUIMORSE_THREADS", "3")
-    assert run(args + ["--out", str(out2)]) == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    a["config"].pop("threads")
-    b["config"].pop("threads")
-    assert a == b
+@pytest.mark.parametrize("case", ["sphere_height", "sphere_bumpy", "torus_height",
+                                  "circle_trivial"])
+def test_verify_matches_golden_report(case, tmp_path):
+    out = tmp_path / "report.json"
+    code = run(["verify", "--case", case, "--n-grid", "256", "--out", str(out)])
+    assert code == 0
+    with open(os.path.join(GOLDEN, f"verify_{case}_n256.json")) as fh:
+        want = json.load(fh)
+    assert_same_report(json.loads(out.read_text()), want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--s", ""],
+    ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--k", "-1"],
+    ["sweep", "--case", "sphere_height", "--n-grid", "64", "--k", "-1", "--s", "4"],
+    # two eigenvalues cannot bound the trace tail of a degree-0 spectrum
+    ["sweep", "--case", "sphere_height", "--n-grid", "64", "--k", "0", "--s", "4",
+     "--count", "2"],
+], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
+        "sweep-tail-bound"])
+def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_outputs(tmp_path):
