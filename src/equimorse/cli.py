@@ -377,6 +377,7 @@ def main(argv=None) -> int:
             backend_mod.ProfileValidationError,
             backend_mod.DegenerateCriticalLevelError,
             spectral_mod.AmbiguousKernelError,
+            spectral_mod.CountError,
             spectral_mod.SolverError,
             spectral_mod.TailBoundError,
             CartanConfigurationError,

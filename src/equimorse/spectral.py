@@ -1,16 +1,24 @@
 """Symmetric eigenproblems, kernel detection and trace functionals.
 
 Every assembled operator A is symmetric with respect to a diagonal mass
-M, so M^{1/2} A M^{-1/2} is plainly symmetric and a dense (or, above a
-size threshold, shift-inverted iterative) solver applies.  Kernel
-dimensions are decided by an absolute-plus-relative threshold with a
-required separation factor, and equal the equivariant Betti numbers by
-the Hodge isomorphism; traces of a rapidly decreasing phi over the
-spectrum realize the heat-trace-like functionals whose alternating sums
-obey the analytic Morse inequalities at every deformation parameter.
+M, so M^{1/2} A M^{-1/2} is plainly symmetric and a dense (or, for a
+partial spectrum above a size threshold, shift-inverted iterative)
+solver applies.  Kernel dimensions are decided by an
+absolute-plus-relative threshold with a required separation factor, and
+equal the equivariant Betti numbers by the Hodge isomorphism; traces of
+a rapidly decreasing phi over the spectrum realize the heat-trace-like
+functionals whose alternating sums obey the analytic Morse inequalities
+at every deformation parameter.
 
-All solves are deterministic: dense LAPACK below DENSE_LIMIT dimensions,
-otherwise shift-invert Lanczos with a fixed starting vector.
+All solves are deterministic.  The full spectrum, and any spectrum below
+DENSE_LIMIT dimensions, is dense: the symmetrized matrix is split into
+its connected blocks (odd degrees separate into the g and h chains) and
+each block is solved by LAPACK divide and conquer.  Each eigenvalue is
+reported as the Rayleigh quotient of its vector, formed with the sparse
+matrix (in extended precision for near-kernel vectors), and every
+returned pair must pass the residual bound against the LAPACK
+eigenvalue.  A partial spectrum above DENSE_LIMIT uses
+shift-invert Lanczos with a fixed starting vector.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import cartan
@@ -34,6 +43,7 @@ __all__ = [
     "SpectrumReport",
     "TraceSpec",
     "SolverError",
+    "CountError",
     "AmbiguousKernelError",
     "TailBoundError",
     "eigensolve",
@@ -59,6 +69,10 @@ TRACE_TAIL_BOUND = 1e-6
 
 class SolverError(RuntimeError):
     """Eigenvalue iteration failed to converge."""
+
+
+class CountError(ValueError):
+    """Requested eigenvalue count outside 1..dimension."""
 
 
 class AmbiguousKernelError(RuntimeError):
@@ -141,52 +155,83 @@ def _kernel_split(w: np.ndarray, opnorm: float):
     return kd, gap, separation
 
 
+def _dense_blocks(S):
+    """All eigenvalues of the symmetric sparse S, and the residual norm of each pair.
+
+    Each connected block of S is solved on its own by LAPACK divide and
+    conquer.  An eigenvalue is reported as the Rayleigh quotient of its
+    vector, which is accurate to second order in the residual; the
+    residual norm is taken against the LAPACK eigenvalue, which is never
+    smaller than the residual against the quotient.  Both arrays follow
+    the block order, unsorted.
+    """
+    n_blocks, labels = csgraph.connected_components(S, directed=False)
+    w = np.empty(S.shape[0])
+    resid = np.empty(S.shape[0])
+    start = 0
+    for block in range(n_blocks):
+        idx = np.flatnonzero(labels == block)
+        Sb = S[idx][:, idx]
+        lam, vec = sla.eigh(Sb.toarray(), driver="evd")
+        Sv = Sb @ vec
+        rq = np.einsum("ij,ij->j", vec, Sv)
+        # In double, v^T (S v) of a near-kernel vector cancels down to
+        # rounding noise of order eps |S|, as large as the value itself.
+        low = np.flatnonzero(np.abs(lam) <= KERNEL_TAU_ABS * np.abs(lam).max())
+        v_low = vec[:, low].astype(np.longdouble)
+        rq[low] = np.einsum("ij,ij->j", v_low, Sb.astype(np.longdouble) @ v_low)
+        stop = start + len(idx)
+        w[start:stop] = rq
+        resid[start:stop] = np.linalg.norm(Sv - vec * lam, axis=0)
+        start = stop
+    return w, resid
+
+
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
                method: str = "auto", k: int = 0, s: float = 0.0) -> SpectrumReport:
     """Smallest eigenvalues of a mass-symmetric operator.
 
     operator may be an EqOperator or a sparse/dense matrix; mass is the
-    diagonal of the inner product.  Dense full decomposition is used below
-    DENSE_LIMIT dimensions, otherwise a shift-inverted Lanczos iteration
-    with a fixed starting vector, so repeated runs are bit-identical.
+    diagonal of the inner product; count (default: all) must lie in
+    1..dim, else CountError.  The full spectrum, and any count below
+    DENSE_LIMIT dimensions, comes from a dense divide-and-conquer solve
+    of each connected block, with each eigenvalue reported as the
+    Rayleigh quotient of its vector.  A partial spectrum above
+    DENSE_LIMIT comes from a shift-inverted Lanczos iteration with a
+    fixed starting vector.  Repeated runs are bit-identical, and every
+    returned pair must have a residual within RESIDUAL_BOUND x |A|, else
+    SolverError.
     """
     mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
     dim = mat.shape[0]
     if dim == 0:
         return SpectrumReport(k, s, [], 0, math.inf, [], dim=0, count=0)
-    if count is None:
+    full = count is None
+    if full:
         count = dim
-    if count > dim:
-        raise ValueError(f"count = {count} exceeds dimension {dim}")
+    if not 1 <= count <= dim:
+        raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
     sqrt_m = np.sqrt(mass)
-    if sp.issparse(mat):
-        S = sp.diags(sqrt_m) @ mat @ sp.diags(1.0 / sqrt_m)
-        S = 0.5 * (S + S.T)
-    else:
-        S = np.diag(sqrt_m) @ np.asarray(mat) @ np.diag(1.0 / sqrt_m)
-        S = 0.5 * (S + S.T)
+    S = sp.diags(sqrt_m) @ sp.csr_matrix(mat) @ sp.diags(1.0 / sqrt_m)
+    S = sp.csr_matrix(0.5 * (S + S.T))
 
-    use_dense = method == "dense" or (method == "auto" and dim < DENSE_LIMIT)
+    use_dense = method == "dense" or (method == "auto" and (full or dim < DENSE_LIMIT))
     if method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown solver method {method!r}")
 
     if use_dense:
-        Sd = S.toarray() if sp.issparse(S) else S
-        w, v = sla.eigh(Sd)
-        order = np.argsort(w)
+        w, resid = _dense_blocks(S)
+        order = np.argsort(w, kind="stable")
         w = w[order]
-        v = v[:, order]
-        opnorm = float(np.abs(w).max()) if dim else 0.0
+        opnorm = float(np.abs(w).max())
         w_ret = w[:count]
-        v_ret = v[:, :count]
-        resid = np.linalg.norm(Sd @ v_ret - v_ret * w_ret[None, :], axis=0)
+        resid = resid[order][:count]
     else:
-        Ss = sp.csr_matrix(S)
-        opnorm = float(spla.norm(Ss, np.inf))
+        opnorm = float(spla.norm(S, np.inf))
         shift = -1e-6 * max(opnorm, 1.0)
         v0 = np.cos(np.arange(dim) + 0.25)
         try:
-            w, v = spla.eigsh(Ss, k=min(count, dim - 1), sigma=shift,
+            w, v = spla.eigsh(S, k=min(count, dim - 1), sigma=shift,
                               which="LM", v0=v0, maxiter=5000, tol=0)
         except spla.ArpackNoConvergence as exc:
             raise SolverError(
@@ -194,12 +239,11 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         order = np.argsort(w)
         w_ret = w[order]
         v_ret = v[:, order]
-        resid = np.linalg.norm(Ss @ v_ret - v_ret * w_ret[None, :], axis=0)
+        resid = np.linalg.norm(S @ v_ret - v_ret * w_ret[None, :], axis=0)
         w = w_ret
         count = len(w_ret)  # the iteration returns at most dim - 1 pairs
 
-    w_all_sorted = np.sort(w) if not use_dense else w
-    kd, gap, separation = _kernel_split(w_all_sorted, max(opnorm, 1e-300))
+    kd, gap, separation = _kernel_split(w, max(opnorm, 1e-300))
     report = SpectrumReport(
         k=k, s=s,
         eigenvalues=[float(x) for x in w_ret],

@@ -106,8 +106,13 @@ def test_verify_matches_golden_report(case, tmp_path):
     # two eigenvalues cannot bound the trace tail of a degree-0 spectrum
     ["sweep", "--case", "sphere_height", "--n-grid", "64", "--k", "0", "--s", "4",
      "--count", "2"],
+    ["sweep", "--case", "sphere_height", "--n-grid", "64", "--k", "0", "--s", "4",
+     "--count", "0"],
+    ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--count", "-3"],
+    ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--count", "100000"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
-        "sweep-tail-bound"])
+        "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
+        "spectrum-count-above-dim"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from equimorse import backend as B
@@ -227,5 +228,66 @@ def test_csv_write_is_atomic(tmp_path, sphere, monkeypatch):
 def test_count_validation(sphere):
     delta = C.build_delta_eq(sphere, 0)
     mass = C.mass_vector(sphere, delta.domain)
-    with pytest.raises(ValueError):
-        S.eigensolve(delta, mass, count=delta.domain.dim + 1)
+    for count in (delta.domain.dim + 1, 0, -3):
+        with pytest.raises(S.CountError):
+            S.eigensolve(delta, mass, count=count)
+
+
+def _symmetrized(delta, mass):
+    sqrt_m = np.sqrt(mass)
+    A = sp.diags(sqrt_m) @ delta.matrix @ sp.diags(1.0 / sqrt_m)
+    return (0.5 * (A + A.T)).toarray()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["one-block", "two-blocks", "coupled"])
+@pytest.mark.parametrize("s", [0.0, 16.0])
+def test_block_solver_matches_one_dense_eigh(sphere, torus, k, s):
+    """Reference: one LAPACK call on the whole symmetrized matrix.
+
+    Both solvers are backward stable, so their eigenvalues differ by a
+    small multiple of eps |A|; 64 eps |A| is that multiple with room.
+    """
+    for be in (sphere, torus):
+        _, _, delta = C.build_deformed(be, s, k)
+        mass = C.mass_vector(be, delta.domain)
+        reference, _ = sla.eigh(_symmetrized(delta, mass))
+        got = np.asarray(S.eigensolve(delta, mass, k=k, s=s).eigenvalues)
+        norm = np.abs(reference).max()
+        assert got.shape == reference.shape
+        assert np.abs(got - reference).max() <= 64 * np.finfo(float).eps * norm
+
+
+@pytest.mark.parametrize("case", ["sphere_bumpy", "torus_height"])
+def test_eigenvalues_do_not_depend_on_the_basis_order(case):
+    profile, f = B.catalog(case, n_grid=256)
+    be = B.build_backend(profile, f)
+    for k in range(4):
+        for s in (0.0, 16.0, 64.0):
+            _, _, delta = C.build_deformed(be, s, k)
+            mass = C.mass_vector(be, delta.domain)
+            perm = np.random.default_rng(0).permutation(delta.domain.dim)
+            a = np.asarray(S.eigensolve(delta, mass).eigenvalues)
+            b = np.asarray(S.eigensolve(delta.matrix[perm][:, perm], mass[perm]).eigenvalues)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0)), (k, s)
+
+
+def test_residual_gate_rejects_a_wrong_eigenvalue(sphere, monkeypatch):
+    eigh = sla.eigh
+
+    def corrupted(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        w = w.copy()
+        w[0] += 1e-6 * max(np.abs(w).max(), 1.0)  # 100 x RESIDUAL_BOUND
+        return w, v
+
+    monkeypatch.setattr(S.sla, "eigh", corrupted)
+    with pytest.raises(S.SolverError):
+        S.delta_spectrum(sphere, 2)
+
+
+def test_full_spectrum_is_dense_above_the_limit(monkeypatch):
+    profile, f = B.catalog("sphere_height", n_grid=64)
+    be = B.build_backend(profile, f)
+    monkeypatch.setattr(S, "DENSE_LIMIT", 16)
+    rep = S.delta_spectrum(be, 1, s=16.0)
+    assert rep.count == rep.dim and len(rep.eigenvalues) == rep.dim
