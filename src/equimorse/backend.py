@@ -25,7 +25,7 @@ builder through 'cut' (Dirichlet) ends.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,7 +87,6 @@ class RevolutionProfile:
     weight: int
     n_grid: int
     kind: str = "surface"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("surface", "circle"):
@@ -160,11 +159,7 @@ class BackendMatrices:
     profile: RevolutionProfile
     f: InvariantMorseFunction | None
     poles: list[float]
-    weight: int
     theta_int: np.ndarray | None = None
-    theta_half: np.ndarray | None = None
-    u_keep: np.ndarray | None = None
-    h_keep: np.ndarray | None = None
 
 
 def _adjoint(mat: sp.spmatrix, mass_dom: np.ndarray, mass_cod: np.ndarray) -> sp.csr_matrix:
@@ -218,7 +213,6 @@ def _circle_backend(profile: RevolutionProfile) -> BackendMatrices:
         profile=profile,
         f=None,
         poles=[],
-        weight=profile.weight,
     )
 
 
@@ -412,11 +406,7 @@ def build_backend(profile: RevolutionProfile,
         profile=profile,
         f=f,
         poles=poles,
-        weight=profile.weight,
         theta_int=th_i,
-        theta_half=th_h,
-        u_keep=u_keep,
-        h_keep=h_keep,
     )
     return backend
 
@@ -482,7 +472,6 @@ def _sphere_profile(R: float, weight: int, n_grid: int) -> RevolutionProfile:
         a_prime=lambda th: np.cos(th / R),
         weight=weight,
         n_grid=n_grid,
-        params={"R": R},
     )
 
 
@@ -497,7 +486,6 @@ def _torus_profile(r: float, R: float, weight: int, n_grid: int) -> RevolutionPr
         a_prime=lambda th: -np.sin(th / r),
         weight=weight,
         n_grid=n_grid,
-        params={"r": r, "R": R},
     )
 
 
@@ -606,7 +594,6 @@ def flat_point_profile(weight: int, eps: int, radius: float, n_grid: int):
         a_prime=lambda th: np.ones_like(th),
         weight=weight,
         n_grid=n_grid,
-        params={"eps": eps, "radius": radius},
     )
     f = InvariantMorseFunction(
         name=f"{eps:+d}*r^2/2",
@@ -636,7 +623,6 @@ def flat_orbit_profile(weight: int, lam: int, half_width: float, n_grid: int,
         a_prime=lambda th: np.zeros_like(np.asarray(th, dtype=float)),
         weight=weight,
         n_grid=n_grid,
-        params={"lam": lam, "half_width": X, "orbit_radius": orbit_radius},
     )
     f = InvariantMorseFunction(
         name=f"{lam:+d}*x^2/2",

@@ -18,12 +18,13 @@ which the tests assert.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import BackendMatrices
+from .backend import BackendMatrices, _adjoint
 
 __all__ = [
     "EqDegreeSpace",
@@ -42,6 +43,8 @@ __all__ = [
     "build_equivariant_de_rham",
     "EquivariantDeRham",
 ]
+
+EXPANSION_PROBES = 20
 
 
 class AssemblyError(RuntimeError):
@@ -176,8 +179,7 @@ def adjoint(backend: BackendMatrices, op: EqOperator) -> EqOperator:
     if op.domain.dim == 0 or op.codomain.dim == 0:
         return EqOperator(op.codomain, op.domain,
                           sp.csr_matrix((op.domain.dim, op.codomain.dim)))
-    mat = sp.diags(1.0 / m_dom) @ op.matrix.T @ sp.diags(m_cod)
-    return EqOperator(op.codomain, op.domain, sp.csr_matrix(mat))
+    return EqOperator(op.codomain, op.domain, _adjoint(op.matrix, m_dom, m_cod))
 
 
 def build_deq_star(backend: BackendMatrices, k: int) -> EqOperator:
@@ -210,15 +212,16 @@ def deformation_blocks(backend: BackendMatrices, k: int) -> EqOperator:
 
 
 def build_deformed(backend: BackendMatrices, s: float, k: int):
-    """(d_eq,s, d_eq,s*, Delta_eq,s) at deformation parameter s >= 0.
+    """(d_eq,s, d_eq,s*, Delta_eq,s) at a finite deformation parameter s >= 0.
 
     d_eq,s = d_eq + s (df wedge); the adjoint is exact; the Laplacian is
     assembled by composition.  The df-wedge term is added only for s > 0,
     so at s = 0 the undeformed operators come out bitwise and backends
     without a sampled function (the circle) still have a Laplacian.
     """
-    if s < 0:
-        raise ConfigurationError(f"deformation parameter s = {s} < 0")
+    if not 0.0 <= s < math.inf:
+        raise ConfigurationError(
+            f"deformation parameter s = {s} must be finite and nonnegative")
 
     def deformed(j: int) -> EqOperator:
         d = build_deq(backend, j)
@@ -246,14 +249,14 @@ def _block_diagonal_term(backend: BackendMatrices, space: EqDegreeSpace,
 
 
 def expansion_residual(backend: BackendMatrices, s: float, k: int,
-                       n_probes: int = 20, seed: int = 1234) -> float:
+                       seed: int = 1234) -> float:
     """Relative defect of Delta_eq,s = Delta_eq + s^2 |df|^2 + s H_f.
 
     Both sides are assembled independently: the left by composing the
     deformed derivative with its exact adjoint, the right from the
     undeformed Laplacian plus the backend's multiplication and Clifford
-    Hessian matrices.  The operator norms are estimated on n_probes
-    mass-normalized pseudo-random vectors (fixed seed).
+    Hessian matrices.  The operator norms are estimated on
+    EXPANSION_PROBES mass-normalized pseudo-random vectors (fixed seed).
     """
     if backend.mult_df2 is None:
         raise ConfigurationError("backend carries no |df|^2 data")
@@ -270,7 +273,7 @@ def expansion_residual(backend: BackendMatrices, s: float, k: int,
     rng = np.random.default_rng(seed)
     num = 0.0
     den = 0.0
-    for _ in range(max(n_probes, 1)):
+    for _ in range(EXPANSION_PROBES):
         x = rng.standard_normal(space.dim)
         x /= np.sqrt(x @ (mvec * x))
         rx = diff @ x

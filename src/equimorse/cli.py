@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -80,9 +81,19 @@ class RunConfig:
         }
 
 
+def _number(text: str, kind: type, what: str):
+    """text parsed as an int or float; malformed or non-finite is a ConfigError."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be a finite {kind.__name__}, got {text!r}")
+    return value
+
+
 def _parse_s_list(text: str) -> list[float]:
-    items = [t for t in text.replace(",", " ").split() if t]
-    values = [float(t) for t in items]
+    values = [_number(t, float, "s") for t in text.replace(",", " ").split()]
     if any(v < 0 for v in values):
         raise ConfigError("s values must be nonnegative")
     return values
@@ -90,7 +101,7 @@ def _parse_s_list(text: str) -> list[float]:
 
 def _parse_phi(text: str) -> tuple[str, float]:
     kind, _, scale = text.partition(":")
-    return kind, float(scale) if scale else 1.0
+    return kind, _number(scale, float, "phi scale") if scale else 1.0
 
 
 def _load_config_file(path: str) -> dict:
@@ -106,9 +117,9 @@ def _load_config_file(path: str) -> dict:
                 out[key] = run[key]
         for key in ("n_grid", "weight", "kmax"):
             if key in run:
-                out[key] = int(run[key])
+                out[key] = _number(run[key], int, key)
     if parser.has_section("geometry"):
-        out["params"] = {k: float(v) for k, v in parser["geometry"].items()}
+        out["params"] = {k: _number(v, float, k) for k, v in parser["geometry"].items()}
     if parser.has_section("deformation") and "s_list" in parser["deformation"]:
         out["s_list"] = _parse_s_list(parser["deformation"]["s_list"])
     if parser.has_section("trace"):
@@ -116,7 +127,7 @@ def _load_config_file(path: str) -> dict:
         if "phi_kind" in tr:
             out["phi_kind"] = tr["phi_kind"]
         if "phi_scale" in tr:
-            out["phi_scale"] = float(tr["phi_scale"])
+            out["phi_scale"] = _number(tr["phi_scale"], float, "phi_scale")
     return out
 
 
@@ -139,7 +150,7 @@ def _build_config(args, default_s=None) -> RunConfig:
         key, _, val = item.partition("=")
         if not val:
             raise ConfigError(f"--param needs key=value, got {item!r}")
-        params[key] = float(val)
+        params[key] = _number(val, float, key)
     cfg = RunConfig(params=params, **values)
     if cfg.case not in CATALOG_CASES:
         raise ConfigError(f"unknown case {cfg.case!r}; see `equimorse catalog`")
@@ -147,7 +158,12 @@ def _build_config(args, default_s=None) -> RunConfig:
         raise ConfigError("s_list must be ascending")
     if getattr(args, "k", 0) < 0:
         raise ConfigError(f"degree --k must be nonnegative, got {args.k}")
-    spectral_mod.TraceSpec(cfg.phi_kind, cfg.phi_scale)  # validate
+    if cfg.kmax is not None and cfg.kmax < 0:
+        raise ConfigError(f"kmax must be nonnegative, got {cfg.kmax}")
+    try:
+        cfg.trace_spec()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -257,13 +273,17 @@ def cmd_local(args) -> int:
             raise ConfigError(f"cannot read config file {args.config!r}")
         if parser.has_section("local"):
             sec = parser["local"]
-            if int(sec.get("q", "1")) != 1:
+            if _number(sec.get("q", "1"), int, "q") != 1:
                 raise ConfigError("grid oracles cover one rotation plane (q = 1)")
-            s = float(sec.get("s", s))
-            m = int(sec.get("m", m))
-            eps = int(sec.get("eps", eps))
+            s = _number(sec.get("s", str(s)), float, "s")
+            m = _number(sec.get("m", str(m)), int, "m")
+            eps = _number(sec.get("eps", str(eps)), int, "eps")
     if eps not in (-1, 1):
         raise ConfigError("eps must be +1 or -1")
+    if not 0.0 < s < math.inf:
+        raise ConfigError(f"s must be finite and positive, got {s}")
+    if m < 1:
+        raise ConfigError(f"rotation speed m must be a positive integer, got {m}")
     tol = 1e-2
     branch_a, branch_b = local_mod.ab_branch_spectra(s, m, eps, 3)
     radial = local_mod.radial_invariant_spectrum(s * s, 3)
@@ -302,7 +322,12 @@ def cmd_local(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{args.path} is not a JSON report: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{args.path} is not a JSON report")
     print(f"case {payload.get('case')}  N={payload.get('N')}  "
           f"status {payload.get('status')}")
     print(f"  betti     {payload.get('betti')}")
@@ -381,7 +406,7 @@ def main(argv=None) -> int:
             spectral_mod.SolverError,
             spectral_mod.TailBoundError,
             CartanConfigurationError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,6 +49,10 @@ __all__ = [
     "orbit_model_counts",
 ]
 
+HO_GRID_POINTS = 600
+RADIAL_GRID_POINTS = 700
+COUPLED_GRID_POINTS = 500
+
 
 # ---------------------------------------------------------------------------
 # Model descriptions
@@ -107,10 +111,8 @@ class LocalOrbitModel:
 
 @dataclass
 class BranchSpectrum:
-    """Lowest eigenvalues of one invariant branch with its parameters."""
+    """Lowest eigenvalues of one invariant branch."""
 
-    label: str
-    params: dict
     eigenvalues: list[float] = field(default_factory=list)
 
 
@@ -137,10 +139,11 @@ def ho_ground(a: float):
     return W
 
 
-def ho_grid_spectrum(a: float, count: int, n_grid: int = 600,
-                     radius: float | None = None) -> list[float]:
-    """Finite-difference oracle for ho_spectrum on [-R, R], Dirichlet ends."""
-    R = radius if radius is not None else math.sqrt(40.0 / a)
+def ho_grid_spectrum(a: float, count: int) -> list[float]:
+    """Finite-difference oracle for ho_spectrum on [-R, R], Dirichlet ends,
+    R = sqrt(40/a)."""
+    R = math.sqrt(40.0 / a)
+    n_grid = HO_GRID_POINTS
     h = 2.0 * R / (n_grid + 1)
     x = -R + h * (1 + np.arange(n_grid))
     diag = 2.0 / h**2 + a * a * x * x
@@ -196,16 +199,8 @@ def ab_branch_spectra(s: float, m: float, eps: int, count: int):
     sp = math.hypot(s, m)
     b_all = sorted([2.0 * sp * (1 + 2 * p) - 2.0 * sp for p in range(count + 1)]
                    + [2.0 * sp * (1 + 2 * p) + 2.0 * sp for p in range(count)])
-    branch_a = BranchSpectrum(
-        label="invariant functions",
-        params={"s": s, "eps": eps, "shift": -2.0 * eps * s},
-        eigenvalues=sorted(a_vals)[:count],
-    )
-    branch_b = BranchSpectrum(
-        label="t-eta fiber",
-        params={"s": s, "m": m, "s_prime": sp},
-        eigenvalues=[float(v) for v in b_all[:count]],
-    )
+    branch_a = BranchSpectrum(eigenvalues=sorted(a_vals)[:count])
+    branch_b = BranchSpectrum(eigenvalues=[float(v) for v in b_all[:count]])
     return branch_a, branch_b
 
 
@@ -225,32 +220,30 @@ def _radial_sym_tridiag(omega_sq: float, n_grid: int, radius: float):
     return diag, off
 
 
-def radial_invariant_spectrum(omega_sq: float, count: int, n_grid: int = 700,
-                              radius: float | None = None) -> list[float]:
+def radial_invariant_spectrum(omega_sq: float, count: int) -> list[float]:
     """Grid oracle for the zero-angular-momentum 2-D oscillator.
 
-    Eigenvalues of -u'' - u'/r + omega^2 r^2 on (0, R] with the natural
-    regularity condition at 0 and a Dirichlet cut at R; the closed form
-    is 2 omega (1+2p).
+    Eigenvalues of -u'' - u'/r + omega^2 r^2 on (0, R], R = sqrt(44/omega),
+    with the natural regularity condition at 0 and a Dirichlet cut at R;
+    the closed form is 2 omega (1+2p).
     """
     omega = math.sqrt(omega_sq)
-    R = radius if radius is not None else math.sqrt(44.0 / omega)
-    diag, off = _radial_sym_tridiag(omega_sq, n_grid, R)
+    R = math.sqrt(44.0 / omega)
+    diag, off = _radial_sym_tridiag(omega_sq, RADIAL_GRID_POINTS, R)
     w = sla.eigvalsh_tridiagonal(diag, off, select="i",
                                  select_range=(0, count - 1))
     return [float(v) for v in w]
 
 
-def coupled_branch_spectrum(s: float, m: float, eps: int, count: int,
-                            n_grid: int = 500,
-                            radius: float | None = None) -> list[float]:
+def coupled_branch_spectrum(s: float, m: float, eps: int, count: int) -> list[float]:
     """Grid oracle for the coupled (t, eta) system of one rotation plane:
-    radial oscillator of frequency sqrt(s^2+m^2) plus the constant 2x2
-    coupling; validates the branch-B closed form including its factors."""
+    radial oscillator of frequency sqrt(s^2+m^2) on (0, sqrt(44/omega)]
+    plus the constant 2x2 coupling; validates the branch-B closed form
+    including its factors."""
     omega_sq = s * s + m * m
     omega = math.sqrt(omega_sq)
-    R = radius if radius is not None else math.sqrt(44.0 / omega)
-    diag, off = _radial_sym_tridiag(omega_sq, n_grid, R)
+    R = math.sqrt(44.0 / omega)
+    diag, off = _radial_sym_tridiag(omega_sq, COUPLED_GRID_POINTS, R)
     M = len(diag)
     S = np.zeros((2 * M, 2 * M))
     for blk in range(2):
@@ -346,16 +339,15 @@ def asymptotic_counts(models, k: int) -> int:
 # Assembled flat operators as oracles for the contribution counts
 # ---------------------------------------------------------------------------
 
-def near_zero_counts(be, s: float, kmax: int, threshold: float | None = None,
-                     min_gap: float | None = None) -> list[int]:
-    """Count eigenvalues below threshold (default s/10) per degree 0..kmax.
+def near_zero_counts(be, s: float, kmax: int) -> list[int]:
+    """Count eigenvalues below s/10 per degree 0..kmax.
 
-    The first eigenvalue above the threshold must clear min_gap (default
-    s/2); otherwise the asymptotic regime is not reached and the count is
-    refused rather than reported.
+    The first eigenvalue above that threshold must clear s/2; otherwise
+    the asymptotic regime is not reached and the count is refused rather
+    than reported.
     """
-    thr = s / 10.0 if threshold is None else threshold
-    gap_req = s / 2.0 if min_gap is None else min_gap
+    thr = s / 10.0
+    gap_req = s / 2.0
     counts = []
     for k in range(kmax + 1):
         rep = _spectral.delta_spectrum(be, k, s=s)

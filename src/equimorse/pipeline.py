@@ -19,7 +19,7 @@ trace version converges to the counting version (localization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class CriticalLevel:
     kind: str                     # "fixed_point" | "orbit"
     theta: float
     index: int
-    weight: int
     hessian_eigenvalues: tuple[float, ...]
     value: float
 
@@ -151,7 +150,7 @@ def find_critical_levels(profile: RevolutionProfile,
                 f"root refinement failed at theta = {theta:.6f}")
         levels.append(CriticalLevel(
             kind="orbit", theta=theta, index=1 if hess < 0 else 0,
-            weight=profile.weight, hessian_eigenvalues=(hess,),
+            hessian_eigenvalues=(hess,),
             value=fval(theta)))
 
     if not profile.periodic:
@@ -165,7 +164,6 @@ def find_critical_levels(profile: RevolutionProfile,
             levels.append(CriticalLevel(
                 kind="fixed_point", theta=theta,
                 index=2 if hess < 0 else 0,
-                weight=profile.weight,
                 hessian_eigenvalues=(hess, hess),
                 value=fval(theta)))
     return sorted(levels, key=lambda lv: lv.theta)
@@ -193,7 +191,6 @@ class SlackReport:
     slack: list[float]
     passed: bool
     stabilized: bool | None = None
-    details: dict = field(default_factory=dict)
 
 
 def _alternating_slack(upper, lower, kmax: int) -> list[float]:
@@ -221,31 +218,27 @@ def verify_counting_inequalities(counts: MorseCounts, betti,
     stabilized = None
     if kmax >= n + 2:
         stabilized = abs(slack[n + 2] - slack[n]) == 0
-    return SlackReport(slack=slack, passed=passed, stabilized=stabilized,
-                       details={"tilde_c": list(counts.tilde_c),
-                                "betti": list(betti)})
+    return SlackReport(slack=slack, passed=passed, stabilized=stabilized)
 
 
 def verify_trace_inequalities(backend: BackendMatrices, s: float, kmax: int,
                               trace_spec: spectral.TraceSpec,
-                              betti=None) -> SlackReport:
+                              betti) -> SlackReport:
     """Slack of the trace inequalities at one deformation parameter.
 
     slack_k(s) = sum_{j<=k} (-1)^{k-j} (mu_j(s) - beta_j) with
-    mu_j = tr phi(Delta_s^j); nonnegative for every s because the
+    mu_j = tr phi(Delta_s^j) and betti the equivariant Betti numbers of
+    degrees 0 to at least kmax; nonnegative for every s because the
     alternating sum telescopes to the trace of a nonnegative operator.
     Numerical tolerance: -1e-8.
     """
-    if betti is None:
-        betti = spectral.betti_numbers(backend, kmax)
     mus = []
     for k in range(kmax + 1):
         rep = spectral.delta_spectrum(backend, k, s=s)
         mus.append(spectral.trace_phi(rep, trace_spec))
     slack = _alternating_slack(mus, betti, kmax)
     passed = all(sv >= -1e-8 for sv in slack)
-    return SlackReport(slack=slack, passed=passed,
-                       details={"mu": mus, "betti": list(betti), "s": s})
+    return SlackReport(slack=slack, passed=passed)
 
 
 def euler_characteristic_check(backend: BackendMatrices, counts: MorseCounts | None,

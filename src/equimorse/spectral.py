@@ -188,7 +188,7 @@ def _dense_blocks(S):
 
 
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
-               method: str = "auto", k: int = 0, s: float = 0.0) -> SpectrumReport:
+               k: int = 0, s: float = 0.0) -> SpectrumReport:
     """Smallest eigenvalues of a mass-symmetric operator.
 
     operator may be an EqOperator or a sparse/dense matrix; mass is the
@@ -215,11 +215,7 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     S = sp.diags(sqrt_m) @ sp.csr_matrix(mat) @ sp.diags(1.0 / sqrt_m)
     S = sp.csr_matrix(0.5 * (S + S.T))
 
-    use_dense = method == "dense" or (method == "auto" and (full or dim < DENSE_LIMIT))
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown solver method {method!r}")
-
-    if use_dense:
+    if full or dim < DENSE_LIMIT:
         w, resid = _dense_blocks(S)
         order = np.argsort(w, kind="stable")
         w = w[order]

@@ -32,7 +32,7 @@ def test_sphere_dimensions_and_metadata():
     # u on all 64 nodes, g/w on 63 half nodes, h on 62 interior nodes
     assert be.dims == [64, 63 + 62, 63]
     assert len(be.poles) == 2
-    assert be.weight == 1
+    assert be.profile.weight == 1
 
 
 def test_corrupted_iv_matrix_is_reported():

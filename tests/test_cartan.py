@@ -1,6 +1,8 @@
 """The equivariant complex: grading, differential, adjoint, Laplacians,
 deformation, expansion identity, periodicity, and the index operator."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -258,6 +260,12 @@ def test_deformation_requires_function(circle):
 def test_negative_s_rejected(sphere):
     with pytest.raises(C.ConfigurationError):
         C.build_deformed(sphere, -1.0, 1)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_non_finite_s_rejected(sphere, s):
+    with pytest.raises(C.ConfigurationError):
+        C.build_deformed(sphere, s, 1)
 
 
 # ---------------------------------------------------------------------------

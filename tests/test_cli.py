@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,7 @@ from equimorse import cli
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv):
@@ -110,15 +113,66 @@ def test_verify_matches_golden_report(case, tmp_path):
      "--count", "0"],
     ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--count", "-3"],
     ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--count", "100000"],
+    ["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--s", "nan"],
+    ["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--s", "inf"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--s", "1,abc"],
+    ["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--param", "c=abc"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--phi", "foo"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--phi", "gaussian:abc"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--phi", "exp_decay:0"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--kmax", "-1"],
+    ["local", "--s", "0"],
+    ["local", "--weight", "0"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
         "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
-        "spectrum-count-above-dim"])
+        "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
+        "verify-malformed-s", "verify-malformed-param", "verify-unknown-phi",
+        "verify-malformed-phi-scale", "verify-zero-phi-scale",
+        "verify-negative-kmax", "local-zero-s", "local-zero-weight"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name,content,argv", [
+    ("run.cfg", "[run]\nn_grid = abc\n", ["verify", "--config", "{path}"]),
+    ("model.cfg", "[local]\ns = abc\n", ["local", "--config", "{path}"]),
+    ("report.json", "not json\n", ["report", "{path}"]),
+    ("report.json", "[1, 2]\n", ["report", "{path}"]),
+    ("existing_dir", None, ["verify", "--case", "sphere_height", "--n-grid", "64",
+                            "--s", "0", "--out", "{path}"]),
+], ids=["run-config-malformed-int", "local-config-malformed-s", "report-not-json",
+        "report-not-an-object", "out-is-a-directory"])
+def test_bad_file_input_is_a_one_line_usage_error(name, content, argv, tmp_path,
+                                                  capsys):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert run([a.format(path=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "4,NaN"])
+def test_s_list_rejects_non_finite_values(text):
+    with pytest.raises(cli.ConfigError):
+        cli._parse_s_list(text)
+
+
+def test_package_binds_only_its_version():
+    code = ("import equimorse; "
+            "print(sorted(n for n in vars(equimorse) if not n.startswith('_')), "
+            "equimorse.__version__)")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["[]", "0.1.0"]
 
 
 def test_sweep_outputs(tmp_path):

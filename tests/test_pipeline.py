@@ -88,7 +88,7 @@ def test_morse_counts_empty():
     max_size=8))
 def test_tilde_recursion_holds_for_any_level_set(indices):
     levels = [
-        P.CriticalLevel(kind=kind, theta=float(i), index=idx, weight=1,
+        P.CriticalLevel(kind=kind, theta=float(i), index=idx,
                         hessian_eigenvalues=(1.0,), value=0.0)
         for i, (kind, idx) in enumerate(indices)
     ]
@@ -136,7 +136,8 @@ def test_counting_slack_strictly_positive_someplace():
 @pytest.mark.parametrize("s", [0.0, 4.0, 16.0])
 def test_trace_slack_nonnegative(sphere_setup, s):
     _, _, be = sphere_setup
-    report = P.verify_trace_inequalities(be, s, 3, S.TraceSpec())
+    report = P.verify_trace_inequalities(be, s, 3, S.TraceSpec(),
+                                         betti=S.betti_numbers(be, 3))
     assert report.passed
     assert all(sv >= -1e-8 for sv in report.slack)
 
@@ -163,7 +164,7 @@ def test_orbit_circle_sector_excess_is_quantitative():
     levels = P.find_critical_levels(profile, f)
     orbit = [lv for lv in levels if lv.kind == "orbit"][0]
     a_star = float(profile.a(np.array([orbit.theta]))[0])
-    predicted = math.exp(-(be.weight * a_star) ** 2)
+    predicted = math.exp(-(be.profile.weight * a_star) ** 2)
     betti = S.betti_numbers(be, 4)
     trace = P.verify_trace_inequalities(be, 64.0, 3, S.TraceSpec(), betti=betti)
     assert trace.slack[1] == pytest.approx(predicted, rel=0.02)

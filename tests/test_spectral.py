@@ -178,11 +178,12 @@ def test_sweep_rejects_unsorted():
         S.sweep_s(be, 0, [4.0, 2.0], S.TraceSpec())
 
 
-def test_dense_and_iterative_agree(sphere):
+def test_dense_and_iterative_agree(sphere, monkeypatch):
     delta = C.build_delta_eq(sphere, 1)
     mass = C.mass_vector(sphere, delta.domain)
-    dense = S.eigensolve(delta, mass, count=10, method="dense")
-    iterative = S.eigensolve(delta, mass, count=10, method="iterative")
+    dense = S.eigensolve(delta, mass, count=10)
+    monkeypatch.setattr(S, "DENSE_LIMIT", 16)
+    iterative = S.eigensolve(delta, mass, count=10)
     a = np.asarray(dense.eigenvalues)
     b = np.asarray(iterative.eigenvalues)
     scale = np.maximum(np.abs(a), 1.0)
