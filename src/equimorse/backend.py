@@ -20,6 +20,10 @@ invariant complex collapses to the two-dimensional basis {1, dpsi}.
 Planes and cylinders with Gaussian-confined spectra (used as flat local
 models around critical points and orbits) are obtained from the same
 builder through 'cut' (Dirichlet) ends.
+
+The one Morse analysis of an invariant function, find_critical_levels,
+lives here too: catalog runs it on every surface case and the
+verification pipeline reuses it.
 """
 
 from __future__ import annotations
@@ -34,11 +38,13 @@ import scipy.sparse as sp
 __all__ = [
     "RevolutionProfile",
     "InvariantMorseFunction",
+    "CriticalLevel",
     "BackendMatrices",
     "BackendError",
     "ProfileValidationError",
     "DegenerateCriticalLevelError",
     "build_backend",
+    "find_critical_levels",
     "catalog",
     "validate_backend",
     "flat_point_profile",
@@ -50,7 +56,10 @@ END_KINDS = ("pole", "periodic", "cut", "free")
 
 POLE_SLOPE_TOL = 1e-6
 POLE_GRAD_TOL = 1e-8
-DEGENERACY_TOL = 1e-8
+SCAN_SAMPLES = 4096
+ROOT_TOL = 1e-12
+HESSIAN_TOL = 1e-8
+GRADIENT_TOL = 1e-10
 
 
 class BackendError(Exception):
@@ -121,6 +130,26 @@ class InvariantMorseFunction:
     f: Callable[[np.ndarray], np.ndarray]
     fp: Callable[[np.ndarray], np.ndarray]
     fpp: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class CriticalLevel:
+    """One critical fixed point or critical orbit of an invariant function.
+
+    index is the transversal Morse index: the number of negative
+    eigenvalues of the Hessian on the normal space (two equal eigenvalues
+    f'' at a pole, the single eigenvalue f'' across an orbit).
+    """
+
+    kind: str                     # "fixed_point" | "orbit"
+    theta: float
+    index: int
+    hessian_eigenvalues: tuple[float, ...]
+    value: float
+
+    def __post_init__(self):
+        if self.kind not in ("fixed_point", "orbit"):
+            raise ValueError(f"unknown critical level kind {self.kind!r}")
 
 
 @dataclass
@@ -489,23 +518,79 @@ def _torus_profile(r: float, R: float, weight: int, n_grid: int) -> RevolutionPr
     )
 
 
-def _check_morse(profile: RevolutionProfile, f: InvariantMorseFunction) -> None:
-    # Reject parameter choices with a flat critical level: scan f' for
-    # roots and inspect f'' there.
-    th = np.linspace(0.0, profile.theta_max, 4097)
-    fp = np.asarray(f.fp(th))
-    fpp = np.asarray(f.fpp(th))
-    sign = np.sign(fp)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for idx in flips:
-        if abs(fpp[idx]) < DEGENERACY_TOL and abs(fpp[idx + 1]) < DEGENERACY_TOL:
+def find_critical_levels(profile: RevolutionProfile,
+                         f: InvariantMorseFunction) -> list[CriticalLevel]:
+    """Locate all critical levels of an invariant function.
+
+    A sign-change scan of f' at SCAN_SAMPLES points over the interior of
+    the profile, followed by bisection of every bracket to ROOT_TOL,
+    finds every orbit; pole ends are always critical fixed points.  A
+    Hessian below HESSIAN_TOL, a refined root with |f'| above
+    GRADIENT_TOL, or a critical latitude under the trivial action
+    (weight 0, where the latitude is a circle of fixed points rather
+    than a free orbit) raises DegenerateCriticalLevelError.
+    """
+    if profile.kind != "surface":
+        raise ValueError("critical-level analysis needs a surface profile")
+    L = profile.theta_max
+    if profile.periodic:
+        lo, hi = 0.0, L
+    else:
+        # Exclude the ends from the scan: at poles f' vanishes identically
+        # and cut/free ends are not critical levels of the closed model.
+        margin = L / SCAN_SAMPLES
+        lo, hi = margin, L - margin
+
+    # For a periodic profile the end points of the scan coincide, so the
+    # segments below cover the whole circle exactly once.
+    grid = np.linspace(lo, hi, SCAN_SAMPLES)
+    vals = f.fp(grid)
+    zero = vals[:-1] == 0.0
+    flip = np.flatnonzero(~zero & (vals[:-1] * vals[1:] < 0))
+    # Bisect all brackets at once; each stops halving when narrower than
+    # ROOT_TOL, and its root is the midpoint of its last bracket.
+    a, b, fa = grid[flip], grid[flip + 1], vals[flip]
+    for _ in range(200):
+        live = ~(b - a < ROOT_TOL)
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        fmid = f.fp(mid)
+        left = fa * fmid <= 0
+        b = np.where(live & left, mid, b)
+        a = np.where(live & ~left, mid, a)
+        fa = np.where(live & ~left, fmid, fa)
+    roots = np.sort(np.concatenate([grid[:-1][zero], 0.5 * (a + b)]))
+    if roots.size and profile.weight == 0:
+        raise DegenerateCriticalLevelError(
+            f"critical latitude at theta = {roots[0]:.6f} is a circle of fixed points "
+            "under the trivial action (weight 0), neither an isolated fixed point "
+            "nor a free orbit")
+
+    levels: list[CriticalLevel] = []
+    for theta, hess, grad, value in zip(roots, f.fpp(roots), f.fp(roots), f.f(roots)):
+        if abs(hess) < HESSIAN_TOL:
             raise DegenerateCriticalLevelError(
-                f"{f.name!r} has a degenerate critical level near theta={th[idx]:.4f}")
+                f"critical orbit at theta = {theta:.6f} has |f''| = {abs(hess):.2e}")
+        if abs(grad) > GRADIENT_TOL:
+            raise DegenerateCriticalLevelError(
+                f"root refinement failed at theta = {theta:.6f}")
+        levels.append(CriticalLevel(
+            kind="orbit", theta=float(theta), index=1 if hess < 0 else 0,
+            hessian_eigenvalues=(float(hess),), value=float(value)))
+
     if not profile.periodic:
-        for node in (0.0, profile.theta_max):
-            if abs(float(f.fpp(np.array([node]))[0])) < DEGENERACY_TOL:
+        ends = np.array([0.0, L])
+        for side, theta, hess, value in zip((0, 1), (0.0, L), f.fpp(ends), f.f(ends)):
+            if profile.ends[side] != "pole":
+                continue
+            if abs(hess) < HESSIAN_TOL:
                 raise DegenerateCriticalLevelError(
-                    f"{f.name!r} is degenerate at the end theta={node:.4f}")
+                    f"pole at theta = {theta:.6f} has |f''| = {abs(hess):.2e}")
+            levels.append(CriticalLevel(
+                kind="fixed_point", theta=theta, index=2 if hess < 0 else 0,
+                hessian_eigenvalues=(float(hess),) * 2, value=float(value)))
+    return sorted(levels, key=lambda lv: lv.theta)
 
 
 def catalog(name: str, params: dict | None = None, n_grid: int = 256,
@@ -521,6 +606,10 @@ def catalog(name: str, params: dict | None = None, n_grid: int = 256,
     circle_trivial: the circle acting on itself.  A constant function is
                     not Morse, so no function is returned; the backend
                     serves algebraic and spectral identities only.
+
+    Every surface case goes through find_critical_levels, so a flat
+    critical level, or a critical latitude at weight 0, raises
+    DegenerateCriticalLevelError.
     """
     params = dict(params or {})
     if name == "sphere_height":
@@ -569,7 +658,7 @@ def catalog(name: str, params: dict | None = None, n_grid: int = 256,
             f"unknown catalog case {name!r}; choose from {CATALOG_CASES}")
     if params:
         raise ProfileValidationError(f"unused parameters for {name!r}: {sorted(params)}")
-    _check_morse(profile, f)
+    find_critical_levels(profile, f)
     return profile, f
 
 

@@ -52,7 +52,8 @@ class AssemblyError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """An operator was requested from a backend lacking the needed data."""
+    """An operator or check was requested that the backend cannot supply
+    (missing data, or degrees below the dimension)."""
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
-"""End-to-end Morse verification: critical levels, count sequences, the
-counting and trace inequalities, and the Euler-characteristic checks.
+"""End-to-end Morse verification: count sequences, the counting and trace
+inequalities, and the Euler-characteristic checks.
+
+The critical levels come from backend.find_critical_levels, the one Morse
+analysis, re-exported here with CriticalLevel.
 
 For an invariant function on a surface of revolution the critical set
 consists of the pole fixed points (always critical, indices 0 or 2 from
@@ -21,15 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import cartan, spectral
 from .backend import (
     BackendMatrices,
-    DegenerateCriticalLevelError,
+    CriticalLevel,
     InvariantMorseFunction,
     RevolutionProfile,
     build_backend,
+    find_critical_levels,
 )
 
 __all__ = [
@@ -43,31 +45,6 @@ __all__ = [
     "euler_characteristic_check",
     "run_case",
 ]
-
-SCAN_SAMPLES = 4096
-ROOT_TOL = 1e-12
-HESSIAN_TOL = 1e-8
-GRADIENT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CriticalLevel:
-    """One critical fixed point or critical orbit of an invariant function.
-
-    index is the transversal Morse index: the number of negative
-    eigenvalues of the Hessian on the normal space (two equal eigenvalues
-    f'' at a pole, the single eigenvalue f'' across an orbit).
-    """
-
-    kind: str                     # "fixed_point" | "orbit"
-    theta: float
-    index: int
-    hessian_eigenvalues: tuple[float, ...]
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("fixed_point", "orbit"):
-            raise ValueError(f"unknown critical level kind {self.kind!r}")
 
 
 @dataclass
@@ -88,85 +65,6 @@ class MorseCounts:
             rhs = self.c[k] + (self.tilde_c[k - 2] - self.d[k - 2])
             if lhs != rhs:
                 raise ValueError(f"ctilde recursion violated at k = {k}")
-
-
-def _bisect_root(fp, lo: float, hi: float) -> float:
-    flo = fp(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = fp(mid)
-        if hi - lo < ROOT_TOL:
-            return mid
-        if flo * fmid <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def find_critical_levels(profile: RevolutionProfile,
-                         f: InvariantMorseFunction) -> list[CriticalLevel]:
-    """Locate all critical levels of an invariant function.
-
-    A dense sign-change scan (SCAN_SAMPLES points) over the interior of
-    the profile followed by bisection to 1e-12 finds every orbit; pole
-    ends are always critical fixed points.  A Hessian below HESSIAN_TOL
-    raises DegenerateCriticalLevelError.
-    """
-    if profile.kind != "surface":
-        raise ValueError("critical-level analysis needs a surface profile")
-    L = profile.theta_max
-    fp = lambda t: float(f.fp(np.array([t]))[0])
-    fpp = lambda t: float(f.fpp(np.array([t]))[0])
-    fval = lambda t: float(f.f(np.array([t]))[0])
-
-    levels: list[CriticalLevel] = []
-    if profile.periodic:
-        lo, hi = 0.0, L
-    else:
-        # Exclude the ends from the scan: at poles f' vanishes identically
-        # and cut/free ends are not critical levels of the closed model.
-        margin = L / SCAN_SAMPLES
-        lo, hi = margin, L - margin
-
-    # For a periodic profile the end points of the scan coincide, so the
-    # segments below cover the whole circle exactly once.
-    grid = np.linspace(lo, hi, SCAN_SAMPLES)
-    vals = np.array([fp(t) for t in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(_bisect_root(fp, grid[i], grid[i + 1]))
-
-    for theta in sorted(roots):
-        hess = fpp(theta)
-        if abs(hess) < HESSIAN_TOL:
-            raise DegenerateCriticalLevelError(
-                f"critical orbit at theta = {theta:.6f} has |f''| = {abs(hess):.2e}")
-        if abs(fp(theta)) > GRADIENT_TOL:
-            raise DegenerateCriticalLevelError(
-                f"root refinement failed at theta = {theta:.6f}")
-        levels.append(CriticalLevel(
-            kind="orbit", theta=theta, index=1 if hess < 0 else 0,
-            hessian_eigenvalues=(hess,),
-            value=fval(theta)))
-
-    if not profile.periodic:
-        for side, theta in ((0, 0.0), (1, L)):
-            if profile.ends[side] != "pole":
-                continue
-            hess = fpp(theta)
-            if abs(hess) < HESSIAN_TOL:
-                raise DegenerateCriticalLevelError(
-                    f"pole at theta = {theta:.6f} has |f''| = {abs(hess):.2e}")
-            levels.append(CriticalLevel(
-                kind="fixed_point", theta=theta,
-                index=2 if hess < 0 else 0,
-                hessian_eigenvalues=(hess, hess),
-                value=fval(theta)))
-    return sorted(levels, key=lambda lv: lv.theta)
 
 
 def morse_counts(levels, kmax: int) -> MorseCounts:
@@ -274,12 +172,16 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
              s_probes, kmax: int, trace_spec: spectral.TraceSpec) -> dict:
     """Full verification of one catalog case; returns the report payload.
 
-    For the circle (no Morse function) only the Betti numbers and the
-    Euler identity are checked.  The trace slacks reported under
+    kmax must be at least the dimension n, else ConfigurationError.  For
+    the circle (no Morse function) only the Betti numbers and the Euler
+    identity are checked.  The trace slacks reported under
     'slack_thm2' are those at the largest probe; per-probe values are
     embedded under 'trace_slack_per_s'.
     """
     be = build_backend(profile, f)
+    if kmax < be.n:
+        raise cartan.ConfigurationError(
+            f"kmax = {kmax} is below the dimension n = {be.n} that the Euler check needs")
     betti = spectral.betti_numbers(be, kmax + 1)
     status_parts = []
 

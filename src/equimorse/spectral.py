@@ -3,12 +3,17 @@
 Every assembled operator A is symmetric with respect to a diagonal mass
 M, so M^{1/2} A M^{-1/2} is plainly symmetric and a dense (or, for a
 partial spectrum above a size threshold, shift-inverted iterative)
-solver applies.  Kernel dimensions are decided by an
-absolute-plus-relative threshold with a required separation factor, and
-equal the equivariant Betti numbers by the Hodge isomorphism; traces of
-a rapidly decreasing phi over the spectrum realize the heat-trace-like
-functionals whose alternating sums obey the analytic Morse inequalities
-at every deformation parameter.
+solver applies.  Kernel dimensions are decided by one threshold: an
+eigenvalue belongs to the kernel when it is at most KERNEL_TAU_ABS x |A|,
+with |A| the largest eigenvalue modulus (the infinity norm on the
+iterative path).  The same rule, applied per connected block, selects
+the vectors whose Rayleigh quotients are taken in extended precision.
+betti_numbers further requires the gap to be at least
+SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.  Kernel
+dimensions equal the equivariant Betti numbers by the Hodge isomorphism;
+traces of a rapidly decreasing phi over the spectrum realize the
+heat-trace-like functionals whose alternating sums obey the analytic
+Morse inequalities at every deformation parameter.
 
 All solves are deterministic.  The full spectrum, and any spectrum below
 DENSE_LIMIT dimensions, is dense: the symmetrized matrix is split into
@@ -61,7 +66,6 @@ __all__ = [
 
 DENSE_LIMIT = 2000
 KERNEL_TAU_ABS = 1e-9
-KERNEL_TAU_REL = 1e-3
 SEPARATION_FACTOR = 100.0
 RESIDUAL_BOUND = 1e-8
 TRACE_TAIL_BOUND = 1e-6
@@ -87,9 +91,10 @@ class TailBoundError(ValueError):
 class SpectrumReport:
     """Eigenvalues of one operator with kernel bookkeeping.
 
-    eigenvalues are ascending; kernel_dim counts those below the
-    absolute-plus-relative threshold; gap is the smallest eigenvalue
-    above it; residual_norms hold ||A v - lambda v|| per retained pair
+    eigenvalues are ascending; kernel_dim counts those at most
+    KERNEL_TAU_ABS x operator_norm; gap is the smallest eigenvalue above
+    that threshold; separation is gap over the largest kernel eigenvalue;
+    residual_norms hold ||A v - lambda v|| per retained pair
     in the mass-orthonormal frame.
     """
 
@@ -136,16 +141,8 @@ class TraceSpec:
 
 
 def _kernel_split(w: np.ndarray, opnorm: float):
-    """Count near-zero eigenvalues by the iterated threshold rule."""
-    tau_abs = KERNEL_TAU_ABS * opnorm
-    kd = int(np.count_nonzero(w <= tau_abs))
-    for _ in range(4):
-        gap = float(w[kd]) if kd < len(w) else math.inf
-        thr = tau_abs + (KERNEL_TAU_REL * gap if math.isfinite(gap) else 0.0)
-        kd_next = int(np.count_nonzero(w <= thr))
-        if kd_next == kd:
-            break
-        kd = kd_next
+    """Kernel dimension, gap and separation of the ascending spectrum w."""
+    kd = int(np.count_nonzero(w <= KERNEL_TAU_ABS * opnorm))
     gap = float(w[kd]) if kd < len(w) else math.inf
     if kd > 0:
         top_kernel = max(abs(float(w[kd - 1])), 1e-300)

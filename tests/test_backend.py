@@ -84,9 +84,90 @@ def test_unknown_case_rejected():
 
 
 def test_degenerate_bumpy_parameter_rejected():
-    # at c = 1/4 the interior latitude merges with a pole and f'' vanishes
+    # at c = +1/4 (-1/4) the interior latitude merges with the south
+    # (north) pole and f'' vanishes there
+    for c in (0.25, -0.25):
+        with pytest.raises(B.DegenerateCriticalLevelError):
+            B.catalog("sphere_bumpy", {"c": c})
+
+
+def _scalar_critical_levels(profile, f):
+    """Reference implementation: f' sampled point by point, and one scalar
+    bisection per sign change, stopping at the same ROOT_TOL."""
+    fp = lambda t: float(f.fp(np.array([t]))[0])
+    fpp = lambda t: float(f.fpp(np.array([t]))[0])
+    fval = lambda t: float(f.f(np.array([t]))[0])
+
+    def bisect_root(lo, hi):
+        flo = fp(lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fmid = fp(mid)
+            if hi - lo < B.ROOT_TOL:
+                return mid
+            if flo * fmid <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        return 0.5 * (lo + hi)
+
+    L = profile.theta_max
+    if profile.periodic:
+        lo, hi = 0.0, L
+    else:
+        margin = L / B.SCAN_SAMPLES
+        lo, hi = margin, L - margin
+    grid = np.linspace(lo, hi, B.SCAN_SAMPLES)
+    vals = np.array([fp(t) for t in grid])
+    roots = []
+    for i in range(len(grid) - 1):
+        if vals[i] == 0.0:
+            roots.append(grid[i])
+        elif vals[i] * vals[i + 1] < 0:
+            roots.append(bisect_root(grid[i], grid[i + 1]))
+    levels = []
+    for theta in sorted(roots):
+        hess = fpp(theta)
+        assert abs(hess) >= B.HESSIAN_TOL and abs(fp(theta)) <= B.GRADIENT_TOL
+        levels.append(("orbit", theta, 1 if hess < 0 else 0, (hess,), fval(theta)))
+    if not profile.periodic:
+        for side, theta in ((0, 0.0), (1, L)):
+            if profile.ends[side] == "pole":
+                hess = fpp(theta)
+                levels.append(("fixed_point", theta, 2 if hess < 0 else 0,
+                               (hess, hess), fval(theta)))
+    return sorted(levels, key=lambda lv: lv[1])
+
+
+def _bits(level):
+    kind, theta, index, hess, value = level
+    return (kind, float(theta).hex(), index, tuple(float(h).hex() for h in hess),
+            float(value).hex())
+
+
+def test_array_morse_analysis_is_bitwise_the_scalar_scan():
+    choices = [(case, {}) for case in ("sphere_height", "sphere_bumpy", "torus_height")]
+    magnitudes = np.linspace(0.2501, 2.0, 60)
+    choices += [("sphere_bumpy", {"c": sign * c}) for c in magnitudes for sign in (1, -1)]
+    choices += [("sphere_bumpy", {"R": R}) for R in np.linspace(1.01, 6.0, 30)]
+    assert len(choices) >= 150
+    orbits = 0
+    for case, params in choices:
+        profile, f = B.catalog(case, params, n_grid=16)
+        got = [_bits((lv.kind, lv.theta, lv.index, lv.hessian_eigenvalues, lv.value))
+               for lv in B.find_critical_levels(profile, f)]
+        want = [_bits(lv) for lv in _scalar_critical_levels(profile, f)]
+        assert got == want, (case, params)
+        orbits += sum(lv[0] == "orbit" for lv in got)
+    assert orbits == 2 + 1 + 120 + 30
+
+
+@pytest.mark.parametrize("case", ["torus_height", "sphere_bumpy"])
+def test_critical_latitude_at_weight_zero_rejected(case):
+    # under the trivial action a critical latitude is a circle of fixed
+    # points, neither an isolated fixed point nor a free orbit
     with pytest.raises(B.DegenerateCriticalLevelError):
-        B.catalog("sphere_bumpy", {"c": 0.25})
+        B.catalog(case, weight=0)
 
 
 def test_weight_doubling_quadruples_circle_eigenvalue():

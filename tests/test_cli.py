@@ -121,6 +121,13 @@ def test_verify_matches_golden_report(case, tmp_path):
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--phi", "gaussian:abc"],
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--phi", "exp_decay:0"],
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--kmax", "-1"],
+    # the Euler identities need the degrees up to the dimension n
+    ["verify", "--case", "circle_trivial", "--kmax", "0"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--kmax", "0"],
+    ["verify", "--case", "torus_height", "--n-grid", "64", "--kmax", "1"],
+    # under the trivial action a critical latitude is a circle of fixed points
+    ["verify", "--case", "torus_height", "--n-grid", "64", "--weight", "0"],
+    ["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--weight", "0"],
     ["local", "--s", "0"],
     ["local", "--weight", "0"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
@@ -128,13 +135,28 @@ def test_verify_matches_golden_report(case, tmp_path):
         "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
         "verify-malformed-s", "verify-malformed-param", "verify-unknown-phi",
         "verify-malformed-phi-scale", "verify-zero-phi-scale",
-        "verify-negative-kmax", "local-zero-s", "local-zero-weight"])
+        "verify-negative-kmax", "verify-circle-kmax-below-n",
+        "verify-surface-kmax-0", "verify-surface-kmax-1",
+        "verify-torus-weight-0", "verify-bumpy-weight-0",
+        "local-zero-s", "local-zero-weight"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "circle_trivial", "--kmax", "1"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--kmax", "2"],
+    ["verify", "--case", "circle_trivial", "--weight", "0"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--weight", "0"],
+], ids=["circle-kmax-n", "surface-kmax-n", "circle-weight-0", "sphere-weight-0"])
+def test_verify_at_the_edge_of_valid_input_passes(argv, tmp_path):
+    out = tmp_path / "report.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "PASS"
 
 
 @pytest.mark.parametrize("name,content,argv", [

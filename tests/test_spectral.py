@@ -33,6 +33,26 @@ def test_identity_matrix_spectrum():
     assert rep.gap == pytest.approx(1.0)
 
 
+def test_kernel_is_one_threshold_on_the_operator_norm():
+    tau = S.KERNEL_TAU_ABS  # the operator norm below is 1
+    w = np.array([0.5 * tau, 2.0 * tau, 1.0])
+    rep = S.eigensolve(sp.diags(w, format="csr"), np.ones(3))
+    assert rep.operator_norm == 1.0
+    assert rep.kernel_dim == 1
+    assert rep.gap == w[1]
+    assert rep.separation == w[1] / w[0]
+
+
+def test_eigenvalue_just_above_the_threshold_is_outside_the_kernel():
+    # an iterated absolute-plus-relative rule would widen the threshold by
+    # 0.1% and count this eigenvalue as kernel
+    w = np.array([1.0005 * S.KERNEL_TAU_ABS, 1.0])
+    rep = S.eigensolve(sp.diags(w, format="csr"), np.ones(2))
+    assert rep.kernel_dim == 0
+    assert rep.gap == w[0]
+    assert rep.separation == math.inf
+
+
 def test_circle_weight_three_single_eigenvalue():
     profile, f = B.catalog("circle_trivial", weight=3)
     be = B.build_backend(profile, f)
