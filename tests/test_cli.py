@@ -240,6 +240,22 @@ def test_spectrum_subcommand(tmp_path):
     assert csv_path.exists()
 
 
+def test_spectrum_json_carries_the_solver_facts(tmp_path):
+    texts = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert run(["spectrum", "--case", "sphere_height", "--n-grid", "64",
+                    "--k", "2", "--s", "16", "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    payload = json.loads(texts[0])
+    assert payload["dim"] == len(payload["eigenvalues"]) == 127
+    assert payload["operator_norm"] == max(abs(x) for x in payload["eigenvalues"])
+    assert payload["separation"] >= 100.0
+    assert payload["vectors"] == len(payload["residual_norms"])
+    assert payload["kernel_dim"] <= payload["vectors"] < payload["dim"]
+
+
 def test_local_subcommand(tmp_path):
     out = tmp_path / "local.json"
     code = run(["local", "--s", "10", "--weight", "2", "--eps", "-1",

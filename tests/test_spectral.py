@@ -293,16 +293,26 @@ def test_eigenvalues_do_not_depend_on_the_basis_order(case):
 
 
 def test_residual_gate_rejects_a_wrong_eigenvalue(sphere, monkeypatch):
-    eigh = sla.eigh
+    """A band eigenvalue off by 100 x RESIDUAL_BOUND x |A| is rejected.
 
-    def corrupted(a, *args, **kwargs):
-        w, v = eigh(a, *args, **kwargs)
-        w = w.copy()
-        w[0] += 1e-6 * max(np.abs(w).max(), 1.0)  # 100 x RESIDUAL_BOUND
-        return w, v
+    Inside the low window the Rayleigh quotients no longer match the band
+    eigenvalues; outside it, where no vector is computed, the eigenvalues
+    no longer sum to the trace.
+    """
+    eig_banded = sla.eig_banded
 
-    monkeypatch.setattr(S.sla, "eigh", corrupted)
-    with pytest.raises(S.SolverError):
+    def corrupting(position):
+        def corrupted(a_band, *args, **kwargs):
+            w = eig_banded(a_band, *args, **kwargs).copy()
+            w[position] += 1e-6 * max(np.abs(w).max(), 1.0)  # 100 x RESIDUAL_BOUND
+            return w
+        return corrupted
+
+    monkeypatch.setattr(S.sla, "eig_banded", corrupting(0))
+    with pytest.raises(S.SolverError, match="Rayleigh quotients"):
+        S.delta_spectrum(sphere, 2)
+    monkeypatch.setattr(S.sla, "eig_banded", corrupting(-1))
+    with pytest.raises(S.SolverError, match="trace"):
         S.delta_spectrum(sphere, 2)
 
 
@@ -312,3 +322,108 @@ def test_full_spectrum_is_dense_above_the_limit(monkeypatch):
     monkeypatch.setattr(S, "DENSE_LIMIT", 16)
     rep = S.delta_spectrum(be, 1, s=16.0)
     assert rep.count == rep.dim and len(rep.eigenvalues) == rep.dim
+
+
+def test_count_equal_to_the_dimension_is_the_full_spectrum(monkeypatch):
+    profile, f = B.catalog("sphere_height", n_grid=64)
+    be = B.build_backend(profile, f)
+    monkeypatch.setattr(S, "DENSE_LIMIT", 16)
+    full = S.delta_spectrum(be, 0)
+    counted = S.delta_spectrum(be, 0, count=full.dim)
+    assert counted.count == counted.dim == full.dim
+    assert counted.eigenvalues == full.eigenvalues
+    assert counted.residual_norms == full.residual_norms
+
+
+def _near_degenerate_pair_at_the_window_edge():
+    """Pentadiagonal matrix, one connected block, whose eigenvalues come in
+    pairs 1e-10 x |A| apart, shifted so that one pair straddles the edge
+    where the band error bound reaches EIGENVALUE_ACCURACY x |lambda|.
+
+    Two tridiagonal chains on the even and odd indices, the odd one
+    raised by the pair spacing, coupled by 1e-12 between neighbours.
+    """
+    half = 60
+    chain = sp.diags([-np.ones(half - 1), 2 * np.ones(half), -np.ones(half - 1)],
+                     [-1, 0, 1]).toarray() * 1e3
+    spacing = 1e-10 * 4e3
+    A = np.zeros((2 * half, 2 * half))
+    A[0::2, 0::2] = chain
+    A[1::2, 1::2] = chain + spacing * np.eye(half)
+    coupling = 1e-12 * np.ones(2 * half - 1)
+    A += np.diag(coupling, 1) + np.diag(coupling, -1)
+    w = np.linalg.eigvalsh(A)
+    # the edge sits at K x |A| with K = band error / accuracy; put the
+    # middle of the pair j = 8 (indices 16, 17) on it
+    K = S._band_error(2 * half) / S.EIGENVALUE_ACCURACY
+    middle = 0.5 * (w[16] + w[17])
+    shift = (K * w[-1] - middle) / (1 - K)
+    return A + shift * np.eye(2 * half)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[9.0]]),
+    np.array([[2.0, 1.0], [1.0, 2.0]]),
+    np.array([[1e-12, 0.0], [0.0, 3.0]]),
+    _near_degenerate_pair_at_the_window_edge(),
+], ids=["dim-1", "dim-2", "dim-2-kernel", "pair-at-the-edge"])
+def test_window_edge_keeps_every_eigenvalue_accurate(matrix):
+    reference = np.linalg.eigvalsh(matrix)
+    rep = S.eigensolve(sp.csr_matrix(matrix), np.ones(len(matrix)))
+    got = np.asarray(rep.eigenvalues)
+    assert np.all(np.abs(got - reference) <= 1e-12 * np.maximum(np.abs(reference), 1.0))
+    bound = S.RESIDUAL_BOUND * max(rep.operator_norm, 1.0)
+    assert max(rep.residual_norms, default=0.0) <= bound
+
+
+def test_window_is_widened_over_a_pair_at_its_edge():
+    matrix = _near_degenerate_pair_at_the_window_edge()
+    rep = S.eigensolve(sp.csr_matrix(matrix), np.ones(len(matrix)))
+    edge = S._band_error(len(matrix)) * rep.operator_norm / S.EIGENVALUE_ACCURACY
+    assert rep.eigenvalues[16] < edge < rep.eigenvalues[17]
+    assert len(rep.residual_norms) == 18  # both members of the pair carry a vector
+
+
+def test_residual_gate_rejects_an_inexact_window_vector(sphere, monkeypatch):
+    # a 5e-8 error in each window vector moves its Rayleigh quotient by
+    # about 1e-15 x |A|, inside the window match, but leaves a residual
+    # above RESIDUAL_BOUND x |A|
+    window_vectors = S._window_vectors
+
+    def perturbed(ab, theta, norm):
+        V = window_vectors(ab, theta, norm)
+        noise = np.random.default_rng(1).standard_normal(V.shape)
+        return V + 5e-8 * noise / np.linalg.norm(noise, axis=0)
+
+    monkeypatch.setattr(S, "_window_vectors", perturbed)
+    with pytest.raises(S.SolverError, match="residual bound"):
+        S.delta_spectrum(sphere, 2)
+
+
+def test_a_pair_inside_the_band_error_is_resolved(monkeypatch):
+    """Path graph of 2n nodes, scaled by c, whose middle edge has weight w.
+
+    The kernel is the constant vector; the next eigenvalue belongs to the
+    vector that is +1 on one half and -1 on the other, 2w/n up to
+    O(w^2 n / c), here 1e-18.  The band eigenvalues are moved by half the
+    band error bound, more than the pair's spacing, so inverse iteration
+    cannot tell the two vectors apart; the window's Rayleigh-Ritz step must.
+    """
+    n, c, w = 50, 1e4, 5e-9
+    weights = np.full(2 * n - 1, c)
+    weights[n - 1] = w
+    diag = np.zeros(2 * n)
+    diag[:-1] += weights
+    diag[1:] += weights
+    A = sp.diags([-weights, diag, -weights], [-1, 0, 1], format="csr")
+    eig_banded = sla.eig_banded
+
+    def off_by_half_the_bound(a_band, *args, **kwargs):
+        theta = eig_banded(a_band, *args, **kwargs)
+        return theta + 0.5 * S._band_error(len(theta)) * np.abs(theta).max()
+
+    monkeypatch.setattr(S.sla, "eig_banded", off_by_half_the_bound)
+    rep = S.eigensolve(A, np.ones(2 * n), count=2)
+    assert 2 * w / n < 0.5 * S._band_error(2 * n) * rep.operator_norm
+    assert abs(rep.eigenvalues[0]) <= 1e-12
+    assert abs(rep.eigenvalues[1] - 2 * w / n) <= 1e-12
