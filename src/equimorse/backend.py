@@ -60,6 +60,10 @@ SCAN_SAMPLES = 4096
 ROOT_TOL = 1e-12
 HESSIAN_TOL = 1e-8
 GRADIENT_TOL = 1e-10
+# The largest magnitude whose square is a finite float.  The critical-level
+# scan, the assembly, the eigensolvers and the grid oracles all square the
+# values they are given, so every input must stay below it.
+SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 
 
 class BackendError(Exception):
@@ -162,9 +166,8 @@ class BackendMatrices:
     package are derived from these together with the diagonal masses.
 
     d[j]        : Omega^j -> Omega^{j+1}, exterior derivative.
-    iv[j]       : Omega^j -> Omega^{j-1}, contraction with v (None at j=0).
-    vstar[j]    : Omega^j -> Omega^{j+1}, exterior product with v*; the
-                  exact mass-adjoint of iv[j+1].
+    iv[j]       : Omega^j -> Omega^{j-1}, contraction with v (None at j=0);
+                  its mass-adjoint is the exterior product with v*.
     dfwedge[j]  : Omega^j -> Omega^{j+1}, exterior product with df (None
                   when no invariant function was supplied).
     mult_df2[j] : Omega^j -> Omega^j, the scheme's multiplication by |df|^2.
@@ -181,14 +184,11 @@ class BackendMatrices:
     mass: list[np.ndarray]
     d: list[sp.csr_matrix]
     iv: list
-    vstar: list
     dfwedge: list
     mult_df2: list
     cliff_hess: list
     profile: RevolutionProfile
     f: InvariantMorseFunction | None
-    poles: list[float]
-    theta_int: np.ndarray | None = None
 
 
 def _adjoint(mat: sp.spmatrix, mass_dom: np.ndarray, mass_cod: np.ndarray) -> sp.csr_matrix:
@@ -198,27 +198,21 @@ def _adjoint(mat: sp.spmatrix, mass_dom: np.ndarray, mass_cod: np.ndarray) -> sp
     )
 
 
-def _difference_average(n_int: int, dx: float, periodic: bool):
-    """Narrow difference and average matrices from integer to half nodes."""
-    if periodic:
-        rows = np.repeat(np.arange(n_int), 2)
-        cols = np.empty(2 * n_int, dtype=int)
-        cols[0::2] = np.arange(n_int)
-        cols[1::2] = (np.arange(n_int) + 1) % n_int
-        dvals = np.tile([-1.0 / dx, 1.0 / dx], n_int)
-        avals = np.tile([0.5, 0.5], n_int)
-        shape = (n_int, n_int)
-    else:
-        m = n_int - 1
-        rows = np.repeat(np.arange(m), 2)
-        cols = np.empty(2 * m, dtype=int)
-        cols[0::2] = np.arange(m)
-        cols[1::2] = np.arange(m) + 1
-        dvals = np.tile([-1.0 / dx, 1.0 / dx], m)
-        avals = np.tile([0.5, 0.5], m)
-        shape = (m, n_int)
-    D = sp.csr_matrix((dvals, (rows, cols)), shape=shape)
-    A = sp.csr_matrix((avals, (rows, cols)), shape=shape)
+def _difference_average(n_int: int, n_half: int, dx: float):
+    """Narrow difference and average matrices from integer to half nodes.
+
+    Half node h joins integer nodes h and (h + 1) mod n_int: a periodic
+    grid (n_half = n_int) closes up, a bounded one (n_half = n_int - 1)
+    never wraps.
+    """
+    rows = np.repeat(np.arange(n_half), 2)
+    cols = np.empty(2 * n_half, dtype=int)
+    cols[0::2] = np.arange(n_half)
+    cols[1::2] = (np.arange(n_half) + 1) % n_int
+    dvals = np.tile([-1.0 / dx, 1.0 / dx], n_half)
+    avals = np.tile([0.5, 0.5], n_half)
+    D = sp.csr_matrix((dvals, (rows, cols)), shape=(n_half, n_int))
+    A = sp.csr_matrix((avals, (rows, cols)), shape=(n_half, n_int))
     return D, A
 
 
@@ -235,13 +229,11 @@ def _circle_backend(profile: RevolutionProfile) -> BackendMatrices:
         mass=[np.array([vol]), np.array([vol])],
         d=[z11.copy()],
         iv=[None, sp.csr_matrix(np.array([[m]]))],
-        vstar=[sp.csr_matrix(np.array([[m]]))],
         dfwedge=None,
         mult_df2=None,
         cliff_hess=None,
         profile=profile,
         f=None,
-        poles=[],
     )
 
 
@@ -260,31 +252,49 @@ def build_backend(profile: RevolutionProfile,
     N = profile.n_grid
     L = profile.theta_max
     periodic = profile.periodic
-    if periodic:
-        dx = L / N
-        th_i = dx * np.arange(N)
-    else:
-        dx = L / (N - 1)
-        th_i = dx * np.arange(N)
-    th_h = th_i + dx / 2.0
-    if not periodic:
-        th_h = th_h[:-1]
+    n_half = N if periodic else N - 1
+    dx = L / n_half
+    th_i = dx * np.arange(N)
+    th_h = (th_i + dx / 2.0)[:n_half]
 
     a_i = np.asarray(profile.a(th_i), dtype=float)
     a_h = np.asarray(profile.a(th_h), dtype=float)
 
-    # Geometric validation on half nodes (always interior) and the
-    # interior integer nodes.
+    # Half nodes are always interior.
     if np.any(a_h <= 0.0):
         raise ProfileValidationError(
             f"profile {profile.name!r}: a(theta) <= 0 at an interior node")
-    interior = np.ones(N, dtype=bool)
-    poles: list[float] = []
-    for side, node in ((0, 0), (1, N - 1)):
-        kind = profile.ends[side] if not periodic else "periodic"
+
+    # Dual-cell masses.  Functions integrate against a(theta) d(theta),
+    # dpsi components against 1/a, over the half cells of the two half
+    # nodes next to a node (h - 1 and h, mod n_half); half-node components
+    # use the plain cell value.  End nodes of a bounded profile are
+    # overwritten below.
+    nodes = np.arange(N)
+    a_lo, a_hi = a_h[nodes - 1], a_h[nodes % n_half]
+    mu_u_full = 0.5 * dx * (a_lo + a_hi)
+    mu_h_full = 0.5 * dx * (1.0 / a_lo + 1.0 / a_hi)
+
+    # The ends of a bounded profile.  u and h are dropped at Dirichlet
+    # ('cut') ends and stay at natural ('free') ends; at poles u stays (an
+    # even, smooth extension) while h is pinned to zero (dpsi components
+    # of smooth forms vanish there).  The two choices realize the relative
+    # and absolute complexes of a manifold with boundary.  g and w live on
+    # half nodes and always stay.  An end node keeps the half cell inside
+    # the profile; at a pole u samples a at that cell's midpoint, which
+    # keeps the quadrature second order where a vanishes linearly.
+    u_keep = np.ones(N, dtype=bool)
+    h_keep = np.ones(N, dtype=bool)
+    poles: list[tuple[int, float]] = []
+    end_nodes = () if periodic else ((0, 0, 0, dx / 4.0), (1, N - 1, -1, L - dx / 4.0))
+    for side, node, half, quarter in end_nodes:
+        kind = profile.ends[side]
+        u_keep[node] = kind != "cut"
+        h_keep[node] = kind == "free"
+        mu_u_full[node] = 0.5 * dx * a_h[half]
+        mu_h_full[node] = 0.5 * dx / a_h[half]
         if kind == "pole":
-            interior[node] = False
-            poles.append(th_i[node])
+            poles.append((side, th_i[node]))
             slope = abs(float(profile.a_prime(np.array([th_i[node]]))[0]))
             if abs(a_i[node]) > 1e-9 * max(1.0, a_h.max()):
                 raise ProfileValidationError(
@@ -293,85 +303,45 @@ def build_backend(profile: RevolutionProfile,
                 raise ProfileValidationError(
                     f"profile {profile.name!r}: |a'| = {slope:.3e} != 1 at pole end {side} "
                     "(metric would have a cone singularity)")
-        elif kind == "cut":
-            interior[node] = False
-    if np.any(a_i[interior] <= 0.0):
+            mu_u_full[node] = 0.5 * dx * float(profile.a(np.array([quarter]))[0])
+    # The nodes that keep h are exactly the interior ones.
+    if np.any(a_i[h_keep] <= 0.0):
         raise ProfileValidationError(
             f"profile {profile.name!r}: a(theta) <= 0 at an interior node")
 
-    if f is not None and not periodic:
-        for side, node in ((0, 0), (1, N - 1)):
-            if profile.ends[side] == "pole":
-                grad = float(f.fp(np.array([th_i[node]]))[0])
-                if abs(grad) > POLE_GRAD_TOL:
-                    raise ProfileValidationError(
-                        f"{f.name!r} is not smooth at the pole end {side}: "
-                        f"f'({th_i[node]:.6f}) = {grad:.3e} != 0")
+    # f is checked only once the whole geometry has passed, so a profile
+    # that fails both reports its geometric fault.
     if f is not None and periodic:
         ends = np.array([0.0, L])
         if (abs(np.diff(f.f(ends))[0]) > 1e-9
                 or abs(np.diff(f.fp(ends))[0]) > 1e-9):
             raise ProfileValidationError(
                 f"{f.name!r} does not close up on the periodic profile")
+    elif f is not None:
+        for side, theta in poles:
+            grad = float(f.fp(np.array([theta]))[0])
+            if abs(grad) > POLE_GRAD_TOL:
+                raise ProfileValidationError(
+                    f"{f.name!r} is not smooth at the pole end {side}: "
+                    f"f'({theta:.6f}) = {grad:.3e} != 0")
 
-    # Degree-of-freedom masks.  u and h are dropped at Dirichlet ('cut')
-    # ends and stay at natural ('free') ends; at poles u stays (an even,
-    # smooth extension) while h is pinned to zero (dpsi components of
-    # smooth forms vanish there).  The two choices realize the relative
-    # and absolute complexes of a manifold with boundary.  g and w live
-    # on half nodes and always stay.
-    u_keep = np.ones(N, dtype=bool)
-    h_keep = np.ones(N, dtype=bool)
-    if not periodic:
-        for side, node in ((0, 0), (1, N - 1)):
-            kind = profile.ends[side]
-            if kind in ("pole", "cut"):
-                h_keep[node] = False
-            if kind == "cut":
-                u_keep[node] = False
-
-    D_full, A_full = _difference_average(N, dx, periodic)
-    n_half = D_full.shape[0]
-
-    # Dual-cell masses.  Functions integrate against a(theta) d(theta),
-    # dpsi components against 1/a; half-node components use the plain cell
-    # value.  Pole end cells use the midpoint of the half cell so that the
-    # quadrature stays second order where a vanishes linearly.
-    if periodic:
-        a_h_prev = np.roll(a_h, 1)
-        mu_u_full = 0.5 * dx * (a_h_prev + a_h)
-        mu_h_full = 0.5 * dx * (1.0 / a_h_prev + 1.0 / a_h)
-    else:
-        mu_u_full = np.empty(N)
-        mu_u_full[1:-1] = 0.5 * dx * (a_h[:-1] + a_h[1:])
-        mu_h_full = np.empty(N)
-        mu_h_full[1:-1] = 0.5 * dx * (1.0 / a_h[:-1] + 1.0 / a_h[1:])
-        for side, node, sample in ((0, 0, dx / 4.0), (1, N - 1, L - dx / 4.0)):
-            a_adj = a_h[0 if side == 0 else -1]
-            if profile.ends[side] == "pole":
-                # half-cell midpoint rule keeps the quadrature second
-                # order where a vanishes linearly
-                mu_u_full[node] = 0.5 * dx * float(profile.a(np.array([sample]))[0])
-            else:
-                mu_u_full[node] = 0.5 * dx * a_adj
-            mu_h_full[node] = 0.5 * dx / a_adj
+    n_h = int(h_keep.sum())
     mu_u = mu_u_full[u_keep]
     mu_h = mu_h_full[h_keep]
     nu_g = dx * a_h
     nu_w = dx / a_h
 
-    dims = [int(u_keep.sum()), int(n_half + h_keep.sum()), int(n_half)]
+    dims = [int(u_keep.sum()), n_half + n_h, n_half]
     mass = [mu_u, np.concatenate([nu_g, mu_h]), nu_w]
 
+    D_full, A_full = _difference_average(N, n_half, dx)
     D_u = sp.csr_matrix(D_full[:, u_keep])
     D_h = sp.csr_matrix(D_full[:, h_keep])
     A_u = sp.csr_matrix(A_full[:, u_keep])
     A_h = sp.csr_matrix(A_full[:, h_keep])
 
-    zero_g = sp.csr_matrix((n_half, dims[0]))
-
     # d: d(u) = u' dtheta ; d(g dtheta + h dpsi) = h' dtheta^dpsi.
-    d0 = sp.csr_matrix(sp.vstack([D_u, sp.csr_matrix((int(h_keep.sum()), dims[0]))]))
+    d0 = sp.csr_matrix(sp.vstack([D_u, sp.csr_matrix((n_h, dims[0]))]))
     d1 = sp.csr_matrix(sp.hstack([sp.csr_matrix((n_half, n_half)), D_h]))
 
     # i_v: i_v(h dpsi) = m h ; i_v(w dtheta^dpsi) = -m w dtheta.
@@ -380,16 +350,10 @@ def build_backend(profile: RevolutionProfile,
     # its position among the kept u nodes.
     inj_rows = np.where(h_keep[u_keep])[0]
     inj_hu = sp.csr_matrix(
-        (np.ones(int(h_keep.sum())), (inj_rows, np.arange(int(h_keep.sum())))),
-        shape=(dims[0], int(h_keep.sum())))
+        (np.ones(n_h), (inj_rows, np.arange(n_h))), shape=(dims[0], n_h))
     iv1 = sp.csr_matrix(sp.hstack([sp.csr_matrix((dims[0], n_half)), m * inj_hu]))
     iv2 = sp.csr_matrix(sp.vstack([-m * sp.identity(n_half, format="csr"),
-                                   sp.csr_matrix((int(h_keep.sum()), n_half))]))
-
-    # v* wedge as the exact mass-adjoint of i_v; entrywise this is
-    # multiplication by m a^2 up to the quadrature's own a^2 average.
-    vstar0 = _adjoint(iv1, mass[1], mass[0])
-    vstar1 = _adjoint(iv2, mass[2], mass[1])
+                                   sp.csr_matrix((n_h, n_half))]))
 
     dfwedge = None
     mult_df2 = None
@@ -399,7 +363,7 @@ def build_backend(profile: RevolutionProfile,
         S = sp.diags(sigma)
         P0c = sp.csr_matrix(S @ A_u)          # u -> g channel
         P1c = sp.csr_matrix(S @ A_h)          # h -> w channel
-        P0 = sp.csr_matrix(sp.vstack([P0c, sp.csr_matrix((int(h_keep.sum()), dims[0]))]))
+        P0 = sp.csr_matrix(sp.vstack([P0c, sp.csr_matrix((n_h, dims[0]))]))
         P1 = sp.csr_matrix(sp.hstack([sp.csr_matrix((n_half, n_half)), P1c]))
         dfwedge = [P0, P1]
 
@@ -422,22 +386,18 @@ def build_backend(profile: RevolutionProfile,
             sp.csr_matrix(D_h @ P1c_adj + P1c @ D_h_adj),
         ]
 
-    backend = BackendMatrices(
+    return BackendMatrices(
         n=2,
         dims=dims,
         mass=mass,
         d=[d0, d1],
         iv=[None, iv1, iv2],
-        vstar=[vstar0, vstar1],
         dfwedge=dfwedge,
         mult_df2=mult_df2,
         cliff_hess=cliff_hess,
         profile=profile,
         f=f,
-        poles=poles,
-        theta_int=th_i,
     )
-    return backend
 
 
 def validate_backend(backend: BackendMatrices) -> dict:
@@ -607,9 +567,10 @@ def catalog(name: str, params: dict | None = None, n_grid: int = 256,
                     not Morse, so no function is returned; the backend
                     serves algebraic and spectral identities only.
 
-    Every surface case goes through find_critical_levels, so a flat
-    critical level, or a critical latitude at weight 0, raises
-    DegenerateCriticalLevelError.
+    Parameters at which the case's functions, or their squares, overflow
+    on the profile raise ProfileValidationError.  Every surface case goes
+    through find_critical_levels, so a flat critical level, or a critical
+    latitude at weight 0, raises DegenerateCriticalLevelError.
     """
     params = dict(params or {})
     if name == "sphere_height":
@@ -658,6 +619,17 @@ def catalog(name: str, params: dict | None = None, n_grid: int = 256,
             f"unknown catalog case {name!r}; choose from {CATALOG_CASES}")
     if params:
         raise ProfileValidationError(f"unused parameters for {name!r}: {sorted(params)}")
+    th = np.linspace(0.0, profile.theta_max, SCAN_SAMPLES)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            peak = np.max([np.abs(fn(th)).max() for fn in
+                           (profile.a, profile.a_prime, f.f, f.fp, f.fpp)])
+    except ArithmeticError:
+        peak = math.inf
+    if not peak < SQRT_FLOAT_MAX:
+        raise ProfileValidationError(
+            f"{profile.name} with f = {f.name}: the case's functions, or their "
+            "squares, overflow at these parameters")
     find_critical_levels(profile, f)
     return profile, f
 

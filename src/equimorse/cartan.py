@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import BackendMatrices, _adjoint
+from .backend import SQRT_FLOAT_MAX, BackendMatrices, _adjoint
 
 __all__ = [
     "EqDegreeSpace",
@@ -143,14 +143,10 @@ def _assemble_blocks(backend: BackendMatrices, dom: EqDegreeSpace,
         grid[bi][bj] = mat if grid[bi][bj] is None else grid[bi][bj] + mat
     if not cod.blocks or not dom.blocks:
         return EqOperator(dom, cod, sp.csr_matrix((cod.dim, dom.dim)))
-    # bmat requires at least one block per row/column to infer sizes.
-    for bi in range(len(cod.blocks)):
-        if all(grid[bi][bj] is None for bj in range(len(dom.blocks))):
-            grid[bi][0] = sp.csr_matrix((cod.block_dims[bi], dom.block_dims[0]))
-    for bj in range(len(dom.blocks)):
-        if all(grid[bi][bj] is None for bi in range(len(cod.blocks))):
-            grid[0][bj] = grid[0][bj] if grid[0][bj] is not None else \
-                sp.csr_matrix((cod.block_dims[0], dom.block_dims[bj]))
+    # Empty blocks fix every row and column size for bmat.
+    grid = [[sp.csr_matrix((rows, cols)) if mat is None else mat
+             for mat, cols in zip(row, dom.block_dims)]
+            for row, rows in zip(grid, cod.block_dims)]
     return EqOperator(dom, cod, sp.csr_matrix(sp.bmat(grid, format="csr")))
 
 
@@ -218,7 +214,9 @@ def build_deformed(backend: BackendMatrices, s: float, k: int):
     d_eq,s = d_eq + s (df wedge); the adjoint is exact; the Laplacian is
     assembled by composition.  The df-wedge term is added only for s > 0,
     so at s = 0 the undeformed operators come out bitwise and backends
-    without a sampled function (the circle) still have a Laplacian.
+    without a sampled function (the circle) still have a Laplacian.  A
+    Laplacian entry that is not finite, or whose square overflows, raises
+    ConfigurationError.
     """
     if not 0.0 <= s < math.inf:
         raise ConfigurationError(
@@ -238,8 +236,14 @@ def build_deformed(backend: BackendMatrices, s: float, k: int):
         ds_lo = deformed(k - 1)
         if ds_lo.domain.dim:
             mat = mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix
+    mat = sp.csr_matrix(mat)
+    peak = max(mat.data.max(initial=0.0), -mat.data.min(initial=0.0))
+    if not peak < SQRT_FLOAT_MAX:
+        raise ConfigurationError(
+            f"the degree-{k} Laplacian at s = {s:g} has entries of size {peak:.3g}, "
+            "beyond the range the eigensolvers can square")
     space = degree_space(backend, k)
-    return ds_up, ds_up_star, EqOperator(space, space, sp.csr_matrix(mat))
+    return ds_up, ds_up_star, EqOperator(space, space, mat)
 
 
 def _block_diagonal_term(backend: BackendMatrices, space: EqDegreeSpace,

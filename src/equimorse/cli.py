@@ -286,9 +286,12 @@ def cmd_local(args) -> int:
         raise ConfigError(f"rotation speed m must be a positive integer, got {m}")
     tol = 1e-2
     branch_a, branch_b = local_mod.ab_branch_spectra(s, m, eps, 3)
-    radial = local_mod.radial_invariant_spectrum(s * s, 3)
+    try:
+        radial = local_mod.radial_invariant_spectrum(s * s, 3)
+        coupled = local_mod.coupled_branch_spectrum(s, m, eps, 3)
+    except ValueError as exc:  # no finite oracle grid at this s
+        raise ConfigError(f"s = {s:g}: {exc}") from None
     shifted = [v - 2.0 * eps * s for v in radial]
-    coupled = local_mod.coupled_branch_spectrum(s, m, eps, 3)
 
     def _rel(xs, ys):
         scale = max(max(abs(y) for y in ys), s)

@@ -208,15 +208,21 @@ def ab_branch_spectra(s: float, m: float, eps: int, count: int):
 # Radial grid oracles
 # ---------------------------------------------------------------------------
 
-def _radial_sym_tridiag(omega_sq: float, n_grid: int, radius: float):
-    """Symmetrized FV matrix of -u'' - u'/r + omega^2 r^2 u on (0, R]."""
-    h = radius / n_grid
+def _radial_sym_tridiag(omega_sq: float, n_grid: int):
+    """Symmetrized FV matrix of -u'' - u'/r + omega^2 r^2 u on (0, R],
+    R = sqrt(44/omega).  ValueError unless omega^2 is a positive float and
+    the entries' squares, which the tridiagonal solvers form, are finite."""
+    if not 0.0 < omega_sq < math.inf:
+        raise ValueError(f"oracle frequency^2 {omega_sq:g} is not a positive finite float")
+    h = math.sqrt(44.0 / math.sqrt(omega_sq)) / n_grid
     r = (0.5 + np.arange(n_grid)) * h
     r_up = r + 0.5 * h          # r_{j+1/2}; r_{-1/2} = 0 encodes regularity
     r_dn = r - 0.5 * h
     r_dn[0] = 0.0
     diag = (r_up + r_dn) / (r * h**2) + omega_sq * r * r
     off = -r_up[:-1] / (h**2 * np.sqrt(r[:-1] * r[1:]))
+    if not np.abs(np.concatenate([diag, off])).max() < _backend.SQRT_FLOAT_MAX:
+        raise ValueError(f"oracle grid at frequency^2 {omega_sq:g} overflows when squared")
     return diag, off
 
 
@@ -227,9 +233,7 @@ def radial_invariant_spectrum(omega_sq: float, count: int) -> list[float]:
     with the natural regularity condition at 0 and a Dirichlet cut at R;
     the closed form is 2 omega (1+2p).
     """
-    omega = math.sqrt(omega_sq)
-    R = math.sqrt(44.0 / omega)
-    diag, off = _radial_sym_tridiag(omega_sq, RADIAL_GRID_POINTS, R)
+    diag, off = _radial_sym_tridiag(omega_sq, RADIAL_GRID_POINTS)
     w = sla.eigvalsh_tridiagonal(diag, off, select="i",
                                  select_range=(0, count - 1))
     return [float(v) for v in w]
@@ -240,10 +244,7 @@ def coupled_branch_spectrum(s: float, m: float, eps: int, count: int) -> list[fl
     radial oscillator of frequency sqrt(s^2+m^2) on (0, sqrt(44/omega)]
     plus the constant 2x2 coupling; validates the branch-B closed form
     including its factors."""
-    omega_sq = s * s + m * m
-    omega = math.sqrt(omega_sq)
-    R = math.sqrt(44.0 / omega)
-    diag, off = _radial_sym_tridiag(omega_sq, COUPLED_GRID_POINTS, R)
+    diag, off = _radial_sym_tridiag(s * s + m * m, COUPLED_GRID_POINTS)
     M = len(diag)
     S = np.zeros((2 * M, 2 * M))
     for blk in range(2):

@@ -14,7 +14,7 @@ heat-trace-like functionals whose alternating sums obey the analytic
 Morse inequalities at every deformation parameter.
 
 All solves are deterministic.  The full spectrum, and any spectrum below
-DENSE_LIMIT dimensions, comes from a band solve: the symmetrized matrix
+BAND_LIMIT dimensions, comes from a band solve: the symmetrized matrix
 is split into its connected blocks (odd degrees separate into the g and
 h chains), each block is put in reverse Cuthill-McKee order (bandwidth
 1 to 6 on the catalog) and LAPACK computes all its eigenvalues without
@@ -26,7 +26,7 @@ eigenvalue is the extended-precision Rayleigh quotient of its vector.
 Pairs with a vector must pass the residual bound; the quotients must
 match the band eigenvalues of the window, and the eigenvalues must sum
 to the trace, within the band solve's error bound.  A partial spectrum
-above DENSE_LIMIT uses shift-invert Lanczos with a fixed starting vector.
+above BAND_LIMIT uses shift-invert Lanczos with a fixed starting vector.
 """
 
 from __future__ import annotations
@@ -70,9 +70,9 @@ __all__ = [
 
 # Bounds the band path: below this dimension every request is a band
 # solve, above it only the full spectrum is and a partial one is
-# shift-invert Lanczos.  The name predates the band path; tests
-# monkeypatch it to reach the Lanczos branch at small sizes.
-DENSE_LIMIT = 2000
+# shift-invert Lanczos.  Tests monkeypatch it to reach the Lanczos
+# branch at small sizes.
+BAND_LIMIT = 2000
 KERNEL_TAU_ABS = 1e-9
 SEPARATION_FACTOR = 100.0
 RESIDUAL_BOUND = 1e-8
@@ -316,9 +316,9 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     operator may be an EqOperator or a sparse/dense matrix; mass is the
     diagonal of the inner product; count (default: all) must lie in
     1..dim, else CountError; count = dim is the full spectrum.  The full
-    spectrum, and any count below DENSE_LIMIT dimensions, comes from a
+    spectrum, and any count below BAND_LIMIT dimensions, comes from a
     band solve of each connected block, with vectors only for its low
-    window (see _band_spectrum).  A partial spectrum above DENSE_LIMIT
+    window (see _band_spectrum).  A partial spectrum above BAND_LIMIT
     comes from a shift-inverted Lanczos iteration with a fixed starting
     vector.  Repeated runs are bit-identical.  Every returned pair that
     carries a vector must have a residual within RESIDUAL_BOUND x |A|,
@@ -337,7 +337,7 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     S = sp.diags(sqrt_m) @ sp.csr_matrix(mat) @ sp.diags(1.0 / sqrt_m)
     S = sp.csr_matrix(0.5 * (S + S.T))
 
-    if count == dim or dim < DENSE_LIMIT:
+    if count == dim or dim < BAND_LIMIT:
         w, resid = _band_spectrum(S, count)
         order = np.argsort(w, kind="stable")
         w = w[order]

@@ -31,7 +31,7 @@ def test_sphere_dimensions_and_metadata():
     be = B.build_backend(profile, f)
     # u on all 64 nodes, g/w on 63 half nodes, h on 62 interior nodes
     assert be.dims == [64, 63 + 62, 63]
-    assert len(be.poles) == 2
+    assert be.profile.ends == ("pole", "pole")
     assert be.profile.weight == 1
 
 
@@ -207,7 +207,7 @@ def test_clifford_hessian_consistent_with_frame_formula():
     fpp*Z1 + (a'/a)*fp*Z2 with the frame signs, to second order."""
     profile, f = B.catalog("sphere_height", n_grid=256)
     be = B.build_backend(profile, f)
-    th = be.theta_int
+    th = profile.theta_max / (profile.n_grid - 1) * np.arange(profile.n_grid)
     a = profile.a(th)
     fp = f.fp(th)
     fpp = f.fpp(th)
@@ -246,3 +246,67 @@ def test_circle_backend_is_two_dimensional():
     assert be.n == 1
     assert be.dims == [1, 1]
     assert be.f is None
+
+
+N_ENDS = 64
+END_MODELS = {
+    "sphere": lambda: B.catalog("sphere_height", n_grid=N_ENDS),
+    "plane_free": lambda: B.flat_point_profile(1, +1, 1.0, N_ENDS),
+    "plane_cut": lambda: B.flat_point_profile(1, -1, 1.0, N_ENDS),
+    "cylinder_free": lambda: B.flat_orbit_profile(1, +1, 1.0, N_ENDS),
+    "cylinder_cut": lambda: B.flat_orbit_profile(1, -1, 1.0, N_ENDS),
+    "torus": lambda: B.catalog("torus_height", n_grid=N_ENDS),
+}
+
+
+@pytest.mark.parametrize("model,dims", [
+    ("sphere", [N_ENDS, 2 * N_ENDS - 3, N_ENDS - 1]),           # pole/pole
+    ("plane_free", [N_ENDS, 2 * N_ENDS - 2, N_ENDS - 1]),       # pole/free
+    ("plane_cut", [N_ENDS - 1, 2 * N_ENDS - 3, N_ENDS - 1]),    # pole/cut
+    ("cylinder_free", [N_ENDS, 2 * N_ENDS - 1, N_ENDS - 1]),    # free/free
+    ("cylinder_cut", [N_ENDS - 2, 2 * N_ENDS - 3, N_ENDS - 1]), # cut/cut
+    ("torus", [N_ENDS, 2 * N_ENDS, N_ENDS]),                    # periodic
+])
+def test_end_kinds_decide_the_kept_dofs(model, dims):
+    """u is dropped at cut ends, h at pole and cut ends; g and w live on
+    the N-1 half nodes of a bounded profile and the N of a periodic one."""
+    profile, f = END_MODELS[model]()
+    assert B.build_backend(profile, f).dims == dims
+
+
+@pytest.mark.parametrize("model", ["sphere", "plane_free", "plane_cut",
+                                   "cylinder_free", "cylinder_cut"])
+def test_end_node_masses(model):
+    """A kept end node carries the half dual cell: 0.5 dx a(dx/4) for u at
+    a pole (the half cell's midpoint), 0.5 dx a_h for u and 0.5 dx / a_h
+    for h at a free end, with a_h the value at the adjacent half node."""
+    profile, f = END_MODELS[model]()
+    be = B.build_backend(profile, f)
+    N, L = profile.n_grid, profile.theta_max
+    dx = L / (N - 1)
+    a = lambda t: float(profile.a(np.array([t]))[0])
+    for side, pos, node, half, quarter in ((0, 0, 0.0, dx / 2, dx / 4),
+                                           (1, -1, L, L - dx / 2, L - dx / 4)):
+        kind = profile.ends[side]
+        if kind == "pole":
+            assert be.mass[0][pos] == pytest.approx(0.5 * dx * a(quarter), rel=1e-13)
+        elif kind == "free":
+            assert be.mass[0][pos] == pytest.approx(0.5 * dx * a(half), rel=1e-13)
+            h_mass = be.mass[1][N - 1 if side == 0 else -1]
+            assert h_mass == pytest.approx(0.5 * dx / a(half), rel=1e-13)
+        # a cut end keeps neither u nor h, which the dims test covers
+
+
+def test_function_masses_integrate_the_orbit_radius():
+    """sum(mass[0]) -> int a dtheta: second order on the sphere (the pole
+    cells included), exact for the torus's trigonometric a."""
+    errors = []
+    for n in (64, 128, 256, 512):
+        profile, f = B.catalog("sphere_height", n_grid=n)
+        errors.append(abs(B.build_backend(profile, f).mass[0].sum() - 2.0))
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert np.all((3.9 < ratios) & (ratios < 4.2)), ratios
+    for n in (64, 65, 256):
+        profile, f = B.catalog("torus_height", n_grid=n)
+        total = B.build_backend(profile, f).mass[0].sum()
+        assert abs(total - 6.0 * math.pi) <= 1e-13

@@ -126,7 +126,8 @@ def test_adjoint_blocks_match_lowering_formula(sphere):
             if j - 1 >= 0:
                 entries.append(((i, j - 1), (i, j), mats[j - 1]))
             if i >= 1 and j + 1 <= sphere.n:   # epsilon_{0i} = 1 - delta_{0i}
-                entries.append(((i - 1, j + 1), (i, j), sphere.vstar[j]))
+                vstar = B._adjoint(sphere.iv[j + 1], sphere.mass[j + 1], sphere.mass[j])
+                entries.append(((i - 1, j + 1), (i, j), vstar))
         formula = C._assemble_blocks(sphere, dom, cod, entries)
         diff = sp.csr_matrix(star.matrix - formula.matrix)
         scale = max(np.abs(star.matrix.data).max(), 1.0)

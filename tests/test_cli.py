@@ -130,6 +130,15 @@ def test_verify_matches_golden_report(case, tmp_path):
     ["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--weight", "0"],
     ["local", "--s", "0"],
     ["local", "--weight", "0"],
+    # extreme but finite: the Laplacian, the oracle grid or the case's
+    # functions overflow
+    ["verify", "--case", "sphere_height", "--n-grid", "32", "--s", "1e100"],
+    ["verify", "--case", "sphere_height", "--n-grid", "32", "--s", "1e300"],
+    ["local", "--s", "1e300"],
+    ["local", "--s", "1e-300"],
+    ["verify", "--case", "torus_height", "--n-grid", "32", "--param", "r=1e200",
+     "--param", "R=2e200"],
+    ["verify", "--case", "sphere_height", "--n-grid", "32", "--param", "R=1e-200"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
         "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
         "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
@@ -138,7 +147,8 @@ def test_verify_matches_golden_report(case, tmp_path):
         "verify-negative-kmax", "verify-circle-kmax-below-n",
         "verify-surface-kmax-0", "verify-surface-kmax-1",
         "verify-torus-weight-0", "verify-bumpy-weight-0",
-        "local-zero-s", "local-zero-weight"])
+        "local-zero-s", "local-zero-weight", "verify-huge-s", "verify-overflowing-s",
+        "local-huge-s", "local-tiny-s", "verify-huge-torus", "verify-tiny-sphere"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2

@@ -198,14 +198,14 @@ def test_sweep_rejects_unsorted():
         S.sweep_s(be, 0, [4.0, 2.0], S.TraceSpec())
 
 
-def test_dense_and_iterative_agree(sphere, monkeypatch):
+def test_band_and_lanczos_agree(sphere, monkeypatch):
     delta = C.build_delta_eq(sphere, 1)
     mass = C.mass_vector(sphere, delta.domain)
-    dense = S.eigensolve(delta, mass, count=10)
-    monkeypatch.setattr(S, "DENSE_LIMIT", 16)
-    iterative = S.eigensolve(delta, mass, count=10)
-    a = np.asarray(dense.eigenvalues)
-    b = np.asarray(iterative.eigenvalues)
+    band = S.eigensolve(delta, mass, count=10)
+    monkeypatch.setattr(S, "BAND_LIMIT", 16)
+    lanczos = S.eigensolve(delta, mass, count=10)
+    a = np.asarray(band.eigenvalues)
+    b = np.asarray(lanczos.eigenvalues)
     scale = np.maximum(np.abs(a), 1.0)
     assert np.max(np.abs(a - b) / scale) <= 1e-7
 
@@ -316,10 +316,10 @@ def test_residual_gate_rejects_a_wrong_eigenvalue(sphere, monkeypatch):
         S.delta_spectrum(sphere, 2)
 
 
-def test_full_spectrum_is_dense_above_the_limit(monkeypatch):
+def test_full_spectrum_is_a_band_solve_above_the_limit(monkeypatch):
     profile, f = B.catalog("sphere_height", n_grid=64)
     be = B.build_backend(profile, f)
-    monkeypatch.setattr(S, "DENSE_LIMIT", 16)
+    monkeypatch.setattr(S, "BAND_LIMIT", 16)
     rep = S.delta_spectrum(be, 1, s=16.0)
     assert rep.count == rep.dim and len(rep.eigenvalues) == rep.dim
 
@@ -327,7 +327,7 @@ def test_full_spectrum_is_dense_above_the_limit(monkeypatch):
 def test_count_equal_to_the_dimension_is_the_full_spectrum(monkeypatch):
     profile, f = B.catalog("sphere_height", n_grid=64)
     be = B.build_backend(profile, f)
-    monkeypatch.setattr(S, "DENSE_LIMIT", 16)
+    monkeypatch.setattr(S, "BAND_LIMIT", 16)
     full = S.delta_spectrum(be, 0)
     counted = S.delta_spectrum(be, 0, count=full.dim)
     assert counted.count == counted.dim == full.dim
