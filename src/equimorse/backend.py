@@ -323,7 +323,7 @@ def build_backend(profile: RevolutionProfile,
             if abs(grad) > POLE_GRAD_TOL:
                 raise ProfileValidationError(
                     f"{f.name!r} is not smooth at the pole end {side}: "
-                    f"f'({theta:.6f}) = {grad:.3e} != 0")
+                    f"f'({theta:.6g}) = {grad:.3e} != 0")
 
     n_h = int(h_keep.sum())
     mu_u = mu_u_full[u_keep]
@@ -523,7 +523,7 @@ def find_critical_levels(profile: RevolutionProfile,
     roots = np.sort(np.concatenate([grid[:-1][zero], 0.5 * (a + b)]))
     if roots.size and profile.weight == 0:
         raise DegenerateCriticalLevelError(
-            f"critical latitude at theta = {roots[0]:.6f} is a circle of fixed points "
+            f"critical latitude at theta = {roots[0]:.6g} is a circle of fixed points "
             "under the trivial action (weight 0), neither an isolated fixed point "
             "nor a free orbit")
 
@@ -531,10 +531,10 @@ def find_critical_levels(profile: RevolutionProfile,
     for theta, hess, grad, value in zip(roots, f.fpp(roots), f.fp(roots), f.f(roots)):
         if abs(hess) < HESSIAN_TOL:
             raise DegenerateCriticalLevelError(
-                f"critical orbit at theta = {theta:.6f} has |f''| = {abs(hess):.2e}")
+                f"critical orbit at theta = {theta:.6g} has |f''| = {abs(hess):.2e}")
         if abs(grad) > GRADIENT_TOL:
             raise DegenerateCriticalLevelError(
-                f"root refinement failed at theta = {theta:.6f}")
+                f"root refinement failed at theta = {theta:.6g}")
         levels.append(CriticalLevel(
             kind="orbit", theta=float(theta), index=1 if hess < 0 else 0,
             hessian_eigenvalues=(float(hess),), value=float(value)))
@@ -546,7 +546,7 @@ def find_critical_levels(profile: RevolutionProfile,
                 continue
             if abs(hess) < HESSIAN_TOL:
                 raise DegenerateCriticalLevelError(
-                    f"pole at theta = {theta:.6f} has |f''| = {abs(hess):.2e}")
+                    f"pole at theta = {theta:.6g} has |f''| = {abs(hess):.2e}")
             levels.append(CriticalLevel(
                 kind="fixed_point", theta=theta, index=2 if hess < 0 else 0,
                 hessian_eigenvalues=(float(hess),) * 2, value=float(value)))

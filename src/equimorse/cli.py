@@ -12,13 +12,18 @@ Subcommands
 Exit codes: 0 all checks passed, 1 a verification or oracle comparison
 failed, 2 configuration or usage error.
 
-Configuration files are flat `key = value` text with sections, read by
-configparser; command-line flags override file values.  Recognized keys:
+Configuration files (`--config`) are flat `key = value` text with
+sections, read by configparser; on every command a flag overrides the
+file's value.  Keys are case-sensitive.  Recognized keys:
 
     [run]          case, n_grid, weight, kmax, out
     [geometry]     case parameters (e.g. c, R, r) as floats
     [deformation]  s_list (comma-separated)
     [trace]        phi_kind (exp_decay | gaussian), phi_scale
+    [local]        q (must be 1), s, m, eps; read by `local` alone
+
+`sweep` writes its CSV and JSON files into the directory `out`, by
+default sweep_out.
 
 Outputs never embed timestamps and are written atomically, so repeated
 runs are byte-identical.
@@ -32,7 +37,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import backend as backend_mod
 from . import local_models as local_mod
@@ -99,72 +104,76 @@ def _parse_s_list(text: str) -> list[float]:
     return values
 
 
-def _parse_phi(text: str) -> tuple[str, float]:
-    kind, _, scale = text.partition(":")
-    return kind, _number(scale, float, "phi scale") if scale else 1.0
+# Each settable key: the config-file section that sets it (None for a
+# flag-only key) and its type.  A flag sets the key named by its dest and
+# overrides the file; [geometry] keys and --param set the case parameters.
+KEYS = {
+    "case": ("run", str), "n_grid": ("run", int), "weight": ("run", int),
+    "kmax": ("run", int), "out": ("run", str),
+    "s_list": ("deformation", list),
+    "phi_kind": ("trace", str), "phi_scale": ("trace", float),
+    "q": ("local", int), "s": ("local", float), "m": ("local", int), "eps": ("local", int),
+    "k": (None, int), "count": (None, int), "csv": (None, str),
+}
 
 
-def _load_config_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    out: dict = {}
-    if parser.has_section("run"):
-        run = parser["run"]
-        for key in ("case", "out"):
-            if key in run:
-                out[key] = run[key]
-        for key in ("n_grid", "weight", "kmax"):
-            if key in run:
-                out[key] = _number(run[key], int, key)
-    if parser.has_section("geometry"):
-        out["params"] = {k: _number(v, float, k) for k, v in parser["geometry"].items()}
-    if parser.has_section("deformation") and "s_list" in parser["deformation"]:
-        out["s_list"] = _parse_s_list(parser["deformation"]["s_list"])
-    if parser.has_section("trace"):
-        tr = parser["trace"]
-        if "phi_kind" in tr:
-            out["phi_kind"] = tr["phi_kind"]
-        if "phi_scale" in tr:
-            out["phi_scale"] = _number(tr["phi_scale"], float, "phi_scale")
-    return out
+def _parse(key: str, text: str):
+    kind = KEYS[key][1]
+    if kind is list:
+        return _parse_s_list(text)
+    return text if kind is str else _number(text, kind, key)
 
 
-def _build_config(args, default_s=None) -> RunConfig:
-    values: dict = {}
-    if default_s is not None:
-        values["s_list"] = list(default_s)
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
-    for key in ("case", "n_grid", "weight", "kmax", "out"):
-        v = getattr(args, key.replace("-", "_"), None)
-        if v is not None:
-            values[key] = v
-    if getattr(args, "s", None) is not None:
-        values["s_list"] = _parse_s_list(args.s)
-    if getattr(args, "phi", None):
-        values["phi_kind"], values["phi_scale"] = _parse_phi(args.phi)
-    params = dict(values.pop("params", {}))
-    for item in getattr(args, "param", None) or []:
+def _read_values(args, sections, defaults: dict) -> dict:
+    """The command's defaults, overlaid by the config file's sections and
+    then by the given flags, each text parsed once by the parser of its key.
+    """
+    texts: dict = {}
+    params: dict = {}
+    if args.config is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str  # [geometry] R and r are different parameters
+        try:
+            if not parser.read(args.config):
+                raise ConfigError(f"cannot read config file {args.config!r}")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{args.config}: {exc}".replace("\n", " ")) from None
+        texts.update((key, parser[name][key]) for key, (name, _) in KEYS.items()
+                     if name in sections and parser.has_option(name, key))
+        if "geometry" in sections and parser.has_section("geometry"):
+            params.update(parser["geometry"])
+    flags = vars(args)
+    texts.update((k, v) for k, v in flags.items() if k in KEYS and v is not None)
+    if flags.get("phi") is not None:
+        kind, _, scale = args.phi.partition(":")
+        texts.update(phi_kind=kind, phi_scale=scale or "1")
+    for item in flags.get("param") or []:
         key, _, val = item.partition("=")
         if not val:
             raise ConfigError(f"--param needs key=value, got {item!r}")
-        params[key] = _number(val, float, key)
-    cfg = RunConfig(params=params, **values)
+        params[key] = val
+    values = dict(defaults, **{k: _parse(k, t) for k, t in texts.items()})
+    if "geometry" in sections:
+        values["params"] = {k: _number(v, float, k) for k, v in params.items()}
+    return values
+
+
+def _run_config(args, **defaults) -> tuple[RunConfig, dict]:
+    """The checked RunConfig of verify, spectrum or sweep, and all its values."""
+    values = _read_values(args, ("run", "geometry", "deformation", "trace"), defaults)
+    cfg = RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)
+                       if f.name in values})
     if cfg.case not in CATALOG_CASES:
         raise ConfigError(f"unknown case {cfg.case!r}; see `equimorse catalog`")
     if cfg.s_list != sorted(cfg.s_list):
         raise ConfigError("s_list must be ascending")
-    if getattr(args, "k", 0) < 0:
-        raise ConfigError(f"degree --k must be nonnegative, got {args.k}")
-    if cfg.kmax is not None and cfg.kmax < 0:
-        raise ConfigError(f"kmax must be nonnegative, got {cfg.kmax}")
+    if values.get("k", 0) < 0:
+        raise ConfigError(f"degree --k must be nonnegative, got {values['k']}")
     try:
         cfg.trace_spec()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
+    return cfg, values
 
 
 def _json_text(payload: dict) -> str:
@@ -195,7 +204,7 @@ def cmd_catalog(_args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _build_config(args)
+    cfg, _ = _run_config(args)
     if not cfg.s_list:
         raise ConfigError("verify needs at least one s value")
     profile, f = backend_mod.catalog(cfg.case, cfg.params, n_grid=cfg.n_grid,
@@ -216,72 +225,66 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _build_config(args, default_s=[0.0])
+    cfg, values = _run_config(args, s_list=[0.0], k=0)
+    if len(cfg.s_list) != 1:
+        raise ConfigError(f"spectrum takes exactly one s value, got {cfg.s_list}")
     profile, f = backend_mod.catalog(cfg.case, cfg.params, n_grid=cfg.n_grid,
                                      weight=cfg.weight)
     be = backend_mod.build_backend(profile, f)
-    s_value = cfg.s_list[-1] if cfg.s_list else 0.0
-    k = args.k
-    rep = spectral_mod.delta_spectrum(be, k, s=s_value, count=args.count)
+    (s_value,), k, csv_path = cfg.s_list, values["k"], values.get("csv")
+    rep = spectral_mod.delta_spectrum(be, k, s=s_value, count=values.get("count"))
     payload = rep.to_record()
     payload["config"] = cfg.as_dict()
     write_atomic(cfg.out, _json_text(payload))
     print(f"degree {k}, s={s_value:g}: kernel {rep.kernel_dim}, gap {rep.gap:.6g}"
           f" -> {cfg.out}")
-    if args.csv:
-        spectral_mod.reports_to_csv([rep], args.csv)
-        print(f"eigenvalues -> {args.csv}")
+    if csv_path:
+        spectral_mod.reports_to_csv([rep], csv_path)
+        print(f"eigenvalues -> {csv_path}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+    cfg, values = _run_config(args, out="sweep_out", k=2)
+    k = values["k"]
     profile, f = backend_mod.catalog(cfg.case, cfg.params, n_grid=cfg.n_grid,
                                      weight=cfg.weight)
     be = backend_mod.build_backend(profile, f)
-    result = spectral_mod.sweep_s(be, args.k, cfg.s_list, cfg.trace_spec(),
-                                  count=args.count)
-    out_dir = cfg.out if cfg.out != "report.json" else "sweep_out"
-    os.makedirs(out_dir, exist_ok=True)
-    eig_path = os.path.join(out_dir, "eigenvalues.csv")
-    mu_path = os.path.join(out_dir, "traces.csv")
+    result = spectral_mod.sweep_s(be, k, cfg.s_list, cfg.trace_spec(),
+                                  count=values.get("count"))
+    os.makedirs(cfg.out, exist_ok=True)
+    eig_path = os.path.join(cfg.out, "eigenvalues.csv")
+    mu_path = os.path.join(cfg.out, "traces.csv")
     spectral_mod.reports_to_csv([p.report for p in result.points], eig_path)
     lines = ["k,s,mu"]
     for p in result.points:
-        lines.append(f"{args.k},{format(p.s, '.17g')},{format(p.mu, '.17g')}")
+        lines.append(f"{k},{format(p.s, '.17g')},{format(p.mu, '.17g')}")
     write_atomic(mu_path, "\n".join(lines) + "\n")
     meta = {
-        "k": args.k,
+        "k": k,
         "kernel_constant": result.kernel_constant,
         "gap_monotone_from": result.gap_monotone_from,
         "gaps": result.gaps(),
         "notes": result.notes,
         "config": cfg.as_dict(),
     }
-    write_atomic(os.path.join(out_dir, "sweep.json"), _json_text(meta))
-    print(f"sweep k={args.k}, s={cfg.s_list} -> {eig_path}, {mu_path}")
+    write_atomic(os.path.join(cfg.out, "sweep.json"), _json_text(meta))
+    print(f"sweep k={k}, s={cfg.s_list} -> {eig_path}, {mu_path}")
     for note in result.notes:
         print(f"  note: {note}")
     return 0 if result.kernel_constant else 1
 
 
 def cmd_local(args) -> int:
-    s, m, eps = args.s, args.weight_local, args.eps
-    if args.config:
-        parser = configparser.ConfigParser()
-        if not parser.read(args.config):
-            raise ConfigError(f"cannot read config file {args.config!r}")
-        if parser.has_section("local"):
-            sec = parser["local"]
-            if _number(sec.get("q", "1"), int, "q") != 1:
-                raise ConfigError("grid oracles cover one rotation plane (q = 1)")
-            s = _number(sec.get("s", str(s)), float, "s")
-            m = _number(sec.get("m", str(m)), int, "m")
-            eps = _number(sec.get("eps", str(eps)), int, "eps")
+    values = _read_values(args, ("local",),
+                          {"q": 1, "s": 10.0, "m": 2, "eps": -1, "out": "local.json"})
+    s, m, eps = values["s"], values["m"], values["eps"]
+    if values["q"] != 1:
+        raise ConfigError("grid oracles cover one rotation plane (q = 1)")
     if eps not in (-1, 1):
-        raise ConfigError("eps must be +1 or -1")
-    if not 0.0 < s < math.inf:
-        raise ConfigError(f"s must be finite and positive, got {s}")
+        raise ConfigError(f"eps must be +1 or -1, got {eps}")
+    if s <= 0:
+        raise ConfigError(f"s must be positive, got {s}")
     if m < 1:
         raise ConfigError(f"rotation speed m must be a positive integer, got {m}")
     tol = 1e-2
@@ -315,11 +318,11 @@ def cmd_local(args) -> int:
         "morse_index": model.index,
         "contributions_deg0_4": contributions,
     }
-    write_atomic(args.out, _json_text(payload))
+    write_atomic(values["out"], _json_text(payload))
     ok = err_a <= tol and err_b <= tol
     print(f"local model q=1, m={m}, eps={eps:+d}, s={s:g}: "
           f"branch errors {err_a:.2e}, {err_b:.2e} "
-          f"({'OK' if ok else 'DISAGREE'}) -> {args.out}")
+          f"({'OK' if ok else 'DISAGREE'}) -> {values['out']}")
     return 0 if ok else 1
 
 
@@ -342,18 +345,13 @@ def cmd_report(args) -> int:
     return 0 if payload.get("status") == "PASS" else 1
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--case", choices=CATALOG_CASES, default=None)
-    p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--n-grid", dest="n_grid", type=int, default=None)
-    p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--s", default=None, help="comma-separated ascending list")
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--phi", default=None,
-                   help="exp_decay | gaussian, optionally kind:scale")
-    p.add_argument("--out", default=None)
-    p.add_argument("--param", action="append", default=None,
+def _add_run_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    p.add_argument("--config", help="key = value config file")
+    p.add_argument("--s", dest="s_list", help="comma-separated ascending list")
+    p.add_argument("--param", action="append",
                    help="geometry parameter key=value (repeatable)")
+    for flag in ("--case", "--n-grid", "--weight", "--out") + flags:
+        p.add_argument(flag)
 
 
 def main(argv=None) -> int:
@@ -365,27 +363,22 @@ def main(argv=None) -> int:
 
     sub.add_parser("catalog", help="list model cases")
 
+    # Every value flag is text; _read_values parses it and supplies defaults.
     p_verify = sub.add_parser("verify", help="full verification of one case")
-    _add_common(p_verify)
-
+    _add_run_flags(p_verify, "--kmax")
     p_spec = sub.add_parser("spectrum", help="one (degree, s) spectrum")
-    _add_common(p_spec)
-    p_spec.add_argument("--k", type=int, default=0)
-    p_spec.add_argument("--count", type=int, default=None)
-    p_spec.add_argument("--csv", default=None)
-
+    _add_run_flags(p_spec, "--k", "--count", "--csv")
     p_sweep = sub.add_parser("sweep", help="deformation sweep of one degree")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--k", type=int, default=2)
-    p_sweep.add_argument("--count", type=int, default=None)
+    _add_run_flags(p_sweep, "--k", "--count")
+    for p in (p_verify, p_sweep):
+        p.add_argument("--phi", help="exp_decay | gaussian, optionally kind:scale")
 
     p_local = sub.add_parser("local", help="local-model oracle comparison")
-    p_local.add_argument("--s", dest="s", type=float, default=10.0)
-    p_local.add_argument("--weight", dest="weight_local", type=int, default=2)
-    p_local.add_argument("--eps", type=int, choices=(-1, 1), default=-1)
-    p_local.add_argument("--config", default=None,
+    p_local.add_argument("--config",
                          help="config file with a [local] section (q, m, eps, s)")
-    p_local.add_argument("--out", default="local.json")
+    p_local.add_argument("--weight", dest="m")
+    for flag in ("--s", "--eps", "--out"):
+        p_local.add_argument(flag)
 
     p_report = sub.add_parser("report", help="summarize a verification JSON")
     p_report.add_argument("path")

@@ -155,9 +155,10 @@ class TraceSpec:
 
     def phi(self, x):
         x = np.asarray(x, dtype=float)
-        if self.phi_kind == "exp_decay":
-            return np.exp(-x / self.scale)
-        return np.exp(-((x / self.scale) ** 2))
+        with np.errstate(over="ignore"):
+            if self.phi_kind == "exp_decay":
+                return np.exp(-x / self.scale)
+            return np.exp(-((x / self.scale) ** 2))
 
 
 def _kernel_split(w: np.ndarray, opnorm: float):
@@ -423,7 +424,8 @@ def trace_phi(report: SpectrumReport, spec: TraceSpec) -> float:
 
     If the report holds fewer eigenvalues than the dimension, the missing
     tail is bounded by phi(largest computed eigenvalue) times the number
-    of missing eigenvalues, which must stay below 1e-6.
+    of missing eigenvalues, which must stay below 1e-6.  A sum that phi's
+    overflow made infinite is a ConfigurationError.
     """
     if report.count == 0:
         return 0.0
@@ -435,7 +437,11 @@ def trace_phi(report: SpectrumReport, spec: TraceSpec) -> float:
             raise TailBoundError(
                 f"tail bound {bound:.3e} exceeds {TRACE_TAIL_BOUND:.0e}; "
                 "request more eigenvalues")
-    return float(spec.phi(lam).sum())
+    total = float(spec.phi(lam).sum())
+    if not math.isfinite(total):
+        raise cartan.ConfigurationError(f"phi overflows on the degree-{report.k} "
+                                        f"eigenvalue {lam.min():.3e} at s = {report.s:g}")
+    return total
 
 
 @dataclass

@@ -76,10 +76,18 @@ def test_verify_rejects_tiny_grid(tmp_path):
     assert code == 2
 
 
-def test_verify_rejects_unknown_case(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        run(["verify", "--case", "mystery", "--out", str(tmp_path / "r.json")])
-    assert err.value.code == 2
+def test_verify_rejects_unknown_case(tmp_path, capsys):
+    assert run(["verify", "--case", "mystery", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_pole_errors_print_theta_to_significant_digits(tmp_path, capsys):
+    # f = cos(theta/R) at R = 1e-8 trips the absolute pole-gradient tolerance
+    # at the end-1 pole theta = pi R
+    assert run(["verify", "--case", "sphere_height", "--n-grid", "32",
+                "--param", "R=1e-8", "--out", str(tmp_path / "r.json")]) == 2
+    assert "f'(3.14159e-08)" in capsys.readouterr().err
 
 
 def test_verify_is_byte_deterministic(tmp_path):
@@ -139,6 +147,19 @@ def test_verify_matches_golden_report(case, tmp_path):
     ["verify", "--case", "torus_height", "--n-grid", "32", "--param", "r=1e200",
      "--param", "R=2e200"],
     ["verify", "--case", "sphere_height", "--n-grid", "32", "--param", "R=1e-200"],
+    # phi overflows on kernel eigenvalues that rounding left below zero
+    ["verify", "--case", "torus_height", "--n-grid", "32", "--s", "3e76"],
+    ["sweep", "--case", "torus_height", "--n-grid", "32", "--k", "2", "--s", "3e76"],
+    # malformed flags: one parser per key, not argparse's usage block
+    ["verify", "--case", "sphere_height", "--n-grid", "abc"],
+    ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--k", "x"],
+    ["sweep", "--case", "sphere_height", "--n-grid", "64", "--count", "x"],
+    ["local", "--s", "abc"],
+    ["local", "--weight", "x"],
+    ["local", "--eps", "2"],
+    ["verify", "--case", "nope"],
+    # a spectrum is solved at one s
+    ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--s", "1,2"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
         "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
         "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
@@ -148,7 +169,11 @@ def test_verify_matches_golden_report(case, tmp_path):
         "verify-surface-kmax-0", "verify-surface-kmax-1",
         "verify-torus-weight-0", "verify-bumpy-weight-0",
         "local-zero-s", "local-zero-weight", "verify-huge-s", "verify-overflowing-s",
-        "local-huge-s", "local-tiny-s", "verify-huge-torus", "verify-tiny-sphere"])
+        "local-huge-s", "local-tiny-s", "verify-huge-torus", "verify-tiny-sphere",
+        "verify-phi-overflow", "sweep-phi-overflow", "verify-malformed-n-grid",
+        "spectrum-malformed-k", "sweep-malformed-count", "local-malformed-s",
+        "local-malformed-weight", "local-eps-2", "verify-unknown-case",
+        "spectrum-two-s"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
@@ -330,3 +355,74 @@ def test_local_config_rejects_multiple_planes(tmp_path):
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert run(["verify", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_local_flag_overrides_config_section(tmp_path):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("[local]\ns = 10\nm = 2\n")
+    out = tmp_path / "local.json"
+    assert run(["local", "--s", "5", "--weight", "3", "--config", str(cfg),
+                "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["s"] == 5.0 and payload["m"] == 3
+
+
+def test_sweep_writes_into_the_given_out_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["sweep", "--case", "sphere_height", "--n-grid", "32", "--s", "4",
+                "--out", "report.json"]) == 0
+    assert sorted(os.listdir(tmp_path / "report.json")) == [
+        "eigenvalues.csv", "sweep.json", "traces.csv"]
+    assert not (tmp_path / "sweep_out").exists()
+
+
+@pytest.mark.parametrize("flag", [["--kmax", "3"], ["--phi", "gaussian"]],
+                         ids=["kmax", "phi"])
+def test_spectrum_rejects_flags_it_never_reads(flag, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run(["spectrum", "--case", "sphere_height", "--n-grid", "32",
+             "--out", str(tmp_path / "spec.json")] + flag)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--s", "0,4",
+      "--phi", "gaussian:2", "--param", "c=-0.6"],
+     "[run]\ncase = sphere_bumpy\nn_grid = 64\n[geometry]\nc = -0.6\n"
+     "[deformation]\ns_list = 0, 4\n[trace]\nphi_kind = gaussian\nphi_scale = 2\n"),
+    (["local", "--weight", "3", "--eps", "1", "--s", "12"],
+     "[local]\nm = 3\neps = 1\ns = 12\n"),
+    # [geometry] keys keep their case, as --param's do: R is not r
+    (["verify", "--case", "torus_height", "--n-grid", "64", "--s", "0,4",
+      "--param", "r=1", "--param", "R=4"],
+     "[run]\ncase = torus_height\nn_grid = 64\n[geometry]\nr = 1\nR = 4\n"
+     "[deformation]\ns_list = 0, 4\n"),
+], ids=["verify", "local", "geometry-key-case"])
+def test_flags_and_config_file_give_identical_outputs(flags, config, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    from_flags, from_file = tmp_path / "flags.json", tmp_path / "file.json"
+    assert run(flags + ["--out", str(from_flags)]) == 0
+    assert run([flags[0], "--config", str(cfg), "--out", str(from_file)]) == 0
+    assert from_flags.read_bytes() == from_file.read_bytes()
+
+
+@pytest.mark.parametrize("content", [
+    b"n_grid = 64\n",
+    b"[run]\nn_grid = 64\nn_grid = 32\n",
+    b"[run]\nn_grid = 64\n  continued\nfoo\n",
+    b"[run]\nn_grid = \xff\xfe\n",
+], ids=["no-section-header", "duplicate-key", "unparsable-line", "not-text"])
+def test_malformed_config_file_is_a_one_line_usage_error(content, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_values_are_plain_text(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\ncase = circle_trivial\nout = {tmp_path / '100%.json'}\n")
+    assert run(["verify", "--config", str(cfg), "--n-grid", "32", "--s", "0"]) == 0
+    assert (tmp_path / "100%.json").exists()
