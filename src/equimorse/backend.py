@@ -55,10 +55,10 @@ __all__ = [
 END_KINDS = ("pole", "periodic", "cut", "free")
 
 POLE_SLOPE_TOL = 1e-6
-POLE_GRAD_TOL = 1e-8
+POLE_GRAD_TOL = 1e-8  # x the largest |f'| on the grid
 SCAN_SAMPLES = 4096
 ROOT_TOL = 1e-12
-HESSIAN_TOL = 1e-8
+HESSIAN_TOL = 1e-8  # x the largest |f''| on the scan grid and the ends
 GRADIENT_TOL = 1e-10
 # The largest magnitude whose square is a finite float.  The critical-level
 # scan, the assembly, the eigensolvers and the grid oracles all square the
@@ -318,9 +318,10 @@ def build_backend(profile: RevolutionProfile,
             raise ProfileValidationError(
                 f"{f.name!r} does not close up on the periodic profile")
     elif f is not None:
+        grad_tol = POLE_GRAD_TOL * float(np.abs(f.fp(th_i)).max())
         for side, theta in poles:
             grad = float(f.fp(np.array([theta]))[0])
-            if abs(grad) > POLE_GRAD_TOL:
+            if abs(grad) > grad_tol:
                 raise ProfileValidationError(
                     f"{f.name!r} is not smooth at the pole end {side}: "
                     f"f'({theta:.6g}) = {grad:.3e} != 0")
@@ -485,7 +486,8 @@ def find_critical_levels(profile: RevolutionProfile,
     A sign-change scan of f' at SCAN_SAMPLES points over the interior of
     the profile, followed by bisection of every bracket to ROOT_TOL,
     finds every orbit; pole ends are always critical fixed points.  A
-    Hessian below HESSIAN_TOL, a refined root with |f'| above
+    Hessian |f''| at most HESSIAN_TOL times the largest |f''| on the scan
+    grid and the ends, a refined root with |f'| above
     GRADIENT_TOL, or a critical latitude under the trivial action
     (weight 0, where the latitude is a circle of fixed points rather
     than a free orbit) raises DegenerateCriticalLevelError.
@@ -505,6 +507,8 @@ def find_critical_levels(profile: RevolutionProfile,
     # segments below cover the whole circle exactly once.
     grid = np.linspace(lo, hi, SCAN_SAMPLES)
     vals = f.fp(grid)
+    ends = np.array([0.0, L])
+    hess_tol = HESSIAN_TOL * float(np.abs(f.fpp(np.concatenate([grid, ends]))).max())
     zero = vals[:-1] == 0.0
     flip = np.flatnonzero(~zero & (vals[:-1] * vals[1:] < 0))
     # Bisect all brackets at once; each stops halving when narrower than
@@ -529,7 +533,7 @@ def find_critical_levels(profile: RevolutionProfile,
 
     levels: list[CriticalLevel] = []
     for theta, hess, grad, value in zip(roots, f.fpp(roots), f.fp(roots), f.f(roots)):
-        if abs(hess) < HESSIAN_TOL:
+        if abs(hess) <= hess_tol:
             raise DegenerateCriticalLevelError(
                 f"critical orbit at theta = {theta:.6g} has |f''| = {abs(hess):.2e}")
         if abs(grad) > GRADIENT_TOL:
@@ -540,11 +544,10 @@ def find_critical_levels(profile: RevolutionProfile,
             hessian_eigenvalues=(float(hess),), value=float(value)))
 
     if not profile.periodic:
-        ends = np.array([0.0, L])
         for side, theta, hess, value in zip((0, 1), (0.0, L), f.fpp(ends), f.f(ends)):
             if profile.ends[side] != "pole":
                 continue
-            if abs(hess) < HESSIAN_TOL:
+            if abs(hess) <= hess_tol:
                 raise DegenerateCriticalLevelError(
                     f"pole at theta = {theta:.6g} has |f''| = {abs(hess):.2e}")
             levels.append(CriticalLevel(

@@ -14,16 +14,19 @@ failed, 2 configuration or usage error.
 
 Configuration files (`--config`) are flat `key = value` text with
 sections, read by configparser; on every command a flag overrides the
-file's value.  Keys are case-sensitive.  Recognized keys:
+file's value.  Keys are case-sensitive, and a key not listed below, in a
+section the command reads, is a usage error.  Recognized keys:
 
     [run]          case, n_grid, weight, kmax, out
-    [geometry]     case parameters (e.g. c, R, r) as floats
+    [geometry]     case parameters (e.g. c, R, r) as floats; the case
+                   rejects the ones it does not take
     [deformation]  s_list (comma-separated)
     [trace]        phi_kind (exp_decay | gaussian), phi_scale
     [local]        q (must be 1), s, m, eps; read by `local` alone
 
 `sweep` writes its CSV and JSON files into the directory `out`, by
-default sweep_out.
+default sweep_out, and exits 1 when the kernel dimension varies along
+the sweep.  Flags must be spelled in full.
 
 Outputs never embed timestamps and are written atomically, so repeated
 runs are byte-identical.
@@ -138,8 +141,11 @@ def _read_values(args, sections, defaults: dict) -> dict:
                 raise ConfigError(f"cannot read config file {args.config!r}")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{args.config}: {exc}".replace("\n", " ")) from None
-        texts.update((key, parser[name][key]) for key, (name, _) in KEYS.items()
-                     if name in sections and parser.has_option(name, key))
+        for name in (n for n in parser.sections() if n in sections and n != "geometry"):
+            for key in parser[name]:
+                if KEYS.get(key, (None,))[0] != name:
+                    raise ConfigError(f"{args.config}: unknown key {key!r} in [{name}]")
+                texts[key] = parser[name][key]
         if "geometry" in sections and parser.has_section("geometry"):
             params.update(parser["geometry"])
     flags = vars(args)
@@ -265,13 +271,13 @@ def cmd_sweep(args) -> int:
         "kernel_constant": result.kernel_constant,
         "gap_monotone_from": result.gap_monotone_from,
         "gaps": result.gaps(),
-        "notes": result.notes,
         "config": cfg.as_dict(),
     }
     write_atomic(os.path.join(cfg.out, "sweep.json"), _json_text(meta))
     print(f"sweep k={k}, s={cfg.s_list} -> {eig_path}, {mu_path}")
-    for note in result.notes:
-        print(f"  note: {note}")
+    if not result.kernel_constant:
+        print(f"  kernel dimension varies along the sweep: "
+              f"{[p.report.kernel_dim for p in result.points]}")
     return 0 if result.kernel_constant else 1
 
 
@@ -356,31 +362,36 @@ def _add_run_flags(p: argparse.ArgumentParser, *flags: str) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="equimorse",
+        prog="equimorse", allow_abbrev=False,
         description="Equivariant Hodge theory and Witten deformation on "
                     "S^1-symmetric model manifolds")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", help="list model cases")
+    sub.add_parser("catalog", help="list model cases", allow_abbrev=False)
 
     # Every value flag is text; _read_values parses it and supplies defaults.
-    p_verify = sub.add_parser("verify", help="full verification of one case")
+    p_verify = sub.add_parser("verify", help="full verification of one case",
+                              allow_abbrev=False)
     _add_run_flags(p_verify, "--kmax")
-    p_spec = sub.add_parser("spectrum", help="one (degree, s) spectrum")
+    p_spec = sub.add_parser("spectrum", help="one (degree, s) spectrum",
+                            allow_abbrev=False)
     _add_run_flags(p_spec, "--k", "--count", "--csv")
-    p_sweep = sub.add_parser("sweep", help="deformation sweep of one degree")
+    p_sweep = sub.add_parser("sweep", help="deformation sweep of one degree",
+                             allow_abbrev=False)
     _add_run_flags(p_sweep, "--k", "--count")
     for p in (p_verify, p_sweep):
         p.add_argument("--phi", help="exp_decay | gaussian, optionally kind:scale")
 
-    p_local = sub.add_parser("local", help="local-model oracle comparison")
+    p_local = sub.add_parser("local", help="local-model oracle comparison",
+                             allow_abbrev=False)
     p_local.add_argument("--config",
                          help="config file with a [local] section (q, m, eps, s)")
     p_local.add_argument("--weight", dest="m")
     for flag in ("--s", "--eps", "--out"):
         p_local.add_argument(flag)
 
-    p_report = sub.add_parser("report", help="summarize a verification JSON")
+    p_report = sub.add_parser("report", help="summarize a verification JSON",
+                              allow_abbrev=False)
     p_report.add_argument("path")
 
     args = parser.parse_args(argv)

@@ -1,5 +1,5 @@
 """End-to-end Morse verification: count sequences, the counting and trace
-inequalities, and the Euler-characteristic checks.
+inequalities, and the Euler-characteristic check.
 
 The critical levels come from backend.find_critical_levels, the one Morse
 analysis, re-exported here with CriticalLevel.
@@ -83,12 +83,11 @@ def morse_counts(levels, kmax: int) -> MorseCounts:
 
 @dataclass
 class SlackReport:
-    """Alternating-sum slacks of one inequality family, with the
-    stabilization comparison slack_{n+2} vs slack_n."""
+    """Alternating-sum slacks of one inequality family, slack[k] for
+    degrees 0..kmax, and whether every one meets its bound."""
 
     slack: list[float]
     passed: bool
-    stabilized: bool | None = None
 
 
 def _alternating_slack(upper, lower, kmax: int) -> list[float]:
@@ -102,21 +101,15 @@ def _alternating_slack(upper, lower, kmax: int) -> list[float]:
     return out
 
 
-def verify_counting_inequalities(counts: MorseCounts, betti,
-                                 n: int = 2) -> SlackReport:
+def verify_counting_inequalities(counts: MorseCounts, betti) -> SlackReport:
     """Slack of the counting inequalities per degree.
 
-    slack_k = sum_{j<=k} (-1)^{k-j} (ctilde_j - beta_j) must be
-    nonnegative for every k; the report also records whether the slacks
-    stabilize (slack_{n+2} = slack_n) as the degree passes the dimension.
+    slack_k = sum_{j<=k} (-1)^{k-j} (ctilde_j - beta_j), over the degrees
+    that both sequences cover, must be nonnegative for every k.
     """
     kmax = min(len(counts.tilde_c), len(betti)) - 1
     slack = _alternating_slack(counts.tilde_c, betti, kmax)
-    passed = all(sv >= 0 for sv in slack)
-    stabilized = None
-    if kmax >= n + 2:
-        stabilized = abs(slack[n + 2] - slack[n]) == 0
-    return SlackReport(slack=slack, passed=passed, stabilized=stabilized)
+    return SlackReport(slack=slack, passed=all(sv >= 0 for sv in slack))
 
 
 def verify_trace_inequalities(backend: BackendMatrices, s: float, kmax: int,
@@ -141,29 +134,24 @@ def verify_trace_inequalities(backend: BackendMatrices, s: float, kmax: int,
 
 def euler_characteristic_check(backend: BackendMatrices, counts: MorseCounts | None,
                                betti) -> dict:
-    """Two integer identities tying kernels, counts and fixed points.
+    """The Euler identity beta^n - beta^{n+1} = (-1)^n chi tying kernels to
+    fixed points.
 
-    beta^n - beta^{n+1} = (-1)^n chi with chi the signed fixed-point
-    count (orbits contribute zero), and the counting identity
-    (c_{n-1} + c_{n-3} + ...) - (c_n + c_{n-2} + ...) = (-1)^{n-1} chi.
+    lhs is the kernel side, rhs the count side with chi the signed
+    fixed-point count (orbits contribute zero; 0 without counts, as for
+    the circle), and pass is lhs == rhs.  de_rham_index is the same
+    kernel difference, dim ker Delta^n - dim ker Delta^{n+1}, solved
+    afresh.
     """
     n = backend.n
+    chi = sum((-1) ** k * c for k, c in enumerate(counts.c)) if counts is not None else 0
     lhs = betti[n] - betti[n + 1]
-    if counts is not None:
-        chi = sum((-1) ** k * counts.c[k] for k in range(len(counts.c)))
-        odd = sum(counts.c[j] for j in range(n - 1, -1, -2))
-        even = sum(counts.c[j] for j in range(n, -1, -2))
-        counting_ok = (odd - even) == (-1) ** (n - 1) * chi
-    else:
-        chi = 0
-        counting_ok = True
     rhs = (-1) ** n * chi
     return {
         "lhs": int(lhs),
         "rhs": int(rhs),
-        "pass": bool(lhs == rhs and counting_ok),
+        "pass": bool(lhs == rhs),
         "chi": int(chi),
-        "counting_identity": bool(counting_ok),
         "de_rham_index": int(spectral.de_rham_index(backend)),
     }
 
@@ -188,7 +176,7 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
     if f is not None:
         levels = find_critical_levels(profile, f)
         counts = morse_counts(levels, kmax)
-        counting = verify_counting_inequalities(counts, betti[:kmax + 1], n=be.n)
+        counting = verify_counting_inequalities(counts, betti[:kmax + 1])
         status_parts.append(counting.passed)
         reps = [verify_trace_inequalities(be, sv, min(kmax, be.n + 1), trace_spec,
                                           betti=betti)

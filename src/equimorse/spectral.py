@@ -36,7 +36,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -104,8 +104,8 @@ class SpectrumReport:
     eigenvalues are ascending; kernel_dim counts those at most
     KERNEL_TAU_ABS x operator_norm; gap is the smallest eigenvalue above
     that threshold; separation is gap over the largest kernel eigenvalue;
-    dim is the operator's dimension and count the number of eigenvalues
-    returned.  residual_norms hold ||A v - lambda v||, in the
+    dim is the operator's dimension, which exceeds len(eigenvalues) for a
+    partial spectrum.  residual_norms hold ||A v - lambda v||, in the
     mass-orthonormal frame, for exactly the returned pairs that carry a
     vector, in ascending order of eigenvalue: every pair of the Lanczos
     path, the low window of the band path.  The other band eigenvalues
@@ -121,7 +121,6 @@ class SpectrumReport:
     gap: float
     residual_norms: list[float]
     dim: int = 0
-    count: int = 0
     operator_norm: float = 0.0
     separation: float = math.inf
 
@@ -329,7 +328,7 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
     dim = mat.shape[0]
     if dim == 0:
-        return SpectrumReport(k, s, [], 0, math.inf, [], dim=0, count=0)
+        return SpectrumReport(k, s, [], 0, math.inf, [], dim=0)
     if count is None:
         count = dim
     if not 1 <= count <= dim:
@@ -370,7 +369,6 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         gap=gap,
         residual_norms=[float(r) for r in resid],
         dim=dim,
-        count=count,
         operator_norm=opnorm,
         separation=separation,
     )
@@ -390,33 +388,21 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     return eigensolve(delta, mass, count=count, k=k, s=s)
 
 
-def betti_numbers(backend: BackendMatrices, kmax: int, s_probes=None) -> list[int]:
-    """Equivariant Betti numbers beta^0..beta^kmax as kernel dimensions.
+def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:
+    """Equivariant Betti numbers beta^0..beta^kmax as kernel dimensions at s = 0.
 
-    When s_probes is given (an iterable of deformation parameters, the
-    canonical choice being (0, 4, 16)) the kernel dimensions must be
-    identical at every probe, which is the checkable form of the
-    deformation invariance of the cohomology.  A kernel without a
-    factor-100 separation from the gap raises AmbiguousKernelError.
+    A kernel without a factor-100 separation from the gap raises
+    AmbiguousKernelError.
     """
-    probes = [0.0] if s_probes is None else list(s_probes)
-    results = []
-    for sv in probes:
-        betti = []
-        for k in range(kmax + 1):
-            rep = delta_spectrum(backend, k, s=sv)
-            if rep.kernel_dim > 0 and rep.separation < SEPARATION_FACTOR:
-                raise AmbiguousKernelError(
-                    f"degree {k}, s={sv}: kernel/gap separation "
-                    f"{rep.separation:.1f} < {SEPARATION_FACTOR}; increase the "
-                    "grid or the eigenvalue count")
-            betti.append(rep.kernel_dim)
-        results.append(betti)
-    for other in results[1:]:
-        if other != results[0]:
+    betti = []
+    for k in range(kmax + 1):
+        rep = delta_spectrum(backend, k)
+        if rep.kernel_dim > 0 and rep.separation < SEPARATION_FACTOR:
             raise AmbiguousKernelError(
-                f"kernel dimensions vary across deformation probes: {results}")
-    return results[0]
+                f"degree {k}: kernel/gap separation {rep.separation:.1f} < "
+                f"{SEPARATION_FACTOR}; increase the grid or the eigenvalue count")
+        betti.append(rep.kernel_dim)
+    return betti
 
 
 def trace_phi(report: SpectrumReport, spec: TraceSpec) -> float:
@@ -427,10 +413,10 @@ def trace_phi(report: SpectrumReport, spec: TraceSpec) -> float:
     of missing eigenvalues, which must stay below 1e-6.  A sum that phi's
     overflow made infinite is a ConfigurationError.
     """
-    if report.count == 0:
-        return 0.0
     lam = np.asarray(report.eigenvalues)
-    missing = report.dim - report.count
+    if lam.size == 0:
+        return 0.0
+    missing = report.dim - lam.size
     if missing > 0:
         bound = float(spec.phi(lam.max())) * missing
         if bound > TRACE_TAIL_BOUND:
@@ -453,11 +439,14 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
+    """The points of a degree-k sweep, whether their kernel dimensions all
+    agree, and the first s from which the gap is nondecreasing (None for
+    an empty sweep)."""
+
     k: int
     points: list[SweepPoint]
     kernel_constant: bool
     gap_monotone_from: float | None = None
-    notes: list[str] = field(default_factory=list)
 
     def gaps(self):
         return [(p.s, p.report.gap) for p in self.points]
@@ -467,10 +456,12 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
             count: int | None = None) -> SweepResult:
     """Deformation sweep of degree k: spectra and trace values per s.
 
-    The kernel dimension must stay constant along the sweep; a change
-    flags that the grid cannot resolve the O(s^{-1/2}) ground states and
-    is reported on the result rather than silently accepted.  The result
-    also records from which s onward the observed gap is nondecreasing.
+    The cohomology does not depend on s, so the kernel dimension should
+    stay constant along the sweep; kernel_constant records whether it
+    did.  A change is not diagnosed: an unresolved grid and an
+    exponentially small (tunneling) eigenvalue that falls under the
+    kernel threshold both produce one.  The result also records from
+    which s onward the observed gap is nondecreasing.
     """
     s_values = list(s_list)
     if any(sv < 0 for sv in s_values):
@@ -481,13 +472,7 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
     for sv in s_values:
         rep = delta_spectrum(backend, k, s=sv, count=count)
         points.append(SweepPoint(s=sv, report=rep, mu=trace_phi(rep, trace_spec)))
-    kernels = [p.report.kernel_dim for p in points]
-    constant = len(set(kernels)) <= 1
-    notes = []
-    if not constant:
-        notes.append(
-            f"kernel dimension varies along the sweep ({kernels}); the grid "
-            "is too coarse for the largest s (ground states have width ~ s^-1/2)")
+    constant = len({p.report.kernel_dim for p in points}) <= 1
     monotone_from = None
     gaps = [p.report.gap for p in points]
     for start in range(len(gaps)):
@@ -496,7 +481,7 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
             monotone_from = s_values[start]
             break
     return SweepResult(k=k, points=points, kernel_constant=constant,
-                       gap_monotone_from=monotone_from, notes=notes)
+                       gap_monotone_from=monotone_from)
 
 
 def de_rham_index(backend: BackendMatrices) -> int:

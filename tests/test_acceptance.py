@@ -107,10 +107,10 @@ def test_criterion2_betti_reproduction(backends, betti_cache):
 # -- 3 -----------------------------------------------------------------------
 
 def _counting_report(backends, betti_cache, case, kmax=5):
-    profile, f, be = backends[case]
+    profile, f, _ = backends[case]
     counts = P.morse_counts(P.find_critical_levels(profile, f), kmax)
     betti = betti_cache[case][:kmax + 1]
-    return counts, P.verify_counting_inequalities(counts, betti, n=be.n)
+    return counts, P.verify_counting_inequalities(counts, betti)
 
 
 def test_criterion3_counting_inequalities(backends, betti_cache):
@@ -152,7 +152,7 @@ def test_criterion4_trace_inequalities(backends, betti_cache):
         profile, f, be = backends[case]
         betti = betti_cache[case]
         counts = P.morse_counts(P.find_critical_levels(profile, f), 3)
-        counting = P.verify_counting_inequalities(counts, betti[:4], n=be.n)
+        counting = P.verify_counting_inequalities(counts, betti[:4])
         for s in probes:
             report = P.verify_trace_inequalities(be, s, 3, spec, betti=betti)
             assert all(sv >= -1e-8 for sv in report.slack), \
@@ -177,7 +177,7 @@ def test_criterion4_bumpy_localization_strict(backends, betti_cache):
     profile, f, be = backends["sphere_bumpy"]
     betti = betti_cache["sphere_bumpy"]
     counts = P.morse_counts(P.find_critical_levels(profile, f), 3)
-    counting = P.verify_counting_inequalities(counts, betti[:4], n=be.n)
+    counting = P.verify_counting_inequalities(counts, betti[:4])
     report = P.verify_trace_inequalities(be, 64.0, 3, S.TraceSpec(), betti=betti)
     for a, b in zip(report.slack, counting.slack):
         assert abs(a - b) <= 0.1

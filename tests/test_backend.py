@@ -91,6 +91,17 @@ def test_degenerate_bumpy_parameter_rejected():
             B.catalog("sphere_bumpy", {"c": c})
 
 
+@pytest.mark.parametrize("R", [1e5, 1e-8])
+def test_morse_tolerances_are_scale_free(R):
+    # f = cos(theta/R) is Morse on every round sphere: |f''| = 1/R^2 at the
+    # poles and |f'(pi R)| = |sin(pi)|/R, both judged against their largest value
+    profile, f = B.catalog("sphere_height", {"R": R}, n_grid=32)
+    B.build_backend(profile, f)
+    levels = B.find_critical_levels(profile, f)
+    assert [(lv.kind, lv.index) for lv in levels] == [("fixed_point", 2),
+                                                       ("fixed_point", 0)]
+
+
 def _scalar_critical_levels(profile, f):
     """Reference implementation: f' sampled point by point, and one scalar
     bisection per sign change, stopping at the same ROOT_TOL."""

@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from equimorse import backend as B
 from equimorse import cli
 
 
@@ -82,12 +84,14 @@ def test_verify_rejects_unknown_case(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_pole_errors_print_theta_to_significant_digits(tmp_path, capsys):
-    # f = cos(theta/R) at R = 1e-8 trips the absolute pole-gradient tolerance
-    # at the end-1 pole theta = pi R
-    assert run(["verify", "--case", "sphere_height", "--n-grid", "32",
-                "--param", "R=1e-8", "--out", str(tmp_path / "r.json")]) == 2
-    assert "f'(3.14159e-08)" in capsys.readouterr().err
+def test_pole_errors_print_theta_to_significant_digits():
+    # on the sphere of radius 1e-8, f = theta^2/2 is smooth at theta = 0 but
+    # not at the end-1 pole theta = pi R
+    profile, _ = B.catalog("sphere_height", {"R": 1e-8}, n_grid=32)
+    f = B.InvariantMorseFunction("theta^2/2", f=lambda t: 0.5 * t ** 2,
+                                 fp=lambda t: t, fpp=lambda t: np.ones_like(t))
+    with pytest.raises(B.ProfileValidationError, match=r"f'\(3\.14159e-08\)"):
+        B.build_backend(profile, f)
 
 
 def test_verify_is_byte_deterministic(tmp_path):
@@ -383,6 +387,58 @@ def test_spectrum_rejects_flags_it_never_reads(flag, tmp_path):
         run(["spectrum", "--case", "sphere_height", "--n-grid", "32",
              "--out", str(tmp_path / "spec.json")] + flag)
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "circle_trivial", "--n-grid", "16", "--k", "3"],
+    ["sweep", "--case", "sphere_height", "--n-grid", "32", "--s", "4", "--cou", "2"],
+    ["local", "--w", "3"],
+], ids=["verify-k-for-kmax", "sweep-cou-for-count", "local-w-for-weight"])
+def test_abbreviated_flags_are_rejected(argv, tmp_path):
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+
+
+def test_sweep_reports_a_varying_kernel_without_naming_a_cause(tmp_path, capsys):
+    # sphere_bumpy at c = -0.6: the e^{-2hs} degree-0 eigenvalue of the
+    # tunneling pair falls under the kernel threshold by s = 64
+    out = tmp_path / "sweep"
+    assert run(["sweep", "--case", "sphere_bumpy", "--param", "c=-0.6",
+                "--n-grid", "256", "--k", "0", "--s", "0,16,64",
+                "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "kernel dimension varies along the sweep: [1, 1, 2]" in text
+    written = "".join(p.read_text() for p in out.iterdir())
+    assert "coarse" not in text + written
+    meta = json.loads((out / "sweep.json").read_text())
+    assert meta["kernel_constant"] is False and "notes" not in meta
+
+
+@pytest.mark.parametrize("command,config,section,key", [
+    (["verify"], "[run]\ncase = circle_trivial\nn-grid = 8\n", "run", "n-grid"),
+    (["verify"], "[deformation]\ns = 0\n", "deformation", "s"),
+    (["verify"], "[trace]\nphi = gaussian\n", "trace", "phi"),
+    (["local"], "[local]\nweight = 3\n", "local", "weight"),
+], ids=["run-n-grid", "deformation-s", "trace-phi", "local-weight"])
+def test_unknown_config_key_is_a_one_line_usage_error(command, config, section, key,
+                                                      tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    assert run(command + ["--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key!r} in [{section}]" in err
+
+
+def test_config_sections_a_command_does_not_read_are_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ncase = circle_trivial\nn_grid = 32\n"
+                   "[local]\nanything = 1\n[elsewhere]\nn-grid = 8\n")
+    assert run(["verify", "--config", str(cfg), "--s", "0",
+                "--out", str(tmp_path / "r.json")]) == 0
+    cfg.write_text("[local]\nm = 3\n[run]\nn-grid = 8\n")
+    assert run(["local", "--config", str(cfg), "--out", str(tmp_path / "l.json")]) == 0
 
 
 @pytest.mark.parametrize("flags,config", [

@@ -84,8 +84,9 @@ def test_betti_numbers(case, expected):
 
 
 def test_betti_independent_of_deformation(sphere):
-    betti = S.betti_numbers(sphere, 3, s_probes=(0.0, 4.0, 16.0))
-    assert betti == [1, 0, 2, 0]
+    for s in (0.0, 4.0, 16.0):
+        kernels = [S.delta_spectrum(sphere, k, s=s).kernel_dim for k in range(4)]
+        assert kernels == [1, 0, 2, 0], f"s={s}"
 
 
 def test_kernel_separation_is_wide(sphere):
@@ -98,7 +99,7 @@ def test_kernel_separation_is_wide(sphere):
 def test_trace_phi_direct_evaluation():
     rep = S.SpectrumReport(k=0, s=0.0, eigenvalues=[0.0, 0.0, 5.0, 9.0],
                            kernel_dim=2, gap=5.0, residual_norms=[],
-                           dim=4, count=4)
+                           dim=4)
     spec = S.TraceSpec("exp_decay", 1.0)
     assert S.trace_phi(rep, spec) == pytest.approx(
         2.0 + math.exp(-5.0) + math.exp(-9.0))
@@ -106,13 +107,13 @@ def test_trace_phi_direct_evaluation():
 
 def test_trace_phi_empty_spectrum():
     rep = S.SpectrumReport(k=0, s=0.0, eigenvalues=[], kernel_dim=0,
-                           gap=math.inf, residual_norms=[], dim=0, count=0)
+                           gap=math.inf, residual_norms=[], dim=0)
     assert S.trace_phi(rep, S.TraceSpec()) == 0.0
 
 
 def test_trace_phi_tail_bound_enforced():
     rep = S.SpectrumReport(k=0, s=0.0, eigenvalues=[0.0, 1.0], kernel_dim=1,
-                           gap=1.0, residual_norms=[], dim=500, count=2)
+                           gap=1.0, residual_norms=[], dim=500)
     with pytest.raises(S.TailBoundError):
         S.trace_phi(rep, S.TraceSpec())
 
@@ -189,6 +190,18 @@ def test_torus_degree_one_near_zero_count():
     assert int(np.count_nonzero(w < 6.4)) == 1
     above = w[np.count_nonzero(w < 6.4)]
     assert above == pytest.approx(9.0, rel=0.1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="tunneling: on sphere_bumpy at c = -0.6 the second degree-0 "
+    "eigenvalue decays like e^{-2hs} (barrier h = 0.408) and by s = 64 falls "
+    "below KERNEL_TAU_ABS x |A|, so the kernel reads 2 where the cohomology "
+    "has 1; singular values of d_s resolve it (ROADMAP item 2)")
+def test_tunneling_eigenvalue_stays_out_of_the_kernel():
+    profile, f = B.catalog("sphere_bumpy", {"c": -0.6}, n_grid=256)
+    be = B.build_backend(profile, f)
+    assert S.delta_spectrum(be, 0, s=64.0).kernel_dim == 1
 
 
 def test_sweep_rejects_unsorted():
@@ -321,7 +334,7 @@ def test_full_spectrum_is_a_band_solve_above_the_limit(monkeypatch):
     be = B.build_backend(profile, f)
     monkeypatch.setattr(S, "BAND_LIMIT", 16)
     rep = S.delta_spectrum(be, 1, s=16.0)
-    assert rep.count == rep.dim and len(rep.eigenvalues) == rep.dim
+    assert len(rep.eigenvalues) == rep.dim
 
 
 def test_count_equal_to_the_dimension_is_the_full_spectrum(monkeypatch):
@@ -330,7 +343,7 @@ def test_count_equal_to_the_dimension_is_the_full_spectrum(monkeypatch):
     monkeypatch.setattr(S, "BAND_LIMIT", 16)
     full = S.delta_spectrum(be, 0)
     counted = S.delta_spectrum(be, 0, count=full.dim)
-    assert counted.count == counted.dim == full.dim
+    assert len(counted.eigenvalues) == counted.dim == full.dim
     assert counted.eigenvalues == full.eigenvalues
     assert counted.residual_norms == full.residual_norms
 
