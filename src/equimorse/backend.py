@@ -191,11 +191,18 @@ class BackendMatrices:
     f: InvariantMorseFunction | None
 
 
+def _scale(mat: sp.spmatrix, left: np.ndarray, right: np.ndarray) -> sp.csr_matrix:
+    """CSR diag(left) @ mat @ diag(right): (left[row] * a) * right[col], zeros dropped."""
+    out = sp.csr_matrix(mat, dtype=float, copy=True)
+    out.data *= np.repeat(left, np.diff(out.indptr))
+    out.data *= right[out.indices]
+    out.eliminate_zeros()
+    return out
+
+
 def _adjoint(mat: sp.spmatrix, mass_dom: np.ndarray, mass_cod: np.ndarray) -> sp.csr_matrix:
     """Exact adjoint of mat w.r.t. diagonal masses on domain and codomain."""
-    return sp.csr_matrix(
-        sp.diags(1.0 / mass_dom) @ mat.T @ sp.diags(mass_cod)
-    )
+    return _scale(mat.T, 1.0 / mass_dom, mass_cod)
 
 
 def _difference_average(n_int: int, n_half: int, dx: float):

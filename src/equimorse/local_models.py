@@ -120,6 +120,11 @@ class BranchSpectrum:
 # Harmonic oscillator
 # ---------------------------------------------------------------------------
 
+def _lowest_tridiag(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
+    """Lowest count eigenvalues, ascending, of the symmetric tridiagonal (diag, off)."""
+    return sla.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+
+
 def ho_spectrum(a: float, count: int) -> list[float]:
     """Eigenvalues a(1+2p), p = 0..count-1, of -d^2/dx^2 + a^2 x^2."""
     if a <= 0:
@@ -148,9 +153,7 @@ def ho_grid_spectrum(a: float, count: int) -> list[float]:
     x = -R + h * (1 + np.arange(n_grid))
     diag = 2.0 / h**2 + a * a * x * x
     off = -np.ones(n_grid - 1) / h**2
-    w = sla.eigvalsh_tridiagonal(diag, off, select="i",
-                                 select_range=(0, count - 1))
-    return [float(v) for v in w]
+    return [float(v) for v in _lowest_tridiag(diag, off, count)]
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +237,19 @@ def radial_invariant_spectrum(omega_sq: float, count: int) -> list[float]:
     the closed form is 2 omega (1+2p).
     """
     diag, off = _radial_sym_tridiag(omega_sq, RADIAL_GRID_POINTS)
-    w = sla.eigvalsh_tridiagonal(diag, off, select="i",
-                                 select_range=(0, count - 1))
-    return [float(v) for v in w]
+    return [float(v) for v in _lowest_tridiag(diag, off, count)]
 
 
 def coupled_branch_spectrum(s: float, m: float, eps: int, count: int) -> list[float]:
     """Grid oracle for the coupled (t, eta) system of one rotation plane:
-    radial oscillator of frequency sqrt(s^2+m^2) on (0, sqrt(44/omega)]
-    plus the constant 2x2 coupling; validates the branch-B closed form
-    including its factors."""
+    radial oscillator T of frequency sqrt(s^2+m^2) on (0, sqrt(44/omega)]
+    plus the constant 2x2 coupling C; validates the branch-B closed form
+    including its factors.  The system blockdiag(T, T) + C (x) I_M is the
+    Kronecker sum of T and C, so its spectrum is {t_i + c_j}, each solved alone."""
     diag, off = _radial_sym_tridiag(s * s + m * m, COUPLED_GRID_POINTS)
-    M = len(diag)
-    S = np.zeros((2 * M, 2 * M))
-    for blk in range(2):
-        sl = slice(blk * M, (blk + 1) * M)
-        S[sl, sl] += np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     C = np.array([[-2.0 * eps * s, 2.0 * m], [2.0 * m, 2.0 * eps * s]])
-    S[:M, :M] += C[0, 0] * np.eye(M)
-    S[:M, M:] += C[0, 1] * np.eye(M)
-    S[M:, :M] += C[1, 0] * np.eye(M)
-    S[M:, M:] += C[1, 1] * np.eye(M)
-    w = np.sort(sla.eigvalsh(S))
+    t = _lowest_tridiag(diag, off, min(count, diag.size))
+    w = np.sort(np.add.outer(t, np.linalg.eigvalsh(C)), axis=None)
     return [float(v) for v in w[:count]]
 
 

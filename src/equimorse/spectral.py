@@ -46,7 +46,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import cartan
-from .backend import BackendMatrices
+from .backend import BackendMatrices, _scale
 
 __all__ = [
     "SpectrumReport",
@@ -333,8 +333,7 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         count = dim
     if not 1 <= count <= dim:
         raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
-    sqrt_m = np.sqrt(mass)
-    S = sp.diags(sqrt_m) @ sp.csr_matrix(mat) @ sp.diags(1.0 / sqrt_m)
+    S = _scale(mat, np.sqrt(mass), 1.0 / np.sqrt(mass))
     S = sp.csr_matrix(0.5 * (S + S.T))
 
     if count == dim or dim < BAND_LIMIT:

@@ -107,6 +107,42 @@ def test_adjointness_on_random_vectors(sphere, k):
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
+@pytest.mark.parametrize("case", ["sphere_height", "sphere_bumpy", "torus_height"])
+def test_row_column_scaling_is_bitwise_the_two_product_formula(case):
+    """B._scale, as used by the adjoint and by the eigensolver's symmetric
+    form, stores exactly what diag @ mat @ diag stores: same pattern, same
+    rounding (left[row] * a first, then * right[col])."""
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in
+                   ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+
+    be = B.build_backend(*B.catalog(case, n_grid=64))
+    for k in range(6):
+        for s in (0.0, 3.7, 64.0):
+            d, _, lap = C.build_deformed(be, s, k)
+            m_dom = C.mass_vector(be, d.domain)
+            m_cod = C.mass_vector(be, d.codomain)
+            if d.domain.dim and d.codomain.dim:
+                two_products = sp.csr_matrix(
+                    sp.diags(1.0 / m_dom) @ d.matrix.T @ sp.diags(m_cod))
+                assert same(B._adjoint(d.matrix, m_dom, m_cod), two_products)
+            root = np.sqrt(C.mass_vector(be, lap.domain))
+            two_products = sp.diags(root) @ sp.csr_matrix(lap.matrix) @ sp.diags(1.0 / root)
+            assert same(B._scale(lap.matrix, root, 1.0 / root), two_products)
+
+
+def test_row_column_scaling_drops_stored_zeros():
+    """A stored zero, or a product that underflows, is dropped as the
+    sparse product drops it."""
+    mat = sp.csr_matrix((np.array([0.0, 2.0, 1e-300]), np.array([0, 1, 0]),
+                         np.array([0, 2, 3])), shape=(2, 2))
+    left, right = np.array([3.0, 1e-300]), np.array([0.5, 4.0])
+    two_products = sp.diags(left) @ mat @ sp.diags(right)
+    scaled = B._scale(mat, left, right)
+    assert scaled.nnz == two_products.nnz == 1
+    assert np.array_equal(scaled.toarray(), two_products.toarray())
+
+
 def test_adjoint_blocks_match_lowering_formula(sphere):
     """The adjoint's blocks are t^i (x) d* plus v*-wedge lowering blocks
     present exactly for i >= 1; assembling that formula directly gives

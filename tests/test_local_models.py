@@ -142,6 +142,31 @@ def test_branch_spectra_match_radial_grids(s, m, eps):
         assert abs(g - f) / scale_b <= 1e-2
 
 
+@pytest.mark.parametrize("count", [3, 48])
+@pytest.mark.parametrize("eps", [-1, +1])
+@pytest.mark.parametrize("m", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("s", [1.0, 5.0, 30.0])
+def test_kronecker_sum_matches_the_dense_coupled_system(s, m, eps, count, monkeypatch):
+    """The oracle's {t_i + c_j} against one dense solve of the assembled
+    2M x 2M system blockdiag(T, T) + C (x) I_M.  Both sides are backward
+    stable solves of symmetric matrices, each eigenvalue off by a small
+    multiple of eps x |S|_2 <= eps x |S|_inf, and the sum t_i + c_j adds
+    one rounding of the same size; 64 x eps x |S|_inf covers all three."""
+    monkeypatch.setattr(L, "COUPLED_GRID_POINTS", 48)
+    diag, off = L._radial_sym_tridiag(s * s + m * m, 48)
+    M = len(diag)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    C = np.array([[-2.0 * eps * s, 2.0 * m], [2.0 * m, 2.0 * eps * s]])
+    I = np.eye(M)
+    S = np.block([[T + C[0, 0] * I, C[0, 1] * I],
+                  [C[1, 0] * I, T + C[1, 1] * I]])
+    dense = np.sort(np.linalg.eigvalsh(S))[:count]
+    tol = 64 * np.finfo(float).eps * np.abs(S).sum(axis=1).max()
+    got = L.coupled_branch_spectrum(s, m, eps, count)
+    assert len(got) == count
+    assert np.abs(np.asarray(got) - dense).max() <= tol
+
+
 # ---------------------------------------------------------------------------
 # fiber algebra sign rule
 # ---------------------------------------------------------------------------

@@ -72,6 +72,20 @@ def test_sphere_axisymmetric_spectrum():
     assert rep.eigenvalues[2] == pytest.approx(6.0, rel=0.02)
 
 
+def test_grid_eigenvalues_converge_at_second_order():
+    """Degree zero at s=0 on the unit sphere: the errors of l(l+1) = 2, 6,
+    12, 20 shrink fourfold per doubling of N from 128 to 1024."""
+    exact = np.array([2.0, 6.0, 12.0, 20.0])
+    errors = []
+    for n_grid in (128, 256, 512, 1024):
+        be = B.build_backend(*B.catalog("sphere_height", n_grid=n_grid))
+        w = S.delta_spectrum(be, 0, count=5).eigenvalues[1:]
+        errors.append(np.abs(np.asarray(w) - exact))
+    for coarse, fine in zip(errors, errors[1:]):
+        order = np.log2(coarse / fine)
+        assert np.all((1.95 <= order) & (order <= 2.05)), order
+
+
 @pytest.mark.parametrize("case,expected", [
     ("sphere_height", [1, 0, 2, 0, 2, 0]),
     ("torus_height", [1, 1, 0, 0, 0]),
