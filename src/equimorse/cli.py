@@ -15,14 +15,22 @@ failed, 2 configuration or usage error.
 Configuration files (`--config`) are flat `key = value` text with
 sections, read by configparser; on every command a flag overrides the
 file's value.  Keys are case-sensitive, and a key not listed below, in a
-section the command reads, is a usage error.  Recognized keys:
+section the command reads, is a usage error.  Each key's parser also
+checks its range.  Recognized keys:
 
-    [run]          case, n_grid, weight, kmax, out
+    [run]          case (a catalog case), n_grid, weight, kmax, out
     [geometry]     case parameters (e.g. c, R, r) as floats; the case
                    rejects the ones it does not take
-    [deformation]  s_list (comma-separated)
+    [deformation]  s_list (comma-separated, nonnegative, ascending)
     [trace]        phi_kind (exp_decay | gaussian), phi_scale
-    [local]        q (must be 1), s, m, eps; read by `local` alone
+    [local]        q (must be 1), s (> 0), m (>= 1), eps (+1 or -1)
+
+`verify` and `sweep` read [run], [geometry], [deformation] and [trace];
+`spectrum` reads the same but [trace], which it ignores; `local` reads
+[local] alone.  Each JSON's `config` records the values its command
+read: case, n_grid, weight, s_list and params, plus kmax (null when
+unset), phi_kind and phi_scale for `verify`, and phi_kind and phi_scale
+for `sweep`.
 
 `sweep` writes its CSV and JSON files into the directory `out`, by
 default sweep_out, and exits 1 when the kernel dimension varies along
@@ -40,7 +48,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
 
 from . import backend as backend_mod
 from . import local_models as local_mod
@@ -50,43 +57,19 @@ from .backend import CATALOG_CASES
 from .cartan import ConfigurationError as CartanConfigurationError
 from .spectral import write_atomic
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
-DEFAULT_S_LIST = [0.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+# The values verify, spectrum and sweep take when neither a flag nor the
+# config file sets them; spectrum and sweep overlay a few of their own.
+RUN_DEFAULTS = {
+    "case": "sphere_height", "n_grid": 256, "weight": 1,
+    "s_list": [0.0, 4.0, 8.0, 16.0, 32.0, 64.0], "kmax": None,
+    "phi_kind": "exp_decay", "phi_scale": 1.0, "out": "report.json",
+}
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters; every report embeds this for reproducibility."""
-
-    case: str = "sphere_height"
-    n_grid: int = 256
-    weight: int = 1
-    s_list: list[float] = field(default_factory=lambda: list(DEFAULT_S_LIST))
-    kmax: int | None = None
-    phi_kind: str = "exp_decay"
-    phi_scale: float = 1.0
-    out: str = "report.json"
-    params: dict = field(default_factory=dict)
-
-    def trace_spec(self) -> spectral_mod.TraceSpec:
-        return spectral_mod.TraceSpec(self.phi_kind, self.phi_scale)
-
-    def as_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "n_grid": self.n_grid,
-            "weight": self.weight,
-            "s_list": [float(s) for s in self.s_list],
-            "kmax": self.kmax,
-            "phi_kind": self.phi_kind,
-            "phi_scale": self.phi_scale,
-            "params": {k: self.params[k] for k in sorted(self.params)},
-        }
 
 
 def _number(text: str, kind: type, what: str):
@@ -108,28 +91,39 @@ def _parse_s_list(text: str) -> list[float]:
 
 
 # Each settable key: the config-file section that sets it (None for a
-# flag-only key) and its type.  A flag sets the key named by its dest and
-# overrides the file; [geometry] keys and --param set the case parameters.
+# flag-only key), its type or parser and, for a key with a range, the
+# rule its value must meet and that rule in words.  A flag sets the key
+# named by its dest and overrides the file; [geometry] keys and --param
+# set the case parameters.
 KEYS = {
-    "case": ("run", str), "n_grid": ("run", int), "weight": ("run", int),
-    "kmax": ("run", int), "out": ("run", str),
-    "s_list": ("deformation", list),
+    "case": ("run", str, CATALOG_CASES.__contains__,
+             "a case that `equimorse catalog` lists"),
+    "n_grid": ("run", int), "weight": ("run", int), "kmax": ("run", int),
+    "out": ("run", str),
+    "s_list": ("deformation", _parse_s_list, lambda v: v == sorted(v), "ascending"),
     "phi_kind": ("trace", str), "phi_scale": ("trace", float),
-    "q": ("local", int), "s": ("local", float), "m": ("local", int), "eps": ("local", int),
-    "k": (None, int), "count": (None, int), "csv": (None, str),
+    "q": ("local", int, lambda v: v == 1, "1 (grid oracles cover one rotation plane)"),
+    "s": ("local", float, lambda v: v > 0, "positive"),
+    "m": ("local", int, lambda v: v >= 1, "a positive integer"),
+    "eps": ("local", int, lambda v: v in (-1, 1), "+1 or -1"),
+    "k": (None, int, lambda v: v >= 0, "nonnegative"),
+    "count": (None, int), "csv": (None, str),
 }
 
 
 def _parse(key: str, text: str):
-    kind = KEYS[key][1]
-    if kind is list:
-        return _parse_s_list(text)
-    return text if kind is str else _number(text, kind, key)
+    """text parsed by the parser of key, and checked against its range."""
+    _, kind, *rule = KEYS[key]
+    value = _number(text, kind, key) if kind in (int, float) else kind(text)
+    if rule and not rule[0](value):
+        raise ConfigError(f"{key} must be {rule[1]}, got {value!r}")
+    return value
 
 
 def _read_values(args, sections, defaults: dict) -> dict:
-    """The command's defaults, overlaid by the config file's sections and
-    then by the given flags, each text parsed once by the parser of its key.
+    """The command's defaults, overlaid by the config file's sections that
+    the command reads and then by the given flags, each text parsed once,
+    and range-checked, by the parser of its key.
     """
     texts: dict = {}
     params: dict = {}
@@ -164,22 +158,20 @@ def _read_values(args, sections, defaults: dict) -> dict:
     return values
 
 
-def _run_config(args, **defaults) -> tuple[RunConfig, dict]:
-    """The checked RunConfig of verify, spectrum or sweep, and all its values."""
-    values = _read_values(args, ("run", "geometry", "deformation", "trace"), defaults)
-    cfg = RunConfig(**{f.name: values[f.name] for f in fields(RunConfig)
-                       if f.name in values})
-    if cfg.case not in CATALOG_CASES:
-        raise ConfigError(f"unknown case {cfg.case!r}; see `equimorse catalog`")
-    if cfg.s_list != sorted(cfg.s_list):
-        raise ConfigError("s_list must be ascending")
-    if values.get("k", 0) < 0:
-        raise ConfigError(f"degree --k must be nonnegative, got {values['k']}")
+def _trace_spec(values: dict) -> spectral_mod.TraceSpec:
     try:
-        cfg.trace_spec()
+        return spectral_mod.TraceSpec(values["phi_kind"], values["phi_scale"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg, values
+
+
+def _config(values: dict, *keys: str) -> dict:
+    """A report's record of the values its command read: case, n_grid,
+    weight and s_list, then the given keys, then the case parameters
+    sorted by name."""
+    params = values["params"]
+    return {**{k: values[k] for k in ("case", "n_grid", "weight", "s_list") + keys},
+            "params": {k: params[k] for k in sorted(params)}}
 
 
 def _json_text(payload: dict) -> str:
@@ -210,57 +202,62 @@ def cmd_catalog(_args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg, _ = _run_config(args)
-    if not cfg.s_list:
+    values = _read_values(args, ("run", "geometry", "deformation", "trace"),
+                          RUN_DEFAULTS)
+    spec, case, s_list, out = (_trace_spec(values), values["case"],
+                               values["s_list"], values["out"])
+    if not s_list:
         raise ConfigError("verify needs at least one s value")
-    profile, f = backend_mod.catalog(cfg.case, cfg.params, n_grid=cfg.n_grid,
-                                     weight=cfg.weight)
-    kmax = cfg.kmax if cfg.kmax is not None else 4
-    report = pipeline_mod.run_case(profile, f, cfg.s_list, kmax, cfg.trace_spec())
-    report["case"] = cfg.case
-    report["config"] = cfg.as_dict()
-    write_atomic(cfg.out, _json_text(report))
-    print(f"case {cfg.case}: betti {report['betti']}")
+    profile, f = backend_mod.catalog(case, values["params"], n_grid=values["n_grid"],
+                                     weight=values["weight"])
+    kmax = values["kmax"] if values["kmax"] is not None else 4
+    report = pipeline_mod.run_case(profile, f, s_list, kmax, spec)
+    report["case"] = case
+    report["config"] = _config(values, "kmax", "phi_kind", "phi_scale")
+    write_atomic(out, _json_text(report))
+    print(f"case {case}: betti {report['betti']}")
     if report["tilde_c"]:
         print(f"  counts c={report['c']} d={report['d']} tilde_c={report['tilde_c']}")
         print(f"  counting slack {report['slack_thm1']}")
-        print(f"  trace slack at s={max(cfg.s_list):g}: {report['slack_thm2']}")
+        print(f"  trace slack at s={max(s_list):g}: {report['slack_thm2']}")
     print(f"  euler {report['euler']}")
-    print(f"  status {report['status']}  -> {cfg.out}")
+    print(f"  status {report['status']}  -> {out}")
     return 0 if report["status"] == "PASS" else 1
 
 
 def cmd_spectrum(args) -> int:
-    cfg, values = _run_config(args, s_list=[0.0], k=0)
-    if len(cfg.s_list) != 1:
-        raise ConfigError(f"spectrum takes exactly one s value, got {cfg.s_list}")
-    profile, f = backend_mod.catalog(cfg.case, cfg.params, n_grid=cfg.n_grid,
-                                     weight=cfg.weight)
+    values = _read_values(args, ("run", "geometry", "deformation"),
+                          dict(RUN_DEFAULTS, s_list=[0.0], k=0))
+    if len(values["s_list"]) != 1:
+        raise ConfigError(f"spectrum takes exactly one s value, got {values['s_list']}")
+    profile, f = backend_mod.catalog(values["case"], values["params"],
+                                     n_grid=values["n_grid"], weight=values["weight"])
     be = backend_mod.build_backend(profile, f)
-    (s_value,), k, csv_path = cfg.s_list, values["k"], values.get("csv")
+    (s_value,), k, out = values["s_list"], values["k"], values["out"]
     rep = spectral_mod.delta_spectrum(be, k, s=s_value, count=values.get("count"))
     payload = rep.to_record()
-    payload["config"] = cfg.as_dict()
-    write_atomic(cfg.out, _json_text(payload))
+    payload["config"] = _config(values)
+    write_atomic(out, _json_text(payload))
     print(f"degree {k}, s={s_value:g}: kernel {rep.kernel_dim}, gap {rep.gap:.6g}"
-          f" -> {cfg.out}")
-    if csv_path:
-        spectral_mod.reports_to_csv([rep], csv_path)
-        print(f"eigenvalues -> {csv_path}")
+          f" -> {out}")
+    if values.get("csv"):
+        spectral_mod.reports_to_csv([rep], values["csv"])
+        print(f"eigenvalues -> {values['csv']}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg, values = _run_config(args, out="sweep_out", k=2)
-    k = values["k"]
-    profile, f = backend_mod.catalog(cfg.case, cfg.params, n_grid=cfg.n_grid,
-                                     weight=cfg.weight)
+    values = _read_values(args, ("run", "geometry", "deformation", "trace"),
+                          dict(RUN_DEFAULTS, out="sweep_out", k=2))
+    spec, k, s_list, out = (_trace_spec(values), values["k"], values["s_list"],
+                            values["out"])
+    profile, f = backend_mod.catalog(values["case"], values["params"],
+                                     n_grid=values["n_grid"], weight=values["weight"])
     be = backend_mod.build_backend(profile, f)
-    result = spectral_mod.sweep_s(be, k, cfg.s_list, cfg.trace_spec(),
-                                  count=values.get("count"))
-    os.makedirs(cfg.out, exist_ok=True)
-    eig_path = os.path.join(cfg.out, "eigenvalues.csv")
-    mu_path = os.path.join(cfg.out, "traces.csv")
+    result = spectral_mod.sweep_s(be, k, s_list, spec, count=values.get("count"))
+    os.makedirs(out, exist_ok=True)
+    eig_path = os.path.join(out, "eigenvalues.csv")
+    mu_path = os.path.join(out, "traces.csv")
     spectral_mod.reports_to_csv([p.report for p in result.points], eig_path)
     lines = ["k,s,mu"]
     for p in result.points:
@@ -271,10 +268,10 @@ def cmd_sweep(args) -> int:
         "kernel_constant": result.kernel_constant,
         "gap_monotone_from": result.gap_monotone_from,
         "gaps": result.gaps(),
-        "config": cfg.as_dict(),
+        "config": _config(values, "phi_kind", "phi_scale"),
     }
-    write_atomic(os.path.join(cfg.out, "sweep.json"), _json_text(meta))
-    print(f"sweep k={k}, s={cfg.s_list} -> {eig_path}, {mu_path}")
+    write_atomic(os.path.join(out, "sweep.json"), _json_text(meta))
+    print(f"sweep k={k}, s={s_list} -> {eig_path}, {mu_path}")
     if not result.kernel_constant:
         print(f"  kernel dimension varies along the sweep: "
               f"{[p.report.kernel_dim for p in result.points]}")
@@ -285,14 +282,6 @@ def cmd_local(args) -> int:
     values = _read_values(args, ("local",),
                           {"q": 1, "s": 10.0, "m": 2, "eps": -1, "out": "local.json"})
     s, m, eps = values["s"], values["m"], values["eps"]
-    if values["q"] != 1:
-        raise ConfigError("grid oracles cover one rotation plane (q = 1)")
-    if eps not in (-1, 1):
-        raise ConfigError(f"eps must be +1 or -1, got {eps}")
-    if s <= 0:
-        raise ConfigError(f"s must be positive, got {s}")
-    if m < 1:
-        raise ConfigError(f"rotation speed m must be a positive integer, got {m}")
     tol = 1e-2
     branch_a, branch_b = local_mod.ab_branch_spectra(s, m, eps, 3)
     try:

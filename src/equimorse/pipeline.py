@@ -50,21 +50,11 @@ __all__ = [
 @dataclass
 class MorseCounts:
     """Counts by index: c for fixed points, d for orbits, and the combined
-    ctilde_k = d_k + c_k + c_{k-2} + ...  Entries are checked nonnegative
-    and ctilde obeys ctilde_k - d_k = c_k + (ctilde_{k-2} - d_{k-2})."""
+    ctilde_k = d_k + c_k + c_{k-2} + ..."""
 
     c: list[int]
     d: list[int]
     tilde_c: list[int]
-
-    def __post_init__(self):
-        if any(x < 0 for x in self.c + self.d + self.tilde_c):
-            raise ValueError("negative Morse count")
-        for k in range(2, len(self.tilde_c)):
-            lhs = self.tilde_c[k] - self.d[k]
-            rhs = self.c[k] + (self.tilde_c[k - 2] - self.d[k - 2])
-            if lhs != rhs:
-                raise ValueError(f"ctilde recursion violated at k = {k}")
 
 
 def morse_counts(levels, kmax: int) -> MorseCounts:

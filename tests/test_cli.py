@@ -164,6 +164,7 @@ def test_verify_matches_golden_report(case, tmp_path):
     ["verify", "--case", "nope"],
     # a spectrum is solved at one s
     ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--s", "1,2"],
+    ["sweep", "--case", "sphere_height", "--n-grid", "64", "--s", "4,0"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
         "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
         "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
@@ -177,7 +178,7 @@ def test_verify_matches_golden_report(case, tmp_path):
         "verify-phi-overflow", "sweep-phi-overflow", "verify-malformed-n-grid",
         "spectrum-malformed-k", "sweep-malformed-count", "local-malformed-s",
         "local-malformed-weight", "local-eps-2", "verify-unknown-case",
-        "spectrum-two-s"])
+        "spectrum-two-s", "sweep-descending-s"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
@@ -198,6 +199,9 @@ def test_verify_at_the_edge_of_valid_input_passes(argv, tmp_path):
     assert json.loads(out.read_text())["status"] == "PASS"
 
 
+LOCAL_FROM_FILE = ["local", "--config", "{path}", "--out", "{path}.json"]
+
+
 @pytest.mark.parametrize("name,content,argv", [
     ("run.cfg", "[run]\nn_grid = abc\n", ["verify", "--config", "{path}"]),
     ("model.cfg", "[local]\ns = abc\n", ["local", "--config", "{path}"]),
@@ -205,8 +209,20 @@ def test_verify_at_the_edge_of_valid_input_passes(argv, tmp_path):
     ("report.json", "[1, 2]\n", ["report", "{path}"]),
     ("existing_dir", None, ["verify", "--case", "sphere_height", "--n-grid", "64",
                             "--s", "0", "--out", "{path}"]),
+    # each key's range rule holds in a config file as it does for a flag
+    ("model.cfg", "[local]\nm = 0\n", LOCAL_FROM_FILE),
+    ("model.cfg", "[local]\nq = 2\n", LOCAL_FROM_FILE),
+    ("model.cfg", "[local]\ns = -1\n", LOCAL_FROM_FILE),
+    ("model.cfg", "[local]\neps = 2\n", LOCAL_FROM_FILE),
+    ("run.cfg", "[run]\ncase = sphere_height\nn_grid = 32\n"
+                "[deformation]\ns_list = 4, 0\n",
+     ["sweep", "--config", "{path}", "--out", "{path}.out"]),
+    ("run.cfg", "[run]\ncase = nope\n",
+     ["verify", "--config", "{path}", "--out", "{path}.json"]),
 ], ids=["run-config-malformed-int", "local-config-malformed-s", "report-not-json",
-        "report-not-an-object", "out-is-a-directory"])
+        "report-not-an-object", "out-is-a-directory", "local-config-zero-m",
+        "local-config-two-planes", "local-config-negative-s", "local-config-eps-2",
+        "sweep-config-descending-s", "run-config-unknown-case"])
 def test_bad_file_input_is_a_one_line_usage_error(name, content, argv, tmp_path,
                                                   capsys):
     path = tmp_path / name
@@ -439,6 +455,33 @@ def test_config_sections_a_command_does_not_read_are_ignored(tmp_path):
                 "--out", str(tmp_path / "r.json")]) == 0
     cfg.write_text("[local]\nm = 3\n[run]\nn-grid = 8\n")
     assert run(["local", "--config", str(cfg), "--out", str(tmp_path / "l.json")]) == 0
+    # spectrum has no trace to take a phi from
+    cfg.write_text("[run]\ncase = circle_trivial\nn_grid = 32\n"
+                   "[trace]\nphi_kind = bogus\n")
+    assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 0
+
+
+def test_report_records_only_the_keys_its_command_read(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ncase = sphere_bumpy\nn_grid = 64\nkmax = 5\n"
+                   "[geometry]\nc = -0.6\n[deformation]\ns_list = 0, 4\n"
+                   "[trace]\nphi_kind = gaussian\nphi_scale = 2\n")
+    read = {"case": "sphere_bumpy", "n_grid": 64, "weight": 1,
+            "s_list": [0.0, 4.0], "kmax": 5, "phi_kind": "gaussian",
+            "phi_scale": 2.0, "params": {"c": -0.6}}
+
+    def recorded(argv, out, report=""):
+        """The config items of the command's report, in their order."""
+        assert run(argv + ["--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        return list(json.loads((tmp_path / out / report).read_text())["config"].items())
+
+    assert recorded(["verify"], "v.json") == list(read.items())
+    assert recorded(["spectrum", "--s", "4", "--k", "1"], "s.json") == [
+        ("case", "sphere_bumpy"), ("n_grid", 64), ("weight", 1), ("s_list", [4.0]),
+        ("params", {"c": -0.6})]
+    assert recorded(["sweep", "--k", "0"], "sweep", "sweep.json") == [
+        (k, read[k]) for k in ("case", "n_grid", "weight", "s_list", "phi_kind",
+                               "phi_scale", "params")]
 
 
 @pytest.mark.parametrize("flags,config", [
