@@ -59,7 +59,6 @@ POLE_GRAD_TOL = 1e-8  # x the largest |f'| on the grid
 SCAN_SAMPLES = 4096
 ROOT_TOL = 1e-12
 HESSIAN_TOL = 1e-8  # x the largest |f''| on the scan grid and the ends
-GRADIENT_TOL = 1e-10
 # The largest magnitude whose square is a finite float.  The critical-level
 # scan, the assembly, the eigensolvers and the grid oracles all square the
 # values they are given, so every input must stay below it.
@@ -150,10 +149,6 @@ class CriticalLevel:
     index: int
     hessian_eigenvalues: tuple[float, ...]
     value: float
-
-    def __post_init__(self):
-        if self.kind not in ("fixed_point", "orbit"):
-            raise ValueError(f"unknown critical level kind {self.kind!r}")
 
 
 @dataclass
@@ -494,10 +489,11 @@ def find_critical_levels(profile: RevolutionProfile,
     the profile, followed by bisection of every bracket to ROOT_TOL,
     finds every orbit; pole ends are always critical fixed points.  A
     Hessian |f''| at most HESSIAN_TOL times the largest |f''| on the scan
-    grid and the ends, a refined root with |f'| above
-    GRADIENT_TOL, or a critical latitude under the trivial action
-    (weight 0, where the latitude is a circle of fixed points rather
-    than a free orbit) raises DegenerateCriticalLevelError.
+    grid and the ends, a refined root with |f'| above |f''| w + 4 eps
+    max|f'| (w its last bracket's width, the max over the scan grid), or a
+    critical latitude under the trivial action (weight 0, where the
+    latitude is a circle of fixed points rather than a free orbit) raises
+    DegenerateCriticalLevelError.  Both rules are scale-free.
     """
     if profile.kind != "surface":
         raise ValueError("critical-level analysis needs a surface profile")
@@ -516,11 +512,11 @@ def find_critical_levels(profile: RevolutionProfile,
     vals = f.fp(grid)
     ends = np.array([0.0, L])
     hess_tol = HESSIAN_TOL * float(np.abs(f.fpp(np.concatenate([grid, ends]))).max())
-    zero = vals[:-1] == 0.0
-    flip = np.flatnonzero(~zero & (vals[:-1] * vals[1:] < 0))
-    # Bisect all brackets at once; each stops halving when narrower than
-    # ROOT_TOL, and its root is the midpoint of its last bracket.
-    a, b, fa = grid[flip], grid[flip + 1], vals[flip]
+    # Bisect all brackets at once, an exact zero of f' on the grid as one of
+    # width 0; each stops halving when narrower than ROOT_TOL, and its root
+    # is the midpoint of its last bracket, so the roots come out ascending.
+    at = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
+    a, b, fa = grid[at], grid[at + (vals[at] != 0.0)], vals[at]
     for _ in range(200):
         live = ~(b - a < ROOT_TOL)
         if not live.any():
@@ -531,7 +527,8 @@ def find_critical_levels(profile: RevolutionProfile,
         b = np.where(live & left, mid, b)
         a = np.where(live & ~left, mid, a)
         fa = np.where(live & ~left, fmid, fa)
-    roots = np.sort(np.concatenate([grid[:-1][zero], 0.5 * (a + b)]))
+    roots = 0.5 * (a + b)
+    grad_tol = 4 * np.finfo(float).eps * float(np.abs(vals).max())
     if roots.size and profile.weight == 0:
         raise DegenerateCriticalLevelError(
             f"critical latitude at theta = {roots[0]:.6g} is a circle of fixed points "
@@ -539,11 +536,12 @@ def find_critical_levels(profile: RevolutionProfile,
             "nor a free orbit")
 
     levels: list[CriticalLevel] = []
-    for theta, hess, grad, value in zip(roots, f.fpp(roots), f.fp(roots), f.f(roots)):
+    for theta, w, hess, grad, value in zip(roots, b - a, f.fpp(roots), f.fp(roots),
+                                           f.f(roots)):
         if abs(hess) <= hess_tol:
             raise DegenerateCriticalLevelError(
                 f"critical orbit at theta = {theta:.6g} has |f''| = {abs(hess):.2e}")
-        if abs(grad) > GRADIENT_TOL:
+        if abs(grad) > abs(hess) * w + grad_tol:
             raise DegenerateCriticalLevelError(
                 f"root refinement failed at theta = {theta:.6g}")
         levels.append(CriticalLevel(

@@ -20,12 +20,13 @@ h chains), each block is put in reverse Cuthill-McKee order (bandwidth
 1 to 6 on the catalog) and LAPACK computes all its eigenvalues without
 vectors.  Vectors are computed only for a low window per block, the
 kernel window and the eigenvalues the band solve cannot give to
-EIGENVALUE_ACCURACY (plus the requested ones of a partial spectrum), by
-inverse iteration on a banded LU and one Rayleigh-Ritz step; each window
-eigenvalue is the extended-precision Rayleigh quotient of its vector.
-Pairs with a vector must pass the residual bound; the quotients must
-match the band eigenvalues of the window, and the eigenvalues must sum
-to the trace, within the band solve's error bound.  A partial spectrum
+EIGENVALUE_ACCURACY, by inverse iteration on a banded LU and one
+Rayleigh-Ritz step; each window eigenvalue is the extended-precision
+Rayleigh quotient of its vector.  Pairs with a vector must pass the
+residual bound; the quotients must match the band eigenvalues of the
+window, and the eigenvalues must sum to the trace, within the band
+solve's error bound.  A partial spectrum below BAND_LIMIT is the first
+count entries of the full band solve, bit for bit.  A partial spectrum
 above BAND_LIMIT uses shift-invert Lanczos with a fixed starting vector.
 """
 
@@ -108,8 +109,9 @@ class SpectrumReport:
     partial spectrum.  residual_norms hold ||A v - lambda v||, in the
     mass-orthonormal frame, for exactly the returned pairs that carry a
     vector, in ascending order of eigenvalue: every pair of the Lanczos
-    path, the low window of the band path.  The other band eigenvalues
-    are certified by the window match and the trace identity instead.
+    path, the returned ones of the band path's low window.  The other
+    band eigenvalues are certified by the window match and the trace
+    identity instead.  A partial band report is the full one cut short.
     to_record, the spectrum JSON, adds dim, operator_norm, separation and
     vectors, the number of residual norms.
     """
@@ -229,21 +231,19 @@ def _window_vectors(ab, theta, norm):
     return rows.T
 
 
-def _band_spectrum(S, count):
+def _band_spectrum(S):
     """All eigenvalues of the symmetric sparse S, with vectors for a low window.
 
     Each connected block is put in reverse Cuthill-McKee order and its
     whole spectrum comes from a band solve without vectors (LAPACK
     sbevd), with error at most err = _band_error(dim_b) x |A_b|.  Vectors
     are computed only for the low window W of each block: the kernel
-    window, every eigenvalue that err could move by more than
-    EIGENVALUE_ACCURACY x max(|lambda|, 1), and the lowest count
-    eigenvalues of a partial request (with a margin of 2 err, so that no
-    returned pair lacks a vector when blocks reorder within their error).
-    W is then widened until no eigenvalue outside it lies within
-    CLUSTER_GAP x |A_b| of one inside.  Returns eigenvalues and residual
-    norms in block order, unsorted; the residual of a pair without a
-    vector is NaN.
+    window and every eigenvalue that err could move by more than
+    EIGENVALUE_ACCURACY x max(|lambda|, 1).  W is then widened until no
+    eigenvalue outside it lies within CLUSTER_GAP x |A_b| of one inside.
+    The window depends on S alone, never on how many eigenvalues a caller
+    wants.  Returns eigenvalues and residual norms in block order,
+    unsorted; the residual of a pair without a vector is NaN.
     """
     n_blocks, labels = csgraph.connected_components(S, directed=False)
     blocks = []
@@ -254,12 +254,7 @@ def _band_spectrum(S, count):
         Sb = Sb[perm][:, perm]
         ab = _lower_band(Sb)
         blocks.append((Sb, ab, sla.eig_banded(ab, lower=True, eigvals_only=True)))
-    theta_all = np.concatenate([theta for *_, theta in blocks])
-    opnorm = float(np.abs(theta_all).max())
-    err_max = max(_band_error(len(theta)) * np.abs(theta).max() for *_, theta in blocks)
-    edge = KERNEL_TAU_ABS * opnorm
-    if count < len(theta_all):
-        edge = max(edge, float(np.sort(theta_all)[count - 1]) + 2 * err_max)
+    edge = KERNEL_TAU_ABS * max(float(np.abs(theta).max()) for *_, theta in blocks)
     w, resid = [], []
     for Sb, ab, theta in blocks:
         norm = float(np.abs(theta).max())
@@ -318,12 +313,13 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     1..dim, else CountError; count = dim is the full spectrum.  The full
     spectrum, and any count below BAND_LIMIT dimensions, comes from a
     band solve of each connected block, with vectors only for its low
-    window (see _band_spectrum).  A partial spectrum above BAND_LIMIT
-    comes from a shift-inverted Lanczos iteration with a fixed starting
-    vector.  Repeated runs are bit-identical.  Every returned pair that
-    carries a vector must have a residual within RESIDUAL_BOUND x |A|,
-    and a band solve must pass its window match and trace identity, else
-    SolverError.
+    window (see _band_spectrum); count only truncates the sorted result,
+    and gap, separation and |A| are those of the full spectrum.  A
+    partial spectrum above BAND_LIMIT comes from a shift-inverted Lanczos
+    iteration with a fixed starting vector.  Repeated runs are
+    bit-identical.  Every returned pair that carries a vector must have a
+    residual within RESIDUAL_BOUND x |A|, and a band solve must pass its
+    window match and trace identity, else SolverError.
     """
     mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
     dim = mat.shape[0]
@@ -337,7 +333,7 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     S = sp.csr_matrix(0.5 * (S + S.T))
 
     if count == dim or dim < BAND_LIMIT:
-        w, resid = _band_spectrum(S, count)
+        w, resid = _band_spectrum(S)
         order = np.argsort(w, kind="stable")
         w = w[order]
         opnorm = float(np.abs(w).max())

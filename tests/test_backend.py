@@ -102,9 +102,55 @@ def test_morse_tolerances_are_scale_free(R):
                                                        ("fixed_point", 0)]
 
 
+@pytest.mark.parametrize("case,params,top", [
+    ("sphere_bumpy", lambda x: {"R": x}, 8),
+    ("torus_height", lambda x: {"r": x, "R": 3 * x}, 6),
+], ids=["bumpy-R", "torus-r"])
+def test_critical_orbits_are_found_at_every_scale(case, params, top):
+    # bisection to ROOT_TOL leaves |f'(root)| of about |f''| ROOT_TOL, which
+    # grows like 1/scale^2; the root rule must accept it at every scale
+    def levels(scale):
+        return B.find_critical_levels(*B.catalog(case, params(scale), n_grid=32))
+
+    unit = levels(1.0)
+    assert sum(lv.kind == "orbit" for lv in unit) >= 1
+    for scale in (10.0 ** e for e in range(-6, top + 1)):
+        got = levels(scale)
+        assert [(lv.kind, lv.index) for lv in got] == [(lv.kind, lv.index) for lv in unit]
+        assert [lv.theta / scale for lv in got] == pytest.approx(
+            [lv.theta for lv in unit], rel=1e-5, abs=1e-5), scale
+
+
+def test_exact_grid_zero_of_the_gradient_is_a_root():
+    # f' = sin(theta) vanishes exactly at the first scan point of the
+    # periodic grid, and changes sign between two scan points at pi
+    profile, _ = B.catalog("torus_height", n_grid=32)
+    f = B.InvariantMorseFunction("-cos", f=lambda t: -np.cos(t), fp=np.sin, fpp=np.cos)
+    levels = B.find_critical_levels(profile, f)
+    assert (levels[0].theta, levels[0].index) == (0.0, 0)
+    assert levels[1].theta == pytest.approx(math.pi, abs=1e-12) and levels[1].index == 1
+    want = [_bits(lv) for lv in _scalar_critical_levels(profile, f)]
+    assert [_bits((lv.kind, lv.theta, lv.index, lv.hessian_eigenvalues, lv.value))
+            for lv in levels] == want
+
+
+def test_a_jump_in_the_gradient_is_not_a_root():
+    # f' = (theta - 1) + sign(theta - 1)/2 changes sign at theta = 1 but
+    # jumps there: bisection closes in on |f'| = 1/2, far above what
+    # |f''| x bracket width allows
+    profile, _ = B.catalog("sphere_height", n_grid=32)
+    f = B.InvariantMorseFunction(
+        "kink", f=lambda t: 0.5 * (t - 1) ** 2 + 0.5 * np.abs(t - 1),
+        fp=lambda t: (t - 1) + 0.5 * np.sign(t - 1), fpp=np.ones_like)
+    with pytest.raises(B.DegenerateCriticalLevelError, match="root refinement failed"):
+        B.find_critical_levels(profile, f)
+
+
 def _scalar_critical_levels(profile, f):
     """Reference implementation: f' sampled point by point, and one scalar
-    bisection per sign change, stopping at the same ROOT_TOL."""
+    bisection per sign change, stopping at the same ROOT_TOL.  A root is
+    accepted when |f'| <= |f''| w + 4 eps max|f'|, w its last bracket's
+    width (0 for an exact grid zero), the max over the scan grid."""
     fp = lambda t: float(f.fp(np.array([t]))[0])
     fpp = lambda t: float(f.fpp(np.array([t]))[0])
     fval = lambda t: float(f.f(np.array([t]))[0])
@@ -115,12 +161,12 @@ def _scalar_critical_levels(profile, f):
             mid = 0.5 * (lo + hi)
             fmid = fp(mid)
             if hi - lo < B.ROOT_TOL:
-                return mid
+                return mid, hi - lo
             if flo * fmid <= 0:
                 hi = mid
             else:
                 lo, flo = mid, fmid
-        return 0.5 * (lo + hi)
+        return 0.5 * (lo + hi), hi - lo
 
     L = profile.theta_max
     if profile.periodic:
@@ -133,13 +179,14 @@ def _scalar_critical_levels(profile, f):
     roots = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
-            roots.append(grid[i])
+            roots.append((grid[i], 0.0))
         elif vals[i] * vals[i + 1] < 0:
             roots.append(bisect_root(grid[i], grid[i + 1]))
+    grad_tol = 4 * np.finfo(float).eps * np.abs(vals).max()
     levels = []
-    for theta in sorted(roots):
+    for theta, width in sorted(roots):
         hess = fpp(theta)
-        assert abs(hess) >= B.HESSIAN_TOL and abs(fp(theta)) <= B.GRADIENT_TOL
+        assert abs(hess) >= B.HESSIAN_TOL and abs(fp(theta)) <= abs(hess) * width + grad_tol
         levels.append(("orbit", theta, 1 if hess < 0 else 0, (hess,), fval(theta)))
     if not profile.periodic:
         for side, theta in ((0, 0.0), (1, L)):

@@ -165,6 +165,11 @@ def test_verify_matches_golden_report(case, tmp_path):
     # a spectrum is solved at one s
     ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--s", "1,2"],
     ["sweep", "--case", "sphere_height", "--n-grid", "64", "--s", "4,0"],
+    # geometry and action the catalog rejects
+    ["verify", "--case", "torus_height", "--n-grid", "64", "--param", "R=0.5"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--param", "R=-1"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--param", "foo=1"],
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--weight", "-1"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
         "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
         "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
@@ -178,7 +183,8 @@ def test_verify_matches_golden_report(case, tmp_path):
         "verify-phi-overflow", "sweep-phi-overflow", "verify-malformed-n-grid",
         "spectrum-malformed-k", "sweep-malformed-count", "local-malformed-s",
         "local-malformed-weight", "local-eps-2", "verify-unknown-case",
-        "spectrum-two-s", "sweep-descending-s"])
+        "spectrum-two-s", "sweep-descending-s", "verify-torus-R-below-r",
+        "verify-negative-sphere-R", "verify-unused-param", "verify-negative-weight"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
@@ -192,7 +198,11 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--kmax", "2"],
     ["verify", "--case", "circle_trivial", "--weight", "0"],
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--weight", "0"],
-], ids=["circle-kmax-n", "surface-kmax-n", "circle-weight-0", "sphere-weight-0"])
+    # small but valid Morse functions: the root rule scales with f
+    ["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--param", "R=0.05"],
+    ["verify", "--case", "sphere_bumpy", "--n-grid", "64", "--param", "R=0.01"],
+], ids=["circle-kmax-n", "surface-kmax-n", "circle-weight-0", "sphere-weight-0",
+        "bumpy-R-0.05", "bumpy-R-0.01"])
 def test_verify_at_the_edge_of_valid_input_passes(argv, tmp_path):
     out = tmp_path / "report.json"
     assert run(argv + ["--out", str(out)]) == 0

@@ -362,6 +362,28 @@ def test_count_equal_to_the_dimension_is_the_full_spectrum(monkeypatch):
     assert counted.residual_norms == full.residual_norms
 
 
+@pytest.mark.parametrize("n_grid", [64, 256])
+@pytest.mark.parametrize("case,params", [
+    ("sphere_height", {}), ("sphere_bumpy", {"c": -0.6}), ("torus_height", {}),
+], ids=["sphere", "bumpy", "torus"])
+def test_partial_band_spectrum_is_a_prefix_of_the_full_one(case, params, n_grid):
+    # below BAND_LIMIT a request only truncates the full band solve: the
+    # same bits, the vectors of the returned pairs and the full kernel split
+    be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
+    for k in (0, 1, 2):
+        for s in (0.0, 16.0, 64.0):
+            full = S.delta_spectrum(be, k, s)
+            for count in (1, 8, 24, full.dim - 1):
+                part = S.delta_spectrum(be, k, s, count=count)
+                where = (k, s, count)
+                assert part.eigenvalues == full.eigenvalues[:count], where
+                vectors = len(part.residual_norms)
+                assert part.residual_norms == full.residual_norms[:vectors], where
+                assert part.kernel_dim == min(full.kernel_dim, count), where
+                assert (part.gap, part.separation, part.operator_norm, part.dim) == (
+                    full.gap, full.separation, full.operator_norm, full.dim), where
+
+
 def _near_degenerate_pair_at_the_window_edge():
     """Pentadiagonal matrix, one connected block, whose eigenvalues come in
     pairs 1e-10 x |A| apart, shifted so that one pair straddles the edge
