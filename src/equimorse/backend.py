@@ -165,10 +165,13 @@ class BackendMatrices:
                   its mass-adjoint is the exterior product with v*.
     dfwedge[j]  : Omega^j -> Omega^{j+1}, exterior product with df (None
                   when no invariant function was supplied).
-    mult_df2[j] : Omega^j -> Omega^j, the scheme's multiplication by |df|^2.
-    cliff_hess[j]: Omega^j -> Omega^j, the scheme's Clifford Hessian; its
-                  blocks are consistent with fpp*Z1 + (a'/a)*fp*Z2 in the
-                  orthonormal frame, with Z-signs (-1,-1) on functions,
+    mult_df2[j] : Omega^j -> Omega^j, the scheme's multiplication by |df|^2,
+                  P_j* P_j + P_{j-1} P_{j-1}* with P = dfwedge and * the
+                  mass adjoint (a term whose map does not exist is absent).
+    cliff_hess[j]: Omega^j -> Omega^j, the scheme's Clifford Hessian,
+                  d_j* P_j + P_j* d_j + d_{j-1} P_{j-1}* + P_{j-1} d_{j-1}*;
+                  its blocks are consistent with fpp*Z1 + (a'/a)*fp*Z2 in
+                  the orthonormal frame, with Z-signs (-1,-1) on functions,
                   (+1,-1)/(-1,+1) on dtheta/dpsi components and (+1,+1)
                   on dtheta^dpsi components.
     mass[j]     : positive diagonal of the L^2 inner product.
@@ -246,7 +249,8 @@ def build_backend(profile: RevolutionProfile,
     Validates the geometry (a > 0 in the interior, |a'| = 1 at poles) and
     the compatibility of f with the ends (f'(pole) = 0).  The returned
     matrices satisfy d.d = 0, i_v.i_v = 0 and d i_v + i_v d = 0 exactly;
-    validate_backend re-checks these and the mass positivity.
+    validate_backend re-checks these on every degree, and the mass
+    positivity.
     """
     if profile.kind == "circle":
         return _circle_backend(profile)
@@ -358,42 +362,34 @@ def build_backend(profile: RevolutionProfile,
     iv2 = sp.csr_matrix(sp.vstack([-m * sp.identity(n_half, format="csr"),
                                    sp.csr_matrix((n_h, n_half))]))
 
+    d = [d0, d1]
     dfwedge = None
     mult_df2 = None
     cliff_hess = None
     if f is not None:
-        sigma = np.asarray(f.fp(th_h), dtype=float)
-        S = sp.diags(sigma)
-        P0c = sp.csr_matrix(S @ A_u)          # u -> g channel
-        P1c = sp.csr_matrix(S @ A_h)          # h -> w channel
-        P0 = sp.csr_matrix(sp.vstack([P0c, sp.csr_matrix((n_h, dims[0]))]))
-        P1 = sp.csr_matrix(sp.hstack([sp.csr_matrix((n_half, n_half)), P1c]))
+        S = sp.diags(np.asarray(f.fp(th_h), dtype=float))
+        P0 = sp.csr_matrix(sp.vstack([S @ A_u, sp.csr_matrix((n_h, dims[0]))]))
+        P1 = sp.csr_matrix(sp.hstack([sp.csr_matrix((n_half, n_half)), S @ A_h]))
         dfwedge = [P0, P1]
-
-        P0c_adj = _adjoint(P0c, mu_u, nu_g)
-        P1c_adj = _adjoint(P1c, mu_h, nu_w)
-        D_u_adj = _adjoint(D_u, mu_u, nu_g)
-        D_h_adj = _adjoint(D_h, mu_h, nu_w)
-
-        mult_df2 = [
-            sp.csr_matrix(P0c_adj @ P0c),
-            sp.csr_matrix(sp.block_diag([P0c @ P0c_adj, P1c_adj @ P1c])),
-            sp.csr_matrix(P1c @ P1c_adj),
-        ]
-        cliff_hess = [
-            sp.csr_matrix(D_u_adj @ P0c + P0c_adj @ D_u),
-            sp.csr_matrix(sp.block_diag([
-                D_u @ P0c_adj + P0c @ D_u_adj,
-                D_h_adj @ P1c + P1c_adj @ D_h,
-            ])),
-            sp.csr_matrix(D_h @ P1c_adj + P1c @ D_h_adj),
-        ]
+        # Each map Omega^j -> Omega^{j+1} adds its terms of |df|^2 = P*P + PP*
+        # and H_f = d*P + P*d + dP* + Pd* to degrees j and j+1.  A sum added
+        # into its degree's matrix is copied into arrays of its own size;
+        # the sum alone would keep the larger scratch arrays of the addition.
+        mult_df2 = [sp.csr_matrix((dim, dim)) for dim in dims]
+        cliff_hess = [sp.csr_matrix((dim, dim)) for dim in dims]
+        for j, (dj, pj) in enumerate(zip(d, dfwedge)):
+            dj_adj = _adjoint(dj, mass[j], mass[j + 1])
+            pj_adj = _adjoint(pj, mass[j], mass[j + 1])
+            mult_df2[j] = mult_df2[j] + pj_adj @ pj
+            mult_df2[j + 1] = mult_df2[j + 1] + pj @ pj_adj
+            cliff_hess[j] = cliff_hess[j] + (dj_adj @ pj + pj_adj @ dj)
+            cliff_hess[j + 1] = cliff_hess[j + 1] + (dj @ pj_adj + pj @ dj_adj)
 
     return BackendMatrices(
         n=2,
         dims=dims,
         mass=mass,
-        d=[d0, d1],
+        d=d,
         iv=[None, iv1, iv2],
         dfwedge=dfwedge,
         mult_df2=mult_df2,
@@ -404,43 +400,47 @@ def build_backend(profile: RevolutionProfile,
 
 
 def validate_backend(backend: BackendMatrices) -> dict:
-    """Check the structural identities and return the maximal residuals.
+    """Check the structural identities on every degree and return the residuals.
 
-    d.d = 0 and i_v.i_v = 0 and the Cartan identity d i_v + i_v d = 0 must
-    hold exactly (they are wired structurally); masses must be positive.
-    Any residual beyond 1e-12 times the matrix scale raises BackendError
-    naming the identity.
+    On each degree j = 0..n the identities d.d = 0, i_v.i_v = 0,
+    d i_v + i_v d = 0 (Cartan), df.df = 0 and df i_v + i_v df = 0 are
+    checked wherever their maps exist; the report names each residual
+    with its degree, as in 'cartan[0]'.  A residual is the largest entry
+    of the composed map over the product of the largest entries of the
+    two families (each at least 1).  They hold exactly by construction;
+    any residual beyond 1e-12, or a mass that is not positive, raises
+    BackendError naming it.
     """
-    report = {}
     for j, mvec in enumerate(backend.mass):
-        if mvec.size and mvec.min() <= 0.0:
+        if mvec.min() <= 0.0:
             raise BackendError(f"mass matrix of degree {j} is not positive")
 
-    def _scaled_max(mat, scale):
-        if mat.shape[0] == 0 or mat.shape[1] == 0 or mat.nnz == 0:
-            return 0.0
-        return float(np.abs(mat.data).max() / max(scale, 1e-300))
+    d, iv, df = backend.d, backend.iv, backend.dfwedge or []
 
-    if backend.n >= 2:
-        d0, d1 = backend.d[0], backend.d[1]
-        iv1, iv2 = backend.iv[1], backend.iv[2]
-        scale_d = max(np.abs(d0.data).max() if d0.nnz else 1.0, 1.0)
-        scale_iv = max(np.abs(iv1.data).max() if iv1.nnz else 1.0, 1.0)
+    def at(maps, j):
+        return maps[j] if 0 <= j < len(maps) else None
 
-        report["d_squared"] = _scaled_max(sp.csr_matrix(d1 @ d0), scale_d ** 2)
-        report["iv_squared"] = _scaled_max(sp.csr_matrix(iv1 @ iv2), scale_iv ** 2)
-        cartan = sp.csr_matrix(d0 @ iv1 + iv2 @ d1)
-        report["cartan"] = _scaled_max(cartan, scale_d * max(scale_iv, 1.0))
-        if backend.dfwedge is not None:
-            P0, P1 = backend.dfwedge
-            report["df_squared"] = _scaled_max(sp.csr_matrix(P1 @ P0), 1.0)
-            anti = sp.csr_matrix(P0 @ iv1 + iv2 @ P1)
-            report["cartan_df"] = _scaled_max(anti, max(scale_iv, 1.0))
-    else:
-        cartan = sp.csr_matrix(backend.d[0] @ backend.iv[1])
-        report["d_squared"] = 0.0
-        report["iv_squared"] = 0.0
-        report["cartan"] = float(np.abs(cartan.data).max()) if cartan.nnz else 0.0
+    def largest(maps):
+        return max([1.0] + [float(np.abs(m.data).max(initial=0.0))
+                            for m in maps if m is not None])
+
+    s_d, s_iv, s_df = largest(d), largest(iv), largest(df)
+    report = {}
+    for j in range(backend.n + 1):
+        # Each identity on Omega^j: its (outer, inner) compositions and scale.
+        for name, pairs, scale in (
+                ("d_squared", [(at(d, j + 1), at(d, j))], s_d * s_d),
+                ("iv_squared", [(at(iv, j - 1), at(iv, j))], s_iv * s_iv),
+                ("cartan", [(at(d, j - 1), at(iv, j)), (at(iv, j + 1), at(d, j))],
+                 s_d * s_iv),
+                ("df_squared", [(at(df, j + 1), at(df, j))], s_df * s_df),
+                ("cartan_df", [(at(df, j - 1), at(iv, j)), (at(iv, j + 1), at(df, j))],
+                 s_df * s_iv)):
+            products = [outer @ inner for outer, inner in pairs
+                        if outer is not None and inner is not None]
+            if products:
+                residual = sp.csr_matrix(sum(products[1:], products[0]))
+                report[f"{name}[{j}]"] = float(np.abs(residual.data).max(initial=0.0)) / scale
 
     for name, value in report.items():
         if value > 1e-12:
@@ -575,8 +575,9 @@ def catalog(name: str, params: dict | None = None, n_grid: int = 256,
                     not Morse, so no function is returned; the backend
                     serves algebraic and spectral identities only.
 
-    Parameters at which the case's functions, or their squares, overflow
-    on the profile raise ProfileValidationError.  Every surface case goes
+    A parameter the case does not take raises ProfileValidationError, as
+    do parameters at which the case's functions, or their squares, overflow
+    on the profile.  Every surface case goes
     through find_critical_levels, so a flat critical level, or a critical
     latitude at weight 0, raises DegenerateCriticalLevelError.
     """
@@ -621,12 +622,14 @@ def catalog(name: str, params: dict | None = None, n_grid: int = 256,
             n_grid=n_grid,
             kind="circle",
         )
-        return profile, None
+        f = None
     else:
         raise ProfileValidationError(
             f"unknown catalog case {name!r}; choose from {CATALOG_CASES}")
     if params:
         raise ProfileValidationError(f"unused parameters for {name!r}: {sorted(params)}")
+    if f is None:
+        return profile, f
     th = np.linspace(0.0, profile.theta_max, SCAN_SAMPLES)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

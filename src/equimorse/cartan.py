@@ -3,7 +3,9 @@
 Degree-k equivariant forms are sums of t^i (x) omega with omega an
 invariant j-form and 2i + j = k; since 0 <= j <= n each total degree is a
 finite direct sum of blocks (i, j) and no truncation in the polynomial
-variable t is needed.  The equivariant derivative acts blockwise,
+variable t is needed.  Every degree k >= 0 holds the block
+(k // 2, k mod 2), so no degree space is empty; negative degrees are not
+part of the complex.  The equivariant derivative acts blockwise,
 
     d_eq (t^i (x) omega) = t^i (x) d(omega) + t^{i+1} (x) i_v(omega),
 
@@ -48,41 +50,30 @@ EXPANSION_PROBES = 20
 
 
 class AssemblyError(RuntimeError):
-    """A block dimension mismatch while assembling an operator."""
+    """Two degree spaces that an operation needs to match do not."""
 
 
 class ConfigurationError(ValueError):
     """An operator or check was requested that the backend cannot supply
-    (missing data, or degrees below the dimension)."""
+    (missing data, or a negative degree or deformation parameter)."""
 
 
 @dataclass(frozen=True)
 class EqDegreeSpace:
-    """Basis bookkeeping for the degree-k equivariant forms.
+    """Basis bookkeeping for one degree k >= 0 of the equivariant forms.
 
     blocks are the pairs (t_power i, form_degree j) with 2i + j = k and
     0 <= j <= n, ordered by increasing i; block_dims are the discretized
-    invariant j-form dimensions, offsets their cumulative starts.
+    invariant j-form dimensions.  blocks always holds (k // 2, k mod 2),
+    so dim >= 1.
     """
 
-    k: int
-    n: int
     blocks: tuple[tuple[int, int], ...]
     block_dims: tuple[int, ...]
-    offsets: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return self.offsets[-1] if self.offsets else 0
-
-    def block_slice(self, idx: int) -> slice:
-        return slice(self.offsets[idx], self.offsets[idx] + self.block_dims[idx])
-
-    def block_index(self, i: int, j: int) -> int | None:
-        for b, pair in enumerate(self.blocks):
-            if pair == (i, j):
-                return b
-        return None
+        return sum(self.block_dims)
 
 
 @dataclass
@@ -93,60 +84,33 @@ class EqOperator:
     codomain: EqDegreeSpace
     matrix: sp.csr_matrix
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.codomain.dim, self.domain.dim):
-            raise AssemblyError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"({self.codomain.dim}, {self.domain.dim})")
-
 
 def degree_space(backend: BackendMatrices, k: int) -> EqDegreeSpace:
-    """Block list {(i, k-2i) : 0 <= k-2i <= n} with backend dimensions."""
+    """Block list {(i, k-2i) : k-2i <= n} with backend dimensions, k >= 0.
+
+    A negative degree raises ConfigurationError.
+    """
     if k < 0:
-        return EqDegreeSpace(k, backend.n, (), (), (0,))
-    blocks = []
-    dims = []
-    for i in range(k // 2 + 1):
-        j = k - 2 * i
-        if 0 <= j <= backend.n:
-            blocks.append((i, j))
-            dims.append(backend.dims[j])
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    return EqDegreeSpace(k, backend.n, tuple(blocks), tuple(dims), tuple(offsets))
+        raise ConfigurationError(f"degree {k} is negative")
+    blocks = tuple((i, k - 2 * i) for i in range(k // 2 + 1) if k - 2 * i <= backend.n)
+    return EqDegreeSpace(blocks, tuple(backend.dims[j] for _, j in blocks))
 
 
 def mass_vector(backend: BackendMatrices, space: EqDegreeSpace) -> np.ndarray:
     """Diagonal of the inner product on a degree space (blockwise masses)."""
-    if space.dim == 0:
-        return np.zeros(0)
     return np.concatenate([backend.mass[j] for (_, j) in space.blocks])
 
 
-def _assemble_blocks(backend: BackendMatrices, dom: EqDegreeSpace,
-                     cod: EqDegreeSpace, entries) -> EqOperator:
+def _assemble_blocks(dom: EqDegreeSpace, cod: EqDegreeSpace, entries) -> EqOperator:
     """Place per-(i,j) block matrices into the (codomain x domain) grid.
 
-    entries: iterable of (target (i,j), source (i,j), matrix).
+    entries: iterable of (target (i,j), source (i,j), matrix); every other
+    block is zero.
     """
-    grid = [[None] * len(dom.blocks) for _ in range(len(cod.blocks))]
+    grid = [[sp.csr_matrix((rows, cols)) for cols in dom.block_dims]
+            for rows in cod.block_dims]
     for tgt, src, mat in entries:
-        bi = cod.block_index(*tgt)
-        bj = dom.block_index(*src)
-        if bi is None or bj is None:
-            continue
-        expected = (cod.block_dims[bi], dom.block_dims[bj])
-        if mat.shape != expected:
-            raise AssemblyError(
-                f"block {src}->{tgt}: matrix shape {mat.shape}, expected {expected}")
-        grid[bi][bj] = mat if grid[bi][bj] is None else grid[bi][bj] + mat
-    if not cod.blocks or not dom.blocks:
-        return EqOperator(dom, cod, sp.csr_matrix((cod.dim, dom.dim)))
-    # Empty blocks fix every row and column size for bmat.
-    grid = [[sp.csr_matrix((rows, cols)) if mat is None else mat
-             for mat, cols in zip(row, dom.block_dims)]
-            for row, rows in zip(grid, cod.block_dims)]
+        grid[cod.blocks.index(tgt)][dom.blocks.index(src)] = mat
     return EqOperator(dom, cod, sp.csr_matrix(sp.bmat(grid, format="csr")))
 
 
@@ -164,18 +128,15 @@ def build_deq(backend: BackendMatrices, k: int) -> EqOperator:
             entries.append(((i, j + 1), (i, j), backend.d[j]))
         if j - 1 >= 0:
             entries.append(((i + 1, j - 1), (i, j), backend.iv[j]))
-    return _assemble_blocks(backend, dom, cod, entries)
+    return _assemble_blocks(dom, cod, entries)
 
 
 def adjoint(backend: BackendMatrices, op: EqOperator) -> EqOperator:
     """Exact adjoint with respect to the blockwise mass inner products."""
     m_dom = mass_vector(backend, op.domain)
     m_cod = mass_vector(backend, op.codomain)
-    if (m_dom.size and m_dom.min() <= 0.0) or (m_cod.size and m_cod.min() <= 0.0):
+    if m_dom.min() <= 0.0 or m_cod.min() <= 0.0:
         raise ConfigurationError("mass inner product is not positive")
-    if op.domain.dim == 0 or op.codomain.dim == 0:
-        return EqOperator(op.codomain, op.domain,
-                          sp.csr_matrix((op.domain.dim, op.codomain.dim)))
     return EqOperator(op.codomain, op.domain, _adjoint(op.matrix, m_dom, m_cod))
 
 
@@ -203,9 +164,9 @@ def deformation_blocks(backend: BackendMatrices, k: int) -> EqOperator:
     cod = degree_space(backend, k + 1)
     entries = []
     for (i, j) in dom.blocks:
-        if j + 1 <= backend.n and j < len(backend.dfwedge):
+        if j + 1 <= backend.n:
             entries.append(((i, j + 1), (i, j), backend.dfwedge[j]))
-    return _assemble_blocks(backend, dom, cod, entries)
+    return _assemble_blocks(dom, cod, entries)
 
 
 def build_deformed(backend: BackendMatrices, s: float, k: int):
@@ -234,8 +195,7 @@ def build_deformed(backend: BackendMatrices, s: float, k: int):
     mat = ds_up_star.matrix @ ds_up.matrix
     if k >= 1:
         ds_lo = deformed(k - 1)
-        if ds_lo.domain.dim:
-            mat = mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix
+        mat = mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix
     mat = sp.csr_matrix(mat)
     peak = max(mat.data.max(initial=0.0), -mat.data.min(initial=0.0))
     if not peak < SQRT_FLOAT_MAX:
@@ -246,10 +206,7 @@ def build_deformed(backend: BackendMatrices, s: float, k: int):
     return ds_up, ds_up_star, EqOperator(space, space, mat)
 
 
-def _block_diagonal_term(backend: BackendMatrices, space: EqDegreeSpace,
-                         per_degree) -> sp.csr_matrix:
-    if space.dim == 0:
-        return sp.csr_matrix((0, 0))
+def _block_diagonal_term(space: EqDegreeSpace, per_degree) -> sp.csr_matrix:
     return sp.csr_matrix(sp.block_diag([per_degree[j] for (_, j) in space.blocks]))
 
 
@@ -268,11 +225,9 @@ def expansion_residual(backend: BackendMatrices, s: float, k: int,
     _, _, delta_s = build_deformed(backend, s, k)
     delta0 = build_delta_eq(backend, k)
     space = delta0.domain
-    if space.dim == 0:
-        return 0.0
     rhs = delta0.matrix \
-        + s * s * _block_diagonal_term(backend, space, backend.mult_df2) \
-        + s * _block_diagonal_term(backend, space, backend.cliff_hess)
+        + s * s * _block_diagonal_term(space, backend.mult_df2) \
+        + s * _block_diagonal_term(space, backend.cliff_hess)
     diff = sp.csr_matrix(delta_s.matrix - rhs)
     mvec = mass_vector(backend, space)
     rng = np.random.default_rng(seed)
@@ -315,20 +270,15 @@ class EquivariantDeRham:
     def square_defect(self) -> float:
         """Blockwise relative error of operator^2 against the Laplacians."""
         sq = sp.csr_matrix(self.operator @ self.operator)
-        dim_n = self.delta_n.domain.dim
         target = sp.block_diag([self.delta_n.matrix, self.delta_n1.matrix])
         diff = sq - sp.csr_matrix(target)
         scale = max(np.abs(self.delta_n.matrix.data).max(),
                     np.abs(self.delta_n1.matrix.data).max())
-        if diff.nnz == 0:
-            return 0.0
-        return float(np.abs(diff.data).max() / scale)
+        return float(np.abs(diff.data).max(initial=0.0) / scale)
 
 
 def build_equivariant_de_rham(backend: BackendMatrices) -> EquivariantDeRham:
     n = backend.n
-    if not t_shift_dims_match(backend, n) or not t_shift_dims_match(backend, n - 1):
-        raise AssemblyError("t-shift does not align the top degrees")
     up = build_deq(backend, n)                 # Omega^n -> Omega^{n+1}
     down_raw = build_deq(backend, n + 1)       # Omega^{n+1} -> Omega^{n+2} ~ Omega^n
     space_n = degree_space(backend, n)

@@ -327,8 +327,10 @@ def cmd_report(args) -> int:
             payload = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"{args.path} is not a JSON report: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{args.path} is not a JSON report")
+    if (not isinstance(payload, dict) or payload.get("status") not in ("PASS", "FAIL")
+            or not isinstance(payload.get("betti"), list)):
+        raise ConfigError(f"{args.path} is not a verification report "
+                          "(needs status PASS or FAIL and a betti list)")
     print(f"case {payload.get('case')}  N={payload.get('N')}  "
           f"status {payload.get('status')}")
     print(f"  betti     {payload.get('betti')}")

@@ -308,9 +308,10 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
                k: int = 0, s: float = 0.0) -> SpectrumReport:
     """Smallest eigenvalues of a mass-symmetric operator.
 
-    operator may be an EqOperator or a sparse/dense matrix; mass is the
-    diagonal of the inner product; count (default: all) must lie in
-    1..dim, else CountError; count = dim is the full spectrum.  The full
+    operator may be an EqOperator or a sparse/dense matrix, of dimension
+    dim >= 1 as every degree space is; mass is the diagonal of the
+    inner product; count (default: all) must lie in 1..dim, else
+    CountError; count = dim is the full spectrum.  The full
     spectrum, and any count below BAND_LIMIT dimensions, comes from a
     band solve of each connected block, with vectors only for its low
     window (see _band_spectrum); count only truncates the sorted result,
@@ -323,8 +324,6 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     """
     mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
     dim = mat.shape[0]
-    if dim == 0:
-        return SpectrumReport(k, s, [], 0, math.inf, [], dim=0)
     if count is None:
         count = dim
     if not 1 <= count <= dim:
@@ -409,8 +408,6 @@ def trace_phi(report: SpectrumReport, spec: TraceSpec) -> float:
     overflow made infinite is a ConfigurationError.
     """
     lam = np.asarray(report.eigenvalues)
-    if lam.size == 0:
-        return 0.0
     missing = report.dim - lam.size
     if missing > 0:
         bound = float(spec.phi(lam.max())) * missing
@@ -499,7 +496,7 @@ def periodicity_defect(backend: BackendMatrices, k: int) -> float:
     hi = delta_spectrum(backend, k + 2)
     a = np.asarray(lo.eigenvalues)
     b = np.asarray(hi.eigenvalues)
-    return float(np.abs(a - b).max()) if a.size else 0.0
+    return float(np.abs(a - b).max())
 
 
 def write_atomic(path, text: str) -> None:

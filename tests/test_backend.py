@@ -35,6 +35,20 @@ def test_sphere_dimensions_and_metadata():
     assert be.profile.weight == 1
 
 
+@pytest.mark.parametrize("case", B.CATALOG_CASES)
+def test_validate_backend_names_each_identity_per_degree(case):
+    be = B.build_backend(*B.catalog(case, n_grid=64))
+    report = B.validate_backend(be)
+    if case == "circle_trivial":
+        # one orbit: no d.d, i_v.i_v or df terms exist, only d i_v + i_v d
+        expected = {"cartan[0]", "cartan[1]"}
+    else:
+        expected = {"d_squared[0]", "iv_squared[2]", "df_squared[0]",
+                    *(f"{name}[{j}]" for name in ("cartan", "cartan_df") for j in range(3))}
+    assert set(report) == expected
+    assert all(type(v) is float and v <= 1e-12 for v in report.values())
+
+
 def test_corrupted_iv_matrix_is_reported():
     profile, f = B.catalog("sphere_height", n_grid=64)
     be = B.build_backend(profile, f)
@@ -43,6 +57,63 @@ def test_corrupted_iv_matrix_is_reported():
     be.iv[1] = sp.csr_matrix(bad)
     with pytest.raises(B.BackendError, match="cartan"):
         B.validate_backend(be)
+    # the circle goes through the same per-degree check
+    circle = B.build_backend(*B.catalog("circle_trivial"))
+    circle.d[0] = sp.csr_matrix(np.array([[1.0]]))
+    with pytest.raises(B.BackendError, match=r"cartan\[0\]"):
+        B.validate_backend(circle)
+
+
+def _channel_df2_and_hessian(be):
+    """|df|^2 and the Clifford Hessian from the channel formulas: df wedge
+    acts only from u to g (P0c) and from h to w (P1c), d from u to g (D_u)
+    and from h to w (D_h), so each degree is a block of channel products."""
+    n_half = be.dims[2]
+    P0c = sp.csr_matrix(be.dfwedge[0][:n_half, :])
+    P1c = sp.csr_matrix(be.dfwedge[1][:, n_half:])
+    D_u = sp.csr_matrix(be.d[0][:n_half, :])
+    D_h = sp.csr_matrix(be.d[1][:, n_half:])
+    mu_u, nu_w = be.mass[0], be.mass[2]
+    nu_g, mu_h = be.mass[1][:n_half], be.mass[1][n_half:]
+    P0c_adj = B._adjoint(P0c, mu_u, nu_g)
+    P1c_adj = B._adjoint(P1c, mu_h, nu_w)
+    D_u_adj = B._adjoint(D_u, mu_u, nu_g)
+    D_h_adj = B._adjoint(D_h, mu_h, nu_w)
+    mult_df2 = [
+        sp.csr_matrix(P0c_adj @ P0c),
+        sp.csr_matrix(sp.block_diag([P0c @ P0c_adj, P1c_adj @ P1c])),
+        sp.csr_matrix(P1c @ P1c_adj),
+    ]
+    cliff_hess = [
+        sp.csr_matrix(D_u_adj @ P0c + P0c_adj @ D_u),
+        sp.csr_matrix(sp.block_diag([
+            D_u @ P0c_adj + P0c @ D_u_adj,
+            D_h_adj @ P1c + P1c_adj @ D_h,
+        ])),
+        sp.csr_matrix(D_h @ P1c_adj + P1c @ D_h_adj),
+    ]
+    return mult_df2, cliff_hess
+
+
+@pytest.mark.parametrize("n_grid", [16, 64, 256])
+def test_per_degree_sums_are_bitwise_the_channel_formulas(n_grid):
+    models = [B.catalog(case, params, n_grid=n_grid) for case, params in (
+        ("sphere_height", {}), ("sphere_bumpy", {"c": 0.6}), ("sphere_bumpy", {"c": -0.6}),
+        ("torus_height", {"R": 3.0}), ("torus_height", {"R": 2.7}))]
+    for sign in (+1, -1):
+        models.append(B.flat_point_profile(1, sign, 1.0, n_grid))
+        models.append(B.flat_orbit_profile(1, sign, 1.0, n_grid))
+    for profile, f in models:
+        be = B.build_backend(profile, f)
+        want_df2, want_hess = _channel_df2_and_hessian(be)
+        for got, want in zip(be.mult_df2 + be.cliff_hess, want_df2 + want_hess):
+            got, want = got.copy(), want.copy()
+            got.sort_indices()
+            want.sort_indices()
+            assert got.shape == want.shape
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert np.array_equal(a, b), profile.name
 
 
 def test_pole_regularity_violation_rejected():

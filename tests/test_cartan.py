@@ -2,6 +2,7 @@
 deformation, expansion identity, periodicity, and the index operator."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,21 +45,36 @@ def test_degree_space_block_enumeration(sphere):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(min_value=0, max_value=14))
-def test_degree_space_invariants(k):
-    class _Stub:
-        n = 2
-        dims = [5, 11, 7]
-
-    space = C.degree_space(_Stub(), k)
+@given(k=st.integers(min_value=0, max_value=14), n=st.sampled_from([1, 2]))
+def test_degree_space_invariants(k, n):
+    _Stub = SimpleNamespace(n=n, dims=[5, 11, 7][:n + 1])
+    space = C.degree_space(_Stub, k)
     for (i, j) in space.blocks:
         assert 2 * i + j == k
-        assert 0 <= j <= 2
+        assert 0 <= j <= n
         assert i >= 0
     assert space.dim == sum(space.block_dims)
     # no truncation in t: the i range is exactly what the constraint allows
-    expected = [(i, k - 2 * i) for i in range(k // 2 + 1) if 0 <= k - 2 * i <= 2]
+    expected = [(i, k - 2 * i) for i in range(k // 2 + 1) if 0 <= k - 2 * i <= n]
     assert list(space.blocks) == expected
+    # every degree holds t^(k // 2) (x) Omega^(k mod 2), so none is empty
+    assert (k // 2, k % 2) in space.blocks
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_every_degree_space_is_non_empty(k, sphere, circle):
+    for be in (sphere, circle):
+        space = C.degree_space(be, k)
+        assert space.blocks and space.dim == sum(space.block_dims) >= 1
+        assert C.mass_vector(be, space).size == space.dim
+
+
+def test_negative_degree_is_a_configuration_error(sphere, circle):
+    for be in (sphere, circle):
+        with pytest.raises(C.ConfigurationError, match="negative"):
+            C.degree_space(be, -1)
+        with pytest.raises(C.ConfigurationError, match="negative"):
+            C.build_deq_star(be, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +180,7 @@ def test_adjoint_blocks_match_lowering_formula(sphere):
             if i >= 1 and j + 1 <= sphere.n:   # epsilon_{0i} = 1 - delta_{0i}
                 vstar = B._adjoint(sphere.iv[j + 1], sphere.mass[j + 1], sphere.mass[j])
                 entries.append(((i - 1, j + 1), (i, j), vstar))
-        formula = C._assemble_blocks(sphere, dom, cod, entries)
+        formula = C._assemble_blocks(dom, cod, entries)
         diff = sp.csr_matrix(star.matrix - formula.matrix)
         scale = max(np.abs(star.matrix.data).max(), 1.0)
         assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-13 * scale
@@ -199,9 +215,11 @@ def test_laplacian_block_pattern(sphere):
     for k in (2, 3, 4):
         delta = C.build_delta_eq(sphere, k)
         space = delta.domain
+        starts = np.cumsum((0,) + space.block_dims)
+        cut = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
         for bi, tgt in enumerate(space.blocks):
             for bj, src in enumerate(space.blocks):
-                block = delta.matrix[space.block_slice(bi), space.block_slice(bj)]
+                block = delta.matrix[cut[bi], cut[bj]]
                 allowed = tgt == src or \
                     tgt == (src[0] + 1, src[1] - 2) or \
                     tgt == (src[0] - 1, src[1] + 2)

@@ -170,6 +170,7 @@ def test_verify_matches_golden_report(case, tmp_path):
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--param", "R=-1"],
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--param", "foo=1"],
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--weight", "-1"],
+    ["verify", "--case", "circle_trivial", "--param", "R=2", "--param", "bogus=1"],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
         "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
         "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
@@ -184,7 +185,8 @@ def test_verify_matches_golden_report(case, tmp_path):
         "spectrum-malformed-k", "sweep-malformed-count", "local-malformed-s",
         "local-malformed-weight", "local-eps-2", "verify-unknown-case",
         "spectrum-two-s", "sweep-descending-s", "verify-torus-R-below-r",
-        "verify-negative-sphere-R", "verify-unused-param", "verify-negative-weight"])
+        "verify-negative-sphere-R", "verify-unused-param", "verify-negative-weight",
+        "verify-circle-unused-param"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
@@ -229,10 +231,18 @@ LOCAL_FROM_FILE = ["local", "--config", "{path}", "--out", "{path}.json"]
      ["sweep", "--config", "{path}", "--out", "{path}.out"]),
     ("run.cfg", "[run]\ncase = nope\n",
      ["verify", "--config", "{path}", "--out", "{path}.json"]),
+    # JSON written by the other commands is not a verification report
+    ("spec.json", '{"k": 0, "s": 0.0, "eigenvalues": [0.0], "kernel_dim": 1, '
+                  '"gap": Infinity, "residual_norms": [0.0], "dim": 1, '
+                  '"operator_norm": 0.0, "separation": Infinity, "vectors": 1, '
+                  '"config": {}}\n', ["report", "{path}"]),
+    ("sweep.json", '{"k": 1, "kernel_constant": true, "gap_monotone_from": 0.0, '
+                   '"gaps": [[0.0, 1.0]], "config": {}}\n', ["report", "{path}"]),
 ], ids=["run-config-malformed-int", "local-config-malformed-s", "report-not-json",
         "report-not-an-object", "out-is-a-directory", "local-config-zero-m",
         "local-config-two-planes", "local-config-negative-s", "local-config-eps-2",
-        "sweep-config-descending-s", "run-config-unknown-case"])
+        "sweep-config-descending-s", "run-config-unknown-case", "report-spectrum-json",
+        "report-sweep-json"])
 def test_bad_file_input_is_a_one_line_usage_error(name, content, argv, tmp_path,
                                                   capsys):
     path = tmp_path / name
