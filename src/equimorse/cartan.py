@@ -195,7 +195,9 @@ def build_deformed(backend: BackendMatrices, s: float, k: int):
     mat = ds_up_star.matrix @ ds_up.matrix
     if k >= 1:
         ds_lo = deformed(k - 1)
-        mat = mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix
+        # copied into arrays of the sum's own size: the sum alone keeps the
+        # addition's larger scratch arrays
+        mat = (mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix).copy()
     mat = sp.csr_matrix(mat)
     peak = max(mat.data.max(initial=0.0), -mat.data.min(initial=0.0))
     if not peak < SQRT_FLOAT_MAX:

@@ -175,7 +175,7 @@ def _config(values: dict, *keys: str) -> dict:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,7 @@ def cmd_sweep(args) -> int:
         "k": k,
         "kernel_constant": result.kernel_constant,
         "gap_monotone_from": result.gap_monotone_from,
-        "gaps": result.gaps(),
+        "gaps": [[s, g if math.isfinite(g) else None] for s, g in result.gaps()],
         "config": _config(values, "phi_kind", "phi_scale"),
     }
     write_atomic(os.path.join(out, "sweep.json"), _json_text(meta))

@@ -339,13 +339,14 @@ def near_zero_counts(be, s: float, kmax: int) -> list[int]:
 
     The first eigenvalue above that threshold must clear s/2; otherwise
     the asymptotic regime is not reached and the count is refused rather
-    than reported.
+    than reported.  Each window holds every eigenvalue below s/2 and one
+    more, all that the rule reads.
     """
     thr = s / 10.0
     gap_req = s / 2.0
     counts = []
     for k in range(kmax + 1):
-        rep = _spectral.delta_spectrum(be, k, s=s)
+        rep = _spectral.delta_spectrum(be, k, s=s, ceiling=gap_req)
         w = np.asarray(rep.eigenvalues)
         cnt = int(np.count_nonzero(w < thr))
         if cnt < len(w) and w[cnt] < gap_req:

@@ -115,7 +115,7 @@ def verify_trace_inequalities(backend: BackendMatrices, s: float, kmax: int,
     """
     mus = []
     for k in range(kmax + 1):
-        rep = spectral.delta_spectrum(backend, k, s=s)
+        rep = spectral.delta_spectrum(backend, k, s=s, ceiling=trace_spec.ceiling())
         mus.append(spectral.trace_phi(rep, trace_spec))
     slack = _alternating_slack(mus, betti, kmax)
     passed = all(sv >= -1e-8 for sv in slack)

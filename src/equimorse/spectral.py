@@ -1,33 +1,30 @@
 """Symmetric eigenproblems, kernel detection and trace functionals.
 
 Every assembled operator A is symmetric with respect to a diagonal mass
-M, so M^{1/2} A M^{-1/2} is plainly symmetric and a band (or, for a
-partial spectrum above a size threshold, shift-inverted iterative)
-solver applies.  Kernel dimensions are decided by one threshold: an
-eigenvalue belongs to the kernel when it is at most KERNEL_TAU_ABS x |A|,
-with |A| the largest eigenvalue modulus (the infinity norm on the
-iterative path).  betti_numbers further requires the gap to be at least
-SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.  Kernel
-dimensions equal the equivariant Betti numbers by the Hodge isomorphism;
-traces of a rapidly decreasing phi over the spectrum realize the
-heat-trace-like functionals whose alternating sums obey the analytic
-Morse inequalities at every deformation parameter.
+M, so S = M^{1/2} A M^{-1/2} is plainly symmetric.  The paper reads each
+Morse inequality off the low spectrum of the deformed Laplacian: kernel
+dimensions, which equal the equivariant Betti numbers by the Hodge
+isomorphism, and traces of a rapidly decreasing phi, whose alternating
+sums obey the analytic Morse inequalities at every deformation
+parameter.  So every solve is one window of the lowest m eigenpairs,
+with m fixed beforehand: a count, or every eigenvalue below the caller's
+ceiling and one more.  The ceilings are 0 for betti_numbers
+and de_rham_index (the kernel and the gap), TraceSpec.ceiling() for the
+traces of verify_trace_inequalities and of sweep_s without a count, s/2
+for local_models.near_zero_counts, and infinity for a full listing.
 
-All solves are deterministic.  The full spectrum, and any spectrum below
-BAND_LIMIT dimensions, comes from a band solve: the symmetrized matrix
-is split into its connected blocks (odd degrees separate into the g and
-h chains), each block is put in reverse Cuthill-McKee order (bandwidth
-1 to 6 on the catalog) and LAPACK computes all its eigenvalues without
-vectors.  Vectors are computed only for a low window per block, the
-kernel window and the eigenvalues the band solve cannot give to
-EIGENVALUE_ACCURACY, by inverse iteration on a banded LU and one
-Rayleigh-Ritz step; each window eigenvalue is the extended-precision
-Rayleigh quotient of its vector.  Pairs with a vector must pass the
-residual bound; the quotients must match the band eigenvalues of the
-window, and the eigenvalues must sum to the trace, within the band
-solve's error bound.  A partial spectrum below BAND_LIMIT is the first
-count entries of the full band solve, bit for bit.  A partial spectrum
-above BAND_LIMIT uses shift-invert Lanczos with a fixed starting vector.
+An eigenvalue belongs to the kernel when it is at most tau =
+KERNEL_TAU_ABS x |A|, with |A| the infinity norm of S.  S - tau I is
+factored once as LDL^T with one symmetric ordering; its inertia is the
+kernel dimension, by Sylvester's law, and it serves as the inverse of
+a shift-invert Lanczos iteration for the window.  The window is
+certified by a second factor just below its top eigenvalue, whose
+inertia must count exactly the window eigenvalues below it, so no
+eigenvalue under the window's top was missed.  A window wider than half
+the dimension, and the full listing, comes from dense eigh of S.  Each
+eigenvalue is the Rayleigh quotient of its vector.  betti_numbers further requires the gap to be at least
+SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.  All
+solves are deterministic.
 """
 
 from __future__ import annotations
@@ -41,9 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import cartan
@@ -69,21 +64,14 @@ __all__ = [
     "write_atomic",
 ]
 
-# Bounds the band path: below this dimension every request is a band
-# solve, above it only the full spectrum is and a partial one is
-# shift-invert Lanczos.  Tests monkeypatch it to reach the Lanczos
-# branch at small sizes.
-BAND_LIMIT = 2000
 KERNEL_TAU_ABS = 1e-9
 SEPARATION_FACTOR = 100.0
 RESIDUAL_BOUND = 1e-8
-EIGENVALUE_ACCURACY = 1e-12  # required of every eigenvalue, x max(|lambda|, 1)
-CLUSTER_GAP = math.sqrt(np.finfo(float).eps)  # closer eigenvalues share a window, x |A|
 TRACE_TAIL_BOUND = 1e-6
 
 
 class SolverError(RuntimeError):
-    """Eigenvalue iteration failed to converge."""
+    """An eigenvalue window failed to converge or failed a certificate."""
 
 
 class CountError(ValueError):
@@ -100,20 +88,18 @@ class TailBoundError(ValueError):
 
 @dataclass
 class SpectrumReport:
-    """Eigenvalues of one operator with kernel bookkeeping.
+    """The lowest eigenvalues of one operator with kernel bookkeeping.
 
-    eigenvalues are ascending; kernel_dim counts those at most
-    KERNEL_TAU_ABS x operator_norm; gap is the smallest eigenvalue above
-    that threshold; separation is gap over the largest kernel eigenvalue;
-    dim is the operator's dimension, which exceeds len(eigenvalues) for a
-    partial spectrum.  residual_norms hold ||A v - lambda v||, in the
-    mass-orthonormal frame, for exactly the returned pairs that carry a
-    vector, in ascending order of eigenvalue: every pair of the Lanczos
-    path, the returned ones of the band path's low window.  The other
-    band eigenvalues are certified by the window match and the trace
-    identity instead.  A partial band report is the full one cut short.
-    to_record, the spectrum JSON, adds dim, operator_norm, separation and
-    vectors, the number of residual norms.
+    eigenvalues are the ascending window of eigensolve, the lowest m of
+    dim; kernel_dim counts those at most KERNEL_TAU_ABS x operator_norm
+    (the infinity norm), certified by the inertia there; gap is the
+    smallest window eigenvalue above that threshold (infinite if none
+    is); separation is gap over the largest kernel eigenvalue (infinite
+    without a gap or a kernel).
+    residual_norms hold ||S v - lambda v||, in the mass-orthonormal frame,
+    for every returned pair.  to_record, the spectrum JSON, adds dim,
+    operator_norm, separation and vectors, the number of residual norms,
+    and writes an infinite gap or separation as null.
     """
 
     k: int
@@ -132,13 +118,18 @@ class SpectrumReport:
             "s": self.s,
             "eigenvalues": list(self.eigenvalues),
             "kernel_dim": self.kernel_dim,
-            "gap": self.gap,
+            "gap": _finite_or_none(self.gap),
             "residual_norms": list(self.residual_norms),
             "dim": self.dim,
             "operator_norm": self.operator_norm,
-            "separation": self.separation,
+            "separation": _finite_or_none(self.separation),
             "vectors": len(self.residual_norms),
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    """x, or None for infinity: strict JSON has no Infinity."""
+    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -154,6 +145,12 @@ class TraceSpec:
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
+    def ceiling(self) -> float:
+        """The Lambda with phi(Lambda) = eps: each eigenvalue above it adds
+        less than eps to a trace."""
+        tail = -math.log(np.finfo(float).eps)
+        return self.scale * (tail if self.phi_kind == "exp_decay" else math.sqrt(tail))
+
     def phi(self, x):
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore"):
@@ -162,9 +159,9 @@ class TraceSpec:
             return np.exp(-((x / self.scale) ** 2))
 
 
-def _kernel_split(w: np.ndarray, opnorm: float):
-    """Kernel dimension, gap and separation of the ascending spectrum w."""
-    kd = int(np.count_nonzero(w <= KERNEL_TAU_ABS * opnorm))
+def _kernel_split(w: np.ndarray, tau: float):
+    """Kernel dimension, gap and separation of the ascending window w."""
+    kd = int(np.count_nonzero(w <= tau))
     gap = float(w[kd]) if kd < len(w) else math.inf
     if kd > 0:
         top_kernel = max(abs(float(w[kd - 1])), 1e-300)
@@ -174,223 +171,165 @@ def _kernel_split(w: np.ndarray, opnorm: float):
     return kd, gap, separation
 
 
-def _band_error(n: int) -> float:
-    """Error bound of a band eigenvalue solve of dimension n, as a multiple of |A|.
+def _ldlt(S, shift: float):
+    """Factor of S - shift I and its inertia #{lambda < shift}, or None.
 
-    64 eps up to n = 512, then growing linearly: LAPACK's band reduction
-    was measured off by up to 32 eps |A| at n = 512 and 247 eps |A| at
-    n = 4095 in the low spectrum (below 0.1 |A|) of the catalog
-    Laplacians, with errors of one sign that show in the trace as well.
+    SuperLU with diagonal pivots in symmetric mode orders rows and columns
+    alike (perm_r == perm_c), so U = D L^T and, by Sylvester's law of
+    inertia, the negative pivots count the eigenvalues below shift
+    (Golub & Van Loan, Matrix Computations, 8.4).  A zero pivot, which
+    SuperLU reports as exactly singular or steps over by leaving the
+    diagonal, means shift is an eigenvalue and the count is undefined:
+    None.
     """
-    return np.finfo(float).eps * max(64.0, n / 8)
+    shifted = sp.csc_matrix(S - shift * sp.identity(S.shape[0], format="csr"))
+    try:
+        lu = spla.splu(shifted, permc_spec="COLAMD", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:  # "Factor is exactly singular"
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _lower_band(A):
-    """Lower band storage ab[i - j, j] = A[i, j] of the symmetric sparse A."""
-    coo = A.tocoo()
-    low = coo.row >= coo.col
-    rows, cols = coo.row[low], coo.col[low]
-    ab = np.zeros((int((rows - cols).max(initial=0)) + 1, A.shape[0]))
-    ab[rows - cols, cols] = coo.data[low]
-    return ab
+def _rayleigh(S, V):
+    """Rayleigh quotients of the orthonormal columns of V, ascending, with
+    the columns in that order and their residual norms ||S v - lambda v||."""
+    SV = S @ V
+    w = np.einsum("ij,ij->j", V, SV)
+    order = np.argsort(w, kind="stable")
+    return w[order], V[:, order], np.linalg.norm(SV - V * w, axis=0)[order]
 
 
-def _window_vectors(ab, theta, norm):
-    """Vectors for the ascending eigenvalues theta of the band matrix ab.
+def _lanczos(S, lu, tau: float, m: int):
+    """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
-    One banded LU of A - theta_i I (LAPACK gbtrf) per eigenvalue, O(n b^2),
-    and two solves from a fixed random start, each followed by
-    orthogonalization against the vectors of the eigenvalues less than
-    CLUSTER_GAP x |A| below theta_i, so that a cluster comes out as
-    independent vectors of its eigenspace; vectors of eigenvalues further
-    apart are orthogonal to the solver's accuracy already.  A zero pivot
-    is replaced by eps |A|, a relative perturbation of eps.  Returns the
-    vectors as columns, each of unit norm.
+    Each eigenvalue is the Rayleigh quotient of its vector.  The start
+    vector is fixed, so repeated runs are bit-identical.  The cut
+    c = lambda_top - 1e-8 max(|lambda_top|, 1) certifies the window: the
+    inertia at c must equal the number of window eigenvalues below c, so
+    no eigenvalue below the top was missed, and a pair split by the cut
+    at the top is not a miss.  One start vector sees one direction of an
+    exactly repeated eigenvalue, so the eigenvalues the certificate finds
+    missing are sought again on the complement of the window, until none
+    is missing; a search that finds none of them raises SolverError.
     """
-    b, n = ab.shape[0] - 1, ab.shape[1]
-    general = np.zeros((3 * b + 1, n))  # gbtrf layout: A[i, j] at [2b + i - j, j]
-    for d in range(b + 1):
-        general[2 * b + d, :n - d] = ab[d, :n - d]
-        general[2 * b - d, d:] = ab[d, :n - d]
-    floor = np.finfo(float).eps * norm or 1.0
-    start = np.random.default_rng(0).standard_normal((len(theta), n))
-    rows = np.empty((len(theta), n))
-    for i, t in enumerate(theta):
-        shifted = general.copy()
-        shifted[2 * b] -= t
-        lu, piv, _ = lapack.dgbtrf(shifted, b, b, overwrite_ab=True)
-        lu[2 * b][lu[2 * b] == 0.0] = floor
-        cluster = rows[np.searchsorted(theta, t - CLUSTER_GAP * norm):i]
-        v = start[i]
-        for _ in range(2):
-            v, _ = lapack.dgbtrs(lu, b, b, v, piv)
-            for _ in range(2):
-                v -= cluster.T @ (cluster @ v)
-            v /= np.linalg.norm(v)
-        rows[i] = v
-    return rows.T
-
-
-def _band_spectrum(S):
-    """All eigenvalues of the symmetric sparse S, with vectors for a low window.
-
-    Each connected block is put in reverse Cuthill-McKee order and its
-    whole spectrum comes from a band solve without vectors (LAPACK
-    sbevd), with error at most err = _band_error(dim_b) x |A_b|.  Vectors
-    are computed only for the low window W of each block: the kernel
-    window and every eigenvalue that err could move by more than
-    EIGENVALUE_ACCURACY x max(|lambda|, 1).  W is then widened until no
-    eigenvalue outside it lies within CLUSTER_GAP x |A_b| of one inside.
-    The window depends on S alone, never on how many eigenvalues a caller
-    wants.  Returns eigenvalues and residual norms in block order,
-    unsorted; the residual of a pair without a vector is NaN.
-    """
-    n_blocks, labels = csgraph.connected_components(S, directed=False)
-    blocks = []
-    for block in range(n_blocks):
-        idx = np.flatnonzero(labels == block)
-        Sb = S[idx][:, idx]
-        perm = csgraph.reverse_cuthill_mckee(Sb, symmetric_mode=True)
-        Sb = Sb[perm][:, perm]
-        ab = _lower_band(Sb)
-        blocks.append((Sb, ab, sla.eig_banded(ab, lower=True, eigvals_only=True)))
-    edge = KERNEL_TAU_ABS * max(float(np.abs(theta).max()) for *_, theta in blocks)
-    w, resid = [], []
-    for Sb, ab, theta in blocks:
-        norm = float(np.abs(theta).max())
-        err = _band_error(len(theta)) * norm
-        in_window = ((theta <= edge)
-                     | (err > EIGENVALUE_ACCURACY * np.maximum(np.abs(theta), 1.0)))
-        m = int(np.flatnonzero(in_window).max(initial=-1)) + 1
-        while 0 < m < len(theta) and theta[m] - theta[m - 1] <= CLUSTER_GAP * norm:
-            m += 1
-        lam, r = _certified_window(Sb, ab, theta, m, err)
-        w.append(lam)
-        resid.append(r)
-    return np.concatenate(w), np.concatenate(resid)
-
-
-def _certified_window(Sb, ab, theta, m, err):
-    """Eigenvalues of one block, the lowest m with vectors, and their residuals.
-
-    Inverse iteration gives vectors for theta[:m], one Rayleigh-Ritz step
-    over their span makes them orthonormal eigenvectors (SolverError if
-    they are not independent), and each is reported with the
-    extended-precision Rayleigh quotient of its vector; theta[m:] are
-    kept as the band solve gave them.  Raises SolverError unless the
-    quotients match theta[:m] one to one within err, and the eigenvalues
-    sum to the trace within dim x err.
-    """
-    lam = theta.copy()
-    resid = np.full(len(theta), np.nan)
-    if m:
-        V = _window_vectors(ab, theta[:m], float(np.abs(theta).max()))
+    dim = S.shape[0]
+    start = np.cos(np.arange(dim) + 0.25)
+    V = np.zeros((dim, 0))
+    solve, k, missed = lu.solve, m, m
+    while True:
         try:
-            _, Y = sla.eigh(V.T @ (Sb @ V), V.T @ V)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"low window vectors are not independent: {exc}") from exc
-        U = V @ Y
-        U_ext = U.astype(np.longdouble)
-        rq = (np.einsum("ij,ij->j", U_ext, Sb.astype(np.longdouble) @ U_ext)
-              / np.einsum("ij,ij->j", U_ext, U_ext)).astype(float)
-        if np.abs(np.sort(rq) - theta[:m]).max() > err:
+            _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, maxiter=5000,
+                              tol=0, OPinv=spla.LinearOperator((dim, dim), matvec=solve,
+                                                               dtype=float))
+        except spla.ArpackNoConvergence as exc:
+            raise SolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+        w, V, resid = _rayleigh(S, np.hstack([V, U]))
+        w, V, resid = w[:m], V[:, :m], resid[:m]
+        cut = w[-1] - 1e-8 * max(abs(w[-1]), 1.0)
+        below = _ldlt(S, cut)
+        found = int(np.count_nonzero(w < cut))
+        if below is not None and below[1] == found:
+            return w, V, resid
+        if below is None or not 0 < below[1] - found < missed:
             raise SolverError(
-                "Rayleigh quotients of the low window do not match the band "
-                f"eigenvalues within {err:.3e}")
-        lam[:m] = rq
-        resid[:m] = np.linalg.norm(Sb @ U - U * rq, axis=0)
-    if abs(math.fsum(lam) - math.fsum(Sb.diagonal())) > len(lam) * err:
-        raise SolverError(f"eigenvalues do not sum to the trace within dim x {err:.3e}")
-    return lam, resid
+                f"the window holds {found} eigenvalues below {cut:.6e}, the inertia "
+                f"there is {'singular' if below is None else below[1]}")
+        k = missed = below[1] - found
+
+        def solve(x):  # (S - tau I)^{-1} on the complement of the window
+            y = lu.solve(x - V @ (V.T @ x))
+            return y - V @ (V.T @ y)
+        start = start - V @ (V.T @ start)
 
 
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
-               k: int = 0, s: float = 0.0) -> SpectrumReport:
-    """Smallest eigenvalues of a mass-symmetric operator.
+               k: int = 0, s: float = 0.0, ceiling: float = math.inf) -> SpectrumReport:
+    """The lowest eigenpairs of a mass-symmetric operator: one certified window.
 
     operator may be an EqOperator or a sparse/dense matrix, of dimension
-    dim >= 1 as every degree space is; mass is the diagonal of the
-    inner product; count (default: all) must lie in 1..dim, else
-    CountError; count = dim is the full spectrum.  The full
-    spectrum, and any count below BAND_LIMIT dimensions, comes from a
-    band solve of each connected block, with vectors only for its low
-    window (see _band_spectrum); count only truncates the sorted result,
-    and gap, separation and |A| are those of the full spectrum.  A
-    partial spectrum above BAND_LIMIT comes from a shift-inverted Lanczos
-    iteration with a fixed starting vector.  Repeated runs are
-    bit-identical.  Every returned pair that carries a vector must have a
-    residual within RESIDUAL_BOUND x |A|, and a band solve must pass its
-    window match and trace identity, else SolverError.
+    dim >= 1 as every degree space is; mass is the diagonal of the inner
+    product, and S = M^{1/2} A M^{-1/2}, symmetrized, is solved.  |A| is
+    the infinity norm of S and tau = KERNEL_TAU_ABS x |A|.  S - tau I is
+    factored once (_ldlt).  The window holds m pairs, fixed beforehand:
+    m = count, which must lie in 1..dim (else CountError); without a
+    count, one more than the inertia at max(ceiling, tau), so that every
+    eigenvalue below the ceiling is in it, or dim for an infinite ceiling
+    and for one that is exactly an eigenvalue (its factor is singular).  A
+    window of at most half the dimension comes from shift-invert Lanczos
+    with the factor at tau as the inverse, certified by the inertia at
+    its top (_lanczos); a wider one, and every window when S - tau I is
+    exactly singular (the 1 x 1 zero operator), from dense eigh of S.
+    kernel_dim is the inertia at tau and must equal the number of window
+    eigenvalues at most tau (SolverError).  Every returned pair must
+    have a residual within RESIDUAL_BOUND x max(|A|, 1), else SolverError.
     """
     mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
     dim = mat.shape[0]
-    if count is None:
-        count = dim
-    if not 1 <= count <= dim:
+    if count is not None and not 1 <= count <= dim:
         raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
     S = _scale(mat, np.sqrt(mass), 1.0 / np.sqrt(mass))
     S = sp.csr_matrix(0.5 * (S + S.T))
-
-    if count == dim or dim < BAND_LIMIT:
-        w, resid = _band_spectrum(S)
-        order = np.argsort(w, kind="stable")
-        w = w[order]
-        opnorm = float(np.abs(w).max())
-        w_ret = w[:count]
-        resid = resid[order][:count]
-        resid = resid[~np.isnan(resid)]
+    opnorm = float(spla.norm(S, np.inf))
+    tau = KERNEL_TAU_ABS * opnorm
+    low = _ldlt(S, tau)
+    if count is not None:
+        m = count
+    elif ceiling == math.inf:
+        m = dim
     else:
-        opnorm = float(spla.norm(S, np.inf))
-        shift = -1e-6 * max(opnorm, 1.0)
-        v0 = np.cos(np.arange(dim) + 0.25)
-        try:
-            w, v = spla.eigsh(S, k=count, sigma=shift,
-                              which="LM", v0=v0, maxiter=5000, tol=0)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(
-                f"eigenvalue iteration did not converge: {exc}") from exc
-        order = np.argsort(w)
-        w_ret = w[order]
-        v_ret = v[:, order]
-        resid = np.linalg.norm(S @ v_ret - v_ret * w_ret[None, :], axis=0)
-        w = w_ret
+        top = low if ceiling <= tau else _ldlt(S, ceiling)
+        m = dim if top is None else min(top[1] + 1, dim)
 
-    kd, gap, separation = _kernel_split(w, max(opnorm, 1e-300))
-    report = SpectrumReport(
+    if low is None or 2 * m > dim:
+        w, _, resid = _rayleigh(S, sla.eigh(S.toarray(), driver="evd")[1][:, :m])
+    else:
+        w, _, resid = _lanczos(S, low[0], tau, m)
+    kd, gap, separation = _kernel_split(w, tau)
+    if low is not None and kd != min(low[1], m):
+        raise SolverError(f"{kd} window eigenvalues are at most tau = {tau:.3e}, "
+                          f"the inertia there is {low[1]}")
+    bound = RESIDUAL_BOUND * max(opnorm, 1.0)
+    bad = int(np.count_nonzero(resid > bound))
+    if bad:
+        raise SolverError(f"{bad} eigenpairs exceed the residual bound "
+                          f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
+    return SpectrumReport(
         k=k, s=s,
-        eigenvalues=[float(x) for x in w_ret],
-        kernel_dim=min(kd, count),
+        eigenvalues=[float(x) for x in w],
+        kernel_dim=kd,
         gap=gap,
         residual_norms=[float(r) for r in resid],
         dim=dim,
         operator_norm=opnorm,
         separation=separation,
     )
-    bad = [r for r in report.residual_norms if r > RESIDUAL_BOUND * max(opnorm, 1.0)]
-    if bad:
-        raise SolverError(
-            f"{len(bad)} eigenpairs exceed the residual bound "
-            f"{RESIDUAL_BOUND:.0e} x |A| = {RESIDUAL_BOUND * opnorm:.3e}")
-    return report
 
 
 def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
-                   count: int | None = None) -> SpectrumReport:
-    """Spectrum report of the (deformed) equivariant Laplacian in degree k."""
+                   count: int | None = None,
+                   ceiling: float = math.inf) -> SpectrumReport:
+    """Window report of the (deformed) equivariant Laplacian in degree k.
+
+    The window is the lowest count pairs, or without a count every
+    eigenvalue below ceiling and one more; the default lists them all.
+    """
     _, _, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
-    return eigensolve(delta, mass, count=count, k=k, s=s)
+    return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling)
 
 
 def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:
     """Equivariant Betti numbers beta^0..beta^kmax as kernel dimensions at s = 0.
 
-    A kernel without a factor-100 separation from the gap raises
-    AmbiguousKernelError.
+    Each window is the kernel and the gap (ceiling 0).  A kernel without
+    a factor-100 separation from the gap raises AmbiguousKernelError.
     """
     betti = []
     for k in range(kmax + 1):
-        rep = delta_spectrum(backend, k)
+        rep = delta_spectrum(backend, k, ceiling=0.0)
         if rep.kernel_dim > 0 and rep.separation < SEPARATION_FACTOR:
             raise AmbiguousKernelError(
                 f"degree {k}: kernel/gap separation {rep.separation:.1f} < "
@@ -400,12 +339,14 @@ def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:
 
 
 def trace_phi(report: SpectrumReport, spec: TraceSpec) -> float:
-    """Sum of phi over the spectrum, guarded by the truncation tail bound.
+    """Sum of phi over the window, guarded by the truncation tail bound.
 
-    If the report holds fewer eigenvalues than the dimension, the missing
-    tail is bounded by phi(largest computed eigenvalue) times the number
-    of missing eigenvalues, which must stay below 1e-6.  A sum that phi's
-    overflow made infinite is a ConfigurationError.
+    If the window holds fewer eigenvalues than the dimension, the missing
+    tail is bounded by phi(largest window eigenvalue) times the number of
+    missing eigenvalues, which must stay below 1e-6.  A window solved to
+    spec.ceiling() passes with a bound of at most dim x eps, since its top
+    eigenvalue lies above the ceiling.  A sum that phi's overflow made
+    infinite is a ConfigurationError.
     """
     lam = np.asarray(report.eigenvalues)
     missing = report.dim - lam.size
@@ -453,7 +394,9 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
     did.  A change is not diagnosed: an unresolved grid and an
     exponentially small (tunneling) eigenvalue that falls under the
     kernel threshold both produce one.  The result also records from
-    which s onward the observed gap is nondecreasing.
+    which s onward the observed gap is nondecreasing.  Each point's
+    window is the lowest count pairs, or without a count the trace
+    window up to trace_spec.ceiling().
     """
     s_values = list(s_list)
     if any(sv < 0 for sv in s_values):
@@ -462,7 +405,8 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
         raise ValueError("s_list must be ascending")
     points = []
     for sv in s_values:
-        rep = delta_spectrum(backend, k, s=sv, count=count)
+        rep = delta_spectrum(backend, k, s=sv, count=count,
+                             ceiling=trace_spec.ceiling())
         points.append(SweepPoint(s=sv, report=rep, mu=trace_phi(rep, trace_spec)))
     constant = len({p.report.kernel_dim for p in points}) <= 1
     monotone_from = None
@@ -479,8 +423,8 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
 def de_rham_index(backend: BackendMatrices) -> int:
     """dim ker Delta^n - dim ker Delta^{n+1}: the index of d_eq + d_eq*."""
     n = backend.n
-    return (delta_spectrum(backend, n).kernel_dim
-            - delta_spectrum(backend, n + 1).kernel_dim)
+    return (delta_spectrum(backend, n, ceiling=0.0).kernel_dim
+            - delta_spectrum(backend, n + 1, ceiling=0.0).kernel_dim)
 
 
 def periodicity_defect(backend: BackendMatrices, k: int) -> float:

@@ -254,6 +254,22 @@ def test_deformation_off_is_bitwise_identical(sphere):
     assert sp.csr_matrix(delta0.matrix - delta_ref.matrix).nnz == 0
 
 
+@pytest.mark.parametrize("s", [0.0, 16.0])
+def test_degree_two_laplacian_holds_no_scratch_slots(sphere, s):
+    """The degree-2 Laplacian is a sum of two products; it is stored in
+    arrays of exactly its nnz, and is bitwise the plain scipy sum."""
+    d_up, d_up_star, delta = C.build_deformed(sphere, s, 2)
+    d_lo, d_lo_star, _ = C.build_deformed(sphere, s, 1)
+    plain = d_up_star.matrix @ d_up.matrix + d_lo.matrix @ d_lo_star.matrix
+    mat = delta.matrix
+    for array in (mat.data, mat.indices):
+        owner = array if array.base is None else array.base
+        assert owner.size == mat.nnz
+    for got, want in ((mat.data, plain.data), (mat.indices, plain.indices),
+                      (mat.indptr, plain.indptr)):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("s", [1.0, 8.0])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_deformed_differential_squares_to_zero(sphere, s, k):

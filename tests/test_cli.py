@@ -325,10 +325,28 @@ def test_spectrum_json_carries_the_solver_facts(tmp_path):
     assert texts[0] == texts[1]
     payload = json.loads(texts[0])
     assert payload["dim"] == len(payload["eigenvalues"]) == 127
-    assert payload["operator_norm"] == max(abs(x) for x in payload["eigenvalues"])
+    # |A| is the infinity norm, which bounds every eigenvalue
+    assert payload["operator_norm"] >= max(abs(x) for x in payload["eigenvalues"])
     assert payload["separation"] >= 100.0
-    assert payload["vectors"] == len(payload["residual_norms"])
-    assert payload["kernel_dim"] <= payload["vectors"] < payload["dim"]
+    assert payload["vectors"] == len(payload["residual_norms"]) == payload["dim"]
+    assert max(payload["residual_norms"]) <= 1e-8 * payload["operator_norm"]
+
+
+def test_json_outputs_are_strict_with_null_for_no_gap(tmp_path):
+    # circle_trivial degree 0 is the 1x1 zero operator: all kernel, no gap
+    def strict(text):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        return json.loads(text, parse_constant=reject)
+
+    spec, sweep = tmp_path / "spec.json", tmp_path / "sweep"
+    assert run(["spectrum", "--case", "circle_trivial", "--k", "0",
+                "--out", str(spec)]) == 0
+    assert run(["sweep", "--case", "circle_trivial", "--k", "0", "--s", "0",
+                "--out", str(sweep)]) == 0
+    payload = strict(spec.read_text())
+    assert (payload["kernel_dim"], payload["gap"], payload["separation"]) == (1, None, None)
+    assert strict((sweep / "sweep.json").read_text())["gaps"] == [[0.0, None]]
 
 
 def test_local_subcommand(tmp_path):

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equimorse import backend as B
 from equimorse import cartan as C
@@ -74,10 +77,10 @@ def test_sphere_axisymmetric_spectrum():
 
 def test_grid_eigenvalues_converge_at_second_order():
     """Degree zero at s=0 on the unit sphere: the errors of l(l+1) = 2, 6,
-    12, 20 shrink fourfold per doubling of N from 128 to 1024."""
+    12, 20 shrink fourfold per doubling of N from 128 to 4096."""
     exact = np.array([2.0, 6.0, 12.0, 20.0])
     errors = []
-    for n_grid in (128, 256, 512, 1024):
+    for n_grid in (128, 256, 512, 1024, 2048, 4096):
         be = B.build_backend(*B.catalog("sphere_height", n_grid=n_grid))
         w = S.delta_spectrum(be, 0, count=5).eigenvalues[1:]
         errors.append(np.abs(np.asarray(w) - exact))
@@ -150,8 +153,10 @@ def test_trace_spec_validation():
 
 
 def test_sweep_reduces_to_undeformed_at_zero(sphere):
-    result = S.sweep_s(sphere, 2, [0.0], S.TraceSpec())
-    direct = S.delta_spectrum(sphere, 2)
+    # without a count, a sweep point is the trace window of its operator
+    spec = S.TraceSpec()
+    result = S.sweep_s(sphere, 2, [0.0], spec)
+    direct = S.delta_spectrum(sphere, 2, ceiling=spec.ceiling())
     assert result.points[0].report.eigenvalues == direct.eigenvalues
     assert result.kernel_constant
 
@@ -225,18 +230,6 @@ def test_sweep_rejects_unsorted():
         S.sweep_s(be, 0, [4.0, 2.0], S.TraceSpec())
 
 
-def test_band_and_lanczos_agree(sphere, monkeypatch):
-    delta = C.build_delta_eq(sphere, 1)
-    mass = C.mass_vector(sphere, delta.domain)
-    band = S.eigensolve(delta, mass, count=10)
-    monkeypatch.setattr(S, "BAND_LIMIT", 16)
-    lanczos = S.eigensolve(delta, mass, count=10)
-    a = np.asarray(band.eigenvalues)
-    b = np.asarray(lanczos.eigenvalues)
-    scale = np.maximum(np.abs(a), 1.0)
-    assert np.max(np.abs(a - b) / scale) <= 1e-7
-
-
 def test_eigenpair_residuals_reported(sphere):
     rep = S.delta_spectrum(sphere, 1, count=6)
     assert len(rep.residual_norms) == 6
@@ -292,69 +285,71 @@ def _symmetrized(delta, mass):
 def test_block_solver_matches_one_dense_eigh(sphere, torus, k, s):
     """Reference: one LAPACK call on the whole symmetrized matrix.
 
-    Both solvers are backward stable, so their eigenvalues differ by a
-    small multiple of eps |A|; 64 eps |A| is that multiple with room.
+    Every window a caller asks for (the kernel and gap, the trace window,
+    a count, the full listing) is the prefix of the dense spectrum, to a
+    small multiple of eps |A|; degree 1 splits into two chains, degree 2
+    couples two blocks.
     """
     for be in (sphere, torus):
         _, _, delta = C.build_deformed(be, s, k)
         mass = C.mass_vector(be, delta.domain)
-        reference, _ = sla.eigh(_symmetrized(delta, mass))
-        got = np.asarray(S.eigensolve(delta, mass, k=k, s=s).eigenvalues)
+        symmetrized = _symmetrized(delta, mass)
+        reference, _ = sla.eigh(symmetrized)
         norm = np.abs(reference).max()
-        assert got.shape == reference.shape
-        assert np.abs(got - reference).max() <= 64 * np.finfo(float).eps * norm
+        tau = S.KERNEL_TAU_ABS * np.abs(symmetrized).sum(axis=1).max()
+        for request in ({"ceiling": 0.0}, {"ceiling": S.TraceSpec().ceiling()},
+                        {"count": 24}, {}):
+            rep = S.eigensolve(delta, mass, k=k, s=s, **request)
+            got = np.asarray(rep.eigenvalues)
+            assert np.abs(got - reference[:got.size]).max() <= 64 * np.finfo(float).eps * norm
+            assert rep.kernel_dim == np.count_nonzero(reference[:got.size] <= tau)
+            if "ceiling" in request:
+                below = np.count_nonzero(reference < max(request["ceiling"], tau))
+                assert got.size == min(below + 1, rep.dim), request
 
 
 @pytest.mark.parametrize("case", ["sphere_bumpy", "torus_height"])
 def test_eigenvalues_do_not_depend_on_the_basis_order(case):
     profile, f = B.catalog(case, n_grid=256)
     be = B.build_backend(profile, f)
+    ceiling = S.TraceSpec().ceiling()
     for k in range(4):
         for s in (0.0, 16.0, 64.0):
             _, _, delta = C.build_deformed(be, s, k)
             mass = C.mass_vector(be, delta.domain)
             perm = np.random.default_rng(0).permutation(delta.domain.dim)
-            a = np.asarray(S.eigensolve(delta, mass).eigenvalues)
-            b = np.asarray(S.eigensolve(delta.matrix[perm][:, perm], mass[perm]).eigenvalues)
-            assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0)), (k, s)
+            for window in (math.inf, ceiling):
+                a = np.asarray(S.eigensolve(delta, mass, ceiling=window).eigenvalues)
+                b = np.asarray(S.eigensolve(delta.matrix[perm][:, perm], mass[perm],
+                                            ceiling=window).eigenvalues)
+                assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0)), (k, s)
+
+
+def _eigsh_returning(change):
+    """scipy's eigsh, with change applied to the pairs it returns."""
+    eigsh = spla.eigsh
+
+    def patched(*args, **kwargs):
+        w, V = eigsh(*args, **kwargs)
+        return change(w, V.copy())
+    return patched
 
 
 def test_residual_gate_rejects_a_wrong_eigenvalue(sphere, monkeypatch):
-    """A band eigenvalue off by 100 x RESIDUAL_BOUND x |A| is rejected.
+    # the mean of two eigenvectors has the mean of their eigenvalues as its
+    # Rayleigh quotient, and a residual of half their distance
+    def mix(w, V):
+        V[:, 0] = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
+        return w, V
 
-    Inside the low window the Rayleigh quotients no longer match the band
-    eigenvalues; outside it, where no vector is computed, the eigenvalues
-    no longer sum to the trace.
-    """
-    eig_banded = sla.eig_banded
-
-    def corrupting(position):
-        def corrupted(a_band, *args, **kwargs):
-            w = eig_banded(a_band, *args, **kwargs).copy()
-            w[position] += 1e-6 * max(np.abs(w).max(), 1.0)  # 100 x RESIDUAL_BOUND
-            return w
-        return corrupted
-
-    monkeypatch.setattr(S.sla, "eig_banded", corrupting(0))
-    with pytest.raises(S.SolverError, match="Rayleigh quotients"):
-        S.delta_spectrum(sphere, 2)
-    monkeypatch.setattr(S.sla, "eig_banded", corrupting(-1))
-    with pytest.raises(S.SolverError, match="trace"):
-        S.delta_spectrum(sphere, 2)
+    monkeypatch.setattr(S.spla, "eigsh", _eigsh_returning(mix))
+    with pytest.raises(S.SolverError, match="residual bound"):
+        S.delta_spectrum(sphere, 1, count=6)
 
 
-def test_full_spectrum_is_a_band_solve_above_the_limit(monkeypatch):
+def test_count_equal_to_the_dimension_is_the_full_spectrum():
     profile, f = B.catalog("sphere_height", n_grid=64)
     be = B.build_backend(profile, f)
-    monkeypatch.setattr(S, "BAND_LIMIT", 16)
-    rep = S.delta_spectrum(be, 1, s=16.0)
-    assert len(rep.eigenvalues) == rep.dim
-
-
-def test_count_equal_to_the_dimension_is_the_full_spectrum(monkeypatch):
-    profile, f = B.catalog("sphere_height", n_grid=64)
-    be = B.build_backend(profile, f)
-    monkeypatch.setattr(S, "BAND_LIMIT", 16)
     full = S.delta_spectrum(be, 0)
     counted = S.delta_spectrum(be, 0, count=full.dim)
     assert len(counted.eigenvalues) == counted.dim == full.dim
@@ -367,27 +362,28 @@ def test_count_equal_to_the_dimension_is_the_full_spectrum(monkeypatch):
     ("sphere_height", {}), ("sphere_bumpy", {"c": -0.6}), ("torus_height", {}),
 ], ids=["sphere", "bumpy", "torus"])
 def test_partial_band_spectrum_is_a_prefix_of_the_full_one(case, params, n_grid):
-    # below BAND_LIMIT a request only truncates the full band solve: the
-    # same bits, the vectors of the returned pairs and the full kernel split
+    # a counted window is the low band of the full listing, to rounding,
+    # with the same |A|, and its kernel split is the full one cut short
     be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
     for k in (0, 1, 2):
         for s in (0.0, 16.0, 64.0):
             full = S.delta_spectrum(be, k, s)
+            w = np.asarray(full.eigenvalues)
+            tol = 64 * np.finfo(float).eps * full.operator_norm
             for count in (1, 8, 24, full.dim - 1):
                 part = S.delta_spectrum(be, k, s, count=count)
                 where = (k, s, count)
-                assert part.eigenvalues == full.eigenvalues[:count], where
-                vectors = len(part.residual_norms)
-                assert part.residual_norms == full.residual_norms[:vectors], where
+                assert np.abs(np.asarray(part.eigenvalues) - w[:count]).max() <= tol, where
+                assert len(part.residual_norms) == count, where
                 assert part.kernel_dim == min(full.kernel_dim, count), where
-                assert (part.gap, part.separation, part.operator_norm, part.dim) == (
-                    full.gap, full.separation, full.operator_norm, full.dim), where
+                assert (part.operator_norm, part.dim) == (full.operator_norm, full.dim)
+                if count > full.kernel_dim:
+                    assert abs(part.gap - full.gap) <= tol, where
 
 
-def _near_degenerate_pair_at_the_window_edge():
+def _near_degenerate_pairs():
     """Pentadiagonal matrix, one connected block, whose eigenvalues come in
-    pairs 1e-10 x |A| apart, shifted so that one pair straddles the edge
-    where the band error bound reaches EIGENVALUE_ACCURACY x |lambda|.
+    pairs 1e-10 x |A| apart.
 
     Two tridiagonal chains on the even and odd indices, the odd one
     raised by the pair spacing, coupled by 1e-12 between neighbours.
@@ -400,79 +396,165 @@ def _near_degenerate_pair_at_the_window_edge():
     A[0::2, 0::2] = chain
     A[1::2, 1::2] = chain + spacing * np.eye(half)
     coupling = 1e-12 * np.ones(2 * half - 1)
-    A += np.diag(coupling, 1) + np.diag(coupling, -1)
-    w = np.linalg.eigvalsh(A)
-    # the edge sits at K x |A| with K = band error / accuracy; put the
-    # middle of the pair j = 8 (indices 16, 17) on it
-    K = S._band_error(2 * half) / S.EIGENVALUE_ACCURACY
-    middle = 0.5 * (w[16] + w[17])
-    shift = (K * w[-1] - middle) / (1 - K)
-    return A + shift * np.eye(2 * half)
+    return A + np.diag(coupling, 1) + np.diag(coupling, -1)
 
 
-@pytest.mark.parametrize("matrix", [
-    np.array([[9.0]]),
-    np.array([[2.0, 1.0], [1.0, 2.0]]),
-    np.array([[1e-12, 0.0], [0.0, 3.0]]),
-    _near_degenerate_pair_at_the_window_edge(),
+@pytest.mark.parametrize("matrix,count", [
+    (np.array([[9.0]]), None),
+    (np.array([[2.0, 1.0], [1.0, 2.0]]), None),
+    (np.array([[1e-12, 0.0], [0.0, 3.0]]), None),
+    (_near_degenerate_pairs(), 17),  # the edge cuts the ninth pair
 ], ids=["dim-1", "dim-2", "dim-2-kernel", "pair-at-the-edge"])
-def test_window_edge_keeps_every_eigenvalue_accurate(matrix):
+def test_window_edge_keeps_every_eigenvalue_accurate(matrix, count):
     reference = np.linalg.eigvalsh(matrix)
-    rep = S.eigensolve(sp.csr_matrix(matrix), np.ones(len(matrix)))
+    rep = S.eigensolve(sp.csr_matrix(matrix), np.ones(len(matrix)), count=count)
     got = np.asarray(rep.eigenvalues)
-    assert np.all(np.abs(got - reference) <= 1e-12 * np.maximum(np.abs(reference), 1.0))
+    want = reference[:got.size]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
     bound = S.RESIDUAL_BOUND * max(rep.operator_norm, 1.0)
     assert max(rep.residual_norms, default=0.0) <= bound
 
 
-def test_window_is_widened_over_a_pair_at_its_edge():
-    matrix = _near_degenerate_pair_at_the_window_edge()
-    rep = S.eigensolve(sp.csr_matrix(matrix), np.ones(len(matrix)))
-    edge = S._band_error(len(matrix)) * rep.operator_norm / S.EIGENVALUE_ACCURACY
-    assert rep.eigenvalues[16] < edge < rep.eigenvalues[17]
-    assert len(rep.residual_norms) == 18  # both members of the pair carry a vector
+def _path_laplacian(weights):
+    diag = np.zeros(len(weights) + 1)
+    diag[:-1] += weights
+    diag[1:] += weights
+    return sp.diags([-weights, diag, -weights], [-1, 0, 1], format="csr")
+
+
+@pytest.mark.parametrize("count", [1, 3, 8, 9])
+def test_a_count_may_cut_a_degenerate_pair(count):
+    """Two bitwise equal chains: every eigenvalue is exactly double.
+
+    One Lanczos start vector sees a single direction of each pair; the
+    certificate finds the other copies missing and the window finds
+    them, and a count that ends inside a pair is accepted.
+    """
+    chain = _path_laplacian(np.linspace(1.0, 3.0, 29))
+    A = sp.csr_matrix(sp.block_diag([chain, chain]))
+    reference = np.linalg.eigvalsh(A.toarray())
+    rep = S.eigensolve(A, np.ones(60), count=count)
+    assert np.abs(np.asarray(rep.eigenvalues) - reference[:count]).max() <= 1e-12
+    assert rep.kernel_dim == min(count, 2)
+
+
+def test_a_missed_eigenvalue_fails_the_certificate(sphere, monkeypatch):
+    # every Lanczos run loses its lowest pair, so the search for it fails too
+    eigsh = spla.eigsh
+
+    def dropping(A, k, **kwargs):
+        w, V = eigsh(A, k + 1, **kwargs)
+        return w[1:], V[:, 1:]
+
+    monkeypatch.setattr(S.spla, "eigsh", dropping)
+    with pytest.raises(S.SolverError, match="inertia there is 6"):
+        S.delta_spectrum(sphere, 1, count=6)
+
+
+def test_kernel_must_match_the_inertia_at_tau(sphere, monkeypatch):
+    # the first factor is the one at tau; one negative pivot too many
+    ldlt = S._ldlt
+    calls = []
+
+    def overcounting(A, shift):
+        lu, negatives = ldlt(A, shift)
+        calls.append(shift)
+        return lu, negatives + (len(calls) == 1)
+
+    monkeypatch.setattr(S, "_ldlt", overcounting)
+    with pytest.raises(S.SolverError, match="the inertia there is 3"):
+        S.delta_spectrum(sphere, 2, count=6)
 
 
 def test_residual_gate_rejects_an_inexact_window_vector(sphere, monkeypatch):
     # a 5e-8 error in each window vector moves its Rayleigh quotient by
-    # about 1e-15 x |A|, inside the window match, but leaves a residual
-    # above RESIDUAL_BOUND x |A|
-    window_vectors = S._window_vectors
-
-    def perturbed(ab, theta, norm):
-        V = window_vectors(ab, theta, norm)
+    # about 1e-15 x |A|, inside the certificate's cut, but leaves a
+    # residual above RESIDUAL_BOUND x |A|
+    def perturbed(w, V):
         noise = np.random.default_rng(1).standard_normal(V.shape)
-        return V + 5e-8 * noise / np.linalg.norm(noise, axis=0)
+        V = V + 5e-8 * noise / np.linalg.norm(noise, axis=0)
+        return w, V / np.linalg.norm(V, axis=0)
 
-    monkeypatch.setattr(S, "_window_vectors", perturbed)
+    monkeypatch.setattr(S.spla, "eigsh", _eigsh_returning(perturbed))
     with pytest.raises(S.SolverError, match="residual bound"):
-        S.delta_spectrum(sphere, 2)
+        S.delta_spectrum(sphere, 2, count=6)
 
 
-def test_a_pair_inside_the_band_error_is_resolved(monkeypatch):
+def test_a_pair_inside_the_band_error_is_resolved():
     """Path graph of 2n nodes, scaled by c, whose middle edge has weight w.
 
     The kernel is the constant vector; the next eigenvalue belongs to the
     vector that is +1 on one half and -1 on the other, 2w/n up to
-    O(w^2 n / c), here 1e-18.  The band eigenvalues are moved by half the
-    band error bound, more than the pair's spacing, so inverse iteration
-    cannot tell the two vectors apart; the window's Rayleigh-Ritz step must.
+    O(w^2 n / c), here 1e-18.  The pair is 2e-10 apart, 5e-15 x |A| and
+    far under the kernel threshold, so both count as kernel, yet the
+    Rayleigh quotients of the Lanczos vectors resolve each to 1e-12.
     """
     n, c, w = 50, 1e4, 5e-9
     weights = np.full(2 * n - 1, c)
     weights[n - 1] = w
-    diag = np.zeros(2 * n)
-    diag[:-1] += weights
-    diag[1:] += weights
-    A = sp.diags([-weights, diag, -weights], [-1, 0, 1], format="csr")
-    eig_banded = sla.eig_banded
-
-    def off_by_half_the_bound(a_band, *args, **kwargs):
-        theta = eig_banded(a_band, *args, **kwargs)
-        return theta + 0.5 * S._band_error(len(theta)) * np.abs(theta).max()
-
-    monkeypatch.setattr(S.sla, "eig_banded", off_by_half_the_bound)
-    rep = S.eigensolve(A, np.ones(2 * n), count=2)
-    assert 2 * w / n < 0.5 * S._band_error(2 * n) * rep.operator_norm
+    rep = S.eigensolve(_path_laplacian(weights), np.ones(2 * n), count=2)
+    assert rep.kernel_dim == 2
     assert abs(rep.eigenvalues[0]) <= 1e-12
     assert abs(rep.eigenvalues[1] - 2 * w / n) <= 1e-12
+
+
+@st.composite
+def _planted_operators(draw):
+    """A mass-symmetric PSD operator with planted kernels and clusters.
+
+    S is block diagonal: path-graph Laplacians with random weights (one
+    kernel vector each, some chains repeated bitwise), and a diagonal
+    block of clusters, eigenvalues repeated exactly or 1e-9 apart.  The
+    operator is M^{-1/2} S M^{1/2} in a random basis order, so that
+    M^{1/2} A M^{-1/2} = S.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 24))
+        scale = draw(st.floats(0.1, 100.0))
+        weights = scale * np.asarray(draw(st.lists(st.floats(0.2, 5.0),
+                                                   min_size=n - 1, max_size=n - 1)))
+        blocks += [_path_laplacian(weights)] * draw(st.integers(1, 2))
+    centres = draw(st.lists(st.floats(1e-3, 50.0), min_size=1, max_size=4))
+    cluster = [c * (1 + 1e-9 * j) for c in centres
+               for j in range(draw(st.integers(1, 3)))] * draw(st.integers(1, 2))
+    blocks.append(sp.diags(cluster))
+    S_ = sp.csr_matrix(sp.block_diag(blocks))
+    dim = S_.shape[0]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(dim)
+    mass = rng.uniform(0.5, 2.0, dim)
+    S_ = S_[perm][:, perm]
+    A = sp.diags(1 / np.sqrt(mass)) @ S_ @ sp.diags(np.sqrt(mass))
+    window = draw(st.one_of(
+        st.builds(lambda m: {"count": m}, st.integers(1, max(dim // 2, 1))),
+        st.builds(lambda c: {"ceiling": c}, st.floats(0.0, 60.0))))
+    return sp.csr_matrix(A), mass, S_.toarray(), window
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planted_operators())
+def test_window_matches_dense_eigh(planted):
+    """The window is the lowest m of the dense spectrum, and its kernel is
+    the dense one.  Each eigenvalue agrees to 1e-12 |A| plus its residual
+    norm, which a vector mixing the members of a cluster 1e-9 apart may
+    need; the top one to the certificate's cut, 1e-8 max(|lambda|, 1),
+    since it may be any member of a cluster that the cut splits."""
+    A, mass, dense, window = planted
+    reference = np.linalg.eigvalsh(dense)
+    rep = S.eigensolve(A, mass, **window)
+    got = np.asarray(rep.eigenvalues)
+    norm = max(np.abs(dense).sum(axis=1).max(), 1.0)
+    tau = S.KERNEL_TAU_ABS * rep.operator_norm
+    assert rep.operator_norm == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-12)
+    allowed = 1e-12 * norm + np.asarray(rep.residual_norms)
+    allowed[-1] += 1e-8 * max(abs(got[-1]), 1.0)
+    assert np.all(np.abs(got - reference[:got.size]) <= allowed)
+    assert rep.kernel_dim == np.count_nonzero(reference[:got.size] <= tau)
+    if "ceiling" in window:
+        # every eigenvalue below the ceiling and one more, unless a ceiling
+        # that is exactly an eigenvalue made it list them all
+        ceiling, slack = max(window["ceiling"], tau), 1e-12 * norm
+        assert got.size == rep.dim or (
+            got[-1] >= ceiling - slack and (got.size == 1 or got[-2] < ceiling + slack))
