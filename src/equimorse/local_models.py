@@ -24,6 +24,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import backend as _backend
+from . import cartan as _cartan
 from . import spectral as _spectral
 
 __all__ = [
@@ -339,22 +340,20 @@ def near_zero_counts(be, s: float, kmax: int) -> list[int]:
 
     The first eigenvalue above that threshold must clear s/2; otherwise
     the asymptotic regime is not reached and the count is refused rather
-    than reported.  Each window holds every eigenvalue below s/2 and one
-    more, all that the rule reads.
+    than reported (AmbiguousKernelError).  The counts below s/10 and s/2
+    are inertias of the degree-k Laplacian (spectral.inertia), so no
+    eigenvalue is solved.
     """
-    thr = s / 10.0
-    gap_req = s / 2.0
     counts = []
     for k in range(kmax + 1):
-        rep = _spectral.delta_spectrum(be, k, s=s, ceiling=gap_req)
-        w = np.asarray(rep.eigenvalues)
-        cnt = int(np.count_nonzero(w < thr))
-        if cnt < len(w) and w[cnt] < gap_req:
+        _, _, delta = _cartan.build_deformed(be, s, k)
+        mass = _cartan.mass_vector(be, delta.domain)
+        below, cleared = _spectral.inertia(delta, mass, (s / 10.0, s / 2.0))
+        if cleared != below:
             raise _spectral.AmbiguousKernelError(
-                f"degree {k}: eigenvalue {w[cnt]:.3e} sits between the "
-                f"near-zero band (< {thr:.3e}) and the required gap "
-                f"{gap_req:.3e}")
-        counts.append(cnt)
+                f"degree {k}: {cleared - below} eigenvalue(s) in [{s / 10.0:.3e}, "
+                f"{s / 2.0:.3e}), between the near-zero band and the required gap")
+        counts.append(below)
     return counts
 
 

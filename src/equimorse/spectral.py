@@ -8,10 +8,12 @@ isomorphism, and traces of a rapidly decreasing phi, whose alternating
 sums obey the analytic Morse inequalities at every deformation
 parameter.  So every solve is one window of the lowest m eigenpairs,
 with m fixed beforehand: a count, or every eigenvalue below the caller's
-ceiling and one more.  The ceilings are 0 for betti_numbers
-and de_rham_index (the kernel and the gap), TraceSpec.ceiling() for the
-traces of verify_trace_inequalities and of sweep_s without a count, s/2
-for local_models.near_zero_counts, and infinity for a full listing.
+ceiling and one more.  The ceilings are 0 for betti_numbers and
+de_rham_index (the kernel and the gap), TraceSpec.ceiling() for the
+traces of verify_trace_inequalities and of sweep_s without a count, and
+infinity for a full listing.  A caller that needs only how many
+eigenvalues lie below some shifts, as local_models.near_zero_counts does
+at s/10 and s/2, calls inertia and solves nothing.
 
 An eigenvalue belongs to the kernel when it is at most tau =
 KERNEL_TAU_ABS x |A|, with |A| the infinity norm of S.  S - tau I is
@@ -22,9 +24,9 @@ certified by a second factor just below its top eigenvalue, whose
 inertia must count exactly the window eigenvalues below it, so no
 eigenvalue under the window's top was missed.  A window wider than half
 the dimension, and the full listing, comes from dense eigh of S.  Each
-eigenvalue is the Rayleigh quotient of its vector.  betti_numbers further requires the gap to be at least
-SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.  All
-solves are deterministic.
+eigenvalue is the Rayleigh quotient of its vector.  betti_numbers
+further requires the gap to be at least SEPARATION_FACTOR = 100 times
+the largest kernel eigenvalue.  All solves are deterministic.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "AmbiguousKernelError",
     "TailBoundError",
     "eigensolve",
+    "inertia",
     "delta_spectrum",
     "betti_numbers",
     "trace_phi",
@@ -171,18 +174,58 @@ def _kernel_split(w: np.ndarray, tau: float):
     return kd, gap, separation
 
 
-def _ldlt(S, shift: float):
+@dataclass(frozen=True)
+class _Symmetric:
+    """S = M^{1/2} A M^{-1/2}, symmetrized, as _symmetrized forms it: the
+    CSC matrix, the positions of its diagonal in matrix.data, and |S|,
+    its infinity norm."""
+
+    matrix: sp.csc_matrix
+    diag: np.ndarray
+    norm: float
+
+
+def _symmetrized(operator, mass: np.ndarray) -> _Symmetric:
+    """S for an operator A symmetric with respect to the diagonal mass M.
+
+    operator may be an EqOperator or a sparse/dense matrix; mass is the
+    diagonal of the inner product.  0.5 (S + S^T) is bitwise symmetric,
+    so its CSR arrays are also its CSC arrays, the layout SuperLU factors:
+    S is kept as CSC with no conversion.  Every diagonal slot is stored,
+    as an explicit zero where A has none (the 1 x 1 zero operator of
+    circle_trivial), so that _ldlt shifts the diagonal in place, and the
+    indices are sorted, since splu would sort the index array that each
+    factor shares with S.
+    """
+    mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
+    S = _scale(mat, np.sqrt(mass), 1.0 / np.sqrt(mass))
+    S = sp.csr_matrix(0.5 * (S + S.T))
+    norm = float(spla.norm(S, np.inf))
+    zero = np.flatnonzero(S.diagonal() == 0)
+    if zero.size:  # absent slots become stored zeros; stored ones are summed with 0
+        C = S.tocoo()
+        S = sp.csr_matrix((np.r_[C.data, np.zeros(zero.size)],
+                           (np.r_[C.row, zero], np.r_[C.col, zero])), shape=S.shape)
+    S.sort_indices()
+    rows = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    return _Symmetric(S.T, np.flatnonzero(S.indices == rows), norm)
+
+
+def _ldlt(sym: _Symmetric, shift: float):
     """Factor of S - shift I and its inertia #{lambda < shift}, or None.
 
-    SuperLU with diagonal pivots in symmetric mode orders rows and columns
-    alike (perm_r == perm_c), so U = D L^T and, by Sylvester's law of
-    inertia, the negative pivots count the eigenvalues below shift
-    (Golub & Van Loan, Matrix Computations, 8.4).  A zero pivot, which
-    SuperLU reports as exactly singular or steps over by leaving the
-    diagonal, means shift is an eigenvalue and the count is undefined:
-    None.
+    shift is subtracted from a copy of the diagonal slots of S.  SuperLU
+    with diagonal pivots in symmetric mode orders rows and columns alike
+    (perm_r == perm_c), so U = D L^T and, by Sylvester's law of inertia,
+    the negative pivots count the eigenvalues below shift (Golub & Van
+    Loan, Matrix Computations, 8.4).  A zero pivot, which SuperLU reports
+    as exactly singular or steps over by leaving the diagonal, means
+    shift is an eigenvalue and the count is undefined: None.
     """
-    shifted = sp.csc_matrix(S - shift * sp.identity(S.shape[0], format="csr"))
+    S = sym.matrix
+    data = S.data.copy()
+    data[sym.diag] -= shift
+    shifted = sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape)
     try:
         lu = spla.splu(shifted, permc_spec="COLAMD", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
@@ -191,6 +234,38 @@ def _ldlt(S, shift: float):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         return None
     return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def _count_below(sym: _Symmetric, sigma: float) -> int:
+    """#{lambda < sigma}: the inertia at sigma.
+
+    When sigma is an eigenvalue its factor is singular, and the count is
+    taken one ulp below sigma, on the scale max(|sigma|, |S|), since a
+    smaller step can vanish in the diagonal.  Rounding can spread the
+    copies of a repeated eigenvalue over neighbouring floats, so the step
+    doubles until a factor is regular.  Within 64 steps the shift falls
+    below -|S|, where S - shift I is diagonally dominant and regular; a
+    shift that is not a finite float raises SolverError.
+    """
+    shift, step = sigma, np.spacing(max(abs(sigma), sym.norm))
+    for _ in range(64):
+        factor = _ldlt(sym, shift)
+        if factor is not None:
+            return factor[1]
+        shift, step = shift - step, 2.0 * step
+    raise SolverError(f"no regular factor of S - sigma I at or below sigma = {sigma!r}")
+
+
+def inertia(operator, mass: np.ndarray, shifts) -> list[int]:
+    """#{lambda < sigma} of a mass-symmetric operator for each sigma in shifts.
+
+    S is formed once (_symmetrized) and S - sigma I factored once per
+    shift; by Sylvester's law each count is the number of negative
+    pivots, so no eigenvalue is computed.  A shift that is an eigenvalue
+    is counted one ulp below it (_count_below).
+    """
+    sym = _symmetrized(operator, mass)
+    return [_count_below(sym, float(sigma)) for sigma in shifts]
 
 
 def _rayleigh(S, V):
@@ -202,7 +277,7 @@ def _rayleigh(S, V):
     return w[order], V[:, order], np.linalg.norm(SV - V * w, axis=0)[order]
 
 
-def _lanczos(S, lu, tau: float, m: int):
+def _lanczos(sym: _Symmetric, lu, tau: float, m: int):
     """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
     Each eigenvalue is the Rayleigh quotient of its vector.  The start
@@ -215,6 +290,7 @@ def _lanczos(S, lu, tau: float, m: int):
     missing are sought again on the complement of the window, until none
     is missing; a search that finds none of them raises SolverError.
     """
+    S = sym.matrix
     dim = S.shape[0]
     start = np.cos(np.arange(dim) + 0.25)
     V = np.zeros((dim, 0))
@@ -229,7 +305,7 @@ def _lanczos(S, lu, tau: float, m: int):
         w, V, resid = _rayleigh(S, np.hstack([V, U]))
         w, V, resid = w[:m], V[:, :m], resid[:m]
         cut = w[-1] - 1e-8 * max(abs(w[-1]), 1.0)
-        below = _ldlt(S, cut)
+        below = _ldlt(sym, cut)
         found = int(np.count_nonzero(w < cut))
         if below is not None and below[1] == found:
             return w, V, resid
@@ -251,42 +327,42 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
 
     operator may be an EqOperator or a sparse/dense matrix, of dimension
     dim >= 1 as every degree space is; mass is the diagonal of the inner
-    product, and S = M^{1/2} A M^{-1/2}, symmetrized, is solved.  |A| is
-    the infinity norm of S and tau = KERNEL_TAU_ABS x |A|.  S - tau I is
-    factored once (_ldlt).  The window holds m pairs, fixed beforehand:
-    m = count, which must lie in 1..dim (else CountError); without a
-    count, one more than the inertia at max(ceiling, tau), so that every
-    eigenvalue below the ceiling is in it, or dim for an infinite ceiling
-    and for one that is exactly an eigenvalue (its factor is singular).  A
-    window of at most half the dimension comes from shift-invert Lanczos
-    with the factor at tau as the inverse, certified by the inertia at
-    its top (_lanczos); a wider one, and every window when S - tau I is
-    exactly singular (the 1 x 1 zero operator), from dense eigh of S.
+    product, and S = M^{1/2} A M^{-1/2}, symmetrized, is solved
+    (_symmetrized).  |A| is the infinity norm of S and tau =
+    KERNEL_TAU_ABS x |A|.  S - tau I is factored once (_ldlt).  The
+    window holds m pairs, fixed beforehand: m = count, which must lie in
+    1..dim (else CountError); dim for an infinite ceiling; otherwise one
+    more than #{lambda < max(ceiling, tau)}, so that every eigenvalue
+    below the ceiling is in it, a ceiling that is exactly an eigenvalue
+    counted one ulp below it (_count_below).  A window of at most half
+    the dimension comes from shift-invert Lanczos with the factor at tau
+    as the inverse, certified by the inertia at its top (_lanczos); a
+    wider one, and every window when S - tau I is exactly singular (the
+    1 x 1 zero operator), from dense eigh of S.
     kernel_dim is the inertia at tau and must equal the number of window
     eigenvalues at most tau (SolverError).  Every returned pair must
     have a residual within RESIDUAL_BOUND x max(|A|, 1), else SolverError.
     """
-    mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
-    dim = mat.shape[0]
+    sym = _symmetrized(operator, mass)
+    S, opnorm = sym.matrix, sym.norm
+    dim = S.shape[0]
     if count is not None and not 1 <= count <= dim:
         raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
-    S = _scale(mat, np.sqrt(mass), 1.0 / np.sqrt(mass))
-    S = sp.csr_matrix(0.5 * (S + S.T))
-    opnorm = float(spla.norm(S, np.inf))
     tau = KERNEL_TAU_ABS * opnorm
-    low = _ldlt(S, tau)
+    low = _ldlt(sym, tau)
     if count is not None:
         m = count
     elif ceiling == math.inf:
         m = dim
+    elif ceiling <= tau and low is not None:
+        m = min(low[1] + 1, dim)
     else:
-        top = low if ceiling <= tau else _ldlt(S, ceiling)
-        m = dim if top is None else min(top[1] + 1, dim)
+        m = min(_count_below(sym, max(ceiling, tau)) + 1, dim)
 
     if low is None or 2 * m > dim:
         w, _, resid = _rayleigh(S, sla.eigh(S.toarray(), driver="evd")[1][:, :m])
     else:
-        w, _, resid = _lanczos(S, low[0], tau, m)
+        w, _, resid = _lanczos(sym, low[0], tau, m)
     kd, gap, separation = _kernel_split(w, tau)
     if low is not None and kd != min(low[1], m):
         raise SolverError(f"{kd} window eigenvalues are at most tau = {tau:.3e}, "

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from equimorse import backend as B
 from equimorse import local_models as L
+from equimorse import spectral as S
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +297,22 @@ def test_orbit_counts_match_flat_operator(weight, lam):
     expected = [L.orbit_contribution(model, k) for k in range(5)]
     got = L.orbit_model_counts(weight, lam, 64.0, 4, n_grid=160)
     assert got == expected
+
+
+def test_near_zero_counts_solve_no_eigenvalue(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("near_zero_counts called eigensolve")
+
+    monkeypatch.setattr(S, "eigensolve", no_solve)
+    model = L.LocalPointModel(q=1, weights=(1,), eps=(-1,), lambdas=(), n=2, s=64.0)
+    expected = [L.point_contribution(model, k) for k in range(5)]
+    assert L.point_model_counts(1, -1, 64.0, 4, n_grid=160) == expected
+
+
+def test_an_eigenvalue_between_band_and_gap_refuses_the_count():
+    """At s = 64 the torus keeps a degree-1 eigenvalue near 9, inside
+    [s/10, s/2): the asymptotic regime is not reached.  At s = 16 it is."""
+    be = B.build_backend(*B.catalog("torus_height", n_grid=64))
+    assert L.near_zero_counts(be, 16.0, 2) == [1, 1, 0]
+    with pytest.raises(S.AmbiguousKernelError, match=r"degree 1: 1 eigenvalue\(s\) in \[6.400e\+00"):
+        L.near_zero_counts(be, 64.0, 2)

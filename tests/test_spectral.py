@@ -553,8 +553,57 @@ def test_window_matches_dense_eigh(planted):
     assert np.all(np.abs(got - reference[:got.size]) <= allowed)
     assert rep.kernel_dim == np.count_nonzero(reference[:got.size] <= tau)
     if "ceiling" in window:
-        # every eigenvalue below the ceiling and one more, unless a ceiling
-        # that is exactly an eigenvalue made it list them all
+        # every eigenvalue below the ceiling and one more; the whole
+        # spectrum only when that is all of it
         ceiling, slack = max(window["ceiling"], tau), 1e-12 * norm
-        assert got.size == rep.dim or (
-            got[-1] >= ceiling - slack and (got.size == 1 or got[-2] < ceiling + slack))
+        assert got.size == rep.dim or got[-1] >= ceiling - slack
+        assert got.size == 1 or got[-2] < ceiling + slack
+
+
+@st.composite
+def _planted_shifts(draw):
+    """A planted operator and shifts at its dense eigenvalues and midway
+    between consecutive ones (above the top one for the last)."""
+    A, mass, dense, _ = draw(_planted_operators())
+    reference = np.linalg.eigvalsh(dense)
+    picks = draw(st.lists(st.tuples(st.integers(0, reference.size - 1), st.booleans()),
+                          min_size=1, max_size=6))
+    above = np.append(reference[1:], reference[-1] + 2.0)
+    shifts = [reference[i] if at else 0.5 * (reference[i] + above[i]) for i, at in picks]
+    return A, mass, reference, shifts
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planted_shifts())
+def test_inertia_matches_dense_counts(planted):
+    """inertia counts the dense eigenvalues below each shift.  A count is
+    exact for S + E with |E| of order eps |S|, so an eigenvalue within
+    1e-12 |S| of a shift may be counted on either side; no other may."""
+    A, mass, reference, shifts = planted
+    slack = 1e-12 * max(np.abs(reference).max(), 1.0)
+    got = S.inertia(A, mass, shifts)
+    assert len(got) == len(shifts)
+    for count, shift in zip(got, shifts):
+        assert (np.count_nonzero(reference < shift - slack) <= count
+                <= np.count_nonzero(reference < shift + slack))
+
+
+def test_a_ceiling_at_an_eigenvalue_keeps_the_window():
+    """S - 3 I has exact zero pivots, so both counts come from one ulp
+    below 3: every eigenvalue below 3 and one more, not the whole
+    spectrum."""
+    diag = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [2, 3, 4, 5, 5, 5, 5, 5])
+    A, mass = sp.diags(diag, format="csr"), np.ones(diag.size)
+    assert S._ldlt(S._symmetrized(A, mass), 3.0) is None
+    assert S.inertia(A, mass, [3.0, 2.5, 8.5]) == [5, 5, diag.size]
+    rep = S.eigensolve(A, mass, ceiling=3.0)
+    assert len(rep.eigenvalues) == 6
+    assert np.allclose(rep.eigenvalues, [1.0, 1.0, 2.0, 2.0, 2.0, 3.0], rtol=0, atol=1e-12)
+
+
+def test_inertia_at_a_shift_that_is_not_a_number_ends():
+    # no shift at or below nan has a regular factor; the search stops
+    A = sp.diags([1.0, 2.0, 3.0], format="csr")
+    with pytest.raises(S.SolverError, match="no regular factor"):
+        S.inertia(A, np.ones(3), [math.nan])
+    assert S.inertia(A, np.ones(3), [math.inf, -math.inf]) == [3, 0]
