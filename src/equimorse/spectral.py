@@ -288,7 +288,8 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int):
     at the top is not a miss.  One start vector sees one direction of an
     exactly repeated eigenvalue, so the eigenvalues the certificate finds
     missing are sought again on the complement of the window, until none
-    is missing; a search that finds none of them raises SolverError.
+    is missing; a search that finds none of them raises SolverError, and
+    so does any ARPACK error.
     """
     S = sym.matrix
     dim = S.shape[0]
@@ -300,8 +301,8 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int):
             _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, maxiter=5000,
                               tol=0, OPinv=spla.LinearOperator((dim, dim), matvec=solve,
                                                                dtype=float))
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"eigenvalue iteration did not converge: {exc}") from exc
+        except spla.ArpackError as exc:
+            raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
         w, V, resid = _rayleigh(S, np.hstack([V, U]))
         w, V, resid = w[:m], V[:, :m], resid[:m]
         cut = w[-1] - 1e-8 * max(abs(w[-1]), 1.0)

@@ -1,6 +1,7 @@
 """The equivariant complex: grading, differential, adjoint, Laplacians,
 deformation, expansion identity, periodicity, and the index operator."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -308,6 +309,23 @@ def test_expansion_two_form_defect_is_second_order(sphere):
     fine = C.expansion_residual(B.build_backend(profile, f), 8.0, 2)
     assert coarse <= 1e-3
     assert fine <= 0.6 * coarse
+
+
+@pytest.mark.parametrize("field,fault", [
+    ("cliff_hess", lambda m: -m), ("mult_df2", lambda m: 0 * m),
+], ids=["flipped-hessian", "dropped-df2"])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_expansion_residual_catches_a_wrong_backend(sphere, field, fault, j):
+    # degree j holds the block (0, j), so a fault in the degree-j data shows there
+    per_degree = list(getattr(sphere, field))
+    per_degree[j] = fault(per_degree[j])
+    wrong = dataclasses.replace(sphere, **{field: per_degree})
+    assert C.expansion_residual(wrong, 8.0, j) > 1e-8
+
+
+def test_expansion_residual_ignores_the_seed(sphere):
+    assert C.expansion_residual(sphere, 8.0, 2, seed=0) \
+        == C.expansion_residual(sphere, 8.0, 2, seed=987654321)
 
 
 def test_constant_function_gives_zero_deformation():

@@ -9,9 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from equimorse import backend as B
 from equimorse import cli
+from equimorse import spectral
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -192,6 +194,20 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_an_arpack_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    def no_shifts(*args, **kwargs):
+        raise spla.ArpackError(3, {3: "No shifts could be applied"})
+
+    monkeypatch.setattr(spectral.spla, "eigsh", no_shifts)
+    out = tmp_path / "s.json"
+    assert run(["spectrum", "--case", "sphere_height", "--n-grid", "64", "--k", "1",
+                "--s", "8", "--count", "6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No shifts could be applied" in err
     assert not out.exists()
 
 

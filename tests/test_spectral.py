@@ -282,7 +282,7 @@ def _symmetrized(delta, mass):
 
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["one-block", "two-blocks", "coupled"])
 @pytest.mark.parametrize("s", [0.0, 16.0])
-def test_block_solver_matches_one_dense_eigh(sphere, torus, k, s):
+def test_every_window_is_a_prefix_of_one_dense_eigh(sphere, torus, k, s):
     """Reference: one LAPACK call on the whole symmetrized matrix.
 
     Every window a caller asks for (the kernel and gap, the trace window,
@@ -361,7 +361,7 @@ def test_count_equal_to_the_dimension_is_the_full_spectrum():
 @pytest.mark.parametrize("case,params", [
     ("sphere_height", {}), ("sphere_bumpy", {"c": -0.6}), ("torus_height", {}),
 ], ids=["sphere", "bumpy", "torus"])
-def test_partial_band_spectrum_is_a_prefix_of_the_full_one(case, params, n_grid):
+def test_counted_window_is_a_prefix_of_the_full_listing(case, params, n_grid):
     # a counted window is the low band of the full listing, to rounding,
     # with the same |A|, and its kernel split is the full one cut short
     be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
@@ -451,6 +451,17 @@ def test_a_missed_eigenvalue_fails_the_certificate(sphere, monkeypatch):
         S.delta_spectrum(sphere, 1, count=6)
 
 
+def _no_shifts(*args, **kwargs):
+    raise spla.ArpackError(3, {3: "No shifts could be applied"})
+
+
+def test_an_arpack_error_is_a_solver_error(sphere, monkeypatch):
+    # not only ArpackNoConvergence: error 3 comes from a cluster at the window's top
+    monkeypatch.setattr(S.spla, "eigsh", _no_shifts)
+    with pytest.raises(S.SolverError, match="No shifts could be applied"):
+        S.delta_spectrum(sphere, 1, count=6)
+
+
 def test_kernel_must_match_the_inertia_at_tau(sphere, monkeypatch):
     # the first factor is the one at tau; one negative pivot too many
     ldlt = S._ldlt
@@ -480,7 +491,7 @@ def test_residual_gate_rejects_an_inexact_window_vector(sphere, monkeypatch):
         S.delta_spectrum(sphere, 2, count=6)
 
 
-def test_a_pair_inside_the_band_error_is_resolved():
+def test_a_pair_far_under_the_kernel_threshold_is_resolved():
     """Path graph of 2n nodes, scaled by c, whose middle edge has weight w.
 
     The kernel is the constant vector; the next eigenvalue belongs to the
