@@ -16,17 +16,19 @@ eigenvalues lie below some shifts, as local_models.near_zero_counts does
 at s/10 and s/2, calls inertia and solves nothing.
 
 An eigenvalue belongs to the kernel when it is at most tau =
-KERNEL_TAU_ABS x |A|, with |A| the infinity norm of S.  S - tau I is
-factored once as LDL^T with one symmetric ordering; its inertia is the
-kernel dimension, by Sylvester's law, and it serves as the inverse of
-a shift-invert Lanczos iteration for the window.  The window is
-certified by a second factor just below its top eigenvalue, whose
-inertia must count exactly the window eigenvalues below it, so no
-eigenvalue under the window's top was missed.  A window wider than half
-the dimension, and the full listing, comes from dense eigh of S.  Each
-eigenvalue is the Rayleigh quotient of its vector.  betti_numbers
-further requires the gap to be at least SEPARATION_FACTOR = 100 times
-the largest kernel eigenvalue.  All solves are deterministic.
+KERNEL_TAU_ABS x |A|, with |A| the infinity norm of S.  Every factor is
+one LDL^T of S - sigma I with one symmetric ordering, at the largest
+shift at or below sigma whose factor is regular.  The one just above
+tau counts the kernel, by Sylvester's law, and serves as the inverse of
+a shift-invert Lanczos iteration for the window.  A pair is kept only
+within the residual bound, and a second factor just below the window's
+top must count exactly the kept eigenvalues below it; what is missing
+is sought again on the complement of the kept pairs.  A window wider
+than half the dimension, the full listing and the zero operator's come
+from dense eigh of S.  Each eigenvalue is the Rayleigh quotient of its
+vector.  betti_numbers further requires the gap to be at least
+SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.  All
+solves are deterministic.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _symmetrized(operator, mass: np.ndarray) -> _Symmetric:
     so its CSR arrays are also its CSC arrays, the layout SuperLU factors:
     S is kept as CSC with no conversion.  Every diagonal slot is stored,
     as an explicit zero where A has none (the 1 x 1 zero operator of
-    circle_trivial), so that _ldlt shifts the diagonal in place, and the
+    circle_trivial), so that _factor shifts the diagonal in place, and the
     indices are sorted, since splu would sort the index array that each
     factor shares with S.
     """
@@ -211,47 +213,37 @@ def _symmetrized(operator, mass: np.ndarray) -> _Symmetric:
     return _Symmetric(S.T, np.flatnonzero(S.indices == rows), norm)
 
 
-def _ldlt(sym: _Symmetric, shift: float):
-    """Factor of S - shift I and its inertia #{lambda < shift}, or None.
+def _factor(sym: _Symmetric, sigma: float):
+    """LDL^T of S - sigma' I and #{lambda < sigma'}, with sigma' the
+    largest shift at or below sigma whose factor is regular.
 
-    shift is subtracted from a copy of the diagonal slots of S.  SuperLU
-    with diagonal pivots in symmetric mode orders rows and columns alike
-    (perm_r == perm_c), so U = D L^T and, by Sylvester's law of inertia,
-    the negative pivots count the eigenvalues below shift (Golub & Van
-    Loan, Matrix Computations, 8.4).  A zero pivot, which SuperLU reports
-    as exactly singular or steps over by leaving the diagonal, means
-    shift is an eigenvalue and the count is undefined: None.
+    The shift is subtracted from a copy of the diagonal slots of S.
+    SuperLU with diagonal pivots in symmetric mode orders rows and columns
+    alike (perm_r == perm_c), so U = D L^T and, by Sylvester's law of
+    inertia, the negative pivots count the eigenvalues below the shift
+    (Golub & Van Loan, Matrix Computations, 8.4).  A zero pivot, which
+    SuperLU reports as exactly singular or steps over by leaving the
+    diagonal, moves the shift down: one ulp of max(|sigma|, |S|), since a
+    smaller step can vanish in the diagonal, doubling until a factor is
+    regular, since rounding can spread the copies of a repeated
+    eigenvalue over neighbouring floats.  Within 64 steps the shift falls
+    below -|S|, where S - shift I is diagonally dominant; a sigma that is
+    not a number raises SolverError.
     """
     S = sym.matrix
-    data = S.data.copy()
-    data[sym.diag] -= shift
-    shifted = sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape)
-    try:
-        lu = spla.splu(shifted, permc_spec="COLAMD", diag_pivot_thresh=0,
-                       options={"SymmetricMode": True})
-    except RuntimeError:  # "Factor is exactly singular"
-        return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
-    return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
-
-
-def _count_below(sym: _Symmetric, sigma: float) -> int:
-    """#{lambda < sigma}: the inertia at sigma.
-
-    When sigma is an eigenvalue its factor is singular, and the count is
-    taken one ulp below sigma, on the scale max(|sigma|, |S|), since a
-    smaller step can vanish in the diagonal.  Rounding can spread the
-    copies of a repeated eigenvalue over neighbouring floats, so the step
-    doubles until a factor is regular.  Within 64 steps the shift falls
-    below -|S|, where S - shift I is diagonally dominant and regular; a
-    shift that is not a finite float raises SolverError.
-    """
     shift, step = sigma, np.spacing(max(abs(sigma), sym.norm))
     for _ in range(64):
-        factor = _ldlt(sym, shift)
-        if factor is not None:
-            return factor[1]
+        data = S.data.copy()
+        data[sym.diag] -= shift
+        shifted = sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape)
+        try:
+            lu = spla.splu(shifted, permc_spec="COLAMD", diag_pivot_thresh=0,
+                           options={"SymmetricMode": True})
+        except RuntimeError:  # "Factor is exactly singular"
+            pass
+        else:
+            if np.array_equal(lu.perm_r, lu.perm_c):
+                return lu, int(np.count_nonzero(lu.U.diagonal() < 0))
         shift, step = shift - step, 2.0 * step
     raise SolverError(f"no regular factor of S - sigma I at or below sigma = {sigma!r}")
 
@@ -262,10 +254,10 @@ def inertia(operator, mass: np.ndarray, shifts) -> list[int]:
     S is formed once (_symmetrized) and S - sigma I factored once per
     shift; by Sylvester's law each count is the number of negative
     pivots, so no eigenvalue is computed.  A shift that is an eigenvalue
-    is counted one ulp below it (_count_below).
+    is counted one ulp below it (_factor).
     """
     sym = _symmetrized(operator, mass)
-    return [_count_below(sym, float(sigma)) for sigma in shifts]
+    return [_factor(sym, float(sigma))[1] for sigma in shifts]
 
 
 def _rayleigh(S, V):
@@ -277,25 +269,27 @@ def _rayleigh(S, V):
     return w[order], V[:, order], np.linalg.norm(SV - V * w, axis=0)[order]
 
 
-def _lanczos(sym: _Symmetric, lu, tau: float, m: int):
+def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float):
     """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
-    Each eigenvalue is the Rayleigh quotient of its vector.  The start
-    vector is fixed, so repeated runs are bit-identical.  The cut
-    c = lambda_top - 1e-8 max(|lambda_top|, 1) certifies the window: the
-    inertia at c must equal the number of window eigenvalues below c, so
-    no eigenvalue below the top was missed, and a pair split by the cut
-    at the top is not a miss.  One start vector sees one direction of an
-    exactly repeated eigenvalue, so the eigenvalues the certificate finds
-    missing are sought again on the complement of the window, until none
-    is missing; a search that finds none of them raises SolverError, and
-    so does any ARPACK error.
+    Each eigenvalue is the Rayleigh quotient of its vector, and a pair is
+    kept only when its residual is within bound.  The start vector is
+    fixed, so repeated runs are bit-identical.  Once m pairs are kept,
+    the cut c = lambda_top - 1e-8 max(|lambda_top|, 1) certifies them:
+    the inertia at c must equal the number of kept eigenvalues below c,
+    so no eigenvalue below the top was missed, and a pair split by the
+    cut at the top is not a miss.  Whatever is missing, pairs the
+    residual bound dropped or copies of an exactly repeated eigenvalue
+    that one start vector cannot see, is sought by the next run on the
+    complement of the kept pairs.  A run after which at least as many
+    pairs are missing as it sought raises SolverError, and so does any
+    ARPACK error.
     """
     S = sym.matrix
     dim = S.shape[0]
     start = np.cos(np.arange(dim) + 0.25)
     V = np.zeros((dim, 0))
-    solve, k, missed = lu.solve, m, m
+    solve, k = lu.solve, m
     while True:
         try:
             _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, maxiter=5000,
@@ -304,19 +298,26 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int):
         except spla.ArpackError as exc:
             raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
         w, V, resid = _rayleigh(S, np.hstack([V, U]))
-        w, V, resid = w[:m], V[:, :m], resid[:m]
-        cut = w[-1] - 1e-8 * max(abs(w[-1]), 1.0)
-        below = _ldlt(sym, cut)
-        found = int(np.count_nonzero(w < cut))
-        if below is not None and below[1] == found:
-            return w, V, resid
-        if below is None or not 0 < below[1] - found < missed:
-            raise SolverError(
-                f"the window holds {found} eigenvalues below {cut:.6e}, the inertia "
-                f"there is {'singular' if below is None else below[1]}")
-        k = missed = below[1] - found
+        keep = np.flatnonzero(resid <= bound)[:m]
+        w, V, resid = w[keep], V[:, keep], resid[keep]
+        missing = m - keep.size
+        if missing:
+            why = (f"{missing} eigenpairs exceed the residual bound "
+                   f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
+        else:
+            cut = w[-1] - 1e-8 * max(abs(w[-1]), 1.0)
+            found = int(np.count_nonzero(w < cut))
+            below = _factor(sym, cut)[1]
+            if below == found:
+                return w, V, resid
+            missing = below - found
+            why = (f"the window holds {found} eigenvalues below {cut:.6e}, "
+                   f"the inertia there is {below}")
+        if not 0 < missing < k:
+            raise SolverError(why)
+        k = missing
 
-        def solve(x):  # (S - tau I)^{-1} on the complement of the window
+        def solve(x):  # (S - tau I)^{-1} on the complement of the kept pairs
             y = lu.solve(x - V @ (V.T @ x))
             return y - V @ (V.T @ y)
         start = start - V @ (V.T @ start)
@@ -330,19 +331,16 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     dim >= 1 as every degree space is; mass is the diagonal of the inner
     product, and S = M^{1/2} A M^{-1/2}, symmetrized, is solved
     (_symmetrized).  |A| is the infinity norm of S and tau =
-    KERNEL_TAU_ABS x |A|.  S - tau I is factored once (_ldlt).  The
-    window holds m pairs, fixed beforehand: m = count, which must lie in
-    1..dim (else CountError); dim for an infinite ceiling; otherwise one
-    more than #{lambda < max(ceiling, tau)}, so that every eigenvalue
-    below the ceiling is in it, a ceiling that is exactly an eigenvalue
-    counted one ulp below it (_count_below).  A window of at most half
-    the dimension comes from shift-invert Lanczos with the factor at tau
-    as the inverse, certified by the inertia at its top (_lanczos); a
-    wider one, and every window when S - tau I is exactly singular (the
-    1 x 1 zero operator), from dense eigh of S.
-    kernel_dim is the inertia at tau and must equal the number of window
-    eigenvalues at most tau (SolverError).  Every returned pair must
-    have a residual within RESIDUAL_BOUND x max(|A|, 1), else SolverError.
+    KERNEL_TAU_ABS x |A|.  The kernel factor (_factor) is taken one float
+    above tau, so it counts #{lambda <= tau}, the zero operator's kernel
+    too.  The window holds m pairs, fixed beforehand: m = count, which
+    must lie in 1..dim (else CountError); dim for an infinite ceiling;
+    otherwise one more than #{lambda < max(ceiling, tau)}.  It comes from
+    dense eigh of S when 2m > dim or |A| = 0, else from shift-invert
+    Lanczos with the kernel factor as the inverse (_lanczos).
+    kernel_dim must equal the kernel factor's count, or m if smaller
+    (SolverError).  Every returned pair must have a residual within
+    RESIDUAL_BOUND x max(|A|, 1), else SolverError.
     """
     sym = _symmetrized(operator, mass)
     S, opnorm = sym.matrix, sym.norm
@@ -350,25 +348,25 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     if count is not None and not 1 <= count <= dim:
         raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
     tau = KERNEL_TAU_ABS * opnorm
-    low = _ldlt(sym, tau)
+    lu, kernel = _factor(sym, np.nextafter(tau, math.inf))
     if count is not None:
         m = count
     elif ceiling == math.inf:
         m = dim
-    elif ceiling <= tau and low is not None:
-        m = min(low[1] + 1, dim)
+    elif ceiling <= tau:
+        m = min(kernel + 1, dim)
     else:
-        m = min(_count_below(sym, max(ceiling, tau)) + 1, dim)
+        m = min(_factor(sym, ceiling)[1] + 1, dim)
 
-    if low is None or 2 * m > dim:
+    bound = RESIDUAL_BOUND * max(opnorm, 1.0)
+    if 2 * m > dim or opnorm == 0:
         w, _, resid = _rayleigh(S, sla.eigh(S.toarray(), driver="evd")[1][:, :m])
     else:
-        w, _, resid = _lanczos(sym, low[0], tau, m)
+        w, _, resid = _lanczos(sym, lu, tau, m, bound)
     kd, gap, separation = _kernel_split(w, tau)
-    if low is not None and kd != min(low[1], m):
+    if kd != min(kernel, m):
         raise SolverError(f"{kd} window eigenvalues are at most tau = {tau:.3e}, "
-                          f"the inertia there is {low[1]}")
-    bound = RESIDUAL_BOUND * max(opnorm, 1.0)
+                          f"the inertia there is {kernel}")
     bad = int(np.count_nonzero(resid > bound))
     if bad:
         raise SolverError(f"{bad} eigenpairs exceed the residual bound "

@@ -337,12 +337,16 @@ def _eigsh_returning(change):
 
 def test_residual_gate_rejects_a_wrong_eigenvalue(sphere, monkeypatch):
     # the mean of two eigenvectors has the mean of their eigenvalues as its
-    # Rayleigh quotient, and a residual of half their distance
-    def mix(w, V):
-        V[:, 0] = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
-        return w, V
+    # Rayleigh quotient, and a residual of half their distance; every run,
+    # the one that seeks the dropped pair too, returns such a mean
+    eigsh = spla.eigsh
 
-    monkeypatch.setattr(S.spla, "eigsh", _eigsh_returning(mix))
+    def mixing(A, k, **kwargs):
+        w, V = eigsh(A, k + 1, **kwargs)
+        V[:, 0] = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
+        return w[:k], V[:, :k]
+
+    monkeypatch.setattr(S.spla, "eigsh", mixing)
     with pytest.raises(S.SolverError, match="residual bound"):
         S.delta_spectrum(sphere, 1, count=6)
 
@@ -463,18 +467,45 @@ def test_an_arpack_error_is_a_solver_error(sphere, monkeypatch):
 
 
 def test_kernel_must_match_the_inertia_at_tau(sphere, monkeypatch):
-    # the first factor is the one at tau; one negative pivot too many
-    ldlt = S._ldlt
+    # the first factor is the kernel factor, one float above tau; one
+    # negative pivot too many
+    factor = S._factor
     calls = []
 
     def overcounting(A, shift):
-        lu, negatives = ldlt(A, shift)
+        lu, negatives = factor(A, shift)
         calls.append(shift)
         return lu, negatives + (len(calls) == 1)
 
-    monkeypatch.setattr(S, "_ldlt", overcounting)
+    monkeypatch.setattr(S, "_factor", overcounting)
     with pytest.raises(S.SolverError, match="the inertia there is 3"):
         S.delta_spectrum(sphere, 2, count=6)
+
+
+def test_a_rough_pair_beside_the_kernel_is_sought_again():
+    """Three 2 x 2 path Laplacians of weight 20 and eight copies of 50:
+    spectrum {0, 0, 0, 40, 40, 40, 50, ...}.  The kernel's shift-inverted
+    eigenvalues are about 1/tau, so the first run's pair at 40 carries
+    kernel components above the residual bound; it is dropped and found
+    again on the complement of the kernel."""
+    A = sp.csr_matrix(sp.block_diag([_path_laplacian(np.array([20.0]))] * 3
+                                    + [sp.diags([50.0] * 8)]))
+    rep = S.eigensolve(A, np.ones(14), ceiling=0.0)
+    assert rep.kernel_dim == 3
+    assert np.abs(np.asarray(rep.eigenvalues) - [0.0, 0.0, 0.0, 40.0]).max() \
+        <= 1e-12 * rep.operator_norm
+    assert max(rep.residual_norms) <= S.RESIDUAL_BOUND * rep.operator_norm
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_zero_operator_has_a_certified_kernel(n):
+    # the kernel factor is taken one float above tau = 0, so it counts
+    # every copy of 0
+    A = sp.csr_matrix((n, n))
+    rep = S.eigensolve(A, np.ones(n), ceiling=0.0)
+    assert (rep.eigenvalues, rep.kernel_dim) == ([0.0] * n, n)
+    rep = S.eigensolve(A, np.ones(n), count=1)
+    assert (rep.eigenvalues, rep.kernel_dim) == ([0.0], 1)
 
 
 def test_residual_gate_rejects_an_inexact_window_vector(sphere, monkeypatch):
@@ -600,12 +631,12 @@ def test_inertia_matches_dense_counts(planted):
 
 
 def test_a_ceiling_at_an_eigenvalue_keeps_the_window():
-    """S - 3 I has exact zero pivots, so both counts come from one ulp
-    below 3: every eigenvalue below 3 and one more, not the whole
+    """S - 3 I has exact zero pivots, so every count at 3 comes from one
+    ulp below it: every eigenvalue below 3 and one more, not the whole
     spectrum."""
     diag = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [2, 3, 4, 5, 5, 5, 5, 5])
     A, mass = sp.diags(diag, format="csr"), np.ones(diag.size)
-    assert S._ldlt(S._symmetrized(A, mass), 3.0) is None
+    assert S._factor(S._symmetrized(A, mass), 3.0)[1] == 5
     assert S.inertia(A, mass, [3.0, 2.5, 8.5]) == [5, 5, diag.size]
     rep = S.eigensolve(A, mass, ceiling=3.0)
     assert len(rep.eigenvalues) == 6
