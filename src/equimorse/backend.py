@@ -28,6 +28,7 @@ verification pipeline reuses it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -165,6 +166,12 @@ class BackendMatrices:
                   its mass-adjoint is the exterior product with v*.
     dfwedge[j]  : Omega^j -> Omega^{j+1}, exterior product with df (None
                   when no invariant function was supplied).
+    mass[j]     : positive diagonal of the L^2 inner product.
+
+    Two per-degree lists are derived from d, dfwedge and mass, composed
+    together on the first read of either and kept; only the check of the
+    expansion Delta_s = Delta + s^2 |df|^2 + s H_f reads them.  Both are None
+    when dfwedge is.
     mult_df2[j] : Omega^j -> Omega^j, the scheme's multiplication by |df|^2,
                   P_j* P_j + P_{j-1} P_{j-1}* with P = dfwedge and * the
                   mass adjoint (a term whose map does not exist is absent).
@@ -174,7 +181,6 @@ class BackendMatrices:
                   the orthonormal frame, with Z-signs (-1,-1) on functions,
                   (+1,-1)/(-1,+1) on dtheta/dpsi components and (+1,+1)
                   on dtheta^dpsi components.
-    mass[j]     : positive diagonal of the L^2 inner product.
     """
 
     n: int
@@ -183,10 +189,20 @@ class BackendMatrices:
     d: list[sp.csr_matrix]
     iv: list
     dfwedge: list
-    mult_df2: list
-    cliff_hess: list
     profile: RevolutionProfile
     f: InvariantMorseFunction | None
+
+    @functools.cached_property
+    def _expansion_terms(self) -> tuple[list | None, list | None]:
+        return _compose_expansion_terms(self)
+
+    @functools.cached_property
+    def mult_df2(self) -> list | None:
+        return self._expansion_terms[0]
+
+    @functools.cached_property
+    def cliff_hess(self) -> list | None:
+        return self._expansion_terms[1]
 
 
 def _scale(mat: sp.spmatrix, left: np.ndarray, right: np.ndarray) -> sp.csr_matrix:
@@ -235,8 +251,6 @@ def _circle_backend(profile: RevolutionProfile) -> BackendMatrices:
         d=[z11.copy()],
         iv=[None, sp.csr_matrix(np.array([[m]]))],
         dfwedge=None,
-        mult_df2=None,
-        cliff_hess=None,
         profile=profile,
         f=None,
     )
@@ -362,41 +376,46 @@ def build_backend(profile: RevolutionProfile,
     iv2 = sp.csr_matrix(sp.vstack([-m * sp.identity(n_half, format="csr"),
                                    sp.csr_matrix((n_h, n_half))]))
 
-    d = [d0, d1]
     dfwedge = None
-    mult_df2 = None
-    cliff_hess = None
     if f is not None:
         S = sp.diags(np.asarray(f.fp(th_h), dtype=float))
         P0 = sp.csr_matrix(sp.vstack([S @ A_u, sp.csr_matrix((n_h, dims[0]))]))
         P1 = sp.csr_matrix(sp.hstack([sp.csr_matrix((n_half, n_half)), S @ A_h]))
         dfwedge = [P0, P1]
-        # Each map Omega^j -> Omega^{j+1} adds its terms of |df|^2 = P*P + PP*
-        # and H_f = d*P + P*d + dP* + Pd* to degrees j and j+1.  A sum added
-        # into its degree's matrix is copied into arrays of its own size;
-        # the sum alone would keep the larger scratch arrays of the addition.
-        mult_df2 = [sp.csr_matrix((dim, dim)) for dim in dims]
-        cliff_hess = [sp.csr_matrix((dim, dim)) for dim in dims]
-        for j, (dj, pj) in enumerate(zip(d, dfwedge)):
-            dj_adj = _adjoint(dj, mass[j], mass[j + 1])
-            pj_adj = _adjoint(pj, mass[j], mass[j + 1])
-            mult_df2[j] = mult_df2[j] + pj_adj @ pj
-            mult_df2[j + 1] = mult_df2[j + 1] + pj @ pj_adj
-            cliff_hess[j] = cliff_hess[j] + (dj_adj @ pj + pj_adj @ dj)
-            cliff_hess[j + 1] = cliff_hess[j + 1] + (dj @ pj_adj + pj @ dj_adj)
 
     return BackendMatrices(
         n=2,
         dims=dims,
         mass=mass,
-        d=d,
+        d=[d0, d1],
         iv=[None, iv1, iv2],
         dfwedge=dfwedge,
-        mult_df2=mult_df2,
-        cliff_hess=cliff_hess,
         profile=profile,
         f=f,
     )
+
+
+def _compose_expansion_terms(backend: BackendMatrices):
+    """(mult_df2, cliff_hess) of a backend, or (None, None) without dfwedge.
+
+    Each map Omega^j -> Omega^{j+1} adds its terms of |df|^2 = P*P + PP*
+    and H_f = d*P + P*d + dP* + Pd* to degrees j and j+1.  A sum added
+    into its degree's matrix is copied into arrays of its own size; the
+    sum alone would keep the larger working arrays of the addition.
+    """
+    if backend.dfwedge is None:
+        return None, None
+    dims, mass = backend.dims, backend.mass
+    mult_df2 = [sp.csr_matrix((dim, dim)) for dim in dims]
+    cliff_hess = [sp.csr_matrix((dim, dim)) for dim in dims]
+    for j, (dj, pj) in enumerate(zip(backend.d, backend.dfwedge)):
+        dj_adj = _adjoint(dj, mass[j], mass[j + 1])
+        pj_adj = _adjoint(pj, mass[j], mass[j + 1])
+        mult_df2[j] = mult_df2[j] + pj_adj @ pj
+        mult_df2[j + 1] = mult_df2[j + 1] + pj @ pj_adj
+        cliff_hess[j] = cliff_hess[j] + (dj_adj @ pj + pj_adj @ dj)
+        cliff_hess[j + 1] = cliff_hess[j + 1] + (dj @ pj_adj + pj @ dj_adj)
+    return mult_df2, cliff_hess
 
 
 def validate_backend(backend: BackendMatrices) -> dict:

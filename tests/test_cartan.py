@@ -1,7 +1,7 @@
 """The equivariant complex: grading, differential, adjoint, Laplacians,
 deformation, expansion identity, periodicity, and the index operator."""
 
-import dataclasses
+import copy
 import math
 from types import SimpleNamespace
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from equimorse import backend as B
 from equimorse import cartan as C
+from equimorse import local_models
 from equimorse import spectral as S
 
 
@@ -319,8 +320,31 @@ def test_expansion_residual_catches_a_wrong_backend(sphere, field, fault, j):
     # degree j holds the block (0, j), so a fault in the degree-j data shows there
     per_degree = list(getattr(sphere, field))
     per_degree[j] = fault(per_degree[j])
-    wrong = dataclasses.replace(sphere, **{field: per_degree})
+    wrong = copy.copy(sphere)
+    setattr(wrong, field, per_degree)
     assert C.expansion_residual(wrong, 8.0, j) > 1e-8
+
+
+def test_expansion_residual_needs_df2_data(circle):
+    with pytest.raises(C.ConfigurationError, match="carries no \\|df\\|\\^2 data"):
+        C.expansion_residual(circle, 1.0, 0)
+
+
+def test_expansion_terms_are_composed_once_and_only_for_the_check(monkeypatch):
+    calls = []
+    compose = B._compose_expansion_terms
+    monkeypatch.setattr(B, "_compose_expansion_terms",
+                        lambda be: calls.append(be) or compose(be))
+    profile, f = B.catalog("sphere_height", n_grid=64)
+    be = B.build_backend(profile, f)
+    S.betti_numbers(be, 3)
+    S.delta_spectrum(be, 1, s=16.0)
+    flat = B.build_backend(*B.flat_point_profile(1, +1, math.sqrt(5.0), 64))
+    local_models.near_zero_counts(flat, 16.0, 2)
+    assert not calls
+    C.expansion_residual(be, 8.0, 1)
+    C.expansion_residual(be, 8.0, 2)
+    assert len(calls) == 1 and calls[0] is be
 
 
 def test_expansion_residual_ignores_the_seed(sphere):
