@@ -16,6 +16,13 @@ that symmetry and positive semi-definiteness are exact.  The adjoint's
 blocks then coincide with t^i (x) d* and, for i >= 1 only, the lowering
 block t^{i-1} (x) v* wedge --- the i = 0 lowering block must be absent,
 which the tests assert.
+
+The deformation d_eq,s = d_eq + s (df wedge) gives one complex per s.
+Each deformed derivative is one bmat whose form-raising blocks are
+d_j + s (df wedge)_j.  build_laplacians composes each derivative and its
+adjoint once per s and shares it between the two Laplacians it enters;
+for k >= n+2 it returns Delta^k as the operator Delta^{k-2} itself,
+which the t-shift conjugates into it bitwise.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "build_deq_star",
     "build_delta_eq",
     "build_deformed",
+    "build_laplacians",
     "deformation_blocks",
     "expansion_residual",
     "t_shift_dims_match",
@@ -111,21 +119,41 @@ def _assemble_blocks(dom: EqDegreeSpace, cod: EqDegreeSpace, entries) -> EqOpera
     return EqOperator(dom, cod, sp.csr_matrix(sp.bmat(grid, format="csr")))
 
 
+def _derivative(backend: BackendMatrices, s: float, k: int) -> EqOperator:
+    """The deformed derivative d_eq,s from degree k to degree k+1, in one bmat.
+
+    Block (i, j) -> (i, j+1) is d_j + s (df wedge)_j, or d_j alone at
+    s = 0, and block (i, j) -> (i+1, j-1) is the contraction i_v; all
+    other blocks vanish.  An s that is negative or not finite, and s > 0
+    on a backend without a sampled function (the circle), raise
+    ConfigurationError.
+    """
+    if not 0.0 <= s < math.inf:
+        raise ConfigurationError(
+            f"deformation parameter s = {s} must be finite and nonnegative")
+    if s > 0 and backend.dfwedge is None:
+        raise ConfigurationError(
+            "backend has no invariant function sampled on its grid; "
+            "deformed operators are unavailable")
+    dom = degree_space(backend, k)
+    cod = degree_space(backend, k + 1)
+    entries = []
+    for (i, j) in dom.blocks:
+        if j + 1 <= backend.n:
+            up = backend.d[j] if s == 0 else backend.d[j] + s * backend.dfwedge[j]
+            entries.append(((i, j + 1), (i, j), up))
+        if j - 1 >= 0:
+            entries.append(((i + 1, j - 1), (i, j), backend.iv[j]))
+    return _assemble_blocks(dom, cod, entries)
+
+
 def build_deq(backend: BackendMatrices, k: int) -> EqOperator:
     """The equivariant derivative from degree k to degree k+1.
 
     Block (i, j) -> (i, j+1) is d_j and block (i, j) -> (i+1, j-1) is the
     contraction i_v; all other blocks vanish.
     """
-    dom = degree_space(backend, k)
-    cod = degree_space(backend, k + 1)
-    entries = []
-    for (i, j) in dom.blocks:
-        if j + 1 <= backend.n:
-            entries.append(((i, j + 1), (i, j), backend.d[j]))
-        if j - 1 >= 0:
-            entries.append(((i + 1, j - 1), (i, j), backend.iv[j]))
-    return _assemble_blocks(dom, cod, entries)
+    return _derivative(backend, 0.0, k)
 
 
 def adjoint(backend: BackendMatrices, op: EqOperator) -> EqOperator:
@@ -166,35 +194,26 @@ def deformation_blocks(backend: BackendMatrices, k: int) -> EqOperator:
     return _assemble_blocks(dom, cod, entries)
 
 
-def build_deformed(backend: BackendMatrices, s: float, k: int):
-    """(d_eq,s, d_eq,s*, Delta_eq,s) at a finite deformation parameter s >= 0.
+def _with_adjoint(backend: BackendMatrices, s: float, k: int):
+    """(d_eq,s, d_eq,s*) from degree k."""
+    d = _derivative(backend, s, k)
+    return d, adjoint(backend, d)
 
-    d_eq,s = d_eq + s (df wedge); the adjoint is exact; the Laplacian is
-    assembled by composition.  The df-wedge term is added only for s > 0,
-    so at s = 0 the undeformed operators come out bitwise and backends
-    without a sampled function (the circle) still have a Laplacian.  A
-    Laplacian entry that is not finite, or whose square overflows, raises
+
+def _laplacian(backend: BackendMatrices, s: float, k: int, up, lo) -> EqOperator:
+    """Delta_eq,s on degree k from the pair (d, d*) leaving degree k and,
+    for k >= 1, the pair entering it.
+
+    An entry that is not finite, or whose square overflows, raises
     ConfigurationError.
     """
-    if not 0.0 <= s < math.inf:
-        raise ConfigurationError(
-            f"deformation parameter s = {s} must be finite and nonnegative")
-
-    def deformed(j: int) -> EqOperator:
-        d = build_deq(backend, j)
-        if s > 0:
-            p = deformation_blocks(backend, j)
-            d = EqOperator(d.domain, d.codomain, sp.csr_matrix(d.matrix + s * p.matrix))
-        return d
-
-    ds_up = deformed(k)
-    ds_up_star = adjoint(backend, ds_up)
-    mat = ds_up_star.matrix @ ds_up.matrix
-    if k >= 1:
-        ds_lo = deformed(k - 1)
+    d_up, d_up_star = up
+    mat = d_up_star.matrix @ d_up.matrix
+    if lo is not None:
+        d_lo, d_lo_star = lo
         # copied into arrays of the sum's own size: the sum alone keeps the
         # addition's larger scratch arrays
-        mat = (mat + ds_lo.matrix @ adjoint(backend, ds_lo).matrix).copy()
+        mat = (mat + d_lo.matrix @ d_lo_star.matrix).copy()
     mat = sp.csr_matrix(mat)
     peak = max(mat.data.max(initial=0.0), -mat.data.min(initial=0.0))
     if not peak < SQRT_FLOAT_MAX:
@@ -202,7 +221,49 @@ def build_deformed(backend: BackendMatrices, s: float, k: int):
             f"the degree-{k} Laplacian at s = {s:g} has entries of size {peak:.3g}, "
             "beyond the range the eigensolvers can square")
     space = degree_space(backend, k)
-    return ds_up, ds_up_star, EqOperator(space, space, mat)
+    return EqOperator(space, space, mat)
+
+
+def build_deformed(backend: BackendMatrices, s: float, k: int):
+    """(d_eq,s, d_eq,s*, Delta_eq,s) at a finite deformation parameter s >= 0.
+
+    d_eq,s = d_eq + s (df wedge) is assembled in one bmat, with the
+    df-wedge term in its form-raising blocks only for s > 0, so at s = 0
+    the undeformed operators come out bitwise and backends without a
+    sampled function (the circle) still have a Laplacian.  The adjoint is
+    exact and the Laplacian is assembled by composition, from the same
+    derivatives and in the same order as build_laplacians, so the two
+    agree bitwise.  A Laplacian entry that is not finite, or whose square
+    overflows, raises ConfigurationError.
+    """
+    up = _with_adjoint(backend, s, k)
+    lo = _with_adjoint(backend, s, k - 1) if k >= 1 else None
+    return (*up, _laplacian(backend, s, k, up, lo))
+
+
+def build_laplacians(backend: BackendMatrices, s: float, kmax: int) -> list[EqOperator]:
+    """[Delta_eq,s^0, ..., Delta_eq,s^kmax] of one deformed complex.
+
+    Each derivative d_eq,s^j and its adjoint is composed once, for
+    j <= min(kmax, n+1), and serves both Laplacians it enters.  From
+    degree n on, multiplication by t conjugates Delta^k into Delta^{k+2}
+    bitwise, so for k >= n+2 the entry is the degree k-2 operator itself,
+    not a copy; its domain is the degree k-2 space, which the t-shift
+    identifies with degree k (t_shift_dims_match, else AssemblyError).
+    Entry k is bitwise build_deformed(backend, s, k)[2].
+    """
+    deltas: list[EqOperator] = []
+    lo = None
+    for k in range(kmax + 1):
+        if k >= backend.n + 2:
+            if not t_shift_dims_match(backend, k - 2):
+                raise AssemblyError(f"t-shift is not a bijection at degree {k - 2}")
+            deltas.append(deltas[k - 2])
+            continue
+        up = _with_adjoint(backend, s, k)
+        deltas.append(_laplacian(backend, s, k, up, lo))
+        lo = up
+    return deltas
 
 
 def _block_diagonal_term(space: EqDegreeSpace, per_degree) -> sp.csr_matrix:

@@ -342,11 +342,17 @@ def near_zero_counts(be, s: float, kmax: int) -> list[int]:
     the asymptotic regime is not reached and the count is refused rather
     than reported (AmbiguousKernelError).  The counts below s/10 and s/2
     are inertias of the degree-k Laplacian (spectral.inertia), so no
-    eigenvalue is solved.
+    eigenvalue is solved.  The Laplacians come from
+    cartan.build_laplacians, which composes each derivative once; for
+    k >= n+2, Delta^k is Delta^{k-2}, so its counts are those of degree
+    k-2 and no inertia is taken for it.
     """
+    deltas = _cartan.build_laplacians(be, s, kmax)
     counts = []
-    for k in range(kmax + 1):
-        _, _, delta = _cartan.build_deformed(be, s, k)
+    for k, delta in enumerate(deltas):
+        if k >= 2 and delta is deltas[k - 2]:
+            counts.append(counts[k - 2])
+            continue
         mass = _cartan.mass_vector(be, delta.domain)
         below, cleared = _spectral.inertia(delta, mass, (s / 10.0, s / 2.0))
         if cleared != below:

@@ -399,16 +399,23 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
 def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:
     """Equivariant Betti numbers beta^0..beta^kmax as kernel dimensions at s = 0.
 
-    Each window is the kernel and the gap (ceiling 0).  A kernel without
-    a factor-100 separation from the gap raises AmbiguousKernelError.
+    The Laplacians come from cartan.build_laplacians, so each derivative
+    is composed once; every degree is still solved, degree k >= n+2 on
+    the operator of degree k-2.  Each window is the kernel and the gap
+    (ceiling 0).  A kernel without a factor-100 separation from the gap
+    raises AmbiguousKernelError, which states the largest kernel
+    eigenvalue, the gap and tau.
     """
     betti = []
-    for k in range(kmax + 1):
-        rep = delta_spectrum(backend, k, ceiling=0.0)
+    for k, delta in enumerate(cartan.build_laplacians(backend, 0.0, kmax)):
+        rep = eigensolve(delta, cartan.mass_vector(backend, delta.domain), k=k,
+                         ceiling=0.0)
         if rep.kernel_dim > 0 and rep.separation < SEPARATION_FACTOR:
             raise AmbiguousKernelError(
                 f"degree {k}: kernel/gap separation {rep.separation:.1f} < "
-                f"{SEPARATION_FACTOR}; increase the grid or the eigenvalue count")
+                f"{SEPARATION_FACTOR}: largest kernel eigenvalue "
+                f"{rep.eigenvalues[rep.kernel_dim - 1]:.3e}, gap {rep.gap:.3e}, "
+                f"tau {KERNEL_TAU_ABS * rep.operator_norm:.3e}; increase the grid")
         betti.append(rep.kernel_dim)
     return betti
 

@@ -395,6 +395,36 @@ def test_t_shift_conjugates_laplacians_from_degree_n(kind, sphere, torus):
         assert sp.csr_matrix(lo - hi).nnz == 0
 
 
+def _bitwise_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in
+               ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)))
+
+
+@pytest.mark.parametrize("s", [0.0, 4.0, 64.0])
+@pytest.mark.parametrize("case", ["sphere_height", "torus_height", "sphere_bumpy"])
+def test_laplacian_list_is_bitwise_build_deformed(case, s):
+    """One complex per s: each entry equals the Laplacian built alone, and
+    from degree n+2 on it is the degree k-2 operator itself."""
+    be = B.build_backend(*B.catalog(case, n_grid=96))
+    deltas = C.build_laplacians(be, s, 5)
+    assert len(deltas) == 6
+    for k, delta in enumerate(deltas):
+        assert _bitwise_equal(delta.matrix, C.build_deformed(be, s, k)[2].matrix)
+        assert (k >= 2 and delta is deltas[k - 2]) == (k >= be.n + 2)
+
+
+def test_circle_laplacian_list(circle):
+    deltas = C.build_laplacians(circle, 0.0, 5)
+    for k, delta in enumerate(deltas):
+        assert _bitwise_equal(delta.matrix, C.build_deformed(circle, 0.0, k)[2].matrix)
+        assert (k >= 2 and delta is deltas[k - 2]) == (k >= circle.n + 2)
+    with pytest.raises(C.ConfigurationError) as alone:
+        C.build_deformed(circle, 4.0, 1)
+    with pytest.raises(C.ConfigurationError) as listed:
+        C.build_laplacians(circle, 4.0, 5)
+    assert str(listed.value) == str(alone.value)
+
+
 def test_t_shift_not_bijective_below(sphere):
     assert not C.t_shift_dims_match(sphere, 0)
     assert C.t_shift_dims_match(sphere, 1)  # blocks align from n-1 on

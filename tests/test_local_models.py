@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from equimorse import backend as B
+from equimorse import cartan as C
 from equimorse import local_models as L
 from equimorse import spectral as S
 
@@ -307,6 +308,32 @@ def test_near_zero_counts_solve_no_eigenvalue(monkeypatch):
     model = L.LocalPointModel(q=1, weights=(1,), eps=(-1,), lambdas=(), n=2, s=64.0)
     expected = [L.point_contribution(model, k) for k in range(5)]
     assert L.point_model_counts(1, -1, 64.0, 4, n_grid=160) == expected
+
+
+@pytest.mark.parametrize("counts,weight,sign", [
+    (L.point_model_counts, 1, +1), (L.point_model_counts, 1, -1),
+    (L.point_model_counts, 2, +1), (L.point_model_counts, 2, -1),
+    (L.orbit_model_counts, 1, +1), (L.orbit_model_counts, 1, -1),
+])
+def test_reused_counts_equal_the_inertia_of_every_degree(counts, weight, sign,
+                                                         monkeypatch):
+    """Counts from degree n+2 on are taken from degree k-2; they equal the
+    inertias of each degree's own Laplacian at s/10 and s/2."""
+    built = []
+    build = B.build_backend
+    monkeypatch.setattr(B, "build_backend",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    s = 64.0
+    got = counts(weight, sign, s, 6, n_grid=128)
+    (be,) = built
+    expected = []
+    for k in range(7):
+        delta = C.build_deformed(be, s, k)[2]
+        below, cleared = S.inertia(delta, C.mass_vector(be, delta.domain),
+                                   (s / 10.0, s / 2.0))
+        assert cleared == below
+        expected.append(below)
+    assert got == expected
 
 
 def test_an_eigenvalue_between_band_and_gap_refuses_the_count():

@@ -1,5 +1,6 @@
 """Critical levels, count sequences, both inequality families, Euler."""
 
+import collections
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equimorse import backend as B
+from equimorse import cartan as C
+from equimorse import local_models as L
 from equimorse import pipeline as P
 from equimorse import spectral as S
 
@@ -241,3 +244,48 @@ def test_circle_profile_has_no_morse_analysis():
         fp=lambda t: np.zeros_like(t), fpp=lambda t: np.zeros_like(t))
     with pytest.raises(ValueError):
         P.find_critical_levels(profile, const)
+
+
+def test_each_loop_assembles_each_derivative_once(monkeypatch):
+    """The Betti loop and each trace probe of run_case compose every
+    d_s^j, j <= n+1, exactly once, whatever else the run assembles."""
+    phase = [None]
+    built = collections.Counter()
+    derivative = C._derivative
+
+    def counted(backend, s, k):
+        built[phase[0], k] += 1
+        return derivative(backend, s, k)
+
+    def in_phase(fn, name):
+        def run(*args, **kwargs):
+            phase[0] = name(args)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = None
+        return run
+
+    monkeypatch.setattr(C, "_derivative", counted)
+    monkeypatch.setattr(S, "betti_numbers",
+                        in_phase(S.betti_numbers, lambda args: "betti"))
+    monkeypatch.setattr(P, "verify_trace_inequalities",
+                        in_phase(P.verify_trace_inequalities,
+                                 lambda args: ("trace", args[1])))
+    profile, f = B.catalog("sphere_height", n_grid=48)
+    P.run_case(profile, f, [0.0, 16.0], 4, S.TraceSpec())
+    degrees = range(2 + 2)  # n = 2: derivatives 0..n+1
+    for name in ("betti", ("trace", 0.0), ("trace", 16.0)):
+        assert {k: built[name, k] for k in degrees} == dict.fromkeys(degrees, 1)
+    assert sum(n for (name, _), n in built.items() if name is not None) == 3 * 4
+
+
+def test_near_zero_counts_take_no_inertia_from_degree_n_plus_2(monkeypatch):
+    calls = []
+    inertia = S.inertia
+    monkeypatch.setattr(S, "inertia",
+                        lambda *args: calls.append(args) or inertia(*args))
+    be = B.build_backend(*B.flat_point_profile(1, -1, math.sqrt(80.0 / 64.0), 128))
+    counts = L.near_zero_counts(be, 64.0, 4)
+    assert len(calls) == be.n + 2 == 4
+    assert counts[4] == counts[2]

@@ -106,6 +106,19 @@ def test_betti_independent_of_deformation(sphere):
         assert kernels == [1, 0, 2, 0], f"s={s}"
 
 
+def test_an_ambiguous_betti_kernel_states_its_eigenvalue_gap_and_tau(sphere,
+                                                                    monkeypatch):
+    rep = S.delta_spectrum(sphere, 0, ceiling=0.0)
+    monkeypatch.setattr(S, "SEPARATION_FACTOR", 2.0 * rep.separation)
+    with pytest.raises(S.AmbiguousKernelError) as err:
+        S.betti_numbers(sphere, 0)
+    message = str(err.value)
+    assert message.startswith(f"degree 0: kernel/gap separation {rep.separation:.1f} < ")
+    assert f"largest kernel eigenvalue {rep.eigenvalues[0]:.3e}, " \
+        f"gap {rep.gap:.3e}, tau {S.KERNEL_TAU_ABS * rep.operator_norm:.3e}" in message
+    assert "count" not in message
+
+
 def test_kernel_separation_is_wide(sphere):
     for k in (0, 2):
         rep = S.delta_spectrum(sphere, k)
