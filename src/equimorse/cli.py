@@ -4,7 +4,9 @@ sweeps, full verification runs and local-model oracle comparisons.
 Subcommands
     catalog   list the model cases with expected count/Betti sequences
     verify    run the full verification of one case, write a JSON report
-    spectrum  eigenvalues of one (degree, s) pair, JSON + optional CSV
+    spectrum  the low eigenvalues of one (degree, s) pair, JSON + optional
+              CSV: the lowest --count, else all below the default phi's
+              Lambda (36.04) and one more
     sweep     deformation sweep: eigenvalue CSV and trace CSV
     local     closed-form local-model spectra against their grid oracles
     report    summarize a previously written verification JSON
@@ -234,7 +236,8 @@ def cmd_spectrum(args) -> int:
                                      n_grid=values["n_grid"], weight=values["weight"])
     be = backend_mod.build_backend(profile, f)
     (s_value,), k, out = values["s_list"], values["k"], values["out"]
-    rep = spectral_mod.delta_spectrum(be, k, s=s_value, count=values.get("count"))
+    rep = spectral_mod.delta_spectrum(be, k, s=s_value, count=values.get("count"),
+                                      ceiling=spectral_mod.TraceSpec().ceiling())
     payload = rep.to_record()
     payload["config"] = _config(values)
     write_atomic(out, _json_text(payload))

@@ -8,12 +8,11 @@ isomorphism, and traces of a rapidly decreasing phi, whose alternating
 sums obey the analytic Morse inequalities at every deformation
 parameter.  So every solve is one window of the lowest m eigenpairs,
 with m fixed beforehand: a count, or every eigenvalue below the caller's
-ceiling and one more.  The ceilings are 0 for betti_numbers and
-de_rham_index (the kernel and the gap), TraceSpec.ceiling() for the
-traces of verify_trace_inequalities and of sweep_s without a count, and
-infinity for a full listing.  A caller that needs only how many
-eigenvalues lie below some shifts, as local_models.near_zero_counts does
-at s/10 and s/2, calls inertia and solves nothing.
+ceiling and one more.  The ceilings are 0, the default, for
+betti_numbers and de_rham_index (the kernel and the gap), and
+TraceSpec.ceiling() for the traces and for sweep_s and spectrum without
+a count.  inertia answers how many eigenvalues lie below some shifts,
+as local_models.near_zero_counts asks at s/10 and s/2, with no solve.
 
 An eigenvalue belongs to the kernel when it is at most tau =
 KERNEL_TAU_ABS x |A|, with |A| the infinity norm of S.  Every factor is
@@ -24,11 +23,11 @@ a shift-invert Lanczos iteration for the window.  A pair is kept only
 within the residual bound, and a second factor just below the window's
 top must count exactly the kept eigenvalues below it; what is missing
 is sought again on the complement of the kept pairs.  A window wider
-than half the dimension, the full listing and the zero operator's come
-from dense eigh of S.  Each eigenvalue is the Rayleigh quotient of its
-vector.  betti_numbers further requires the gap to be at least
-SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.  All
-solves are deterministic.
+than half the dimension and the zero operator's come from dense eigh of
+S.  Each eigenvalue is the Rayleigh quotient of its vector.
+betti_numbers further requires the gap to be at least SEPARATION_FACTOR
+= 100 times the largest kernel eigenvalue.  All solves are
+deterministic.
 """
 
 from __future__ import annotations
@@ -324,7 +323,7 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float):
 
 
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
-               k: int = 0, s: float = 0.0, ceiling: float = math.inf) -> SpectrumReport:
+               k: int = 0, s: float = 0.0, ceiling: float = 0.0) -> SpectrumReport:
     """The lowest eigenpairs of a mass-symmetric operator: one certified window.
 
     operator may be an EqOperator or a sparse/dense matrix, of dimension
@@ -334,10 +333,10 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     KERNEL_TAU_ABS x |A|.  The kernel factor (_factor) is taken one float
     above tau, so it counts #{lambda <= tau}, the zero operator's kernel
     too.  The window holds m pairs, fixed beforehand: m = count, which
-    must lie in 1..dim (else CountError); dim for an infinite ceiling;
-    otherwise one more than #{lambda < max(ceiling, tau)}.  It comes from
-    dense eigh of S when 2m > dim or |A| = 0, else from shift-invert
-    Lanczos with the kernel factor as the inverse (_lanczos).
+    must lie in 1..dim (else CountError), or one more than #{lambda <
+    max(ceiling, tau)}: the kernel and the gap for the default ceiling.
+    It comes from dense eigh of S when 2m > dim or |A| = 0, else from
+    shift-invert Lanczos with the kernel factor as the inverse (_lanczos).
     kernel_dim must equal the kernel factor's count, or m if smaller
     (SolverError).  Every returned pair must have a residual within
     RESIDUAL_BOUND x max(|A|, 1), else SolverError.
@@ -351,8 +350,6 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     lu, kernel = _factor(sym, np.nextafter(tau, math.inf))
     if count is not None:
         m = count
-    elif ceiling == math.inf:
-        m = dim
     elif ceiling <= tau:
         m = min(kernel + 1, dim)
     else:
@@ -385,11 +382,11 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
 
 def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
                    count: int | None = None,
-                   ceiling: float = math.inf) -> SpectrumReport:
+                   ceiling: float = 0.0) -> SpectrumReport:
     """Window report of the (deformed) equivariant Laplacian in degree k.
 
     The window is the lowest count pairs, or without a count every
-    eigenvalue below ceiling and one more; the default lists them all.
+    eigenvalue below ceiling and one more, by default the kernel and gap.
     """
     _, _, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
@@ -423,12 +420,12 @@ def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:
 def trace_phi(report: SpectrumReport, spec: TraceSpec) -> float:
     """Sum of phi over the window, guarded by the truncation tail bound.
 
-    If the window holds fewer eigenvalues than the dimension, the missing
-    tail is bounded by phi(largest window eigenvalue) times the number of
-    missing eigenvalues, which must stay below 1e-6.  A window solved to
-    spec.ceiling() passes with a bound of at most dim x eps, since its top
-    eigenvalue lies above the ceiling.  A sum that phi's overflow made
-    infinite is a ConfigurationError.
+    The tail a window leaves out is at most phi(its largest eigenvalue)
+    times the number of missing eigenvalues.  A window solved to
+    spec.ceiling() has a tail below dim x eps by construction, since its
+    top lies at or above Lambda, phi(Lambda) = eps; a counted window's
+    must stay below TRACE_TAIL_BOUND = 1e-6 (TailBoundError).  A sum
+    that phi's overflow made infinite is a ConfigurationError.
     """
     lam = np.asarray(report.eigenvalues)
     missing = report.dim - lam.size
@@ -510,19 +507,18 @@ def de_rham_index(backend: BackendMatrices) -> int:
 
 
 def periodicity_defect(backend: BackendMatrices, k: int) -> float:
-    """Largest eigenvalue discrepancy between degrees k and k+2.
+    """Largest entry of |Delta^k - Delta^{k+2}| over the largest of either.
 
-    Multiplication by t identifies the two degree spaces blockwise; for
-    k >= n the identification conjugates one Laplacian into the other, so
-    the sorted spectra agree to solver precision.
+    Multiplication by t maps the blocks of degree k onto those of degree
+    k+2 in order; for k >= n it conjugates one Laplacian into the other,
+    so the matrices, and hence the spectra, agree.  Nothing is solved.
     """
     if not cartan.t_shift_dims_match(backend, k):
         raise cartan.AssemblyError(f"t-shift is not a bijection at degree {k}")
-    lo = delta_spectrum(backend, k)
-    hi = delta_spectrum(backend, k + 2)
-    a = np.asarray(lo.eigenvalues)
-    b = np.asarray(hi.eigenvalues)
-    return float(np.abs(a - b).max())
+    lo = cartan.build_delta_eq(backend, k).matrix
+    hi = cartan.build_delta_eq(backend, k + 2).matrix
+    scale = max(abs(lo).max(), abs(hi).max())
+    return float(abs(lo - hi).max() / scale) if scale else 0.0
 
 
 def write_atomic(path, text: str) -> None:

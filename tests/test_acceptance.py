@@ -213,10 +213,11 @@ def test_criterion6_periodicity_from_degree_n(backends):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="degree-1 and degree-3 spectra are not conjugate: the "
+    reason="the degree-1 and degree-3 operators differ: the "
     "co-differential is t-linear only from degree n on, so degree 3 "
-    "carries an extra v*-contraction term; on the free torus even the "
-    "kernel dimensions differ (1 vs 0)")
+    "carries an extra v*-contraction term and the t-shift does not "
+    "conjugate the two; on the free torus even the kernel dimensions "
+    "differ (1 vs 0)")
 def test_criterion6_degree_one_spectra_strict(backends):
     for case in ("sphere_height", "torus_height"):
         _, _, be = backends[case]

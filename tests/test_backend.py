@@ -321,7 +321,7 @@ def test_refinement_stability(case):
         betti = S.betti_numbers(be, 3)
         eigs = {}
         for k in (0, 1):
-            rep = S.delta_spectrum(be, k)
+            rep = S.delta_spectrum(be, k, count=12)
             w = np.asarray(rep.eigenvalues)
             eigs[k] = w[rep.kernel_dim:rep.kernel_dim + 10]
         spectra[n] = (betti, eigs)

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from equimorse import backend as B
+from equimorse import cartan as C
 from equimorse import cli
 from equimorse import spectral
 
@@ -340,12 +341,41 @@ def test_spectrum_json_carries_the_solver_facts(tmp_path):
         texts.append(out.read_text())
     assert texts[0] == texts[1]
     payload = json.loads(texts[0])
-    assert payload["dim"] == len(payload["eigenvalues"]) == 127
+    # without --count: every eigenvalue below Lambda and one more
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
+    _, _, delta = C.build_deformed(be, 16.0, 2)
+    sym = spectral._symmetrized(delta, C.mass_vector(be, delta.domain))
+    reference = np.linalg.eigvalsh(sym.matrix.toarray())
+    m = int(np.count_nonzero(reference < spectral.TraceSpec().ceiling())) + 1
+    assert payload["dim"] == reference.size == 127
+    assert len(payload["eigenvalues"]) == m < payload["dim"]
+    assert np.abs(np.asarray(payload["eigenvalues"]) - reference[:m]).max() \
+        <= 64 * np.finfo(float).eps * payload["operator_norm"]
     # |A| is the infinity norm, which bounds every eigenvalue
-    assert payload["operator_norm"] >= max(abs(x) for x in payload["eigenvalues"])
+    assert payload["operator_norm"] >= abs(reference).max()
     assert payload["separation"] >= 100.0
-    assert payload["vectors"] == len(payload["residual_norms"]) == payload["dim"]
+    assert payload["vectors"] == len(payload["residual_norms"]) == m
     assert max(payload["residual_norms"]) <= 1e-8 * payload["operator_norm"]
+
+
+def test_spectrum_without_a_count_solves_no_dense_eigh(tmp_path, monkeypatch):
+    """At N=2048 the window below Lambda of torus degree 2 is a few pairs
+    of 4096; it comes from shift-invert Lanczos, never from dense eigh."""
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigh")
+
+    monkeypatch.setattr(spectral.sla, "eigh", dense)
+    out = tmp_path / "s.json"
+    assert run(["spectrum", "--case", "torus_height", "--n-grid", "2048", "--k", "2",
+                "--s", "16", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    be = B.build_backend(*B.catalog("torus_height", n_grid=2048))
+    _, _, delta = C.build_deformed(be, 16.0, 2)
+    ceiling = spectral.TraceSpec().ceiling()
+    (below,) = spectral.inertia(delta, C.mass_vector(be, delta.domain), [ceiling])
+    assert len(payload["eigenvalues"]) == below + 1
+    assert payload["eigenvalues"][-1] >= ceiling > max(payload["eigenvalues"][:-1])
+    assert payload["vectors"] == below + 1 < payload["dim"]
 
 
 def test_json_outputs_are_strict_with_null_for_no_gap(tmp_path):

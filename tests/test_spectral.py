@@ -151,7 +151,7 @@ def test_trace_phi_tail_bound_enforced():
 def test_trace_exceeds_kernel_dimension(sphere):
     spec = S.TraceSpec()
     for k in (0, 1, 2):
-        rep = S.delta_spectrum(sphere, k)
+        rep = S.delta_spectrum(sphere, k, ceiling=spec.ceiling())
         assert S.trace_phi(rep, spec) >= rep.kernel_dim
 
 
@@ -195,12 +195,26 @@ def test_deformed_kernel_persists_and_gap_opens():
 
 def test_large_s_trace_approaches_count(sphere):
     # degree 0 at s=64: one localized ground state, the rest pushed high
-    rep = S.delta_spectrum(sphere, 0, s=64.0)
-    mu = S.trace_phi(rep, S.TraceSpec())
+    spec = S.TraceSpec()
+    rep = S.delta_spectrum(sphere, 0, s=64.0, ceiling=spec.ceiling())
+    mu = S.trace_phi(rep, spec)
     assert abs(mu - 1.0) <= 0.05
     # degree 1 at s=32: no critical level of index 1 anywhere
-    rep1 = S.delta_spectrum(sphere, 1, s=32.0)
-    assert S.trace_phi(rep1, S.TraceSpec()) <= 0.05
+    rep1 = S.delta_spectrum(sphere, 1, s=32.0, ceiling=spec.ceiling())
+    assert S.trace_phi(rep1, spec) <= 0.05
+
+
+def test_a_window_solved_to_lambda_leaves_a_tail_below_dim_eps():
+    """The top of a window solved to Lambda lies at or above it, where
+    phi <= eps, so the tail left out is at most dim x eps."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    spec = S.TraceSpec()
+    rep = S.delta_spectrum(be, 1, s=64.0, ceiling=spec.ceiling())
+    missing = rep.dim - len(rep.eigenvalues)
+    assert missing > 0 and rep.eigenvalues[-1] >= spec.ceiling()
+    tail = float(spec.phi(rep.eigenvalues[-1])) * missing
+    assert tail < rep.dim * np.finfo(float).eps
+    assert S.trace_phi(rep, spec) == pytest.approx(float(spec.phi(rep.eigenvalues).sum()))
 
 
 def test_torus_gap_nondecreasing_in_s(torus):
@@ -217,7 +231,7 @@ def test_torus_degree_one_near_zero_count():
     The next cluster sits near (speed * radius)^2 = 9."""
     profile, f = B.catalog("torus_height", n_grid=256)
     be = B.build_backend(profile, f)
-    rep = S.delta_spectrum(be, 1, s=64.0)
+    rep = S.delta_spectrum(be, 1, s=64.0, ceiling=S.TraceSpec().ceiling())
     w = np.asarray(rep.eigenvalues)
     assert int(np.count_nonzero(w < 6.4)) == 1
     above = w[np.count_nonzero(w < 6.4)]
@@ -229,7 +243,8 @@ def test_torus_degree_one_near_zero_count():
     reason="tunneling: on sphere_bumpy at c = -0.6 the second degree-0 "
     "eigenvalue decays like e^{-2hs} (barrier h = 0.408) and by s = 64 falls "
     "below KERNEL_TAU_ABS x |A|, so the kernel reads 2 where the cohomology "
-    "has 1; singular values of d_s resolve it (ROADMAP item 2)")
+    "has 1; singular values of d_s resolve it (ROADMAP item 'Solve the "
+    "Witten complex, not its Laplacians')")
 def test_tunneling_eigenvalue_stays_out_of_the_kernel():
     profile, f = B.catalog("sphere_bumpy", {"c": -0.6}, n_grid=256)
     be = B.build_backend(profile, f)
@@ -293,15 +308,22 @@ def _symmetrized(delta, mass):
     return (0.5 * (A + A.T)).toarray()
 
 
+def _dense_spectrum(be, k, s=0.0):
+    """All eigenvalues of S for degree k at s, by one LAPACK call, and S."""
+    _, _, delta = C.build_deformed(be, s, k)
+    sym = S._symmetrized(delta, C.mass_vector(be, delta.domain))
+    return np.linalg.eigvalsh(sym.matrix.toarray()), sym
+
+
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["one-block", "two-blocks", "coupled"])
 @pytest.mark.parametrize("s", [0.0, 16.0])
 def test_every_window_is_a_prefix_of_one_dense_eigh(sphere, torus, k, s):
     """Reference: one LAPACK call on the whole symmetrized matrix.
 
-    Every window a caller asks for (the kernel and gap, the trace window,
-    a count, the full listing) is the prefix of the dense spectrum, to a
-    small multiple of eps |A|; degree 1 splits into two chains, degree 2
-    couples two blocks.
+    Every window a caller asks for (the kernel and gap, explicitly or by
+    default, the trace window, a count) is the prefix of the dense
+    spectrum, to a small multiple of eps |A|; degree 1 splits into two
+    chains, degree 2 couples two blocks.
     """
     for be in (sphere, torus):
         _, _, delta = C.build_deformed(be, s, k)
@@ -316,8 +338,8 @@ def test_every_window_is_a_prefix_of_one_dense_eigh(sphere, torus, k, s):
             got = np.asarray(rep.eigenvalues)
             assert np.abs(got - reference[:got.size]).max() <= 64 * np.finfo(float).eps * norm
             assert rep.kernel_dim == np.count_nonzero(reference[:got.size] <= tau)
-            if "ceiling" in request:
-                below = np.count_nonzero(reference < max(request["ceiling"], tau))
+            if "count" not in request:
+                below = np.count_nonzero(reference < max(request.get("ceiling", 0.0), tau))
                 assert got.size == min(below + 1, rep.dim), request
 
 
@@ -330,12 +352,15 @@ def test_eigenvalues_do_not_depend_on_the_basis_order(case):
         for s in (0.0, 16.0, 64.0):
             _, _, delta = C.build_deformed(be, s, k)
             mass = C.mass_vector(be, delta.domain)
+            reference, sym = _dense_spectrum(be, k, s)
             perm = np.random.default_rng(0).permutation(delta.domain.dim)
-            for window in (math.inf, ceiling):
+            for window in (0.0, ceiling):
                 a = np.asarray(S.eigensolve(delta, mass, ceiling=window).eigenvalues)
                 b = np.asarray(S.eigensolve(delta.matrix[perm][:, perm], mass[perm],
                                             ceiling=window).eigenvalues)
                 assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(np.abs(a), 1.0)), (k, s)
+                assert np.abs(b - reference[:b.size]).max() \
+                    <= 64 * np.finfo(float).eps * sym.norm, (k, s)
 
 
 def _eigsh_returning(change):
@@ -367,11 +392,13 @@ def test_residual_gate_rejects_a_wrong_eigenvalue(sphere, monkeypatch):
 def test_count_equal_to_the_dimension_is_the_full_spectrum():
     profile, f = B.catalog("sphere_height", n_grid=64)
     be = B.build_backend(profile, f)
-    full = S.delta_spectrum(be, 0)
-    counted = S.delta_spectrum(be, 0, count=full.dim)
-    assert len(counted.eigenvalues) == counted.dim == full.dim
-    assert counted.eigenvalues == full.eigenvalues
-    assert counted.residual_norms == full.residual_norms
+    reference, sym = _dense_spectrum(be, 0)
+    counted = S.delta_spectrum(be, 0, count=reference.size)
+    assert len(counted.eigenvalues) == counted.dim == reference.size
+    assert np.abs(np.asarray(counted.eigenvalues) - reference).max() \
+        <= 64 * np.finfo(float).eps * sym.norm
+    assert len(counted.residual_norms) == counted.dim
+    assert max(counted.residual_norms) <= S.RESIDUAL_BOUND * sym.norm
 
 
 @pytest.mark.parametrize("n_grid", [64, 256])
@@ -379,23 +406,23 @@ def test_count_equal_to_the_dimension_is_the_full_spectrum():
     ("sphere_height", {}), ("sphere_bumpy", {"c": -0.6}), ("torus_height", {}),
 ], ids=["sphere", "bumpy", "torus"])
 def test_counted_window_is_a_prefix_of_the_full_listing(case, params, n_grid):
-    # a counted window is the low band of the full listing, to rounding,
-    # with the same |A|, and its kernel split is the full one cut short
+    # a counted window is the low band of the dense spectrum, to rounding,
+    # with the same |A|, and its kernel split is the dense one cut short
     be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
     for k in (0, 1, 2):
         for s in (0.0, 16.0, 64.0):
-            full = S.delta_spectrum(be, k, s)
-            w = np.asarray(full.eigenvalues)
-            tol = 64 * np.finfo(float).eps * full.operator_norm
-            for count in (1, 8, 24, full.dim - 1):
+            w, sym = _dense_spectrum(be, k, s)
+            tol = 64 * np.finfo(float).eps * sym.norm
+            kernel_dim = int(np.count_nonzero(w <= S.KERNEL_TAU_ABS * sym.norm))
+            for count in (1, 8, 24, w.size - 1):
                 part = S.delta_spectrum(be, k, s, count=count)
                 where = (k, s, count)
                 assert np.abs(np.asarray(part.eigenvalues) - w[:count]).max() <= tol, where
                 assert len(part.residual_norms) == count, where
-                assert part.kernel_dim == min(full.kernel_dim, count), where
-                assert (part.operator_norm, part.dim) == (full.operator_norm, full.dim)
-                if count > full.kernel_dim:
-                    assert abs(part.gap - full.gap) <= tol, where
+                assert part.kernel_dim == min(kernel_dim, count), where
+                assert (part.operator_norm, part.dim) == (sym.norm, w.size)
+                if count > kernel_dim:
+                    assert abs(part.gap - w[kernel_dim]) <= tol, where
 
 
 def _near_degenerate_pairs():
