@@ -29,6 +29,7 @@ verification pipeline reuses it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -50,6 +51,7 @@ __all__ = [
     "validate_backend",
     "flat_point_profile",
     "flat_orbit_profile",
+    "CATALOG",
     "CATALOG_CASES",
 ]
 
@@ -471,33 +473,75 @@ def validate_backend(backend: BackendMatrices) -> dict:
 # Catalog
 # ---------------------------------------------------------------------------
 
-CATALOG_CASES = ("sphere_height", "sphere_bumpy", "torus_height", "circle_trivial")
+def _trig_series(const: float, cos: Sequence[float], sin: Sequence[float], scale: float):
+    """(g, g', g'') of g(theta) = const + sum_j (cos[j-1] cos(j theta/scale)
+    + sin[j-1] sin(j theta/scale)), j = 1, 2, ...
+
+    const is the j = 0 cosine term.  g' is the sum of the differentiated
+    terms over scale, g'' over scale**2; terms with a zero coefficient are
+    skipped and the rest summed in the order of j, the cosine before the
+    sine, so a series of one unit term is that term bitwise.
+    """
+    terms: tuple[list, list, list] = ([], [], [])  # (coefficient, j, wave) of g, g', g''
+    pairs = itertools.zip_longest((const, *cos), (0.0, *sin), fillvalue=0.0)
+    for j, (a, b) in enumerate(pairs):
+        for order, coef, wave in ((0, a, np.cos), (1, -a * j, np.sin),
+                                  (2, -a * (j * j), np.cos), (0, b, np.sin),
+                                  (1, b * j, np.cos), (2, -b * (j * j), np.sin)):
+            if coef:
+                terms[order].append((coef, j, wave))
+
+    def derivative(order: int):
+        def g(th):
+            if not terms[order]:
+                return np.zeros(np.shape(th))
+            first, *rest = (coef * wave(j * th / scale) for coef, j, wave in terms[order])
+            return sum(rest, first) / scale ** order
+        return g
+
+    return derivative(0), derivative(1), derivative(2)
 
 
-def _sphere_profile(R: float, weight: int, n_grid: int) -> RevolutionProfile:
-    return RevolutionProfile(
-        name=f"sphere(R={R:g})",
-        theta_max=math.pi * R,
-        ends=("pole", "pole"),
-        a=lambda th: R * np.sin(th / R),
-        a_prime=lambda th: np.cos(th / R),
-        weight=weight,
-        n_grid=n_grid,
-    )
-
-
-def _torus_profile(r: float, R: float, weight: int, n_grid: int) -> RevolutionProfile:
-    if R <= r:
-        raise ProfileValidationError(f"torus needs R > r, got R={R}, r={r}")
-    return RevolutionProfile(
-        name=f"torus(r={r:g},R={R:g})",
-        theta_max=2.0 * math.pi * r,
-        ends=("periodic", "periodic"),
-        a=lambda th: R + r * np.cos(th / r),
-        a_prime=lambda th: -np.sin(th / r),
-        weight=weight,
-        n_grid=n_grid,
-    )
+# The catalog, one row per case: the parameters it takes with their defaults;
+# its model, from those parameters, of the profile (name, extent, ends, orbit
+# radius a) and of f (name and values, None on the circle), a and f each as
+# the (const, cos, sin, scale) of a _trig_series; the fault, if any, that
+# rejects parameters; and the listing's text, kernels beta^0..beta^5 and notes.
+CATALOG = {
+    "sphere_height": {
+        "params": {"R": 1.0},
+        "model": lambda R: ((f"sphere(R={R:g})", math.pi * R, ("pole", "pole"),
+                             (0.0, (), (R,), R)),
+                            ("cos(theta)", (0.0, (1.0,), (), R))),
+        "listing": ("R=1, f=cos(theta)", (1, 0, 2, 0, 2, 0),
+                    "c=(1,0,1), d=0, slacks all zero"),
+    },
+    "sphere_bumpy": {
+        "params": {"R": 1.0, "c": 0.6},
+        "model": lambda R, c: ((f"sphere(R={R:g})", math.pi * R, ("pole", "pole"),
+                                (0.0, (), (R,), R)),
+                               (f"cos(theta)+{c:g}*cos(2 theta)", (0.0, (1.0, c), (), R))),
+        "listing": ("R=1, f=cos(theta)+c*cos(2 theta), c=0.6", (1, 0, 2, 0, 2, 0),
+                    "extra critical latitude(s); slacks >= 0"),
+    },
+    "torus_height": {
+        "params": {"r": 1.0, "R": 3.0},
+        "model": lambda r, R: ((f"torus(r={r:g},R={R:g})", 2.0 * math.pi * r,
+                                ("periodic", "periodic"), (R, (r,), (), r)),
+                               ("sin(theta)", (0.0, (), (1.0,), r))),
+        "fault": lambda r, R: None if R > r else f"torus needs R > r, got R={R}, r={r}",
+        "listing": ("r=1, R=3, f=sin(theta)", (1, 1, 0, 0, 0, 0),
+                    "d=(1,1), c=0, slacks all zero"),
+    },
+    "circle_trivial": {
+        "params": {},
+        "model": lambda: (("circle", 2.0 * math.pi, ("periodic", "periodic"),
+                           (1.0, (), (), 1.0)), None),
+        "listing": ("free action of S^1 on itself", (1, 0, 0, 0, 0, 0),
+                    "algebraic/spectral identities only"),
+    },
+}
+CATALOG_CASES = tuple(CATALOG)
 
 
 def find_critical_levels(profile: RevolutionProfile,
@@ -584,71 +628,36 @@ def catalog(name: str, params: dict | None = None, n_grid: int = 256,
             weight: int = 1):
     """Return (RevolutionProfile, InvariantMorseFunction | None) for a case.
 
-    sphere_height : unit sphere, f = cos(theta/R); fixed points of index 2
-                    (north) and 0 (south).
-    sphere_bumpy  : f = cos(theta/R) + c*cos(2 theta/R), default c = 0.6,
-                    which adds an interior critical latitude.
-    torus_height  : torus of revolution (r=1, R=3), f = sin(theta/r); two
-                    critical orbits of transversal index 1 and 0.
-    circle_trivial: the circle acting on itself.  A constant function is
-                    not Morse, so no function is returned; the backend
-                    serves algebraic and spectral identities only.
-
-    A parameter the case does not take raises ProfileValidationError, as
-    do parameters at which the case's functions, or their squares, overflow
-    on the profile.  Every surface case goes
-    through find_critical_levels, so a flat critical level, or a critical
-    latitude at weight 0, raises DegenerateCriticalLevelError.
+    The case is a row of CATALOG, which gives its parameters with their
+    defaults and its orbit radius a and function f as trigonometric
+    series; _trig_series derives a', f' and f''.  The circle acting on
+    itself has no function, since a constant is not Morse.  A parameter
+    the case does not take raises ProfileValidationError, as do parameters
+    that give no model (a torus with R <= r) and parameters at which the
+    case's functions, or their squares, overflow on the profile.  Every
+    surface case goes through find_critical_levels, so a flat critical
+    level, or a critical latitude at weight 0, raises
+    DegenerateCriticalLevelError.
     """
-    params = dict(params or {})
-    if name == "sphere_height":
-        R = float(params.pop("R", 1.0))
-        profile = _sphere_profile(R, weight, n_grid)
-        f = InvariantMorseFunction(
-            name="cos(theta)",
-            f=lambda th: np.cos(th / R),
-            fp=lambda th: -np.sin(th / R) / R,
-            fpp=lambda th: -np.cos(th / R) / R ** 2,
-        )
-    elif name == "sphere_bumpy":
-        R = float(params.pop("R", 1.0))
-        c = float(params.pop("c", 0.6))
-        profile = _sphere_profile(R, weight, n_grid)
-        f = InvariantMorseFunction(
-            name=f"cos(theta)+{c:g}*cos(2 theta)",
-            f=lambda th: np.cos(th / R) + c * np.cos(2 * th / R),
-            fp=lambda th: (-np.sin(th / R) - 2 * c * np.sin(2 * th / R)) / R,
-            fpp=lambda th: (-np.cos(th / R) - 4 * c * np.cos(2 * th / R)) / R ** 2,
-        )
-    elif name == "torus_height":
-        r = float(params.pop("r", 1.0))
-        R = float(params.pop("R", 3.0))
-        profile = _torus_profile(r, R, weight, n_grid)
-        f = InvariantMorseFunction(
-            name="sin(theta)",
-            f=lambda th: np.sin(th / r),
-            fp=lambda th: np.cos(th / r) / r,
-            fpp=lambda th: -np.sin(th / r) / r ** 2,
-        )
-    elif name == "circle_trivial":
-        profile = RevolutionProfile(
-            name="circle",
-            theta_max=2.0 * math.pi,
-            ends=("periodic", "periodic"),
-            a=lambda th: np.ones_like(th),
-            a_prime=lambda th: np.zeros_like(th),
-            weight=weight,
-            n_grid=n_grid,
-            kind="circle",
-        )
-        f = None
-    else:
+    if name not in CATALOG:
         raise ProfileValidationError(
             f"unknown catalog case {name!r}; choose from {CATALOG_CASES}")
-    if params:
-        raise ProfileValidationError(f"unused parameters for {name!r}: {sorted(params)}")
-    if f is None:
-        return profile, f
+    row, params = CATALOG[name], params or {}
+    unused = sorted(set(params) - set(row["params"]))
+    if unused:
+        raise ProfileValidationError(f"unused parameters for {name!r}: {unused}")
+    values = {key: float(params.get(key, default)) for key, default in row["params"].items()}
+    fault = "fault" in row and row["fault"](**values)
+    if fault:
+        raise ProfileValidationError(fault)
+    (label, theta_max, ends, a_series), function = row["model"](**values)
+    a, a_prime, _ = _trig_series(*a_series)
+    profile = RevolutionProfile(
+        name=label, theta_max=theta_max, ends=ends, a=a, a_prime=a_prime,
+        weight=weight, n_grid=n_grid, kind="surface" if function else "circle")
+    if function is None:
+        return profile, None
+    f = InvariantMorseFunction(function[0], *_trig_series(*function[1]))
     th = np.linspace(0.0, profile.theta_max, SCAN_SAMPLES)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -248,16 +248,16 @@ def build_laplacians(backend: BackendMatrices, s: float, kmax: int) -> list[EqOp
     j <= min(kmax, n+1), and serves both Laplacians it enters.  From
     degree n on, multiplication by t conjugates Delta^k into Delta^{k+2}
     bitwise, so for k >= n+2 the entry is the degree k-2 operator itself,
-    not a copy; its domain is the degree k-2 space, which the t-shift
-    identifies with degree k (t_shift_dims_match, else AssemblyError).
-    Entry k is bitwise build_deformed(backend, s, k)[2].
+    not a copy; its domain is the degree k-2 space.  The t-shift maps that
+    space onto degree k: a block (i, k-2i) of degree k >= n+2 has i >= 1,
+    since i = 0 would need the form degree k > n, so it is the t-image of
+    the block (i-1, k-2i) of degree k-2.  Entry k is bitwise
+    build_deformed(backend, s, k)[2].
     """
     deltas: list[EqOperator] = []
     lo = None
     for k in range(kmax + 1):
         if k >= backend.n + 2:
-            if not t_shift_dims_match(backend, k - 2):
-                raise AssemblyError(f"t-shift is not a bijection at degree {k - 2}")
             deltas.append(deltas[k - 2])
             continue
         up = _with_adjoint(backend, s, k)
@@ -331,18 +331,16 @@ class EquivariantDeRham:
 
 def build_equivariant_de_rham(backend: BackendMatrices) -> EquivariantDeRham:
     n = backend.n
-    up = build_deq(backend, n)                 # Omega^n -> Omega^{n+1}
-    down_raw = build_deq(backend, n + 1)       # Omega^{n+1} -> Omega^{n+2} ~ Omega^n
-    space_n = degree_space(backend, n)
-    down = EqOperator(down_raw.domain, space_n, down_raw.matrix)
-    up_star = adjoint(backend, up)
-    down_star = adjoint(backend, down)
+    lo = _with_adjoint(backend, 0.0, n - 1)
+    up, up_star = mid = _with_adjoint(backend, 0.0, n)
+    # Omega^{n+1} -> Omega^{n+2} ~ Omega^n: degrees n+2 and n have the same masses.
+    down, down_star = top = _with_adjoint(backend, 0.0, n + 1)
     top_right = sp.csr_matrix(up_star.matrix + down.matrix)
     bottom_left = sp.csr_matrix(up.matrix + down_star.matrix)
     op = sp.bmat([[None, top_right], [bottom_left, None]], format="csr")
     return EquivariantDeRham(
         operator=sp.csr_matrix(op),
-        delta_n=build_delta_eq(backend, n),
-        delta_n1=build_delta_eq(backend, n + 1),
+        delta_n=_laplacian(backend, 0.0, n, mid, lo),
+        delta_n1=_laplacian(backend, 0.0, n + 1, top, mid),
         n=n,
     )

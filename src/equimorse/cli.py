@@ -184,22 +184,12 @@ def _json_text(payload: dict) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-CATALOG_TABLE = [
-    ("sphere_height", "R=1, f=cos(theta)",
-     "betti (1,0,2,0,2,0)", "c=(1,0,1), d=0, slacks all zero"),
-    ("sphere_bumpy", "R=1, f=cos(theta)+c*cos(2 theta), c=0.6",
-     "betti (1,0,2,0,2,0)", "extra critical latitude(s); slacks >= 0"),
-    ("torus_height", "r=1, R=3, f=sin(theta)",
-     "betti (1,1,0,0,0)", "d=(1,1), c=0, slacks all zero"),
-    ("circle_trivial", "free action of S^1 on itself",
-     "betti (1,0,0,0,0)", "algebraic/spectral identities only"),
-]
-
-
 def cmd_catalog(_args) -> int:
     print(f"{'case':<16} {'geometry/function':<42} {'expected kernels':<22} notes")
-    for row in CATALOG_TABLE:
-        print(f"{row[0]:<16} {row[1]:<42} {row[2]:<22} {row[3]}")
+    for case, row in backend_mod.CATALOG.items():
+        text, kernels, notes = row["listing"]
+        betti = f"betti ({','.join(map(str, kernels))})"
+        print(f"{case:<16} {text:<42} {betti:<22} {notes}")
     return 0
 
 

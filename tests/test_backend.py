@@ -439,3 +439,70 @@ def test_function_masses_integrate_the_orbit_radius():
         profile, f = B.catalog("torus_height", n_grid=n)
         total = B.build_backend(profile, f).mass[0].sum()
         assert abs(total - 6.0 * math.pi) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Catalog functions as trigonometric series
+# ---------------------------------------------------------------------------
+
+def _hand_written(case, p):
+    """(a, a', f, f', f'') of a surface case, each written out by hand: the
+    reference the catalog's derived series must reproduce."""
+    if case == "torus_height":
+        r, R = p.get("r", 1.0), p.get("R", 3.0)
+        return (lambda th: R + r * np.cos(th / r), lambda th: -np.sin(th / r),
+                lambda th: np.sin(th / r), lambda th: np.cos(th / r) / r,
+                lambda th: -np.sin(th / r) / r ** 2)
+    R = p.get("R", 1.0)
+    a, a_prime = (lambda th: R * np.sin(th / R)), (lambda th: np.cos(th / R))
+    if case == "sphere_height":
+        return (a, a_prime, lambda th: np.cos(th / R), lambda th: -np.sin(th / R) / R,
+                lambda th: -np.cos(th / R) / R ** 2)
+    c = p.get("c", 0.6)
+    return (a, a_prime,
+            lambda th: np.cos(th / R) + c * np.cos(2 * th / R),
+            lambda th: (-np.sin(th / R) - 2 * c * np.sin(2 * th / R)) / R,
+            lambda th: (-np.cos(th / R) - 4 * c * np.cos(2 * th / R)) / R ** 2)
+
+
+def _series_draws(count=60, seed=24):
+    """The defaults, then seeded draws of R and r log-uniform in [1e-6, 1e6]
+    (r < R on the torus) and c uniform in [-0.7, 0.7]."""
+    rng = np.random.default_rng(seed)
+    draws = [("sphere_height", {}), ("sphere_bumpy", {}), ("torus_height", {})]
+    for i in range(count):
+        small, large = np.sort(np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 2)))
+        c = float(rng.uniform(-0.7, 0.7))
+        draws.append([("sphere_height", {"R": float(large)}),
+                      ("sphere_bumpy", {"R": float(large), "c": c}),
+                      ("torus_height", {"r": float(small), "R": float(large)})][i % 3])
+    return draws
+
+
+def test_series_are_bitwise_the_hand_written_functions():
+    for case, p in _series_draws():
+        profile, f = B.catalog(case, p, n_grid=32)
+        a, a_prime, *want = _hand_written(case, p)
+        th = np.linspace(0.0, profile.theta_max, B.SCAN_SAMPLES)
+        for got, ref in zip((profile.a, f.f, f.fp, f.fpp), (a, *want)):
+            assert got(th).tobytes() == ref(th).tobytes(), (case, p)
+        # a' = (R cos)/R or (-r sin)/r rounds once more than the hand-written form
+        scale = np.abs(a_prime(th)).max()
+        assert np.abs(profile.a_prime(th) - a_prime(th)).max() <= 4 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("case,params", [
+    ("sphere_height", {}), ("sphere_bumpy", {}), ("torus_height", {}),
+    ("sphere_bumpy", {"R": 0.01, "c": -0.6}), ("torus_height", {"r": 100.0, "R": 300.0}),
+])
+def test_derived_derivatives_match_central_differences(case, params):
+    profile, f = B.catalog(case, params, n_grid=32)
+    L = profile.theta_max
+    h = 1e-3 * L
+    th = np.linspace(h, L - h, 257)
+    for g, gp, gpp in ((profile.a, profile.a_prime, None), (f.f, f.fp, f.fpp)):
+        first = (g(th + h) - g(th - h)) / (2 * h)
+        assert np.abs(first - gp(th)).max() <= 1e-5 * np.abs(gp(th)).max()
+        if gpp is not None:
+            second = (g(th + h) - 2 * g(th) + g(th - h)) / h ** 2
+            assert np.abs(second - gpp(th)).max() <= 1e-5 * np.abs(gpp(th)).max()

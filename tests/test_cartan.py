@@ -449,3 +449,11 @@ def test_de_rham_square_and_index(kind, sphere, torus):
     assert dr.square_defect() <= 1e-10
     expected = {"sphere": 2, "torus": 0}[kind]
     assert S.de_rham_index(be) == expected
+
+
+@pytest.mark.parametrize("case", B.CATALOG_CASES)
+def test_de_rham_laplacians_are_bitwise_build_delta_eq(case):
+    be = B.build_backend(*B.catalog(case, n_grid=96))
+    dr = C.build_equivariant_de_rham(be)
+    assert _bitwise_equal(dr.delta_n.matrix, C.build_delta_eq(be, be.n).matrix)
+    assert _bitwise_equal(dr.delta_n1.matrix, C.build_delta_eq(be, be.n + 1).matrix)

@@ -53,7 +53,25 @@ def test_catalog_lists_cases(capsys):
     for case in ("sphere_height", "sphere_bumpy", "torus_height", "circle_trivial"):
         assert case in out
     assert "(1,0,2,0,2,0)" in out
-    assert "(1,1,0,0,0)" in out
+    assert "(1,1,0,0,0,0)" in out
+    assert "(1,0,0,0,0,0)" in out
+
+
+def test_readme_catalog_table_is_the_catalog_and_its_golden_kernels(capsys):
+    """The README's "Catalog" table lists CATALOG_CASES in order, and each
+    row's kernels are the betti of the case's golden verify report and the
+    kernels `equimorse catalog` prints."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        section = fh.read().split("\n## Catalog\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    assert [cells[0].strip().strip("`") for cells in rows] == list(B.CATALOG_CASES)
+    assert run(["catalog"]) == 0
+    printed = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()[1:]}
+    for case, cells in zip(B.CATALOG_CASES, rows):
+        with open(os.path.join(GOLDEN, f"verify_{case}_n256.json")) as fh:
+            betti = json.load(fh)["betti"]
+        assert [int(k) for k in cells[2].split(",")] == betti, case
+        assert f" betti ({','.join(map(str, betti))}) " in printed[case], case
 
 
 def test_unknown_flag_is_usage_error():
