@@ -28,10 +28,23 @@ S.  Each eigenvalue is the Rayleigh quotient of its vector.
 betti_numbers further requires the gap to be at least SEPARATION_FACTOR
 = 100 times the largest kernel eigenvalue.  All solves are
 deterministic.
+
+A count window whose every connected block of S gets a share of at
+least 10 pairs, m dim_c / dim, is solved block by block: each block by
+the rule above, on its own kernel factor, and the window is the lowest
+m of the merged pairs.  The odd degrees of a surface split so, into
+their dtheta and dphi rows: d_s maps functions into the dtheta part
+only, and d and i_v on 1-forms read only the dphi part.  A block whose
+top lies below the merged top must hold every eigenvalue its inertia
+counts below the merged cut; what it lacks is sought on the complement
+of its pairs.  A window sized by a ceiling is counted on the whole of
+S, whose kernel factor then solves it too: like a window with a
+smaller share on some block, it is the one-block case.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -42,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import cartan
@@ -192,15 +206,21 @@ def _symmetrized(operator, mass: np.ndarray) -> _Symmetric:
     operator may be an EqOperator or a sparse/dense matrix; mass is the
     diagonal of the inner product.  0.5 (S + S^T) is bitwise symmetric,
     so its CSR arrays are also its CSC arrays, the layout SuperLU factors:
-    S is kept as CSC with no conversion.  Every diagonal slot is stored,
-    as an explicit zero where A has none (the 1 x 1 zero operator of
-    circle_trivial), so that _factor shifts the diagonal in place, and the
-    indices are sorted, since splu would sort the index array that each
-    factor shares with S.
+    S is kept as CSC with no conversion (_stored).
     """
     mat = operator.matrix if isinstance(operator, cartan.EqOperator) else operator
     S = _scale(mat, np.sqrt(mass), 1.0 / np.sqrt(mass))
-    S = sp.csr_matrix(0.5 * (S + S.T))
+    return _stored(sp.csr_matrix(0.5 * (S + S.T)))
+
+
+def _stored(S: sp.csr_matrix) -> _Symmetric:
+    """The _Symmetric of a bitwise symmetric CSR matrix S.
+
+    Every diagonal slot is stored, as an explicit zero where S has none
+    (the 1 x 1 zero operator of circle_trivial), so that _factor shifts
+    the diagonal in place, and the indices are sorted, since splu would
+    sort the index array that each factor shares with S.
+    """
     norm = float(spla.norm(S, np.inf))
     zero = np.flatnonzero(S.diagonal() == 0)
     if zero.size:  # absent slots become stored zeros; stored ones are summed with 0
@@ -268,7 +288,7 @@ def _rayleigh(S, V):
     return w[order], V[:, order], np.linalg.norm(SV - V * w, axis=0)[order]
 
 
-def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float):
+def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None):
     """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
     Each eigenvalue is the Rayleigh quotient of its vector, and a pair is
@@ -280,20 +300,28 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float):
     cut at the top is not a miss.  Whatever is missing, pairs the
     residual bound dropped or copies of an exactly repeated eigenvalue
     that one start vector cannot see, is sought by the next run on the
-    complement of the kept pairs.  A run after which at least as many
-    pairs are missing as it sought raises SolverError, and so does any
-    ARPACK error.
+    complement of the kept pairs.  Orthonormal columns V, pairs already
+    kept, make the first run one such search, for the other m - |V|.  A
+    run after which at least as many pairs are missing as it sought
+    raises SolverError, and so does any ARPACK error.
     """
     S = sym.matrix
     dim = S.shape[0]
     start = np.cos(np.arange(dim) + 0.25)
-    V = np.zeros((dim, 0))
-    solve, k = lu.solve, m
+    V = np.zeros((dim, 0)) if V is None else V
+    k = m - V.shape[1]
+
+    def complement(x):  # (S - tau I)^{-1} on the complement of the kept pairs
+        y = lu.solve(x - V @ (V.T @ x))
+        return y - V @ (V.T @ y)
     while True:
+        if V.shape[1]:
+            start = start - V @ (V.T @ start)
         try:
             _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, maxiter=5000,
-                              tol=0, OPinv=spla.LinearOperator((dim, dim), matvec=solve,
-                                                               dtype=float))
+                              tol=0, OPinv=spla.LinearOperator(
+                                  (dim, dim), matvec=complement if V.shape[1] else lu.solve,
+                                  dtype=float))
         except spla.ArpackError as exc:
             raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
         w, V, resid = _rayleigh(S, np.hstack([V, U]))
@@ -304,7 +332,7 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float):
             why = (f"{missing} eigenpairs exceed the residual bound "
                    f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
         else:
-            cut = w[-1] - 1e-8 * max(abs(w[-1]), 1.0)
+            cut = _cut(w[-1])
             found = int(np.count_nonzero(w < cut))
             below = _factor(sym, cut)[1]
             if below == found:
@@ -316,10 +344,78 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float):
             raise SolverError(why)
         k = missing
 
-        def solve(x):  # (S - tau I)^{-1} on the complement of the kept pairs
-            y = lu.solve(x - V @ (V.T @ x))
-            return y - V @ (V.T @ y)
-        start = start - V @ (V.T @ start)
+
+def _cut(top: float) -> float:
+    """Where a window whose largest eigenvalue is top is certified: a pair
+    that the cut would split is not a miss."""
+    return top - 1e-8 * max(abs(top), 1.0)
+
+
+# scipy's eigsh builds a Lanczos basis of max(2k + 1, 20) vectors for k
+# pairs: a block given at least 10 pairs of a window is past that floor,
+# so its basis and its dimension both shrink.
+_MIN_SHARE = 10
+
+
+def _split(sym: _Symmetric, m: int):
+    """The rows of each connected block of S, in the order of their first
+    row, when every block's share of a window of m pairs, m dim_c / dim,
+    is at least _MIN_SHARE pairs; else None, one block."""
+    dim = sym.matrix.shape[0]
+    if m < 2 * _MIN_SHARE:  # two shares of _MIN_SHARE make the smallest split
+        return None
+    n, labels = csgraph.connected_components(sym.matrix, directed=False)
+    sizes = np.bincount(labels, minlength=n)
+    if n < 2 or m * sizes.min() < _MIN_SHARE * dim:
+        return None
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+
+
+@dataclass
+class _Block:
+    """One connected block of S in a window: its matrix, its kernel factor
+    and count, the prefix that names it in errors (empty for the whole of
+    S), and its pairs, ascending."""
+
+    sym: _Symmetric
+    lu: object
+    kernel: int
+    name: str = ""
+    w: np.ndarray | None = None
+    V: np.ndarray | None = None
+    resid: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.sym.matrix.shape[0]
+
+
+def _kernel_block(sym: _Symmetric, tau: float, name: str = "") -> _Block:
+    """S as a block with its kernel factor, one float above tau, so that it
+    counts #{lambda <= tau}."""
+    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name)
+
+
+@contextlib.contextmanager
+def _naming(block: _Block):
+    """A SolverError raised on a block of a split window names the block."""
+    try:
+        yield
+    except SolverError as exc:
+        if not block.name:
+            raise
+        raise SolverError(block.name + str(exc)) from exc
+
+
+def _extend(block: _Block, cut: float, tau: float, bound: float) -> bool:
+    """Seek the pairs a block misses below cut, on the complement of those
+    it holds; whether any were missing."""
+    with _naming(block):
+        missing = _factor(block.sym, cut)[1] - int(np.count_nonzero(block.w < cut))
+        if missing > 0:
+            block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau,
+                                                     block.w.size + missing, bound, block.V)
+    return missing > 0
 
 
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
@@ -335,39 +431,82 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     too.  The window holds m pairs, fixed beforehand: m = count, which
     must lie in 1..dim (else CountError), or one more than #{lambda <
     max(ceiling, tau)}: the kernel and the gap for the default ceiling.
-    It comes from dense eigh of S when 2m > dim or |A| = 0, else from
-    shift-invert Lanczos with the kernel factor as the inverse (_lanczos).
-    kernel_dim must equal the kernel factor's count, or m if smaller
-    (SolverError).  Every returned pair must have a residual within
-    RESIDUAL_BOUND x max(|A|, 1), else SolverError.
+
+    A count window is solved one connected block of S at a time when
+    every block's share of it, m dim_c / dim, is at least _MIN_SHARE = 10
+    pairs (_split), and on the whole of S, as one block, otherwise.  On
+    a surface the odd degrees split in two, the dtheta and the dphi rows,
+    which no term of d_s, d_s* or i_v couples.  A window sized by a
+    ceiling is counted on the whole of S, so it is solved there too.
+    Each block takes its own kernel factor, with tau still that of the
+    whole of S, and starts from its share, rounded up.  A block's window
+    comes from dense eigh of the block when 2 m_c > dim_c or its norm is
+    0, else from shift-invert Lanczos with the block's kernel factor as
+    the inverse (_lanczos).  The window is the lowest m of the merged
+    pairs.  A block whose own top lies below the merged top must hold
+    every eigenvalue it has below the merged cut (_cut): where its
+    inertia there counts more, the missing pairs are sought on the
+    complement of those it holds.  On every block, kernel_dim must equal
+    the kernel factor's count, or the pairs it holds if fewer
+    (SolverError), and every returned pair must have a residual within
+    RESIDUAL_BOUND x max(|A|, 1), with |A| the whole operator's, else
+    SolverError.  A SolverError on a split window names the block:
+    "block 2 of 2 (dim 8192): ...".
     """
     sym = _symmetrized(operator, mass)
-    S, opnorm = sym.matrix, sym.norm
-    dim = S.shape[0]
+    dim, opnorm = sym.matrix.shape[0], sym.norm
     if count is not None and not 1 <= count <= dim:
         raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
     tau = KERNEL_TAU_ABS * opnorm
-    lu, kernel = _factor(sym, np.nextafter(tau, math.inf))
-    if count is not None:
-        m = count
-    elif ceiling <= tau:
-        m = min(kernel + 1, dim)
-    else:
-        m = min(_factor(sym, ceiling)[1] + 1, dim)
-
     bound = RESIDUAL_BOUND * max(opnorm, 1.0)
-    if 2 * m > dim or opnorm == 0:
-        w, _, resid = _rayleigh(S, sla.eigh(S.toarray(), driver="evd")[1][:, :m])
+    parts = None if count is None else _split(sym, count)
+    if parts is None:
+        blocks = [_kernel_block(sym, tau)]
+        if count is not None:
+            m = count
+        elif ceiling <= tau:
+            m = min(blocks[0].kernel + 1, dim)
+        else:
+            m = min(_factor(sym, ceiling)[1] + 1, dim)
+        sizes = [m]
     else:
-        w, _, resid = _lanczos(sym, lu, tau, m, bound)
+        m = count
+        blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
+                                f"block {i + 1} of {len(parts)} (dim {rows.size}): ")
+                  for i, rows in enumerate(parts)]
+        sizes = [-(-m * b.dim // dim) for b in blocks]  # each block's share, rounded up
+
+    for b, size in zip(blocks, sizes):
+        with _naming(b):
+            if 2 * size > b.dim or b.sym.norm == 0:
+                S = b.sym.matrix
+                b.w, b.V, b.resid = _rayleigh(
+                    S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
+            else:
+                b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound)
+    while True:  # until no block is short of the merged cut
+        merged = np.concatenate([b.w for b in blocks])
+        order = np.argsort(merged, kind="stable")[:m]
+        top = merged[order[-1]]
+        extended = [_extend(b, _cut(top), tau, bound) for b in blocks
+                    if b.w[-1] < top and b.w.size < b.dim]
+        if not any(extended):
+            break
+
+    w = merged[order]
+    resid = np.concatenate([b.resid for b in blocks])[order]
+    owner = np.repeat(np.arange(len(blocks)), [b.w.size for b in blocks])[order]
     kd, gap, separation = _kernel_split(w, tau)
-    if kd != min(kernel, m):
-        raise SolverError(f"{kd} window eigenvalues are at most tau = {tau:.3e}, "
-                          f"the inertia there is {kernel}")
-    bad = int(np.count_nonzero(resid > bound))
-    if bad:
-        raise SolverError(f"{bad} eigenpairs exceed the residual bound "
-                          f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
+    for i, b in enumerate(blocks):
+        mine = owner == i
+        kd_b = int(np.count_nonzero(w[mine] <= tau))
+        if kd_b != min(b.kernel, int(np.count_nonzero(mine))):
+            raise SolverError(f"{b.name}{kd_b} window eigenvalues are at most "
+                              f"tau = {tau:.3e}, the inertia there is {b.kernel}")
+        bad = int(np.count_nonzero(resid[mine] > bound))
+        if bad:
+            raise SolverError(f"{b.name}{bad} eigenpairs exceed the residual bound "
+                              f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
     return SpectrumReport(
         k=k, s=s,
         eigenvalues=[float(x) for x in w],

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from equimorse import backend as B
 from equimorse import cartan as C
+from equimorse import cli
 from equimorse import spectral as S
 
 
@@ -363,6 +364,22 @@ def test_eigenvalues_do_not_depend_on_the_basis_order(case):
                     <= 64 * np.finfo(float).eps * sym.norm, (k, s)
 
 
+_EIGSH, _EIGH, _FACTOR = spla.eigsh, sla.eigh, S._factor
+
+
+def _dropping_eigsh(A, k, **kwargs):
+    """scipy's eigsh losing the lowest pair of every run."""
+    w, V = _EIGSH(A, k + 1, **kwargs)
+    return w[1:], V[:, 1:]
+
+
+def _mixing_eigsh(A, k, **kwargs):
+    """scipy's eigsh returning the mean of its two lowest vectors first."""
+    w, V = _EIGSH(A, k + 1, **kwargs)
+    V[:, 0] = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
+    return w[:k], V[:, :k]
+
+
 def _eigsh_returning(change):
     """scipy's eigsh, with change applied to the pairs it returns."""
     eigsh = spla.eigsh
@@ -377,14 +394,7 @@ def test_residual_gate_rejects_a_wrong_eigenvalue(sphere, monkeypatch):
     # the mean of two eigenvectors has the mean of their eigenvalues as its
     # Rayleigh quotient, and a residual of half their distance; every run,
     # the one that seeks the dropped pair too, returns such a mean
-    eigsh = spla.eigsh
-
-    def mixing(A, k, **kwargs):
-        w, V = eigsh(A, k + 1, **kwargs)
-        V[:, 0] = (V[:, 0] + V[:, 1]) / math.sqrt(2.0)
-        return w[:k], V[:, :k]
-
-    monkeypatch.setattr(S.spla, "eigsh", mixing)
+    monkeypatch.setattr(S.spla, "eigsh", _mixing_eigsh)
     with pytest.raises(S.SolverError, match="residual bound"):
         S.delta_spectrum(sphere, 1, count=6)
 
@@ -484,13 +494,7 @@ def test_a_count_may_cut_a_degenerate_pair(count):
 
 def test_a_missed_eigenvalue_fails_the_certificate(sphere, monkeypatch):
     # every Lanczos run loses its lowest pair, so the search for it fails too
-    eigsh = spla.eigsh
-
-    def dropping(A, k, **kwargs):
-        w, V = eigsh(A, k + 1, **kwargs)
-        return w[1:], V[:, 1:]
-
-    monkeypatch.setattr(S.spla, "eigsh", dropping)
+    monkeypatch.setattr(S.spla, "eigsh", _dropping_eigsh)
     with pytest.raises(S.SolverError, match="inertia there is 6"):
         S.delta_spectrum(sphere, 1, count=6)
 
@@ -601,29 +605,34 @@ def _planted_operators(draw):
     cluster = [c * (1 + 1e-9 * j) for c in centres
                for j in range(draw(st.integers(1, 3)))] * draw(st.integers(1, 2))
     blocks.append(sp.diags(cluster))
+    A, mass, dense = _mass_scaled(blocks, draw(st.integers(0, 2 ** 32 - 1)))
+    window = draw(st.one_of(
+        st.builds(lambda m: {"count": m}, st.integers(1, max(len(mass) // 2, 1))),
+        st.builds(lambda c: {"ceiling": c}, st.floats(0.0, 60.0))))
+    return A, mass, dense, window
+
+
+def _mass_scaled(blocks, seed):
+    """The block-diagonal S of blocks in a random basis order, and the
+    operator M^{-1/2} S M^{1/2} with a random mass M, so that
+    M^{1/2} A M^{-1/2} = S: A, the mass and S as a dense array."""
     S_ = sp.csr_matrix(sp.block_diag(blocks))
     dim = S_.shape[0]
-    seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dim)
     mass = rng.uniform(0.5, 2.0, dim)
     S_ = S_[perm][:, perm]
     A = sp.diags(1 / np.sqrt(mass)) @ S_ @ sp.diags(np.sqrt(mass))
-    window = draw(st.one_of(
-        st.builds(lambda m: {"count": m}, st.integers(1, max(dim // 2, 1))),
-        st.builds(lambda c: {"ceiling": c}, st.floats(0.0, 60.0))))
-    return sp.csr_matrix(A), mass, S_.toarray(), window
+    return sp.csr_matrix(A), mass, S_.toarray()
 
 
-@settings(max_examples=80, deadline=None)
-@given(_planted_operators())
-def test_window_matches_dense_eigh(planted):
-    """The window is the lowest m of the dense spectrum, and its kernel is
-    the dense one.  Each eigenvalue agrees to 1e-12 |A| plus its residual
-    norm, which a vector mixing the members of a cluster 1e-9 apart may
-    need; the top one to the certificate's cut, 1e-8 max(|lambda|, 1),
-    since it may be any member of a cluster that the cut splits."""
-    A, mass, dense, window = planted
+def _assert_dense_prefix(A, mass, dense, window):
+    """The window of A is the lowest m of the dense spectrum, and its
+    kernel is the dense one.  Each eigenvalue agrees to 1e-12 |A| plus its
+    residual norm, which a vector mixing the members of a cluster 1e-9
+    apart may need; the top one to the certificate's cut, 1e-8
+    max(|lambda|, 1), since it may be any member of a cluster that the
+    cut splits."""
     reference = np.linalg.eigvalsh(dense)
     rep = S.eigensolve(A, mass, **window)
     got = np.asarray(rep.eigenvalues)
@@ -640,6 +649,150 @@ def test_window_matches_dense_eigh(planted):
         ceiling, slack = max(window["ceiling"], tau), 1e-12 * norm
         assert got.size == rep.dim or got[-1] >= ceiling - slack
         assert got.size == 1 or got[-2] < ceiling + slack
+    else:
+        assert got.size == window["count"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_planted_operators())
+def test_window_matches_dense_eigh(planted):
+    _assert_dense_prefix(*planted)
+
+
+@st.composite
+def _planted_blocks(draw):
+    """Two or three connected path Laplacians of 30 to 80 nodes, some
+    repeated bitwise, permuted and mass-scaled as _planted_operators does,
+    with a count that gives every block a share of at least
+    _MIN_SHARE pairs, so that the window is solved block by block."""
+    blocks, size = [], draw(st.integers(2, 3))
+    while len(blocks) < size:
+        n = draw(st.integers(30, 80))
+        scale = draw(st.floats(0.1, 100.0))
+        weights = scale * np.asarray(draw(st.lists(st.floats(0.2, 5.0),
+                                                   min_size=n - 1, max_size=n - 1)))
+        blocks += [_path_laplacian(weights)] * draw(st.integers(1, size - len(blocks)))
+    dim, smallest = sum(b.shape[0] for b in blocks), min(b.shape[0] for b in blocks)
+    count = draw(st.integers(-(-S._MIN_SHARE * dim // smallest), dim))
+    return (*_mass_scaled(blocks, draw(st.integers(0, 2 ** 32 - 1))), {"count": count})
+
+
+@settings(max_examples=30, deadline=None)
+@given(_planted_blocks())
+def test_a_window_over_connected_blocks_matches_dense_eigh(planted):
+    _assert_dense_prefix(*planted)
+
+
+def _spy(monkeypatch, name):
+    """The positional arguments of every call to spectral.<name> from here on."""
+    calls, real = [], getattr(S, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(S, name, spy)
+    return calls
+
+
+def _chains(sizes, scales, seed=0):
+    """Path Laplacians of the given sizes, weights drawn in [0.5, 2] times
+    each scale, mass-scaled in a random basis order (_mass_scaled)."""
+    rng = np.random.default_rng(seed)
+    return _mass_scaled([_path_laplacian(c * rng.uniform(0.5, 2.0, n - 1))
+                         for n, c in zip(sizes, scales)], seed)
+
+
+@pytest.mark.parametrize("sizes,count", [
+    ((40, 40), 20), ((45, 60), 24), ((60, 70, 80), 40),
+])
+def test_a_count_window_is_solved_block_by_block(sizes, count, monkeypatch):
+    """Every block's share, count x dim_c / dim, is at least 10 pairs: each
+    block starts from its own Lanczos run, and the merged window is the
+    dense prefix to 64 eps |A| plus its residuals, with one kernel vector
+    per chain."""
+    A, mass, dense = _chains(sizes, [1.0, 3.0, 0.5])
+    runs = _spy(monkeypatch, "_lanczos")
+    rep = S.eigensolve(A, mass, count=count)
+    assert sorted(run[0].matrix.shape[0] for run in runs if len(run) == 5) == sorted(sizes)
+    reference = np.linalg.eigvalsh(dense)[:count]
+    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+    assert rep.kernel_dim == len(sizes)
+    assert len(rep.residual_norms) == count
+    assert max(rep.residual_norms) <= S.RESIDUAL_BOUND * max(rep.operator_norm, 1.0)
+
+
+def test_a_short_block_is_extended_on_the_complement_of_its_pairs(monkeypatch):
+    """Chains of 60 nodes at weight scales 1 and 9: the first holds about
+    18 of the lowest 24 eigenvalues but starts from its share, 12.  Its
+    top lies below the merged top, its inertia there counts more, and
+    the missing pairs are sought with the 12 it holds kept."""
+    A, mass, dense = _chains((60, 60), [1.0, 9.0])
+    runs = _spy(monkeypatch, "_lanczos")
+    rep = S.eigensolve(A, mass, count=24)
+    extensions = [run for run in runs if len(run) > 5]
+    assert extensions and extensions[0][5].shape[1] == 12
+    reference = np.linalg.eigvalsh(dense)[:24]
+    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+    assert rep.kernel_dim == 2
+
+
+def _noisy_eigh(a, **kwargs):
+    """scipy's eigh with a 5e-8 error in each vector (as in
+    test_residual_gate_rejects_an_inexact_window_vector)."""
+    w, V = _EIGH(a, **kwargs)
+    noise = np.random.default_rng(1).standard_normal(V.shape)
+    V = V + 5e-8 * noise / np.linalg.norm(noise, axis=0)
+    return w, V / np.linalg.norm(V, axis=0)
+
+
+def _overcounting_factor(sym, shift):
+    """spectral._factor with one negative pivot too many at every kernel
+    factor, the only one taken below 1e-6 here."""
+    lu, negatives = _FACTOR(sym, shift)
+    return lu, negatives + (shift < 1e-6)
+
+
+@pytest.mark.parametrize("target,patch,count,why", [
+    ("spla.eigsh", _dropping_eigsh, 24, "the window holds .* the inertia there is"),
+    ("spla.eigsh", _mixing_eigsh, 24, r"\d+ eigenpairs exceed the residual bound"),
+    ("sla.eigh", _noisy_eigh, 90, r"\d+ eigenpairs exceed the residual bound"),
+    ("_factor", _overcounting_factor, 24, "1 window eigenvalues are at most tau = "
+     r".*, the inertia there is 2"),
+], ids=["missed-pair", "rough-pair", "rough-dense-pair", "kernel"])
+def test_a_failure_on_a_split_window_names_its_block(target, patch, count, why,
+                                                     monkeypatch):
+    """Chains of 40 and 50 nodes: a count of 24 gives them 11 and 14
+    pairs, each by Lanczos; a count of 90, every pair, by dense eigh."""
+    A, mass, _ = _chains((40, 50), [1.0, 2.0])
+    monkeypatch.setattr(f"equimorse.spectral.{target}", patch)
+    with pytest.raises(S.SolverError, match=rf"^block 1 of 2 \(dim 40\): {why}"):
+        S.eigensolve(A, mass, count=count)
+
+
+def test_verify_solves_every_window_on_the_whole_operator(tmp_path, monkeypatch):
+    """verify sizes its windows by ceilings, the kernel and gap or Lambda,
+    so none is split: one Lanczos run per window, none an extension."""
+    windows = _spy(monkeypatch, "eigensolve")
+    runs = _spy(monkeypatch, "_lanczos")
+    assert cli.main(["verify", "--case", "sphere_height", "--n-grid", "64",
+                     "--out", str(tmp_path / "report")]) == 0
+    assert len(windows) == len(runs) > 0
+    assert all(len(run) == 5 for run in runs)
+
+
+def test_an_odd_degree_count_window_solves_its_two_blocks(monkeypatch):
+    """Degree 1 of the sphere at N = 256: the dtheta and the dphi rows do
+    not couple, and a count of 24 gives each a share of about 12."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    runs = _spy(monkeypatch, "_lanczos")
+    rep = S.delta_spectrum(be, 1, s=16.0, count=24)
+    dims = [run[0].matrix.shape[0] for run in runs if len(run) == 5]
+    assert len(dims) == 2 and sum(dims) == rep.dim
+    reference, sym = _dense_spectrum(be, 1, 16.0)
+    assert np.abs(np.asarray(rep.eigenvalues) - reference[:24]).max() \
+        <= 64 * np.finfo(float).eps * sym.norm
 
 
 @pytest.mark.xfail(
