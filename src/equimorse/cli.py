@@ -35,8 +35,10 @@ unset), phi_kind and phi_scale for `verify`, and phi_kind and phi_scale
 for `sweep`.
 
 `sweep` writes its CSV and JSON files into the directory `out`, by
-default sweep_out, and exits 1 when the kernel dimension varies along
-the sweep.  Flags must be spelled in full.
+default sweep_out, which it checks before it solves anything, and exits
+1 when the kernel dimension varies along the sweep.  sweep.json records
+each point's solver facts: dim, operator_norm, kernel_dim, separation
+and worst_residual.  Flags must be spelled in full.
 
 Outputs never embed timestamps and are written atomically, so repeated
 runs are byte-identical.
@@ -239,6 +241,18 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _check_out_directory(out: str) -> None:
+    """Refuse, before any solve, a directory out that could not be made or
+    written: the nearest path of out and its ancestors that exists must
+    be a writable directory.  Nothing is created, so a run that fails
+    later leaves no output."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"--out {out!r}: {path!r} is not a writable directory")
+
+
 def cmd_sweep(args) -> int:
     values = _read_values(args, ("run", "geometry", "deformation", "trace"),
                           dict(RUN_DEFAULTS, out="sweep_out", k=2))
@@ -246,6 +260,7 @@ def cmd_sweep(args) -> int:
                             values["out"])
     profile, f = backend_mod.catalog(values["case"], values["params"],
                                      n_grid=values["n_grid"], weight=values["weight"])
+    _check_out_directory(out)
     be = backend_mod.build_backend(profile, f)
     result = spectral_mod.sweep_s(be, k, s_list, spec, count=values.get("count"))
     os.makedirs(out, exist_ok=True)
@@ -261,6 +276,7 @@ def cmd_sweep(args) -> int:
         "kernel_constant": result.kernel_constant,
         "gap_monotone_from": result.gap_monotone_from,
         "gaps": [[s, g if math.isfinite(g) else None] for s, g in result.gaps()],
+        "points": [_solver_record(p) for p in result.points],
         "config": _config(values, "phi_kind", "phi_scale"),
     }
     write_atomic(os.path.join(out, "sweep.json"), _json_text(meta))
@@ -269,6 +285,15 @@ def cmd_sweep(args) -> int:
         print(f"  kernel dimension varies along the sweep: "
               f"{[p.report.kernel_dim for p in result.points]}")
     return 0 if result.kernel_constant else 1
+
+
+def _solver_record(point) -> dict:
+    """The solver facts of one sweep point: all deterministic, no wall time."""
+    rep = point.report
+    return {"s": point.s, "dim": rep.dim, "operator_norm": rep.operator_norm,
+            "kernel_dim": rep.kernel_dim,
+            "separation": rep.separation if math.isfinite(rep.separation) else None,
+            "worst_residual": max(rep.residual_norms)}
 
 
 def cmd_local(args) -> int:

@@ -20,26 +20,33 @@ one LDL^T of S - sigma I with one symmetric ordering, at the largest
 shift at or below sigma whose factor is regular.  The one just above
 tau counts the kernel, by Sylvester's law, and serves as the inverse of
 a shift-invert Lanczos iteration for the window.  A pair is kept only
-within the residual bound, and a second factor just below the window's
-top must count exactly the kept eigenvalues below it; what is missing
-is sought again on the complement of the kept pairs.  A window wider
-than half the dimension and the zero operator's come from dense eigh of
-S.  Each eigenvalue is the Rayleigh quotient of its vector.
-betti_numbers further requires the gap to be at least SEPARATION_FACTOR
-= 100 times the largest kernel eigenvalue.  All solves are
-deterministic.
+within the residual bound.  The window is certified once: a second
+factor just below its top must count exactly the kept eigenvalues
+below it, and what is missing is sought again on the complement of the
+kept pairs.  A window wider than half the dimension and the zero
+operator's come from dense eigh of S.  Each eigenvalue is the Rayleigh
+quotient of its vector.  betti_numbers further requires the gap to be
+at least SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.
+All solves are deterministic.
 
 A count window whose every connected block of S gets a share of at
 least 10 pairs, m dim_c / dim, is solved block by block: each block by
-the rule above, on its own kernel factor, and the window is the lowest
-m of the merged pairs.  The odd degrees of a surface split so, into
-their dtheta and dphi rows: d_s maps functions into the dtheta part
-only, and d and i_v on 1-forms read only the dphi part.  A block whose
-top lies below the merged top must hold every eigenvalue its inertia
-counts below the merged cut; what it lacks is sought on the complement
-of its pairs.  A window sized by a ceiling is counted on the whole of
-S, whose kernel factor then solves it too: like a window with a
-smaller share on some block, it is the one-block case.
+the rule above, on its own kernel factor, starting from its share and
+one more, and the window is the lowest m of the merged pairs.  The odd
+degrees of a surface split so, into their dtheta and dphi rows: d_s
+maps functions into the dtheta part only, and d and i_v on 1-forms
+read only the dphi part.  The certificate is taken at the merged top:
+each block must hold every eigenvalue its inertia counts below that
+cut, and what one lacks is sought on the complement of its pairs.  A
+window sized by a ceiling is counted on the whole of S, whose kernel
+factor then solves it too: like a window with a smaller share on some
+block, it is the one-block case.
+
+A Lanczos run starts from a fixed vector, or from a given start.  The
+frame M^{1/2} of S depends only on the backend and the degree, so
+sweep_s starts each window from the sum of the previous s's window
+vectors (SpectrumReport.ritz_sum), which holds most of the new window
+already; the certificate finds whatever such a start misses.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import io
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -115,9 +122,12 @@ class SpectrumReport:
     is); separation is gap over the largest kernel eigenvalue (infinite
     without a gap or a kernel).
     residual_norms hold ||S v - lambda v||, in the mass-orthonormal frame,
-    for every returned pair.  to_record, the spectrum JSON, adds dim,
-    operator_norm, separation and vectors, the number of residual norms,
-    and writes an infinite gap or separation as null.
+    for every returned pair.  ritz_sum is the sum of the window's unit
+    vectors v in that frame, M^{1/2}, which depends only on the backend
+    and the degree: a Lanczos start for the window of a nearby s
+    (sweep_s).  to_record, the spectrum JSON, adds dim, operator_norm,
+    separation and vectors, the number of residual norms, and writes an
+    infinite gap or separation as null; it leaves ritz_sum out.
     """
 
     k: int
@@ -129,6 +139,7 @@ class SpectrumReport:
     dim: int = 0
     operator_norm: float = 0.0
     separation: float = math.inf
+    ritz_sum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_record(self) -> dict:
         return {
@@ -288,26 +299,24 @@ def _rayleigh(S, V):
     return w[order], V[:, order], np.linalg.norm(SV - V * w, axis=0)[order]
 
 
-def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None):
+def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
+             start=None):
     """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
     Each eigenvalue is the Rayleigh quotient of its vector, and a pair is
-    kept only when its residual is within bound.  The start vector is
-    fixed, so repeated runs are bit-identical.  Once m pairs are kept,
-    the cut c = lambda_top - 1e-8 max(|lambda_top|, 1) certifies them:
-    the inertia at c must equal the number of kept eigenvalues below c,
-    so no eigenvalue below the top was missed, and a pair split by the
-    cut at the top is not a miss.  Whatever is missing, pairs the
-    residual bound dropped or copies of an exactly repeated eigenvalue
-    that one start vector cannot see, is sought by the next run on the
-    complement of the kept pairs.  Orthonormal columns V, pairs already
-    kept, make the first run one such search, for the other m - |V|.  A
-    run after which at least as many pairs are missing as it sought
-    raises SolverError, and so does any ARPACK error.
+    kept only when its residual is within bound; the pairs the bound
+    drops are sought by the next run, on the complement of the kept
+    pairs.  Orthonormal columns V, pairs already kept, make the first run
+    one such search, for the other m - |V|.  The first run starts from
+    start, by default the fixed cos(i + 1/4), so repeated runs are
+    bit-identical, and each next run from it projected on the
+    complement.  A run after which at least as many pairs are missing as
+    it sought raises SolverError, and so does any ARPACK error.  No pair
+    is certified here: eigensolve checks them against the inertia.
     """
     S = sym.matrix
     dim = S.shape[0]
-    start = np.cos(np.arange(dim) + 0.25)
+    start = np.cos(np.arange(dim) + 0.25) if start is None else start
     V = np.zeros((dim, 0)) if V is None else V
     k = m - V.shape[1]
 
@@ -328,20 +337,11 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None):
         keep = np.flatnonzero(resid <= bound)[:m]
         w, V, resid = w[keep], V[:, keep], resid[keep]
         missing = m - keep.size
-        if missing:
-            why = (f"{missing} eigenpairs exceed the residual bound "
-                   f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
-        else:
-            cut = _cut(w[-1])
-            found = int(np.count_nonzero(w < cut))
-            below = _factor(sym, cut)[1]
-            if below == found:
-                return w, V, resid
-            missing = below - found
-            why = (f"the window holds {found} eigenvalues below {cut:.6e}, "
-                   f"the inertia there is {below}")
-        if not 0 < missing < k:
-            raise SolverError(why)
+        if not missing:
+            return w, V, resid
+        if missing >= k:
+            raise SolverError(f"{missing} eigenpairs exceed the residual bound "
+                              f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
         k = missing
 
 
@@ -375,25 +375,32 @@ def _split(sym: _Symmetric, m: int):
 class _Block:
     """One connected block of S in a window: its matrix, its kernel factor
     and count, the prefix that names it in errors (empty for the whole of
-    S), and its pairs, ascending."""
+    S), its rows in S, and its pairs, ascending.  complete_below is a
+    value below which the block's pairs hold every eigenvalue it has
+    (-inf until a certificate or a dense solve shows one); sought is the
+    number of pairs its last extension sought (infinite before one)."""
 
     sym: _Symmetric
     lu: object
     kernel: int
-    name: str = ""
+    name: str
+    rows: np.ndarray | slice
     w: np.ndarray | None = None
     V: np.ndarray | None = None
     resid: np.ndarray | None = None
+    complete_below: float = -math.inf
+    sought: float = math.inf
 
     @property
     def dim(self) -> int:
         return self.sym.matrix.shape[0]
 
 
-def _kernel_block(sym: _Symmetric, tau: float, name: str = "") -> _Block:
+def _kernel_block(sym: _Symmetric, tau: float, name: str = "",
+                  rows=slice(None)) -> _Block:
     """S as a block with its kernel factor, one float above tau, so that it
     counts #{lambda <= tau}."""
-    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name)
+    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name, rows)
 
 
 @contextlib.contextmanager
@@ -407,19 +414,33 @@ def _naming(block: _Block):
         raise SolverError(block.name + str(exc)) from exc
 
 
-def _extend(block: _Block, cut: float, tau: float, bound: float) -> bool:
-    """Seek the pairs a block misses below cut, on the complement of those
-    it holds; whether any were missing."""
+def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
+    """Check a block's pairs at cut: the inertia there must count exactly
+    the eigenvalues it holds below cut.  What it lacks is sought on the
+    complement of its pairs, from the fixed start (_lanczos), and checked
+    again at the next cut.  A first certificate may find any number
+    missing, as a block of a split window starts from its share of the
+    window; an extension after which at least as many are missing as it
+    sought found none of them, and raises SolverError, as does an
+    inertia below the pairs held."""
     with _naming(block):
-        missing = _factor(block.sym, cut)[1] - int(np.count_nonzero(block.w < cut))
-        if missing > 0:
-            block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau,
-                                                     block.w.size + missing, bound, block.V)
-    return missing > 0
+        found = int(np.count_nonzero(block.w < cut))
+        below = _factor(block.sym, cut)[1]
+        missing = below - found
+        if not missing:
+            block.complete_below = cut
+            return
+        if not 0 < missing < block.sought:
+            raise SolverError(f"the window holds {found} eigenvalues below {cut:.6e}, "
+                              f"the inertia there is {below}")
+        block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau,
+                                                 block.w.size + missing, bound, block.V)
+        block.sought = missing
 
 
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
-               k: int = 0, s: float = 0.0, ceiling: float = 0.0) -> SpectrumReport:
+               k: int = 0, s: float = 0.0, ceiling: float = 0.0,
+               start=None) -> SpectrumReport:
     """The lowest eigenpairs of a mass-symmetric operator: one certified window.
 
     operator may be an EqOperator or a sparse/dense matrix, of dimension
@@ -439,24 +460,33 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     which no term of d_s, d_s* or i_v couples.  A window sized by a
     ceiling is counted on the whole of S, so it is solved there too.
     Each block takes its own kernel factor, with tau still that of the
-    whole of S, and starts from its share, rounded up.  A block's window
-    comes from dense eigh of the block when 2 m_c > dim_c or its norm is
-    0, else from shift-invert Lanczos with the block's kernel factor as
-    the inverse (_lanczos).  The window is the lowest m of the merged
-    pairs.  A block whose own top lies below the merged top must hold
-    every eigenvalue it has below the merged cut (_cut): where its
-    inertia there counts more, the missing pairs are sought on the
-    complement of those it holds.  On every block, kernel_dim must equal
-    the kernel factor's count, or the pairs it holds if fewer
-    (SolverError), and every returned pair must have a residual within
-    RESIDUAL_BOUND x max(|A|, 1), with |A| the whole operator's, else
-    SolverError.  A SolverError on a split window names the block:
-    "block 2 of 2 (dim 8192): ...".
+    whole of S, and starts from its share, rounded up, plus one.  A
+    block's window comes from dense eigh of the block when 2 m_c > dim_c
+    or its norm is 0, else from shift-invert Lanczos with the block's
+    kernel factor as the inverse (_lanczos), started from start[rows],
+    the block's part of start (dim floats in the frame of S, as
+    SpectrumReport.ritz_sum gives them), or from the fixed vector when
+    that part is zero or no start is given.  The window is the lowest m
+    of the merged pairs, and it is certified once, at the merged cut
+    (_cut of its top): every Lanczos block, and a dense one whose top
+    lies below the cut, must hold every eigenvalue its inertia counts
+    below the cut, and what one lacks is sought on the complement of its
+    pairs (_certify) until none lacks any.  An unsplit window is the
+    one-block case, certified at the cut of its own top.  On every
+    block, kernel_dim must equal the kernel factor's count, or the pairs
+    it holds if fewer (SolverError), and every returned pair must have a
+    residual within RESIDUAL_BOUND x max(|A|, 1), with |A| the whole
+    operator's, else SolverError.  A SolverError on a split window names
+    the block: "block 2 of 2 (dim 8192): ...".
     """
     sym = _symmetrized(operator, mass)
     dim, opnorm = sym.matrix.shape[0], sym.norm
     if count is not None and not 1 <= count <= dim:
         raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (dim,):
+            raise ValueError(f"a start of shape {start.shape} for dimension {dim}")
     tau = KERNEL_TAU_ABS * opnorm
     bound = RESIDUAL_BOUND * max(opnorm, 1.0)
     parts = None if count is None else _split(sym, count)
@@ -472,9 +502,10 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     else:
         m = count
         blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
-                                f"block {i + 1} of {len(parts)} (dim {rows.size}): ")
+                                f"block {i + 1} of {len(parts)} (dim {rows.size}): ", rows)
                   for i, rows in enumerate(parts)]
-        sizes = [-(-m * b.dim // dim) for b in blocks]  # each block's share, rounded up
+        # each block's share, rounded up, and one more
+        sizes = [-(-m * b.dim // dim) + 1 for b in blocks]
 
     for b, size in zip(blocks, sizes):
         with _naming(b):
@@ -482,23 +513,28 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
                 S = b.sym.matrix
                 b.w, b.V, b.resid = _rayleigh(
                     S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
+                b.complete_below = math.inf if b.w.size == b.dim else b.w[-1]
             else:
-                b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound)
-    while True:  # until no block is short of the merged cut
+                part = None if start is None or not start[b.rows].any() else start[b.rows]
+                b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, start=part)
+    while True:  # until every block holds all its eigenvalues below the merged cut
         merged = np.concatenate([b.w for b in blocks])
         order = np.argsort(merged, kind="stable")[:m]
-        top = merged[order[-1]]
-        extended = [_extend(b, _cut(top), tau, bound) for b in blocks
-                    if b.w[-1] < top and b.w.size < b.dim]
-        if not any(extended):
+        cut = _cut(merged[order[-1]])
+        pending = [b for b in blocks if b.complete_below < cut]
+        if not pending:
             break
+        _certify(pending[0], cut, tau, bound)
 
     w = merged[order]
     resid = np.concatenate([b.resid for b in blocks])[order]
     owner = np.repeat(np.arange(len(blocks)), [b.w.size for b in blocks])[order]
+    first = np.cumsum([0] + [b.w.size for b in blocks])
+    ritz_sum = np.zeros(dim)
     kd, gap, separation = _kernel_split(w, tau)
     for i, b in enumerate(blocks):
         mine = owner == i
+        ritz_sum[b.rows] = b.V[:, order[mine] - first[i]].sum(axis=1)
         kd_b = int(np.count_nonzero(w[mine] <= tau))
         if kd_b != min(b.kernel, int(np.count_nonzero(mine))):
             raise SolverError(f"{b.name}{kd_b} window eigenvalues are at most "
@@ -516,20 +552,24 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         dim=dim,
         operator_norm=opnorm,
         separation=separation,
+        ritz_sum=ritz_sum,
     )
 
 
 def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
                    count: int | None = None,
-                   ceiling: float = 0.0) -> SpectrumReport:
+                   ceiling: float = 0.0, start=None) -> SpectrumReport:
     """Window report of the (deformed) equivariant Laplacian in degree k.
 
     The window is the lowest count pairs, or without a count every
     eigenvalue below ceiling and one more, by default the kernel and gap.
+    start, dim floats in the frame M^{1/2} of degree k, is the Lanczos
+    start (eigensolve): that frame does not depend on s, so the
+    ritz_sum of a window at a nearby s is a good one.
     """
     _, _, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
-    return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling)
+    return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling, start=start)
 
 
 def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:
@@ -614,17 +654,22 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
     kernel threshold both produce one.  The result also records from
     which s onward the observed gap is nondecreasing.  Each point's
     window is the lowest count pairs, or without a count the trace
-    window up to trace_spec.ceiling().
+    window up to trace_spec.ceiling().  Each window after the first
+    continues from the one before: its Lanczos start is that window's
+    ritz_sum, since the frame M^{1/2} is the same at every s.  What the
+    start misses the certificate finds, so each window is the one a
+    cold start would certify, to rounding.
     """
     s_values = list(s_list)
     if any(sv < 0 for sv in s_values):
         raise ValueError("deformation parameters must be nonnegative")
     if sorted(s_values) != s_values:
         raise ValueError("s_list must be ascending")
-    points = []
+    points, start = [], None
     for sv in s_values:
         rep = delta_spectrum(backend, k, s=sv, count=count,
-                             ceiling=trace_spec.ceiling())
+                             ceiling=trace_spec.ceiling(), start=start)
+        start = rep.ritz_sum
         points.append(SweepPoint(s=sv, report=rep, mu=trace_phi(rep, trace_spec)))
     constant = len({p.report.kernel_dim for p in points}) <= 1
     monotone_from = None

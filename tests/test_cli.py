@@ -330,6 +330,46 @@ def test_sweep_outputs(tmp_path):
     assert gaps[32.0] >= gaps[8.0]
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_sweep_json_records_each_points_solver_facts(k, tmp_path):
+    """One entry per s with the facts of its window, as sweep_s reports
+    them, and nothing that varies from run to run.  Degree 1 of the
+    sphere has no kernel, so its separation is null; degree 2 has one."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--case", "sphere_height", "--n-grid", "64", "--k", str(k),
+            "--s", "0,4,16", "--count", "24", "--out", str(out)]
+    assert run(argv) == 0
+    text = (out / "sweep.json").read_text()
+    points = json.loads(text)["points"]
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
+    assert [p["s"] for p in points] == [0.0, 4.0, 16.0]
+    sweep = spectral.sweep_s(be, k, [0.0, 4.0, 16.0], spectral.TraceSpec(), count=24)
+    for point, want in zip(points, sweep.points):
+        rep = want.report
+        assert point == {"s": want.s, "dim": rep.dim, "operator_norm": rep.operator_norm,
+                         "kernel_dim": rep.kernel_dim,
+                         "separation": None if k == 1 else rep.separation,
+                         "worst_residual": max(rep.residual_norms)}
+        assert math.isinf(rep.separation) == (k == 1)
+        assert 0 < point["worst_residual"] <= spectral.RESIDUAL_BOUND * rep.operator_norm
+    assert run(argv) == 0
+    assert (out / "sweep.json").read_text() == text
+
+
+def test_sweep_checks_its_out_directory_before_solving(tmp_path, monkeypatch, capsys):
+    """An --out that names an existing file exits 2 before any solve."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sweep_s ran before --out was checked")
+
+    monkeypatch.setattr(cli.spectral_mod, "sweep_s", unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert run(["sweep", "--case", "sphere_height", "--n-grid", "64", "--k", "1",
+                "--s", "4", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "keep"
+
+
 def test_sweep_empty_s_list_gives_header_only(tmp_path):
     out = tmp_path / "sweep"
     code = run(["sweep", "--case", "sphere_height", "--n-grid", "64",

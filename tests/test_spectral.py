@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+from functools import partial
 
 import numpy as np
 import pytest
@@ -723,11 +724,12 @@ def test_a_count_window_is_solved_block_by_block(sizes, count, monkeypatch):
 
 
 def test_a_short_block_is_extended_on_the_complement_of_its_pairs(monkeypatch):
-    """Chains of 60 nodes at weight scales 1 and 9: the first holds about
-    18 of the lowest 24 eigenvalues but starts from its share, 12.  Its
-    top lies below the merged top, its inertia there counts more, and
-    the missing pairs are sought with the 12 it holds kept."""
-    A, mass, dense = _chains((60, 60), [1.0, 9.0])
+    """Chains of 55 and 65 nodes at weight scales 1 and 9: the first holds
+    about 17 of the lowest 24 eigenvalues but starts from its share and
+    one more, 11 + 1.  Its top lies below the merged top, its inertia
+    there counts more, and the missing pairs are sought with the 12 it
+    holds kept."""
+    A, mass, dense = _chains((55, 65), [1.0, 9.0])
     runs = _spy(monkeypatch, "_lanczos")
     rep = S.eigensolve(A, mass, count=24)
     extensions = [run for run in runs if len(run) > 5]
@@ -793,6 +795,102 @@ def test_an_odd_degree_count_window_solves_its_two_blocks(monkeypatch):
     reference, sym = _dense_spectrum(be, 1, 16.0)
     assert np.abs(np.asarray(rep.eigenvalues) - reference[:24]).max() \
         <= 64 * np.finfo(float).eps * sym.norm
+
+
+def _spy_starts(monkeypatch):
+    """The start given to every first run of spectral._lanczos from here on."""
+    starts, real = [], S._lanczos
+
+    def spy(*args, **kwargs):
+        if len(args) == 5:
+            starts.append(kwargs.get("start"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(S, "_lanczos", spy)
+    return starts
+
+
+@pytest.mark.parametrize("case", ["sphere_height", "torus_height"])
+def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
+    """Each sweep window after the first starts from the ritz_sum of the
+    one before; it must still be the window a cold start certifies:
+    every eigenvalue within 64 eps |A| plus both residuals, the same
+    kernel dimension, and count pairs."""
+    be = B.build_backend(*B.catalog(case, n_grid=256))
+    s_list = [4.0, 8.0, 16.0, 32.0, 64.0]
+    for k in range(4):
+        starts = _spy_starts(monkeypatch)
+        sweep = S.sweep_s(be, k, s_list, S.TraceSpec(), count=24)
+        monkeypatch.undo()
+        # the first window's blocks start cold, every later one warm
+        blocks = sum(x is None for x in starts)
+        assert blocks in (1, 2) and len(starts) == blocks * len(s_list)
+        assert all(x is not None and x.any() for x in starts[blocks:])
+        for point in sweep.points:
+            warm = point.report
+            cold = S.delta_spectrum(be, k, s=point.s, count=24)
+            allowed = (64 * np.finfo(float).eps * cold.operator_norm
+                       + np.asarray(cold.residual_norms) + np.asarray(warm.residual_norms))
+            assert len(warm.eigenvalues) == 24
+            assert np.all(np.abs(np.asarray(warm.eigenvalues)
+                                 - np.asarray(cold.eigenvalues)) <= allowed), (k, point.s)
+            assert warm.kernel_dim == cold.kernel_dim, (k, point.s)
+
+
+def test_a_start_blind_to_a_wanted_eigenvector_is_caught_by_the_certificate(monkeypatch):
+    """S diagonal, in a permuted order, with a start that is exactly zero on
+    the basis vector of its third eigenvalue: no Krylov vector of that
+    start has a component there, so the first run misses the pair.  The
+    certificate counts it, the extension from the fixed vector finds it,
+    and the window is the dense prefix."""
+    rng = np.random.default_rng(3)
+    diag = np.r_[0.0, np.linspace(0.5, 40.0, 99)]
+    perm = rng.permutation(diag.size)
+    A = sp.diags(diag[perm], format="csr")
+    start = np.cos(np.arange(diag.size) + 0.25)
+    start[np.flatnonzero(perm == 2)] = 0.0
+    runs = _spy(monkeypatch, "_lanczos")
+    rep = S.eigensolve(A, np.ones(diag.size), count=6, start=start)
+    assert [len(run) for run in runs] == [5, 6]
+    assert np.abs(np.asarray(rep.eigenvalues) - diag[:6]).max() <= 1e-12 * diag.max()
+    assert rep.kernel_dim == 1
+
+
+def test_a_zero_start_falls_back_to_the_fixed_vector(monkeypatch):
+    """A start that is zero on a block's rows starts that block from the
+    fixed vector: bitwise the window of no start at all."""
+    A, mass, _ = _chains((40, 50), [1.0, 2.0])
+    cold = S.eigensolve(A, mass, count=24)
+    rows = S._split(S._symmetrized(A, mass), 24)
+    start = np.zeros(90)
+    assert S.eigensolve(A, mass, count=24, start=start).eigenvalues == cold.eigenvalues
+    start[rows[1]] = cold.ritz_sum[rows[1]]
+    starts = _spy_starts(monkeypatch)
+    warm = S.eigensolve(A, mass, count=24, start=start)
+    assert starts[0] is None and np.array_equal(starts[1], start[rows[1]])
+    assert np.abs(np.asarray(warm.eigenvalues) - cold.eigenvalues).max() \
+        <= 64 * np.finfo(float).eps * cold.operator_norm + 2 * max(cold.residual_norms)
+    with pytest.raises(ValueError, match="shape"):
+        S.eigensolve(A, mass, count=24, start=np.ones(89))
+
+
+@pytest.mark.parametrize("window", ["chains", "sphere"])
+def test_a_split_window_without_a_miss_takes_two_factors_per_block(window, monkeypatch):
+    """Each block takes its kernel factor and one factor at the merged cut,
+    the same for every block; no block is extended."""
+    if window == "chains":
+        A, mass, _ = _chains((40, 50), [1.0, 1.0])
+        solve = partial(S.eigensolve, A, mass, count=24)
+    else:
+        be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+        solve = partial(S.delta_spectrum, be, 1, s=16.0, count=24)
+    runs = _spy(monkeypatch, "_lanczos")
+    factors = _spy(monkeypatch, "_factor")
+    rep = solve()
+    assert [len(run) for run in runs] == [5, 5]
+    assert len(factors) == 4
+    kernel_shift = np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
+    assert [shift for _, shift in factors[:2]] == [kernel_shift] * 2
+    assert factors[2][1] == factors[3][1] == S._cut(rep.eigenvalues[-1])
 
 
 @pytest.mark.xfail(
