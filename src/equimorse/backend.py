@@ -221,6 +221,16 @@ def _adjoint(mat: sp.spmatrix, mass_dom: np.ndarray, mass_cod: np.ndarray) -> sp
     return _scale(mat.T, 1.0 / mass_dom, mass_cod)
 
 
+def _relative_defect(a: sp.spmatrix, b: sp.spmatrix) -> float:
+    """max|a - b| over max(max|a|, max|b|), entry by entry on the sparse
+    matrices: 0.0 only when both are zero."""
+    def largest(mat):
+        return float(np.abs(sp.csr_matrix(mat).data).max(initial=0.0))
+
+    scale = max(largest(a), largest(b))
+    return largest(a - b) / scale if scale else 0.0
+
+
 def _difference_average(n_int: int, n_half: int, dx: float):
     """Narrow difference and average matrices from integer to half nodes.
 

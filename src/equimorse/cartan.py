@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import SQRT_FLOAT_MAX, BackendMatrices, _adjoint
+from .backend import SQRT_FLOAT_MAX, BackendMatrices, _adjoint, _relative_defect
 
 __all__ = [
     "EqDegreeSpace",
@@ -278,7 +278,7 @@ def expansion_residual(backend: BackendMatrices, s: float, k: int,
     deformed derivative with its exact adjoint, the right from the
     undeformed Laplacian plus the backend's multiplication and Clifford
     Hessian matrices.  The defect is the largest entry of their difference
-    over the largest entry of Delta_eq,s, taken entry by entry on the
+    over the largest entry of either side, taken entry by entry on the
     sparse matrices, as in EquivariantDeRham.square_defect.  seed is
     ignored.
     """
@@ -290,9 +290,7 @@ def expansion_residual(backend: BackendMatrices, s: float, k: int,
     rhs = delta0.matrix \
         + s * s * _block_diagonal_term(space, backend.mult_df2) \
         + s * _block_diagonal_term(space, backend.cliff_hess)
-    diff = sp.csr_matrix(delta_s.matrix - rhs)
-    scale = np.abs(delta_s.matrix.data).max(initial=0.0)
-    return float(np.abs(diff.data).max(initial=0.0) / scale) if scale > 0 else 0.0
+    return _relative_defect(delta_s.matrix, rhs)
 
 
 def t_shift_dims_match(backend: BackendMatrices, k: int) -> bool:
@@ -320,13 +318,9 @@ class EquivariantDeRham:
     n: int
 
     def square_defect(self) -> float:
-        """Blockwise relative error of operator^2 against the Laplacians."""
-        sq = sp.csr_matrix(self.operator @ self.operator)
-        target = sp.block_diag([self.delta_n.matrix, self.delta_n1.matrix])
-        diff = sq - sp.csr_matrix(target)
-        scale = max(np.abs(self.delta_n.matrix.data).max(),
-                    np.abs(self.delta_n1.matrix.data).max())
-        return float(np.abs(diff.data).max(initial=0.0) / scale)
+        """Relative defect of operator^2 against the pair of Laplacians."""
+        pair = sp.block_diag([self.delta_n.matrix, self.delta_n1.matrix], format="csr")
+        return _relative_defect(self.operator @ self.operator, pair)
 
 
 def build_equivariant_de_rham(backend: BackendMatrices) -> EquivariantDeRham:

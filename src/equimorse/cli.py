@@ -35,13 +35,15 @@ unset), phi_kind and phi_scale for `verify`, and phi_kind and phi_scale
 for `sweep`.
 
 `sweep` writes its CSV and JSON files into the directory `out`, by
-default sweep_out, which it checks before it solves anything, and exits
-1 when the kernel dimension varies along the sweep.  sweep.json records
-each point's solver facts: dim, operator_norm, kernel_dim, separation
-and worst_residual.  Flags must be spelled in full.
+default sweep_out, and exits 1 when the kernel dimension varies along
+the sweep.  sweep.json records each point's solver facts: dim,
+operator_norm, kernel_dim, separation and worst_residual.  Flags must
+be spelled in full.
 
-Outputs never embed timestamps and are written atomically, so repeated
-runs are byte-identical.
+This module alone formats, checks and writes files.  Every output path
+is checked before anything is built or solved, and every file is
+written atomically, with the mode a new file gets; CSV lines end in LF.
+Outputs never embed timestamps, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 from . import backend as backend_mod
 from . import local_models as local_mod
@@ -59,7 +62,6 @@ from . import pipeline as pipeline_mod
 from . import spectral as spectral_mod
 from .backend import CATALOG_CASES
 from .cartan import ConfigurationError as CartanConfigurationError
-from .spectral import write_atomic
 
 __all__ = ["main"]
 
@@ -77,14 +79,15 @@ class ConfigError(ValueError):
 
 
 def _number(text: str, kind: type, what: str):
-    """text parsed as an int or float; malformed or non-finite is a ConfigError."""
+    """text parsed as an int or float; malformed, non-finite or beyond the
+    float range is a ConfigError."""
     try:
         value = kind(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be a finite {kind.__name__}, got {text!r}")
-    return value
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be a finite {kind.__name__}, got {text!r}")
 
 
 def _parse_s_list(text: str) -> list[float]:
@@ -178,8 +181,62 @@ def _config(values: dict, *keys: str) -> dict:
             "params": {k: params[k] for k in sorted(params)}}
 
 
+def _check_out(*paths: str) -> None:
+    """Refuse output files that could not be written: no path may name a
+    directory, and the nearest existing path of its directory and their
+    ancestors must be a writable directory.  Nothing is created."""
+    for path in paths:
+        full = os.path.abspath(path)
+        if path.endswith(os.sep) or os.path.isdir(full):
+            raise ConfigError(f"cannot write {path!r}: it names a directory")
+        parent = os.path.dirname(full)
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write {path!r}: {parent!r} is not a writable "
+                              "directory")
+
+
+def _write(path, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path,
+    with the mode open(path, "w") gives a new file: 0o666 less the umask.
+    A failure at any point leaves an existing file at path untouched."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".equimorse-")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _write_csv(path, header: tuple, rows) -> None:
+    """Write header and rows as CSV, LF line ends, floats to 17 digits."""
+    lines = [header] + [[format(v, ".17g") if isinstance(v, float) else str(v)
+                         for v in row] for row in rows]
+    _write(path, "".join(",".join(line) + "\n" for line in lines))
+
+
+def _write_eigenvalues(path, reports) -> None:
+    """The eigenvalues of each report as CSV rows (k, s, index, value)."""
+    _write_csv(path, ("k", "s", "index", "value"),
+               [(rep.k, float(rep.s), i, float(lam))
+                for rep in reports for i, lam in enumerate(rep.eigenvalues)])
+
+
+def _finite_or_none(x: float) -> float | None:
+    """x, or None for infinity: strict JSON has no Infinity."""
+    return x if math.isfinite(x) else None
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +261,12 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify needs at least one s value")
     profile, f = backend_mod.catalog(case, values["params"], n_grid=values["n_grid"],
                                      weight=values["weight"])
+    _check_out(out)
     kmax = values["kmax"] if values["kmax"] is not None else 4
     report = pipeline_mod.run_case(profile, f, s_list, kmax, spec)
     report["case"] = case
     report["config"] = _config(values, "kmax", "phi_kind", "phi_scale")
-    write_atomic(out, _json_text(report))
+    _write(out, _json_text(report))
     print(f"case {case}: betti {report['betti']}")
     if report["tilde_c"]:
         print(f"  counts c={report['c']} d={report['d']} tilde_c={report['tilde_c']}")
@@ -226,31 +284,25 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"spectrum takes exactly one s value, got {values['s_list']}")
     profile, f = backend_mod.catalog(values["case"], values["params"],
                                      n_grid=values["n_grid"], weight=values["weight"])
+    (s_value,), k, out, csv_path = (values["s_list"], values["k"], values["out"],
+                                    values.get("csv"))
+    _check_out(out, *([csv_path] if csv_path else []))
     be = backend_mod.build_backend(profile, f)
-    (s_value,), k, out = values["s_list"], values["k"], values["out"]
     rep = spectral_mod.delta_spectrum(be, k, s=s_value, count=values.get("count"),
                                       ceiling=spectral_mod.TraceSpec().ceiling())
-    payload = rep.to_record()
-    payload["config"] = _config(values)
-    write_atomic(out, _json_text(payload))
+    # The report but ritz_sum, and vectors: the number of residual norms.
+    _write(out, _json_text({
+        "k": rep.k, "s": rep.s, "eigenvalues": list(rep.eigenvalues),
+        "kernel_dim": rep.kernel_dim, "gap": _finite_or_none(rep.gap),
+        "residual_norms": list(rep.residual_norms), "dim": rep.dim,
+        "operator_norm": rep.operator_norm, "separation": _finite_or_none(rep.separation),
+        "vectors": len(rep.residual_norms), "config": _config(values)}))
     print(f"degree {k}, s={s_value:g}: kernel {rep.kernel_dim}, gap {rep.gap:.6g}"
           f" -> {out}")
-    if values.get("csv"):
-        spectral_mod.reports_to_csv([rep], values["csv"])
-        print(f"eigenvalues -> {values['csv']}")
+    if csv_path:
+        _write_eigenvalues(csv_path, [rep])
+        print(f"eigenvalues -> {csv_path}")
     return 0
-
-
-def _check_out_directory(out: str) -> None:
-    """Refuse, before any solve, a directory out that could not be made or
-    written: the nearest path of out and its ancestors that exists must
-    be a writable directory.  Nothing is created, so a run that fails
-    later leaves no output."""
-    path = os.path.abspath(out)
-    while not os.path.exists(path):
-        path = os.path.dirname(path)
-    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
-        raise ConfigError(f"--out {out!r}: {path!r} is not a writable directory")
 
 
 def cmd_sweep(args) -> int:
@@ -260,26 +312,21 @@ def cmd_sweep(args) -> int:
                             values["out"])
     profile, f = backend_mod.catalog(values["case"], values["params"],
                                      n_grid=values["n_grid"], weight=values["weight"])
-    _check_out_directory(out)
+    eig_path, mu_path, meta_path = (os.path.join(out, name) for name in
+                                    ("eigenvalues.csv", "traces.csv", "sweep.json"))
+    _check_out(eig_path, mu_path, meta_path)
     be = backend_mod.build_backend(profile, f)
     result = spectral_mod.sweep_s(be, k, s_list, spec, count=values.get("count"))
-    os.makedirs(out, exist_ok=True)
-    eig_path = os.path.join(out, "eigenvalues.csv")
-    mu_path = os.path.join(out, "traces.csv")
-    spectral_mod.reports_to_csv([p.report for p in result.points], eig_path)
-    lines = ["k,s,mu"]
-    for p in result.points:
-        lines.append(f"{k},{format(p.s, '.17g')},{format(p.mu, '.17g')}")
-    write_atomic(mu_path, "\n".join(lines) + "\n")
-    meta = {
+    _write_eigenvalues(eig_path, [p.report for p in result.points])
+    _write_csv(mu_path, ("k", "s", "mu"), [(k, p.s, p.mu) for p in result.points])
+    _write(meta_path, _json_text({
         "k": k,
         "kernel_constant": result.kernel_constant,
         "gap_monotone_from": result.gap_monotone_from,
-        "gaps": [[s, g if math.isfinite(g) else None] for s, g in result.gaps()],
+        "gaps": [[s, _finite_or_none(g)] for s, g in result.gaps()],
         "points": [_solver_record(p) for p in result.points],
         "config": _config(values, "phi_kind", "phi_scale"),
-    }
-    write_atomic(os.path.join(out, "sweep.json"), _json_text(meta))
+    }))
     print(f"sweep k={k}, s={s_list} -> {eig_path}, {mu_path}")
     if not result.kernel_constant:
         print(f"  kernel dimension varies along the sweep: "
@@ -292,14 +339,15 @@ def _solver_record(point) -> dict:
     rep = point.report
     return {"s": point.s, "dim": rep.dim, "operator_norm": rep.operator_norm,
             "kernel_dim": rep.kernel_dim,
-            "separation": rep.separation if math.isfinite(rep.separation) else None,
+            "separation": _finite_or_none(rep.separation),
             "worst_residual": max(rep.residual_norms)}
 
 
 def cmd_local(args) -> int:
     values = _read_values(args, ("local",),
                           {"q": 1, "s": 10.0, "m": 2, "eps": -1, "out": "local.json"})
-    s, m, eps = values["s"], values["m"], values["eps"]
+    s, m, eps, out = values["s"], values["m"], values["eps"], values["out"]
+    _check_out(out)
     tol = 1e-2
     branch_a, branch_b = local_mod.ab_branch_spectra(s, m, eps, 3)
     try:
@@ -331,11 +379,11 @@ def cmd_local(args) -> int:
         "morse_index": model.index,
         "contributions_deg0_4": contributions,
     }
-    write_atomic(values["out"], _json_text(payload))
+    _write(out, _json_text(payload))
     ok = err_a <= tol and err_b <= tol
     print(f"local model q=1, m={m}, eps={eps:+d}, s={s:g}: "
           f"branch errors {err_a:.2e}, {err_b:.2e} "
-          f"({'OK' if ok else 'DISAGREE'}) -> {values['out']}")
+          f"({'OK' if ok else 'DISAGREE'}) -> {out}")
     return 0 if ok else 1
 
 

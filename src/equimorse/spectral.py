@@ -47,16 +47,14 @@ frame M^{1/2} of S depends only on the backend and the degree, so
 sweep_s starts each window from the sum of the previous s's window
 vectors (SpectrumReport.ritz_sum), which holds most of the new window
 already; the certificate finds whatever such a start misses.
+
+This module only computes; cli formats and writes every output file.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +64,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from . import cartan
-from .backend import BackendMatrices, _scale
+from .backend import BackendMatrices, _relative_defect, _scale
 
 __all__ = [
     "SpectrumReport",
@@ -85,8 +83,6 @@ __all__ = [
     "sweep_s",
     "de_rham_index",
     "periodicity_defect",
-    "reports_to_csv",
-    "write_atomic",
 ]
 
 KERNEL_TAU_ABS = 1e-9
@@ -125,9 +121,7 @@ class SpectrumReport:
     for every returned pair.  ritz_sum is the sum of the window's unit
     vectors v in that frame, M^{1/2}, which depends only on the backend
     and the degree: a Lanczos start for the window of a nearby s
-    (sweep_s).  to_record, the spectrum JSON, adds dim, operator_norm,
-    separation and vectors, the number of residual norms, and writes an
-    infinite gap or separation as null; it leaves ritz_sum out.
+    (sweep_s).
     """
 
     k: int
@@ -140,25 +134,6 @@ class SpectrumReport:
     operator_norm: float = 0.0
     separation: float = math.inf
     ritz_sum: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def to_record(self) -> dict:
-        return {
-            "k": self.k,
-            "s": self.s,
-            "eigenvalues": list(self.eigenvalues),
-            "kernel_dim": self.kernel_dim,
-            "gap": _finite_or_none(self.gap),
-            "residual_norms": list(self.residual_norms),
-            "dim": self.dim,
-            "operator_norm": self.operator_norm,
-            "separation": _finite_or_none(self.separation),
-            "vectors": len(self.residual_norms),
-        }
-
-
-def _finite_or_none(x: float) -> float | None:
-    """x, or None for infinity: strict JSON has no Infinity."""
-    return x if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -674,10 +649,10 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
     constant = len({p.report.kernel_dim for p in points}) <= 1
     monotone_from = None
     gaps = [p.report.gap for p in points]
-    for start in range(len(gaps)):
-        tail = gaps[start:]
+    for first in range(len(gaps)):
+        tail = gaps[first:]
         if all(b >= a * (1 - 1e-12) for a, b in zip(tail, tail[1:])):
-            monotone_from = s_values[start]
+            monotone_from = s_values[first]
             break
     return SweepResult(k=k, points=points, kernel_constant=constant,
                        gap_monotone_from=monotone_from)
@@ -699,39 +674,5 @@ def periodicity_defect(backend: BackendMatrices, k: int) -> float:
     """
     if not cartan.t_shift_dims_match(backend, k):
         raise cartan.AssemblyError(f"t-shift is not a bijection at degree {k}")
-    lo = cartan.build_delta_eq(backend, k).matrix
-    hi = cartan.build_delta_eq(backend, k + 2).matrix
-    scale = max(abs(lo).max(), abs(hi).max())
-    return float(abs(lo - hi).max() / scale) if scale else 0.0
-
-
-def write_atomic(path, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path.
-
-    A failure at any point leaves an existing file at path untouched.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".equimorse-")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def reports_to_csv(reports, path) -> None:
-    """Write eigenvalues as CSV rows (k, s, index, value), atomically."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "s", "index", "value"])
-    for rep in reports:
-        for idx, lam in enumerate(rep.eigenvalues):
-            writer.writerow([rep.k, _fmt(rep.s), idx, _fmt(lam)])
-    write_atomic(path, buf.getvalue())
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return _relative_defect(cartan.build_delta_eq(backend, k).matrix,
+                            cartan.build_delta_eq(backend, k + 2).matrix)

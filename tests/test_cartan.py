@@ -325,6 +325,19 @@ def test_expansion_residual_catches_a_wrong_backend(sphere, field, fault, j):
     assert C.expansion_residual(wrong, 8.0, j) > 1e-8
 
 
+def test_expansion_residual_is_a_full_defect_when_only_delta_s_is_zero(sphere,
+                                                                        monkeypatch):
+    """The scale is the larger side, so a zero Delta_s against the nonzero
+    right-hand side is a defect of 1, not 0."""
+    build = C.build_deformed
+    d, d_star, delta_s = build(sphere, 8.0, 1)
+    zero = C.EqOperator(delta_s.domain, delta_s.codomain,
+                        sp.csr_matrix(delta_s.matrix.shape))
+    monkeypatch.setattr(C, "build_deformed",
+                        lambda be, s, k: (d, d_star, zero) if s else build(be, s, k))
+    assert C.expansion_residual(sphere, 8.0, 1) == 1.0
+
+
 def test_expansion_residual_needs_df2_data(circle):
     with pytest.raises(C.ConfigurationError, match="carries no \\|df\\|\\^2 data"):
         C.expansion_residual(circle, 1.0, 0)
@@ -449,6 +462,15 @@ def test_de_rham_square_and_index(kind, sphere, torus):
     assert dr.square_defect() <= 1e-10
     expected = {"sphere": 2, "torus": 0}[kind]
     assert S.de_rham_index(be) == expected
+
+
+def test_square_defect_of_the_zero_operator_is_zero():
+    """Under the trivial action the circle's top Laplacians are 1x1 zeros
+    with no stored entry; both sides are zero, so the defect is 0."""
+    dr = C.build_equivariant_de_rham(B.build_backend(*B.catalog("circle_trivial",
+                                                                weight=0)))
+    assert dr.operator.nnz == dr.delta_n.matrix.nnz == dr.delta_n1.matrix.nnz == 0
+    assert dr.square_defect() == 0.0
 
 
 @pytest.mark.parametrize("case", B.CATALOG_CASES)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ import scipy.sparse.linalg as spla
 from equimorse import backend as B
 from equimorse import cartan as C
 from equimorse import cli
+from equimorse import local_models
 from equimorse import spectral
 
 
@@ -23,6 +25,12 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 def run(argv):
     return cli.main(argv)
+
+
+@pytest.fixture(scope="module")
+def sphere():
+    profile, f = B.catalog("sphere_height", n_grid=128)
+    return B.build_backend(profile, f)
 
 
 def assert_same_report(got, want, path="report"):
@@ -182,6 +190,9 @@ def test_verify_matches_golden_report(case, tmp_path):
     ["local", "--s", "abc"],
     ["local", "--weight", "x"],
     ["local", "--eps", "2"],
+    # an int too large for a float
+    ["verify", "--case", "sphere_height", "--n-grid", "1" + "0" * 400],
+    ["local", "--weight", "1" + "0" * 400],
     ["verify", "--case", "nope"],
     # a spectrum is solved at one s
     ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--s", "1,2"],
@@ -204,7 +215,8 @@ def test_verify_matches_golden_report(case, tmp_path):
         "local-huge-s", "local-tiny-s", "verify-huge-torus", "verify-tiny-sphere",
         "verify-phi-overflow", "sweep-phi-overflow", "verify-malformed-n-grid",
         "spectrum-malformed-k", "sweep-malformed-count", "local-malformed-s",
-        "local-malformed-weight", "local-eps-2", "verify-unknown-case",
+        "local-malformed-weight", "local-eps-2", "verify-huge-int-n-grid",
+        "local-huge-int-weight", "verify-unknown-case",
         "spectrum-two-s", "sweep-descending-s", "verify-torus-R-below-r",
         "verify-negative-sphere-R", "verify-unused-param", "verify-negative-weight",
         "verify-circle-unused-param"])
@@ -368,6 +380,90 @@ def test_sweep_checks_its_out_directory_before_solving(tmp_path, monkeypatch, ca
                 "--s", "4", "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--case", "sphere_height", "--n-grid", "64", "--out", "{dir}"],
+    ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--out", "{dir}"],
+    ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--out", "{new}",
+     "--csv", "{dir}"],
+    ["sweep", "--case", "sphere_height", "--n-grid", "64", "--s", "4", "--out",
+     "{sweep}"],
+    ["local", "--out", "{dir}"],
+], ids=["verify-out", "spectrum-out", "spectrum-csv", "sweep-file", "local-out"])
+def test_an_output_naming_a_directory_exits_2_before_any_solve(argv, tmp_path,
+                                                               monkeypatch, capsys):
+    """Every output path is checked before anything is built or solved: the
+    error names the path, not a temporary file, and no file is written."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a solve or oracle ran before the outputs were checked")
+
+    for module, name in [(cli.backend_mod, "build_backend"), (cli.pipeline_mod, "run_case"),
+                         (spectral, "eigensolve"), (local_models, "ab_branch_spectra"),
+                         (local_models, "radial_invariant_spectrum")]:
+        monkeypatch.setattr(module, name, unreachable)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "sweep" / "sweep.json").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert run([a.format(dir=tmp_path / "dir", new=tmp_path / "new.json",
+                         sweep=tmp_path / "sweep") for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ".equimorse-" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_outputs_take_the_mode_of_a_new_file(umask, tmp_path):
+    """A written file, new or replacing one, gets 0o666 less the umask, as
+    open(path, "w") gives a new file."""
+    replaced = tmp_path / "replaced.json"
+    replaced.write_text("previous contents\n")
+    replaced.chmod(0o700)
+    previous = os.umask(umask)
+    try:
+        for name in ("new.json", "replaced.json"):
+            assert run(["spectrum", "--case", "circle_trivial", "--out",
+                        str(tmp_path / name), "--csv", str(tmp_path / f"{name}.csv")]) == 0
+    finally:
+        os.umask(previous)
+    for path in tmp_path.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+def test_csv_outputs_end_their_lines_with_lf(tmp_path):
+    sweep, spec = tmp_path / "sweep", tmp_path / "spec.csv"
+    assert run(["sweep", "--case", "sphere_height", "--n-grid", "32", "--k", "1",
+                "--s", "0,4", "--out", str(sweep)]) == 0
+    assert run(["spectrum", "--case", "sphere_height", "--n-grid", "32", "--k", "1",
+                "--out", str(tmp_path / "spec.json"), "--csv", str(spec)]) == 0
+    for path in (sweep / "eigenvalues.csv", sweep / "traces.csv", spec):
+        text = path.read_bytes()
+        assert b"\r" not in text and text.endswith(b"\n"), path.name
+
+
+def test_report_emission(tmp_path, sphere):
+    reps = [spectral.delta_spectrum(sphere, k, count=4) for k in (0, 1)]
+    cpath = tmp_path / "eigs.csv"
+    cli._write_eigenvalues(cpath, reps)
+    with open(cpath) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["k", "s", "index", "value"]
+    assert len(rows) == 1 + 4 + 4
+
+
+def test_csv_write_is_atomic(tmp_path, sphere, monkeypatch):
+    target = tmp_path / "eigs.csv"
+    target.write_text("previous contents\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        cli._write_eigenvalues(target, [spectral.delta_spectrum(sphere, 0, count=4)])
+    assert target.read_text() == "previous contents\n"
+    assert os.listdir(tmp_path) == ["eigs.csv"]
 
 
 def test_sweep_empty_s_list_gives_header_only(tmp_path):

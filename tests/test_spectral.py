@@ -1,8 +1,6 @@
-"""Eigensolver, kernel detection, traces, sweeps and report emission."""
+"""Eigensolver, kernel detection, traces and sweeps."""
 
-import csv
 import math
-import os
 from functools import partial
 
 import numpy as np
@@ -270,30 +268,6 @@ def test_periodicity_spectra_exact(sphere, torus):
     for be in (sphere, torus):
         assert S.periodicity_defect(be, 2) <= 1e-10
         assert S.periodicity_defect(be, 3) <= 1e-10
-
-
-def test_report_emission(tmp_path, sphere):
-    reps = [S.delta_spectrum(sphere, k, count=4) for k in (0, 1)]
-    cpath = tmp_path / "eigs.csv"
-    S.reports_to_csv(reps, cpath)
-    with open(cpath) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "s", "index", "value"]
-    assert len(rows) == 1 + 4 + 4
-
-
-def test_csv_write_is_atomic(tmp_path, sphere, monkeypatch):
-    target = tmp_path / "eigs.csv"
-    target.write_text("previous contents\n")
-
-    def failing_replace(src, dst):
-        raise OSError("rename failed")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError):
-        S.reports_to_csv([S.delta_spectrum(sphere, 0, count=4)], target)
-    assert target.read_text() == "previous contents\n"
-    assert os.listdir(tmp_path) == ["eigs.csv"]
 
 
 def test_count_validation(sphere):
