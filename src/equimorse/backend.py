@@ -66,6 +66,11 @@ HESSIAN_TOL = 1e-8  # x the largest |f''| on the scan grid and the ends
 # scan, the assembly, the eigensolvers and the grid oracles all square the
 # values they are given, so every input must stay below it.
 SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
+# The largest n_grid whose operators SuperLU can factor.  SuperLU counts
+# the nonzeros of its factors in 32-bit ints, and the factor of a
+# Laplacian holds at most 20 per theta node (degree 2 of the periodic
+# torus; 12 on a sphere), so 32 per node stays within that range.
+MAX_N_GRID = (2**31 - 1) // 32
 
 
 class BackendError(Exception):
@@ -90,7 +95,7 @@ class RevolutionProfile:
     a_prime   : derivative of a (used for validation only).
     weight    : action speed m >= 0, v = m * d/dpsi (m = 0 is allowed for
                 flat local models with trivial rotation).
-    n_grid    : number of integer theta nodes, at least 16.
+    n_grid    : number of integer theta nodes, 16..MAX_N_GRID.
     kind      : "surface" for the 2-D models, "circle" for M = S^1 itself.
     """
 
@@ -113,6 +118,10 @@ class RevolutionProfile:
             raise ProfileValidationError("periodic profiles must be periodic at both ends")
         if self.n_grid < 16:
             raise ProfileValidationError(f"n_grid = {self.n_grid} < 16")
+        if self.n_grid > MAX_N_GRID:
+            raise ProfileValidationError(
+                f"n_grid = {self.n_grid} > {MAX_N_GRID}, beyond the 32-bit index "
+                "range of the sparse factorizations")
         if self.theta_max <= 0:
             raise ProfileValidationError("theta_max must be positive")
         if self.weight < 0 or int(self.weight) != self.weight:

@@ -323,18 +323,32 @@ class EquivariantDeRham:
         return _relative_defect(self.operator @ self.operator, pair)
 
 
+def _cartan(backend: BackendMatrices, s: float, k: int):
+    """(B, B*, Delta^k, Delta^{k+1}) of degree k >= n at the parameter s.
+
+    B = d_s^k + (t^{-1} d_s^{k+1})*: Omega^k -> Omega^{k+1}, with the
+    derivative leaving degree k+1 folded back through the t-shift
+    Omega^{k+2} ~ Omega^k, which is the identity on coefficients since
+    the block lists and the masses align (t_shift_dims_match).  Since
+    d_s^{k+1} d_s^k = 0, B*B = Delta^k and BB* = Delta^{k+1}: the two
+    Laplacians share their nonzero spectrum, and a pair (lambda, u) of
+    Delta^{k+1} gives the pair (lambda, B* u / sqrt(lambda)) of Delta^k.
+    B* is summed from the same blocks, not taken as an adjoint, and the
+    Laplacians are composed from the same derivatives as
+    build_deformed's, so both agree with it bitwise.
+    """
+    lo = _with_adjoint(backend, s, k - 1)
+    up, up_star = mid = _with_adjoint(backend, s, k)
+    down, down_star = top = _with_adjoint(backend, s, k + 1)
+    B = EqOperator(up.domain, up.codomain, sp.csr_matrix(up.matrix + down_star.matrix))
+    B_star = EqOperator(up.codomain, up.domain, sp.csr_matrix(up_star.matrix + down.matrix))
+    return (B, B_star, _laplacian(backend, s, k, mid, lo),
+            _laplacian(backend, s, k + 1, top, mid))
+
+
 def build_equivariant_de_rham(backend: BackendMatrices) -> EquivariantDeRham:
-    n = backend.n
-    lo = _with_adjoint(backend, 0.0, n - 1)
-    up, up_star = mid = _with_adjoint(backend, 0.0, n)
-    # Omega^{n+1} -> Omega^{n+2} ~ Omega^n: degrees n+2 and n have the same masses.
-    down, down_star = top = _with_adjoint(backend, 0.0, n + 1)
-    top_right = sp.csr_matrix(up_star.matrix + down.matrix)
-    bottom_left = sp.csr_matrix(up.matrix + down_star.matrix)
-    op = sp.bmat([[None, top_right], [bottom_left, None]], format="csr")
-    return EquivariantDeRham(
-        operator=sp.csr_matrix(op),
-        delta_n=_laplacian(backend, 0.0, n, mid, lo),
-        delta_n1=_laplacian(backend, 0.0, n + 1, top, mid),
-        n=n,
-    )
+    """B + B* on Omega^n + Omega^{n+1} at s = 0 (_cartan of degree n)."""
+    B, B_star, delta_n, delta_n1 = _cartan(backend, 0.0, backend.n)
+    op = sp.bmat([[None, B_star.matrix], [B.matrix, None]], format="csr")
+    return EquivariantDeRham(operator=sp.csr_matrix(op), delta_n=delta_n,
+                             delta_n1=delta_n1, n=backend.n)

@@ -42,6 +42,20 @@ window sized by a ceiling is counted on the whole of S, whose kernel
 factor then solves it too: like a window with a smaller share on some
 block, it is the one-block case.
 
+From the top degree n on, each Laplacian has a partner one degree up:
+B = d_s^k + (t^-1 d_s^{k+1})* (cartan._cartan) gives Delta^k = B*B and
+Delta^{k+1} = BB*, since d_s^2 = 0, so S_k and S_{k+1} share their
+nonzero spectrum (Witten, J. Diff. Geom. 17, 1982).  A count window of
+delta_spectrum whose S_k is one block, and that holds more than the
+kernel, is taken through S_{k+1} when the partner's window of m -
+kappa_k + kappa_{k+1} pairs splits: on a surface, degrees 2, 4, ...
+through the dtheta and dphi blocks of degrees 3, 5, ....  Each pair
+(lambda, u) of the partner above tau becomes (lambda, B~^T u /
+sqrt(lambda)), the kernel pairs come from S_k's own kernel factor, and
+the window is certified on S_k like any other (_through_partner).
+Windows sized by ceilings, and so every window of verify, never take
+it.
+
 A Lanczos run starts from a fixed vector, or from a given start.  The
 frame M^{1/2} of S depends only on the backend and the degree, so
 sweep_s starts each window from the sum of the previous s's window
@@ -265,17 +279,34 @@ def inertia(operator, mass: np.ndarray, shifts) -> list[int]:
     return [_factor(sym, float(sigma))[1] for sigma in shifts]
 
 
-def _rayleigh(S, V):
+def _rayleigh(S, V, SV=None):
     """Rayleigh quotients of the orthonormal columns of V, ascending, with
-    the columns in that order and their residual norms ||S v - lambda v||."""
-    SV = S @ V
+    the columns in that order and their residual norms ||S v - lambda v||.
+    SV is S V if already known; it is overwritten by the residuals."""
+    SV = S @ V if SV is None else SV
     w = np.einsum("ij,ij->j", V, SV)
+    SV -= V * w
     order = np.argsort(w, kind="stable")
-    return w[order], V[:, order], np.linalg.norm(SV - V * w, axis=0)[order]
+    return w[order], V[:, order], np.linalg.norm(SV, axis=0)[order]
+
+
+def _ritz(S, V):
+    """_rayleigh of the Ritz vectors of S on the span of the columns of V,
+    which need only be near orthonormal: a direction that they hold with
+    a weight of at most 1/2, one that two columns nearly share, is left
+    out.  V is overwritten."""
+    SV = S @ V
+    g, Y = np.linalg.eigh(V.T @ V)
+    C = Y[:, g > 0.5] / np.sqrt(g[g > 0.5])  # V C: orthonormal columns
+    T = C @ np.linalg.eigh(C.T @ (V.T @ SV) @ C)[1]
+    q = T.shape[1]
+    V[:, :q] = V @ T  # the Ritz vectors and S times them, in place
+    SV[:, :q] = SV @ T
+    return _rayleigh(S, V[:, :q], SV[:, :q])
 
 
 def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
-             start=None):
+             start=None, ncv=None):
     """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
     Each eigenvalue is the Rayleigh quotient of its vector, and a pair is
@@ -285,9 +316,11 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
     one such search, for the other m - |V|.  The first run starts from
     start, by default the fixed cos(i + 1/4), so repeated runs are
     bit-identical, and each next run from it projected on the
-    complement.  A run after which at least as many pairs are missing as
-    it sought raises SolverError, and so does any ARPACK error.  No pair
-    is certified here: eigensolve checks them against the inertia.
+    complement.  ncv is the size of the Lanczos basis, by default scipy's
+    max(2k + 1, 20) for k pairs.  A run after which at least as many
+    pairs are missing as it sought raises SolverError, and so does any
+    ARPACK error.  No pair is certified here: eigensolve checks them
+    against the inertia.
     """
     S = sym.matrix
     dim = S.shape[0]
@@ -302,8 +335,8 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
         if V.shape[1]:
             start = start - V @ (V.T @ start)
         try:
-            _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, maxiter=5000,
-                              tol=0, OPinv=spla.LinearOperator(
+            _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, ncv=ncv,
+                              maxiter=5000, tol=0, OPinv=spla.LinearOperator(
                                   (dim, dim), matvec=complement if V.shape[1] else lu.solve,
                                   dtype=float))
         except spla.ArpackError as exc:
@@ -413,9 +446,89 @@ def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
         block.sought = missing
 
 
+def _solve(b: _Block, size: int, tau: float, bound: float, start, ncv=None) -> None:
+    """A block's first size pairs: by dense eigh when 2 size > dim_c or its
+    norm is 0, else by shift-invert Lanczos on its kernel factor with a
+    basis of ncv vectors (_lanczos), started from start[rows] unless that
+    part is zero or no start is given."""
+    with _naming(b):
+        if 2 * size > b.dim or b.sym.norm == 0:
+            S = b.sym.matrix
+            b.w, b.V, b.resid = _rayleigh(
+                S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
+            b.complete_below = math.inf if b.w.size == b.dim else b.w[-1]
+        else:
+            part = None if start is None or not start[b.rows].any() else start[b.rows]
+            b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, start=part,
+                                         ncv=ncv)
+
+
+def _through_partner(sym: _Symmetric, partner, mass: np.ndarray, m: int, tau: float,
+                     bound: float, start) -> _Block | None:
+    """S_k as a block with its kernel factor and the first pairs of its
+    one-block window of m pairs, taken through its partner S_{k+1} when
+    the partner's window splits and holds more than its kernel; None,
+    with nothing of S_k factored and nothing solved, when it does not.
+
+    partner() gives (B, Delta^{k+1}, its mass), with Delta^k = B*B and
+    Delta^{k+1} = BB* (cartan._cartan), so S_k = B~^T B~ and S_{k+1} =
+    B~ B~^T for B~ = M_{k+1}^{1/2} B M_k^{-1/2}.  The two share their
+    nonzero spectrum, and the index of B gives kappa_{k+1} = kappa_k +
+    dim_{k+1} - dim_k, so the m - kappa_k nonzero pairs of the window are
+    those of the partner window of m - kappa_k + kappa_{k+1} pairs, and
+    the window holds more than the kernel when that one does.  Each
+    connected block of S_{k+1} is solved from its share (_solve), with
+    start mapped by B~, and each pair (lambda, u) with lambda > tau
+    becomes (lambda, B~^T u / sqrt(lambda)).  Only then is S_k factored,
+    so that no partner factor is held beside it, and its kappa_k kernel
+    pairs come from its own kernel factor.  The merged vectors are
+    orthonormalized into Ritz vectors of S_k (_ritz), each eigenvalue is
+    the Rayleigh quotient of its vector, and a pair beyond the residual
+    bound is dropped; the window's certificate, in eigensolve, finds
+    whatever is missing.
+    """
+    B, operator, pmass = partner()
+    psym = _symmetrized(operator, pmass)
+    dim, pdim = sym.matrix.shape[0], psym.matrix.shape[0]
+    pm = m + pdim - dim  # m - kappa_k + kappa_{k+1}
+    parts = _split(psym, pm)
+    if parts is None:
+        return None
+    pending = [_kernel_block(_stored(sp.csr_matrix(psym.matrix[rows][:, rows])), tau,
+                             f"partner block {i + 1} of {len(parts)} (dim {rows.size}): ",
+                             rows)
+               for i, rows in enumerate(parts)]
+    if pm <= sum(pb.kernel for pb in pending):  # kappa_k >= m: the kernel alone
+        return None
+    Bt = _scale(B, np.sqrt(pmass), 1.0 / np.sqrt(mass))
+    pstart = None if start is None else Bt @ start
+    vectors = []
+    while pending:  # each partner factor is dropped once its block is mapped
+        pb = pending.pop(0)
+        _solve(pb, -(-pm * pb.dim // pdim) + 1, tau, bound, pstart)
+        up = pb.w > tau
+        vectors.append(Bt[pb.rows].T @ (pb.V[:, up] / np.sqrt(pb.w[up])))
+    del pb, psym, Bt
+    block = _kernel_block(sym, tau)
+    if block.kernel:  # far below the rest: a basis of 2 kappa_k + 1 finds it
+        _solve(block, block.kernel, tau, bound, start, min(2 * block.kernel + 1, dim))
+        vectors.insert(0, block.V)
+    V = np.hstack(vectors)
+    del vectors  # the window holds one copy of its vectors at a time
+    w, V, resid = _ritz(block.sym.matrix, V)
+    keep = resid <= bound
+    block.w, block.V, block.resid = w[keep], V[:, keep], resid[keep]
+    block.complete_below = -math.inf
+    if block.w.size < m:
+        with _naming(block):
+            block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau, m, bound,
+                                                     block.V)
+    return block
+
+
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
                k: int = 0, s: float = 0.0, ceiling: float = 0.0,
-               start=None) -> SpectrumReport:
+               start=None, partner=None) -> SpectrumReport:
     """The lowest eigenpairs of a mass-symmetric operator: one certified window.
 
     operator may be an EqOperator or a sparse/dense matrix, of dimension
@@ -453,6 +566,17 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     residual within RESIDUAL_BOUND x max(|A|, 1), with |A| the whole
     operator's, else SolverError.  A SolverError on a split window names
     the block: "block 2 of 2 (dim 8192): ...".
+
+    partner, which only delta_spectrum gives, for a count window of a
+    degree k >= n, is a function of no arguments that builds (B,
+    Delta^{k+1}, the mass of degree k+1) with Delta^k = B*B and
+    Delta^{k+1} = BB* (cartan._cartan); it is called only when S is one
+    block.  When the window holds more than its kernel, and the partner's
+    window of m - kappa_k + kappa_{k+1} pairs splits, the first pairs
+    come through the partner's blocks (_through_partner, whose errors
+    name "partner block 1 of 2 (dim 8192): ..."), started from B~ start;
+    the window is then certified on S as above.  verify sizes every
+    window by a ceiling and never takes this path.
     """
     sym = _symmetrized(operator, mass)
     dim, opnorm = sym.matrix.shape[0], sym.norm
@@ -466,14 +590,16 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     bound = RESIDUAL_BOUND * max(opnorm, 1.0)
     parts = None if count is None else _split(sym, count)
     if parts is None:
-        blocks = [_kernel_block(sym, tau)]
+        through = (None if count is None or partner is None
+                   else _through_partner(sym, partner, mass, count, tau, bound, start))
+        blocks = [through or _kernel_block(sym, tau)]
         if count is not None:
             m = count
         elif ceiling <= tau:
             m = min(blocks[0].kernel + 1, dim)
         else:
             m = min(_factor(sym, ceiling)[1] + 1, dim)
-        sizes = [m]
+        sizes = [] if through else [m]
     else:
         m = count
         blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
@@ -483,15 +609,7 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         sizes = [-(-m * b.dim // dim) + 1 for b in blocks]
 
     for b, size in zip(blocks, sizes):
-        with _naming(b):
-            if 2 * size > b.dim or b.sym.norm == 0:
-                S = b.sym.matrix
-                b.w, b.V, b.resid = _rayleigh(
-                    S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
-                b.complete_below = math.inf if b.w.size == b.dim else b.w[-1]
-            else:
-                part = None if start is None or not start[b.rows].any() else start[b.rows]
-                b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, start=part)
+        _solve(b, size, tau, bound, start)
     while True:  # until every block holds all its eigenvalues below the merged cut
         merged = np.concatenate([b.w for b in blocks])
         order = np.argsort(merged, kind="stable")[:m]
@@ -540,11 +658,21 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     eigenvalue below ceiling and one more, by default the kernel and gap.
     start, dim floats in the frame M^{1/2} of degree k, is the Lanczos
     start (eigensolve): that frame does not depend on s, so the
-    ritz_sum of a window at a nearby s is a good one.
+    ritz_sum of a window at a nearby s is a good one.  A count window of
+    a degree k >= n is given its partner, B = d_s^k + (t^-1 d_s^{k+1})*
+    and Delta^{k+1} (cartan._cartan), built only when Delta^k is one
+    block, through which eigensolve solves it when the partner's window
+    splits: degrees 2, 4, ... of a surface.  Windows without a count, and
+    so every window of verify, never take it.
     """
     _, _, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
-    return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling, start=start)
+
+    def partner():
+        B, _, _, above = cartan._cartan(backend, s, k)
+        return B.matrix, above, cartan.mass_vector(backend, above.domain)
+    return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling, start=start,
+                      partner=partner if count is not None and k >= backend.n else None)
 
 
 def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:

@@ -506,3 +506,14 @@ def test_derived_derivatives_match_central_differences(case, params):
         if gpp is not None:
             second = (g(th + h) - 2 * g(th) + g(th - h)) / h ** 2
             assert np.abs(second - gpp(th)).max() <= 1e-5 * np.abs(gpp(th)).max()
+
+
+def test_n_grid_is_bounded_by_the_factor_index_range():
+    """MAX_N_GRID nodes give factors within SuperLU's 32-bit counts (at most
+    32 nonzeros a node); one more is refused before any grid exists."""
+    assert 32 * B.MAX_N_GRID < 2**31
+    profile, _ = B.catalog("torus_height", n_grid=B.MAX_N_GRID)
+    assert profile.n_grid == B.MAX_N_GRID
+    for n_grid in (B.MAX_N_GRID + 1, 10**20):
+        with pytest.raises(B.ProfileValidationError, match=f"n_grid = {n_grid} > "):
+            B.catalog("torus_height", n_grid=n_grid)

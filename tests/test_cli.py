@@ -413,6 +413,26 @@ def test_an_output_naming_a_directory_exits_2_before_any_solve(argv, tmp_path,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("n_grid", [10**20, B.MAX_N_GRID + 1], ids=["1e20", "bound+1"])
+def test_an_n_grid_beyond_the_index_range_exits_2_before_any_grid(command, n_grid,
+                                                                  tmp_path, monkeypatch,
+                                                                  capsys):
+    """An n_grid above backend.MAX_N_GRID is refused when the catalog makes
+    its profile, before the backend allocates any grid."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a backend was built for an n_grid beyond the bound")
+
+    monkeypatch.setattr(cli.backend_mod, "build_backend", unreachable)
+    out = tmp_path / "out"
+    assert run([command, "--case", "sphere_height", "--n-grid", str(n_grid),
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: n_grid = {n_grid} > {B.MAX_N_GRID}, beyond the 32-bit "
+                   "index range of the sparse factorizations\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
 def test_outputs_take_the_mode_of_a_new_file(umask, tmp_path):
     """A written file, new or replacing one, gets 0o666 less the umask, as

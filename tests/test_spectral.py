@@ -786,22 +786,29 @@ def _spy_starts(monkeypatch):
 @pytest.mark.parametrize("case", ["sphere_height", "torus_height"])
 def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
     """Each sweep window after the first starts from the ritz_sum of the
-    one before; it must still be the window a cold start certifies:
-    every eigenvalue within 64 eps |A| plus both residuals, the same
-    kernel dimension, and count pairs."""
+    one before; it must still be the window that a cold start certifies
+    on the assembled Delta^k, with no partner: every eigenvalue within
+    64 eps |A| plus both residuals, the same kernel dimension, and count
+    pairs.  A window makes one first Lanczos run per block: 1 on degree
+    0, 2 on the odd degrees, and on degree 2, taken through degree 3, 2
+    partner blocks plus 1 for the kernel where it is not empty (the
+    sphere's has dimension 2)."""
     be = B.build_backend(*B.catalog(case, n_grid=256))
     s_list = [4.0, 8.0, 16.0, 32.0, 64.0]
+    runs = {"sphere_height": [1, 2, 3, 2], "torus_height": [1, 2, 2, 2]}[case]
     for k in range(4):
         starts = _spy_starts(monkeypatch)
         sweep = S.sweep_s(be, k, s_list, S.TraceSpec(), count=24)
         monkeypatch.undo()
-        # the first window's blocks start cold, every later one warm
-        blocks = sum(x is None for x in starts)
-        assert blocks in (1, 2) and len(starts) == blocks * len(s_list)
-        assert all(x is not None and x.any() for x in starts[blocks:])
+        # the first window's runs start cold, every later one warm
+        assert len(starts) == runs[k] * len(s_list), k
+        assert all(x is None for x in starts[:runs[k]])
+        assert all(x is not None and x.any() for x in starts[runs[k]:])
         for point in sweep.points:
             warm = point.report
-            cold = S.delta_spectrum(be, k, s=point.s, count=24)
+            _, _, delta = C.build_deformed(be, point.s, k)
+            cold = S.eigensolve(delta, C.mass_vector(be, delta.domain), count=24,
+                                k=k, s=point.s)
             allowed = (64 * np.finfo(float).eps * cold.operator_norm
                        + np.asarray(cold.residual_norms) + np.asarray(warm.residual_norms))
             assert len(warm.eigenvalues) == 24
@@ -948,3 +955,106 @@ def test_inertia_at_a_shift_that_is_not_a_number_ends():
     with pytest.raises(S.SolverError, match="no regular factor"):
         S.inertia(A, np.ones(3), [math.nan])
     assert S.inertia(A, np.ones(3), [math.inf, -math.inf]) == [3, 0]
+
+
+def _dense_pairs(be, k, s):
+    """All eigenvalues of S for degree k at s by dense eigh, the residual
+    norms of its vectors, and |A|."""
+    _, _, delta = C.build_deformed(be, s, k)
+    sym = S._symmetrized(delta, C.mass_vector(be, delta.domain))
+    A = sym.matrix.toarray()
+    w, V = np.linalg.eigh(A)
+    return w, np.linalg.norm(A @ V - V * w, axis=0), sym.norm
+
+
+def _spy_partner(monkeypatch):
+    """Whether each call of spectral._through_partner took the partner path."""
+    taken, real = [], S._through_partner
+
+    def spy(*args):
+        block = real(*args)
+        taken.append(block is not None)
+        return block
+    monkeypatch.setattr(S, "_through_partner", spy)
+    return taken
+
+
+@pytest.mark.parametrize("n_grid", [64, 256])
+@pytest.mark.parametrize("case,params", [
+    ("sphere_height", {}), ("sphere_bumpy", {"c": 0.6}), ("sphere_bumpy", {"c": -0.6}),
+    ("torus_height", {}),
+], ids=["sphere", "bumpy+0.6", "bumpy-0.6", "torus"])
+@pytest.mark.parametrize("k", [2, 4])
+def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
+        case, params, k, n_grid, monkeypatch):
+    """Delta^k = B*B and Delta^{k+1} = BB* for k >= n.  A count of 24
+    leaves the partner window of degree k+1 a share of 11 or 12 pairs in
+    each of its dtheta and dphi blocks, so the window is taken through
+    them; a count of 6 leaves too few, and S_k is solved itself.  Either
+    way the window is the prefix of dense eigh: every eigenvalue within
+    64 eps |A| plus both residuals, and the same kernel dimension."""
+    be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
+    taken = _spy_partner(monkeypatch)
+    for s in (0.0, 4.0, 64.0):
+        w, resid, norm = _dense_pairs(be, k, s)
+        for count in (24, 6):
+            taken.clear()
+            rep = S.delta_spectrum(be, k, s=s, count=count)
+            assert taken == [count == 24], (s, count)
+            allowed = (64 * np.finfo(float).eps * norm + resid[:count]
+                       + np.asarray(rep.residual_norms))
+            assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:count]) <= allowed), \
+                (s, count)
+            assert rep.kernel_dim == np.count_nonzero(w[:count] <= S.KERNEL_TAU_ABS * norm)
+
+
+def test_a_mapped_pair_that_goes_missing_is_found_by_the_certificate(sphere, monkeypatch):
+    """The lowest mapped pair of the first partner block is dropped before
+    the merge (columns 0 and 1 are the sphere's two kernel pairs): the
+    inertia at the merged cut then counts one more eigenvalue than the
+    window holds, and one extension on the complement finds it."""
+    w, resid, norm = _dense_pairs(sphere, 2, 16.0)
+    real = S._ritz
+    monkeypatch.setattr(S, "_ritz", lambda A, V: real(A, np.delete(V, 2, axis=1)))
+    runs = _spy(monkeypatch, "_lanczos")
+    rep = S.delta_spectrum(sphere, 2, s=16.0, count=24)
+    extensions = [run for run in runs if len(run) == 6]
+    assert len(extensions) == 1 and extensions[0][3] == extensions[0][5].shape[1] + 1
+    allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
+    assert rep.kernel_dim == 2
+
+
+def test_a_missing_mapped_pair_that_is_not_found_fails_the_certificate(sphere, monkeypatch):
+    """As above, but the extension loses its pair too (_dropping_eigsh on
+    every run after the partner's): the certificate raises."""
+    real = S._ritz
+
+    def dropping(A, V):
+        monkeypatch.setattr(S.spla, "eigsh", _dropping_eigsh)
+        return real(A, np.delete(V, 2, axis=1))
+    monkeypatch.setattr(S, "_ritz", dropping)
+    with pytest.raises(S.SolverError,
+                       match=r"holds 23 eigenvalues below \S+, the inertia there is 24"):
+        S.delta_spectrum(sphere, 2, s=16.0, count=24)
+
+
+def test_an_all_kernel_window_takes_no_partner_solve(monkeypatch):
+    """A count of kappa_k = 2 on degree 2 of the sphere: every pair is a
+    kernel pair, which only S_k's own kernel factor gives; the partner
+    window, of 2 - kappa_k + kappa_{k+1} = 0 pairs, is not taken, and
+    nothing of degree 3 is factored or solved."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    taken = _spy_partner(monkeypatch)
+    factors, runs = _spy(monkeypatch, "_factor"), _spy(monkeypatch, "_lanczos")
+    rep = S.delta_spectrum(be, 2, s=16.0, count=2)
+    assert taken == [False] and rep.kernel_dim == 2
+    assert factors and runs
+    assert all(call[0].matrix.shape[0] == rep.dim for call in factors + runs)
+
+
+def test_a_failure_on_a_partner_block_names_it(sphere, monkeypatch):
+    monkeypatch.setattr(S.spla, "eigsh", _no_shifts)
+    with pytest.raises(S.SolverError,
+                       match=r"^partner block 1 of 2 \(dim \d+\): eigenvalue iteration"):
+        S.delta_spectrum(sphere, 2, s=16.0, count=24)
