@@ -323,8 +323,10 @@ class EquivariantDeRham:
         return _relative_defect(self.operator @ self.operator, pair)
 
 
-def _cartan(backend: BackendMatrices, s: float, k: int):
-    """(B, B*, Delta^k, Delta^{k+1}) of degree k >= n at the parameter s.
+def _cartan(backend: BackendMatrices, s: float, k: int, mid):
+    """(B, top, Delta^{k+1}) of degree k >= n at the parameter s, from
+    mid = (d_s^k, d_s^k*), the pair that build_deformed also gives; top is
+    the pair (d_s^{k+1}, d_s^{k+1}*).
 
     B = d_s^k + (t^{-1} d_s^{k+1})*: Omega^k -> Omega^{k+1}, with the
     derivative leaving degree k+1 folded back through the t-shift
@@ -333,22 +335,24 @@ def _cartan(backend: BackendMatrices, s: float, k: int):
     d_s^{k+1} d_s^k = 0, B*B = Delta^k and BB* = Delta^{k+1}: the two
     Laplacians share their nonzero spectrum, and a pair (lambda, u) of
     Delta^{k+1} gives the pair (lambda, B* u / sqrt(lambda)) of Delta^k.
-    B* is summed from the same blocks, not taken as an adjoint, and the
-    Laplacians are composed from the same derivatives as
-    build_deformed's, so both agree with it bitwise.
+    Delta^{k+1} is composed from the same derivatives as
+    build_deformed's, so the two agree bitwise.
     """
-    lo = _with_adjoint(backend, s, k - 1)
-    up, up_star = mid = _with_adjoint(backend, s, k)
-    down, down_star = top = _with_adjoint(backend, s, k + 1)
+    up, _ = mid
+    top = _, down_star = _with_adjoint(backend, s, k + 1)
     B = EqOperator(up.domain, up.codomain, sp.csr_matrix(up.matrix + down_star.matrix))
-    B_star = EqOperator(up.codomain, up.domain, sp.csr_matrix(up_star.matrix + down.matrix))
-    return (B, B_star, _laplacian(backend, s, k, mid, lo),
-            _laplacian(backend, s, k + 1, top, mid))
+    return B, top, _laplacian(backend, s, k + 1, top, mid)
 
 
 def build_equivariant_de_rham(backend: BackendMatrices) -> EquivariantDeRham:
-    """B + B* on Omega^n + Omega^{n+1} at s = 0 (_cartan of degree n)."""
-    B, B_star, delta_n, delta_n1 = _cartan(backend, 0.0, backend.n)
-    op = sp.bmat([[None, B_star.matrix], [B.matrix, None]], format="csr")
-    return EquivariantDeRham(operator=sp.csr_matrix(op), delta_n=delta_n,
-                             delta_n1=delta_n1, n=backend.n)
+    """B + B* on Omega^n + Omega^{n+1} at s = 0 (_cartan of degree n), with
+    B* summed from the same blocks, not taken as an adjoint."""
+    n = backend.n
+    lo = _with_adjoint(backend, 0.0, n - 1)
+    mid = _with_adjoint(backend, 0.0, n)
+    B, (down, _), delta_n1 = _cartan(backend, 0.0, n, mid)
+    B_star = sp.csr_matrix(mid[1].matrix + down.matrix)
+    op = sp.bmat([[None, B_star], [B.matrix, None]], format="csr")
+    return EquivariantDeRham(operator=sp.csr_matrix(op),
+                             delta_n=_laplacian(backend, 0.0, n, mid, lo),
+                             delta_n1=delta_n1, n=n)

@@ -46,10 +46,11 @@ From the top degree n on, each Laplacian has a partner one degree up:
 B = d_s^k + (t^-1 d_s^{k+1})* (cartan._cartan) gives Delta^k = B*B and
 Delta^{k+1} = BB*, since d_s^2 = 0, so S_k and S_{k+1} share their
 nonzero spectrum (Witten, J. Diff. Geom. 17, 1982).  A count window of
-delta_spectrum whose S_k is one block, and that holds more than the
-kernel, is taken through S_{k+1} when the partner's window of m -
-kappa_k + kappa_{k+1} pairs splits: on a surface, degrees 2, 4, ...
-through the dtheta and dphi blocks of degrees 3, 5, ....  Each pair
+delta_spectrum whose S_k is one block is taken through S_{k+1} when
+the partner's window of m - kappa_k + kappa_{k+1} pairs splits: on a
+surface, degrees 2, 4, ... through the dtheta and dphi blocks of
+degrees 3, 5, ....  The partner is built only when that window holds
+at least 20 pairs, the least that splits.  Each pair
 (lambda, u) of the partner above tau becomes (lambda, B~^T u /
 sqrt(lambda)), the kernel pairs come from S_k's own kernel factor, and
 the window is certified on S_k like any other (_through_partner).
@@ -463,49 +464,62 @@ def _solve(b: _Block, size: int, tau: float, bound: float, start, ncv=None) -> N
                                          ncv=ncv)
 
 
+def _blocks(sym: _Symmetric, parts, tau: float, m: int, prefix: str = ""):
+    """The connected blocks of S with the rows in parts, each with its
+    kernel factor and named in errors "{prefix}block 2 of 2 (dim 8192): ",
+    and each one's share of a window of m pairs, m dim_c / dim rounded up,
+    and one more."""
+    dim = sym.matrix.shape[0]
+    blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
+                            f"{prefix}block {i + 1} of {len(parts)} (dim {rows.size}): ",
+                            rows)
+              for i, rows in enumerate(parts)]
+    return blocks, [-(-m * b.dim // dim) + 1 for b in blocks]
+
+
 def _through_partner(sym: _Symmetric, partner, mass: np.ndarray, m: int, tau: float,
                      bound: float, start) -> _Block | None:
     """S_k as a block with its kernel factor and the first pairs of its
     one-block window of m pairs, taken through its partner S_{k+1} when
-    the partner's window splits and holds more than its kernel; None,
-    with nothing of S_k factored and nothing solved, when it does not.
+    the partner's window splits; None, with nothing of S_k factored and
+    nothing solved, when it does not.
 
-    partner() gives (B, Delta^{k+1}, its mass), with Delta^k = B*B and
-    Delta^{k+1} = BB* (cartan._cartan), so S_k = B~^T B~ and S_{k+1} =
-    B~ B~^T for B~ = M_{k+1}^{1/2} B M_k^{-1/2}.  The two share their
-    nonzero spectrum, and the index of B gives kappa_{k+1} = kappa_k +
-    dim_{k+1} - dim_k, so the m - kappa_k nonzero pairs of the window are
-    those of the partner window of m - kappa_k + kappa_{k+1} pairs, and
-    the window holds more than the kernel when that one does.  Each
-    connected block of S_{k+1} is solved from its share (_solve), with
-    start mapped by B~, and each pair (lambda, u) with lambda > tau
-    becomes (lambda, B~^T u / sqrt(lambda)).  Only then is S_k factored,
-    so that no partner factor is held beside it, and its kappa_k kernel
-    pairs come from its own kernel factor.  The merged vectors are
-    orthonormalized into Ritz vectors of S_k (_ritz), each eigenvalue is
-    the Rayleigh quotient of its vector, and a pair beyond the residual
-    bound is dropped; the window's certificate, in eigensolve, finds
-    whatever is missing.
+    partner is (dim_{k+1}, build), where build() gives (B, Delta^{k+1},
+    its mass), with Delta^k = B*B and Delta^{k+1} = BB* (cartan._cartan),
+    so S_k = B~^T B~ and S_{k+1} = B~ B~^T for B~ = M_{k+1}^{1/2} B
+    M_k^{-1/2}.  The two share their nonzero spectrum, and the index of B
+    gives kappa_{k+1} = kappa_k + dim_{k+1} - dim_k, so the m - kappa_k
+    nonzero pairs of the window are those of the partner window of
+    m - kappa_k + kappa_{k+1} pairs.  A partner window of fewer than
+    2 _MIN_SHARE pairs splits on no S (_split), and then nothing is
+    built.  Each connected block of S_{k+1} is solved from its share
+    (_solve), with start mapped by B~, and each pair (lambda, u) with
+    lambda > tau becomes (lambda, B~^T u / sqrt(lambda)).  Only then is
+    S_k factored, so that no partner factor is held beside it, and its
+    kappa_k kernel pairs come from its own kernel factor.  The merged
+    vectors are orthonormalized into Ritz vectors of S_k (_ritz), each
+    eigenvalue is the Rayleigh quotient of its vector, and a pair beyond
+    the residual bound is dropped; the window's certificate, in
+    eigensolve, finds whatever is missing.
     """
-    B, operator, pmass = partner()
-    psym = _symmetrized(operator, pmass)
-    dim, pdim = sym.matrix.shape[0], psym.matrix.shape[0]
+    pdim, build = partner
+    dim = sym.matrix.shape[0]
     pm = m + pdim - dim  # m - kappa_k + kappa_{k+1}
+    if pm < 2 * _MIN_SHARE:
+        return None
+    B, operator, pmass = build()
+    psym = _symmetrized(operator, pmass)
     parts = _split(psym, pm)
     if parts is None:
         return None
-    pending = [_kernel_block(_stored(sp.csr_matrix(psym.matrix[rows][:, rows])), tau,
-                             f"partner block {i + 1} of {len(parts)} (dim {rows.size}): ",
-                             rows)
-               for i, rows in enumerate(parts)]
-    if pm <= sum(pb.kernel for pb in pending):  # kappa_k >= m: the kernel alone
-        return None
     Bt = _scale(B, np.sqrt(pmass), 1.0 / np.sqrt(mass))
+    del B, operator  # only their frame copies Bt and psym are used below
+    pending, sizes = _blocks(psym, parts, tau, pm, "partner ")
     pstart = None if start is None else Bt @ start
     vectors = []
-    while pending:  # each partner factor is dropped once its block is mapped
+    for size in sizes:  # each partner factor is dropped once its block is mapped
         pb = pending.pop(0)
-        _solve(pb, -(-pm * pb.dim // pdim) + 1, tau, bound, pstart)
+        _solve(pb, size, tau, bound, pstart)
         up = pb.w > tau
         vectors.append(Bt[pb.rows].T @ (pb.V[:, up] / np.sqrt(pb.w[up])))
     del pb, psym, Bt
@@ -520,9 +534,8 @@ def _through_partner(sym: _Symmetric, partner, mass: np.ndarray, m: int, tau: fl
     block.w, block.V, block.resid = w[keep], V[:, keep], resid[keep]
     block.complete_below = -math.inf
     if block.w.size < m:
-        with _naming(block):
-            block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau, m, bound,
-                                                     block.V)
+        block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau, m, bound,
+                                                 block.V)
     return block
 
 
@@ -568,15 +581,16 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     the block: "block 2 of 2 (dim 8192): ...".
 
     partner, which only delta_spectrum gives, for a count window of a
-    degree k >= n, is a function of no arguments that builds (B,
-    Delta^{k+1}, the mass of degree k+1) with Delta^k = B*B and
-    Delta^{k+1} = BB* (cartan._cartan); it is called only when S is one
-    block.  When the window holds more than its kernel, and the partner's
-    window of m - kappa_k + kappa_{k+1} pairs splits, the first pairs
-    come through the partner's blocks (_through_partner, whose errors
-    name "partner block 1 of 2 (dim 8192): ..."), started from B~ start;
-    the window is then certified on S as above.  verify sizes every
-    window by a ceiling and never takes this path.
+    degree k >= n, is (dim_{k+1}, build): build() takes no arguments and
+    builds (B, Delta^{k+1}, the mass of degree k+1) with Delta^k = B*B
+    and Delta^{k+1} = BB* (cartan._cartan).  It is called only when S is
+    one block and the partner's window of m - kappa_k + kappa_{k+1} =
+    m + dim_{k+1} - dim pairs is at least 2 _MIN_SHARE = 20, the least
+    that _split splits.  When that window splits, the first pairs come
+    through the partner's blocks (_through_partner, whose errors name
+    "partner block 1 of 2 (dim 8192): ..."), started from B~ start; the
+    window is then certified on S as above.  verify sizes every window by
+    a ceiling and never takes this path.
     """
     sym = _symmetrized(operator, mass)
     dim, opnorm = sym.matrix.shape[0], sym.norm
@@ -602,11 +616,7 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         sizes = [] if through else [m]
     else:
         m = count
-        blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
-                                f"block {i + 1} of {len(parts)} (dim {rows.size}): ", rows)
-                  for i, rows in enumerate(parts)]
-        # each block's share, rounded up, and one more
-        sizes = [-(-m * b.dim // dim) + 1 for b in blocks]
+        blocks, sizes = _blocks(sym, parts, tau, m)
 
     for b, size in zip(blocks, sizes):
         _solve(b, size, tau, bound, start)
@@ -660,19 +670,26 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     start (eigensolve): that frame does not depend on s, so the
     ritz_sum of a window at a nearby s is a good one.  A count window of
     a degree k >= n is given its partner, B = d_s^k + (t^-1 d_s^{k+1})*
-    and Delta^{k+1} (cartan._cartan), built only when Delta^k is one
-    block, through which eigensolve solves it when the partner's window
-    splits: degrees 2, 4, ... of a surface.  Windows without a count, and
-    so every window of verify, never take it.
+    and Delta^{k+1} (cartan._cartan, from the d_s^k pair built here),
+    through which eigensolve solves it when the partner's window splits:
+    degrees 2, 4, ... of a surface.  The partner is built only when
+    Delta^k is one block and that window could split (eigensolve).
+    Windows without a count, and so every window of verify, never take
+    it.
     """
-    _, _, delta = cartan.build_deformed(backend, s, k)
+    d, d_star, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
+    partner = None
+    if count is not None and k >= backend.n:
+        mid = d, d_star
 
-    def partner():
-        B, _, _, above = cartan._cartan(backend, s, k)
-        return B.matrix, above, cartan.mass_vector(backend, above.domain)
+        def build():
+            B, _, above = cartan._cartan(backend, s, k, mid)
+            return B.matrix, above, cartan.mass_vector(backend, above.domain)
+        partner = cartan.degree_space(backend, k + 1).dim, build
+    del d, d_star
     return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling, start=start,
-                      partner=partner if count is not None and k >= backend.n else None)
+                      partner=partner)
 
 
 def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:

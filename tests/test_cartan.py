@@ -485,20 +485,26 @@ def test_de_rham_laplacians_are_bitwise_build_delta_eq(case):
 def test_cartan_operator_factors_both_laplacians(case):
     """B = d_s^k + (t^-1 d_s^{k+1})* for k in {n, n+2}: in the frames
     M^{1/2}, B~^T B~ is S_k and B~ B~^T is S_{k+1}, entry by entry within
-    16 eps of the largest entry (3.7 eps measured).  B* is the adjoint of
-    B within 4 eps (1.4 measured), and the Laplacians are bitwise
-    build_deformed's."""
+    16 eps of the largest entry (3.7 eps measured), and Delta^{k+1} is
+    bitwise build_deformed's.  At s = 0 and k = n, B is the bottom-left
+    block of build_equivariant_de_rham's operator, and its top-right
+    block, summed from the same blocks, is the adjoint of B within 4 eps
+    (1.4 measured)."""
     be = B.build_backend(*B.catalog(case, n_grid=64))
+    eps = np.finfo(float).eps
     for s in (0.0, 16.0, 64.0) if be.dfwedge is not None else (0.0,):
         for k in (be.n, be.n + 2):
-            op, op_star, below, above = C._cartan(be, s, k)
-            assert _bitwise_equal(below.matrix, C.build_deformed(be, s, k)[2].matrix)
+            d, d_star, below = C.build_deformed(be, s, k)
+            op, (down, _), above = C._cartan(be, s, k, (d, d_star))
+            assert _bitwise_equal(down.matrix, C.build_deformed(be, s, k + 1)[0].matrix)
             assert _bitwise_equal(above.matrix, C.build_deformed(be, s, k + 1)[2].matrix)
-            assert B._relative_defect(op_star.matrix, C.adjoint(be, op).matrix) \
-                <= 4 * np.finfo(float).eps
-            m0, m1 = (C.mass_vector(be, d.domain) for d in (below, above))
+            m0, m1 = (C.mass_vector(be, x.domain) for x in (below, above))
             Bt = B._scale(op.matrix, np.sqrt(m1), 1.0 / np.sqrt(m0))
             for delta, mass, product in ((below, m0, Bt.T @ Bt), (above, m1, Bt @ Bt.T)):
                 sym = S._symmetrized(delta, mass).matrix
-                assert B._relative_defect(product, sym) <= 16 * np.finfo(float).eps, \
-                    (s, k)
+                assert B._relative_defect(product, sym) <= 16 * eps, (s, k)
+            if s == 0.0 and k == be.n:
+                dr, dim = C.build_equivariant_de_rham(be), below.domain.dim
+                assert _bitwise_equal(sp.csr_matrix(dr.operator[dim:, :dim]), op.matrix)
+                assert B._relative_defect(dr.operator[:dim, dim:],
+                                          C.adjoint(be, op).matrix) <= 4 * eps

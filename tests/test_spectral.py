@@ -979,6 +979,17 @@ def _spy_partner(monkeypatch):
     return taken
 
 
+def _spy_cartan(monkeypatch):
+    """The degree of every partner that cartan._cartan builds."""
+    built, real = [], C._cartan
+
+    def spy(be, s, k, mid):
+        built.append(k)
+        return real(be, s, k, mid)
+    monkeypatch.setattr(C, "_cartan", spy)
+    return built
+
+
 @pytest.mark.parametrize("n_grid", [64, 256])
 @pytest.mark.parametrize("case,params", [
     ("sphere_height", {}), ("sphere_bumpy", {"c": 0.6}), ("sphere_bumpy", {"c": -0.6}),
@@ -994,13 +1005,14 @@ def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
     way the window is the prefix of dense eigh: every eigenvalue within
     64 eps |A| plus both residuals, and the same kernel dimension."""
     be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
-    taken = _spy_partner(monkeypatch)
+    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
     for s in (0.0, 4.0, 64.0):
         w, resid, norm = _dense_pairs(be, k, s)
         for count in (24, 6):
             taken.clear()
+            built.clear()
             rep = S.delta_spectrum(be, k, s=s, count=count)
-            assert taken == [count == 24], (s, count)
+            assert taken == [count == 24] and len(built) == taken.count(True), (s, count)
             allowed = (64 * np.finfo(float).eps * norm + resid[:count]
                        + np.asarray(rep.residual_norms))
             assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:count]) <= allowed), \
@@ -1041,16 +1053,29 @@ def test_a_missing_mapped_pair_that_is_not_found_fails_the_certificate(sphere, m
 
 def test_an_all_kernel_window_takes_no_partner_solve(monkeypatch):
     """A count of kappa_k = 2 on degree 2 of the sphere: every pair is a
-    kernel pair, which only S_k's own kernel factor gives; the partner
-    window, of 2 - kappa_k + kappa_{k+1} = 0 pairs, is not taken, and
-    nothing of degree 3 is factored or solved."""
+    kernel pair, which only S_k's own kernel factor gives.  The partner
+    window, of 2 - kappa_k + kappa_{k+1} = 0 pairs, is below the 20 that
+    _split needs, so nothing of degree 3 is built, factored or solved."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-    taken = _spy_partner(monkeypatch)
+    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
     factors, runs = _spy(monkeypatch, "_factor"), _spy(monkeypatch, "_lanczos")
     rep = S.delta_spectrum(be, 2, s=16.0, count=2)
-    assert taken == [False] and rep.kernel_dim == 2
+    assert taken == [False] and not built and rep.kernel_dim == 2
     assert factors and runs
     assert all(call[0].matrix.shape[0] == rep.dim for call in factors + runs)
+
+
+@pytest.mark.parametrize("case", ["sphere_height", "torus_height"])
+def test_an_odd_window_builds_no_partner(case, monkeypatch):
+    """Degree 3 of a surface splits by itself at a count of 24.  At 6 it
+    does not, and its degree-4 partner window of 6 + dim_4 - dim_3 pairs
+    is below the 2 _MIN_SHARE = 20 that _split needs, so it is refused
+    before anything of degree 4 is built."""
+    be = B.build_backend(*B.catalog(case, n_grid=256))
+    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
+    for count in (24, 6):
+        S.delta_spectrum(be, 3, s=16.0, count=count)
+    assert taken == [False] and not built
 
 
 def test_a_failure_on_a_partner_block_names_it(sphere, monkeypatch):
