@@ -184,8 +184,14 @@ def _config(values: dict, *keys: str) -> dict:
 def _check_out(*paths: str) -> None:
     """Refuse output files that could not be written: no path may name a
     directory, and the nearest existing path of its directory and their
-    ancestors must be a writable directory.  Nothing is created."""
+    ancestors must be a writable directory.  No two paths may resolve to
+    one file, which the later would silently replace.  Nothing is created."""
+    seen = {}
     for path in paths:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"cannot write {path!r}: {seen[real]!r} names the same file")
+        seen[real] = path
         full = os.path.abspath(path)
         if path.endswith(os.sep) or os.path.isdir(full):
             raise ConfigError(f"cannot write {path!r}: it names a directory")

@@ -20,13 +20,14 @@ one LDL^T of S - sigma I with one symmetric ordering, at the largest
 shift at or below sigma whose factor is regular.  The one just above
 tau counts the kernel, by Sylvester's law, and serves as the inverse of
 a shift-invert Lanczos iteration for the window.  A pair is kept only
-within the residual bound.  The window is certified once: a second
-factor just below its top must count exactly the kept eigenvalues
-below it, and what is missing is sought again on the complement of the
-kept pairs.  A window wider than half the dimension and the zero
-operator's come from dense eigh of S.  Each eigenvalue is the Rayleigh
-quotient of its vector.  betti_numbers further requires the gap to be
-at least SEPARATION_FACTOR = 100 times the largest kernel eigenvalue.
+within the residual bound.  A window wider than half the dimension and
+the zero operator's come from dense eigh of S.  Either way the window
+is certified once: a second factor just below its top must count
+exactly the kept eigenvalues below it, and what is missing is sought
+again on the complement of the kept pairs.  Each eigenvalue is the
+Rayleigh quotient of its vector.  betti_numbers further requires the
+gap to be at least SEPARATION_FACTOR = 100 times the largest kernel
+eigenvalue.
 All solves are deterministic.
 
 A count window whose every connected block of S gets a share of at
@@ -36,26 +37,27 @@ one more, and the window is the lowest m of the merged pairs.  The odd
 degrees of a surface split so, into their dtheta and dphi rows: d_s
 maps functions into the dtheta part only, and d and i_v on 1-forms
 read only the dphi part.  The certificate is taken at the merged top:
-each block must hold every eigenvalue its inertia counts below that
-cut, and what one lacks is sought on the complement of its pairs.  A
-window sized by a ceiling is counted on the whole of S, whose kernel
-factor then solves it too: like a window with a smaller share on some
-block, it is the one-block case.
+each block, dense or Lanczos, must hold every eigenvalue its inertia
+counts below that cut, and what one lacks is sought on the complement
+of its pairs.  A window sized by a ceiling is counted on the whole of
+S, whose kernel factor then solves it too: like a window with a
+smaller share on some block, it is the one-block case.
 
 From the top degree n on, each Laplacian has a partner one degree up:
 B = d_s^k + (t^-1 d_s^{k+1})* (cartan._cartan) gives Delta^k = B*B and
 Delta^{k+1} = BB*, since d_s^2 = 0, so S_k and S_{k+1} share their
 nonzero spectrum (Witten, J. Diff. Geom. 17, 1982).  A count window of
-delta_spectrum whose S_k is one block is taken through S_{k+1} when
-the partner's window of m - kappa_k + kappa_{k+1} pairs splits: on a
-surface, degrees 2, 4, ... through the dtheta and dphi blocks of
-degrees 3, 5, ....  The partner is built only when that window holds
-at least 20 pairs, the least that splits.  Each pair
-(lambda, u) of the partner above tau becomes (lambda, B~^T u /
-sqrt(lambda)), the kernel pairs come from S_k's own kernel factor, and
-the window is certified on S_k like any other (_through_partner).
-Windows sized by ceilings, and so every window of verify, never take
-it.
+delta_spectrum whose S_k is one block, and which S_k would not solve
+densely, takes its nonzero pairs from S_{k+1} when the partner's window
+of m - kappa_k + kappa_{k+1} pairs splits: on a surface, degrees 2, 4,
+... from the dtheta and dphi blocks of degrees 3, 5, ....  The partner
+is built only when that window holds at least 20 pairs, the least that
+splits.  The partner only lifts pairs: each pair (lambda, u) of it
+above tau becomes (lambda, B~^T u / sqrt(lambda)) (_through_partner).
+S_k is then the one block of its window, holding the lowest m - kappa_k
+lifted pairs; its kernel is sought beside them on its own kernel
+factor, and the window is certified on S_k like any other.  Windows
+sized by ceilings, and so every window of verify, never take it.
 
 A Lanczos run starts from a fixed vector, or from a given start.  The
 frame M^{1/2} of S depends only on the backend and the degree, so
@@ -280,78 +282,67 @@ def inertia(operator, mass: np.ndarray, shifts) -> list[int]:
     return [_factor(sym, float(sigma))[1] for sigma in shifts]
 
 
-def _rayleigh(S, V, SV=None):
-    """Rayleigh quotients of the orthonormal columns of V, ascending, with
-    the columns in that order and their residual norms ||S v - lambda v||.
-    SV is S V if already known; it is overwritten by the residuals."""
-    SV = S @ V if SV is None else SV
+def _rayleigh(S, V, bound: float = math.inf):
+    """Rayleigh quotients of the orthonormal columns of V whose residual
+    norms ||S v - lambda v|| are within bound, ascending, with those
+    columns in that order and their residual norms."""
+    SV = S @ V
     w = np.einsum("ij,ij->j", V, SV)
     SV -= V * w
+    resid = np.linalg.norm(SV, axis=0)
     order = np.argsort(w, kind="stable")
-    return w[order], V[:, order], np.linalg.norm(SV, axis=0)[order]
-
-
-def _ritz(S, V):
-    """_rayleigh of the Ritz vectors of S on the span of the columns of V,
-    which need only be near orthonormal: a direction that they hold with
-    a weight of at most 1/2, one that two columns nearly share, is left
-    out.  V is overwritten."""
-    SV = S @ V
-    g, Y = np.linalg.eigh(V.T @ V)
-    C = Y[:, g > 0.5] / np.sqrt(g[g > 0.5])  # V C: orthonormal columns
-    T = C @ np.linalg.eigh(C.T @ (V.T @ SV) @ C)[1]
-    q = T.shape[1]
-    V[:, :q] = V @ T  # the Ritz vectors and S times them, in place
-    SV[:, :q] = SV @ T
-    return _rayleigh(S, V[:, :q], SV[:, :q])
+    order = order[resid[order] <= bound]
+    return w[order], V[:, order], resid[order]
 
 
 def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
-             start=None, ncv=None):
+             start=None, narrow: bool = False):
     """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
     Each eigenvalue is the Rayleigh quotient of its vector, and a pair is
-    kept only when its residual is within bound; the pairs the bound
-    drops are sought by the next run, on the complement of the kept
-    pairs.  Orthonormal columns V, pairs already kept, make the first run
-    one such search, for the other m - |V|.  The first run starts from
-    start, by default the fixed cos(i + 1/4), so repeated runs are
-    bit-identical, and each next run from it projected on the
-    complement.  ncv is the size of the Lanczos basis, by default scipy's
-    max(2k + 1, 20) for k pairs.  A run after which at least as many
-    pairs are missing as it sought raises SolverError, and so does any
-    ARPACK error.  No pair is certified here: eigensolve checks them
-    against the inertia.
+    kept only when its residual is within bound (_rayleigh).  Orthonormal
+    columns V, pairs already held, are checked so first, and each run
+    seeks the pairs still missing on the complement of the kept pairs.
+    A run starts from start, by default the fixed cos(i + 1/4), so
+    repeated runs are bit-identical, projected on that complement.  A run
+    for k pairs builds scipy's basis of max(2k + 1, 20) vectors, or a
+    narrow one of 2k + 1, at most dim either way.  Held pairs that are
+    all kept make no run.  A run after which at least as many pairs are
+    missing as it sought raises SolverError, and so does any ARPACK
+    error.  No pair is certified here: eigensolve checks them against
+    the inertia.
     """
     S = sym.matrix
     dim = S.shape[0]
     start = np.cos(np.arange(dim) + 0.25) if start is None else start
-    V = np.zeros((dim, 0)) if V is None else V
-    k = m - V.shape[1]
+    w, V, resid = ((np.zeros(0), np.zeros((dim, 0)), np.zeros(0)) if V is None
+                   else _rayleigh(S, V, bound))
+    sought = math.inf
 
     def complement(x):  # (S - tau I)^{-1} on the complement of the kept pairs
         y = lu.solve(x - V @ (V.T @ x))
         return y - V @ (V.T @ y)
     while True:
+        missing = m - V.shape[1]
+        if not missing:
+            return w, V, resid
+        if missing >= sought:
+            raise SolverError(f"{missing} eigenpairs exceed the residual bound "
+                              f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
+        sought = missing
         if V.shape[1]:
             start = start - V @ (V.T @ start)
         try:
-            _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, ncv=ncv,
-                              maxiter=5000, tol=0, OPinv=spla.LinearOperator(
+            _, U = spla.eigsh(S, k=missing, sigma=tau, which="LM", v0=start,
+                              ncv=max(2 * missing + 1, 0 if narrow else 20),
+                              maxiter=5000, tol=0,
+                              OPinv=spla.LinearOperator(
                                   (dim, dim), matvec=complement if V.shape[1] else lu.solve,
                                   dtype=float))
         except spla.ArpackError as exc:
             raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
-        w, V, resid = _rayleigh(S, np.hstack([V, U]))
-        keep = np.flatnonzero(resid <= bound)[:m]
-        w, V, resid = w[keep], V[:, keep], resid[keep]
-        missing = m - keep.size
-        if not missing:
-            return w, V, resid
-        if missing >= k:
-            raise SolverError(f"{missing} eigenpairs exceed the residual bound "
-                              f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
-        k = missing
+        V = np.hstack([V, U])
+        w, V, resid = _rayleigh(S, V, bound)
 
 
 def _cut(top: float) -> float:
@@ -384,10 +375,11 @@ def _split(sym: _Symmetric, m: int):
 class _Block:
     """One connected block of S in a window: its matrix, its kernel factor
     and count, the prefix that names it in errors (empty for the whole of
-    S), its rows in S, and its pairs, ascending.  complete_below is a
-    value below which the block's pairs hold every eigenvalue it has
-    (-inf until a certificate or a dense solve shows one); sought is the
-    number of pairs its last extension sought (infinite before one)."""
+    S), its rows in S, and its pairs, ascending: before its solve, only
+    the pairs it is given to hold (_solve).  complete_below is a value
+    below which the block's pairs hold every eigenvalue it has (-inf
+    until a certificate shows one); sought is the number of pairs its
+    last extension sought (infinite before one)."""
 
     sym: _Symmetric
     lu: object
@@ -406,10 +398,10 @@ class _Block:
 
 
 def _kernel_block(sym: _Symmetric, tau: float, name: str = "",
-                  rows=slice(None)) -> _Block:
+                  rows=slice(None), held=None) -> _Block:
     """S as a block with its kernel factor, one float above tau, so that it
-    counts #{lambda <= tau}."""
-    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name, rows)
+    counts #{lambda <= tau}, holding the orthonormal vectors held."""
+    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name, rows, V=held)
 
 
 @contextlib.contextmanager
@@ -447,21 +439,23 @@ def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
         block.sought = missing
 
 
-def _solve(b: _Block, size: int, tau: float, bound: float, start, ncv=None) -> None:
+def _solve(b: _Block, size: int, tau: float, bound: float, start) -> None:
     """A block's first size pairs: by dense eigh when 2 size > dim_c or its
-    norm is 0, else by shift-invert Lanczos on its kernel factor with a
-    basis of ncv vectors (_lanczos), started from start[rows] unless that
-    part is zero or no start is given."""
+    norm is 0, else by shift-invert Lanczos on its kernel factor
+    (_lanczos), started from start[rows] unless that part is zero or no
+    start is given.  Pairs the block holds are kept if their residuals
+    allow, and the run seeks only the rest, the kernel: far below the
+    rest of the spectrum on their complement, so a narrow basis finds
+    it."""
     with _naming(b):
         if 2 * size > b.dim or b.sym.norm == 0:
             S = b.sym.matrix
             b.w, b.V, b.resid = _rayleigh(
                 S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
-            b.complete_below = math.inf if b.w.size == b.dim else b.w[-1]
         else:
             part = None if start is None or not start[b.rows].any() else start[b.rows]
-            b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, start=part,
-                                         ncv=ncv)
+            b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, b.V, part,
+                                         narrow=b.V is not None)
 
 
 def _blocks(sym: _Symmetric, parts, tau: float, m: int, prefix: str = ""):
@@ -478,11 +472,11 @@ def _blocks(sym: _Symmetric, parts, tau: float, m: int, prefix: str = ""):
 
 
 def _through_partner(sym: _Symmetric, partner, mass: np.ndarray, m: int, tau: float,
-                     bound: float, start) -> _Block | None:
-    """S_k as a block with its kernel factor and the first pairs of its
-    one-block window of m pairs, taken through its partner S_{k+1} when
-    the partner's window splits; None, with nothing of S_k factored and
-    nothing solved, when it does not.
+                     bound: float, start):
+    """The vectors of the m - kappa_k nonzero pairs of S_k's one-block
+    window of m pairs, ascending, lifted from its partner S_{k+1} when the
+    partner's window splits; None, with nothing built or solved, when it
+    does not.
 
     partner is (dim_{k+1}, build), where build() gives (B, Delta^{k+1},
     its mass), with Delta^k = B*B and Delta^{k+1} = BB* (cartan._cartan),
@@ -491,21 +485,19 @@ def _through_partner(sym: _Symmetric, partner, mass: np.ndarray, m: int, tau: fl
     gives kappa_{k+1} = kappa_k + dim_{k+1} - dim_k, so the m - kappa_k
     nonzero pairs of the window are those of the partner window of
     m - kappa_k + kappa_{k+1} pairs.  A partner window of fewer than
-    2 _MIN_SHARE pairs splits on no S (_split), and then nothing is
-    built.  Each connected block of S_{k+1} is solved from its share
-    (_solve), with start mapped by B~, and each pair (lambda, u) with
-    lambda > tau becomes (lambda, B~^T u / sqrt(lambda)).  Only then is
-    S_k factored, so that no partner factor is held beside it, and its
-    kappa_k kernel pairs come from its own kernel factor.  The merged
-    vectors are orthonormalized into Ritz vectors of S_k (_ritz), each
-    eigenvalue is the Rayleigh quotient of its vector, and a pair beyond
-    the residual bound is dropped; the window's certificate, in
-    eigensolve, finds whatever is missing.
+    2 _MIN_SHARE pairs splits on no S (_split), and a window that S_k
+    solves densely (2m > dim_k) would drop the lifted pairs (_solve):
+    then nothing is built.  Each connected block of S_{k+1} is solved
+    from its share (_solve), with start mapped by B~, and each pair
+    (lambda, u) with lambda > tau is lifted to B~^T u / sqrt(lambda); the
+    lowest m - kappa_k are kept, with kappa_{k+1} counted by the partner
+    blocks' kernel factors.  Nothing of S_k is factored here, so no
+    partner factor is held beside its own.
     """
     pdim, build = partner
     dim = sym.matrix.shape[0]
     pm = m + pdim - dim  # m - kappa_k + kappa_{k+1}
-    if pm < 2 * _MIN_SHARE:
+    if pm < 2 * _MIN_SHARE or 2 * m > dim:
         return None
     B, operator, pmass = build()
     psym = _symmetrized(operator, pmass)
@@ -516,27 +508,17 @@ def _through_partner(sym: _Symmetric, partner, mass: np.ndarray, m: int, tau: fl
     del B, operator  # only their frame copies Bt and psym are used below
     pending, sizes = _blocks(psym, parts, tau, pm, "partner ")
     pstart = None if start is None else Bt @ start
-    vectors = []
-    for size in sizes:  # each partner factor is dropped once its block is mapped
+    w, vectors, kernel = [], [], 0
+    for size in sizes:  # each partner factor is dropped once its block is lifted
         pb = pending.pop(0)
         _solve(pb, size, tau, bound, pstart)
         up = pb.w > tau
+        w.append(pb.w[up])
         vectors.append(Bt[pb.rows].T @ (pb.V[:, up] / np.sqrt(pb.w[up])))
+        kernel += pb.kernel
     del pb, psym, Bt
-    block = _kernel_block(sym, tau)
-    if block.kernel:  # far below the rest: a basis of 2 kappa_k + 1 finds it
-        _solve(block, block.kernel, tau, bound, start, min(2 * block.kernel + 1, dim))
-        vectors.insert(0, block.V)
-    V = np.hstack(vectors)
-    del vectors  # the window holds one copy of its vectors at a time
-    w, V, resid = _ritz(block.sym.matrix, V)
-    keep = resid <= bound
-    block.w, block.V, block.resid = w[keep], V[:, keep], resid[keep]
-    block.complete_below = -math.inf
-    if block.w.size < m:
-        block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau, m, bound,
-                                                 block.V)
-    return block
+    lowest = np.argsort(np.concatenate(w), kind="stable")[:pm - kernel]
+    return np.hstack(vectors)[:, lowest]
 
 
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
@@ -567,30 +549,34 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     kernel factor as the inverse (_lanczos), started from start[rows],
     the block's part of start (dim floats in the frame of S, as
     SpectrumReport.ritz_sum gives them), or from the fixed vector when
-    that part is zero or no start is given.  The window is the lowest m
-    of the merged pairs, and it is certified once, at the merged cut
-    (_cut of its top): every Lanczos block, and a dense one whose top
-    lies below the cut, must hold every eigenvalue its inertia counts
-    below the cut, and what one lacks is sought on the complement of its
-    pairs (_certify) until none lacks any.  An unsplit window is the
-    one-block case, certified at the cut of its own top.  On every
-    block, kernel_dim must equal the kernel factor's count, or the pairs
-    it holds if fewer (SolverError), and every returned pair must have a
-    residual within RESIDUAL_BOUND x max(|A|, 1), with |A| the whole
-    operator's, else SolverError.  A SolverError on a split window names
-    the block: "block 2 of 2 (dim 8192): ...".
+    that part is zero or no start is given.  A block that holds pairs
+    before its solve keeps those within the residual bound and seeks
+    only the rest (_solve).  The window is the lowest m of the merged
+    pairs, and it is certified once, at the merged cut (_cut of its
+    top): every block, dense or Lanczos, must hold every eigenvalue its
+    inertia counts below the cut, and what one lacks is sought on the
+    complement of its pairs (_certify) until none lacks any.  An unsplit
+    window is the one-block case, certified at the cut of its own top.
+    On every block, kernel_dim must equal the kernel factor's count, or
+    the pairs it holds if fewer (SolverError), and every returned pair
+    must have a residual within RESIDUAL_BOUND x max(|A|, 1), with |A|
+    the whole operator's, else SolverError.  A SolverError on a split
+    window names the block: "block 2 of 2 (dim 8192): ...".
 
     partner, which only delta_spectrum gives, for a count window of a
     degree k >= n, is (dim_{k+1}, build): build() takes no arguments and
     builds (B, Delta^{k+1}, the mass of degree k+1) with Delta^k = B*B
     and Delta^{k+1} = BB* (cartan._cartan).  It is called only when S is
-    one block and the partner's window of m - kappa_k + kappa_{k+1} =
-    m + dim_{k+1} - dim pairs is at least 2 _MIN_SHARE = 20, the least
-    that _split splits.  When that window splits, the first pairs come
-    through the partner's blocks (_through_partner, whose errors name
-    "partner block 1 of 2 (dim 8192): ..."), started from B~ start; the
-    window is then certified on S as above.  verify sizes every window by
-    a ceiling and never takes this path.
+    one block, 2m <= dim, and the partner's window of m - kappa_k +
+    kappa_{k+1} = m + dim_{k+1} - dim pairs is at least 2 _MIN_SHARE =
+    20, the least that _split splits.  When that window splits, the
+    partner only lifts pairs: its blocks are solved from B~ start, and
+    their nonzero pairs lifted to S (_through_partner, whose errors name
+    "partner block 1 of 2 (dim 8192): ...").  S is then the one block of
+    the window, holding the lowest m - kappa lifted pairs, and its
+    kappa kernel pairs are sought beside them, with no run at all when
+    kappa = 0; the window is certified on S as above.  verify sizes
+    every window by a ceiling and never takes this path.
     """
     sym = _symmetrized(operator, mass)
     dim, opnorm = sym.matrix.shape[0], sym.norm
@@ -604,16 +590,17 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     bound = RESIDUAL_BOUND * max(opnorm, 1.0)
     parts = None if count is None else _split(sym, count)
     if parts is None:
-        through = (None if count is None or partner is None
-                   else _through_partner(sym, partner, mass, count, tau, bound, start))
-        blocks = [through or _kernel_block(sym, tau)]
+        held = (None if count is None or partner is None
+                else _through_partner(sym, partner, mass, count, tau, bound, start))
+        blocks = [_kernel_block(sym, tau, held=held)]
+        del held  # the block holds the only reference
         if count is not None:
             m = count
         elif ceiling <= tau:
             m = min(blocks[0].kernel + 1, dim)
         else:
             m = min(_factor(sym, ceiling)[1] + 1, dim)
-        sizes = [] if through else [m]
+        sizes = [m]
     else:
         m = count
         blocks, sizes = _blocks(sym, parts, tau, m)
@@ -671,11 +658,13 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     ritz_sum of a window at a nearby s is a good one.  A count window of
     a degree k >= n is given its partner, B = d_s^k + (t^-1 d_s^{k+1})*
     and Delta^{k+1} (cartan._cartan, from the d_s^k pair built here),
-    through which eigensolve solves it when the partner's window splits:
-    degrees 2, 4, ... of a surface.  The partner is built only when
-    Delta^k is one block and that window could split (eigensolve).
-    Windows without a count, and so every window of verify, never take
-    it.
+    which only lifts the window's nonzero pairs to Delta^k when the
+    partner's window splits: degrees 2, 4, ... of a surface.  eigensolve
+    seeks the kernel beside the lifted pairs and certifies the window on
+    Delta^k.  The partner is built only when Delta^k is one block, its
+    window is not solved densely, and the partner's window could split
+    (eigensolve).  Windows without a count, and so every window of
+    verify, never take it.
     """
     d, d_star, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)

@@ -413,6 +413,24 @@ def test_an_output_naming_a_directory_exits_2_before_any_solve(argv, tmp_path,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("out,csv", [("P", "P"), ("./P", "P")], ids=["same", "dot-slash"])
+def test_two_outputs_naming_one_file_exit_2_before_any_solve(out, csv, tmp_path,
+                                                             monkeypatch, capsys):
+    """spectrum --out and --csv that resolve to one file would leave only
+    the CSV; they are refused before anything is built, and nothing is
+    written."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a backend was built before the outputs were checked")
+
+    monkeypatch.setattr(cli.backend_mod, "build_backend", unreachable)
+    monkeypatch.chdir(tmp_path)
+    assert run(["spectrum", "--case", "sphere_height", "--n-grid", "64",
+                "--out", out, "--csv", csv]) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {csv!r}: {out!r} names "
+                                       "the same file\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["verify", "sweep"])
 @pytest.mark.parametrize("n_grid", [10**20, B.MAX_N_GRID + 1], ids=["1e20", "bound+1"])
 def test_an_n_grid_beyond_the_index_range_exits_2_before_any_grid(command, n_grid,

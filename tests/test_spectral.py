@@ -1,5 +1,6 @@
 """Eigensolver, kernel detection, traces and sweeps."""
 
+import inspect
 import math
 from functools import partial
 
@@ -669,6 +670,23 @@ def _spy(monkeypatch, name):
     return calls
 
 
+def _spy_runs(monkeypatch):
+    """The arguments, by name, of every call to spectral._lanczos from here
+    on.  A first run holds no pairs (V is None); an extension holds the
+    block's pairs, and the kernel seek of a window taken through its
+    partner holds the lifted pairs."""
+    runs, real = [], S._lanczos
+    signature = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        runs.append(call.arguments)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(S, "_lanczos", spy)
+    return runs
+
+
 def _chains(sizes, scales, seed=0):
     """Path Laplacians of the given sizes, weights drawn in [0.5, 2] times
     each scale, mass-scaled in a random basis order (_mass_scaled)."""
@@ -686,9 +704,10 @@ def test_a_count_window_is_solved_block_by_block(sizes, count, monkeypatch):
     dense prefix to 64 eps |A| plus its residuals, with one kernel vector
     per chain."""
     A, mass, dense = _chains(sizes, [1.0, 3.0, 0.5])
-    runs = _spy(monkeypatch, "_lanczos")
+    runs = _spy_runs(monkeypatch)
     rep = S.eigensolve(A, mass, count=count)
-    assert sorted(run[0].matrix.shape[0] for run in runs if len(run) == 5) == sorted(sizes)
+    assert sorted(run["sym"].matrix.shape[0] for run in runs if run["V"] is None) \
+        == sorted(sizes)
     reference = np.linalg.eigvalsh(dense)[:count]
     allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
     assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
@@ -704,10 +723,10 @@ def test_a_short_block_is_extended_on_the_complement_of_its_pairs(monkeypatch):
     there counts more, and the missing pairs are sought with the 12 it
     holds kept."""
     A, mass, dense = _chains((55, 65), [1.0, 9.0])
-    runs = _spy(monkeypatch, "_lanczos")
+    runs = _spy_runs(monkeypatch)
     rep = S.eigensolve(A, mass, count=24)
-    extensions = [run for run in runs if len(run) > 5]
-    assert extensions and extensions[0][5].shape[1] == 12
+    extensions = [run for run in runs if run["V"] is not None]
+    assert extensions and extensions[0]["V"].shape[1] == 12
     reference = np.linalg.eigvalsh(dense)[:24]
     allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
     assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
@@ -751,36 +770,29 @@ def test_verify_solves_every_window_on_the_whole_operator(tmp_path, monkeypatch)
     """verify sizes its windows by ceilings, the kernel and gap or Lambda,
     so none is split: one Lanczos run per window, none an extension."""
     windows = _spy(monkeypatch, "eigensolve")
-    runs = _spy(monkeypatch, "_lanczos")
+    runs = _spy_runs(monkeypatch)
     assert cli.main(["verify", "--case", "sphere_height", "--n-grid", "64",
                      "--out", str(tmp_path / "report")]) == 0
     assert len(windows) == len(runs) > 0
-    assert all(len(run) == 5 for run in runs)
+    assert all(run["V"] is None for run in runs)
 
 
 def test_an_odd_degree_count_window_solves_its_two_blocks(monkeypatch):
     """Degree 1 of the sphere at N = 256: the dtheta and the dphi rows do
     not couple, and a count of 24 gives each a share of about 12."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-    runs = _spy(monkeypatch, "_lanczos")
+    runs = _spy_runs(monkeypatch)
     rep = S.delta_spectrum(be, 1, s=16.0, count=24)
-    dims = [run[0].matrix.shape[0] for run in runs if len(run) == 5]
+    dims = [run["sym"].matrix.shape[0] for run in runs if run["V"] is None]
     assert len(dims) == 2 and sum(dims) == rep.dim
     reference, sym = _dense_spectrum(be, 1, 16.0)
     assert np.abs(np.asarray(rep.eigenvalues) - reference[:24]).max() \
         <= 64 * np.finfo(float).eps * sym.norm
 
 
-def _spy_starts(monkeypatch):
-    """The start given to every first run of spectral._lanczos from here on."""
-    starts, real = [], S._lanczos
-
-    def spy(*args, **kwargs):
-        if len(args) == 5:
-            starts.append(kwargs.get("start"))
-        return real(*args, **kwargs)
-    monkeypatch.setattr(S, "_lanczos", spy)
-    return starts
+def _first_starts(runs):
+    """The start of every first run among runs (_spy_runs)."""
+    return [run["start"] for run in runs if run["V"] is None]
 
 
 @pytest.mark.parametrize("case", ["sphere_height", "torus_height"])
@@ -791,15 +803,16 @@ def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
     64 eps |A| plus both residuals, the same kernel dimension, and count
     pairs.  A window makes one first Lanczos run per block: 1 on degree
     0, 2 on the odd degrees, and on degree 2, taken through degree 3, 2
-    partner blocks plus 1 for the kernel where it is not empty (the
-    sphere's has dimension 2)."""
+    partner blocks; its kernel is sought beside the lifted pairs, by a
+    run that holds them."""
     be = B.build_backend(*B.catalog(case, n_grid=256))
     s_list = [4.0, 8.0, 16.0, 32.0, 64.0]
-    runs = {"sphere_height": [1, 2, 3, 2], "torus_height": [1, 2, 2, 2]}[case]
+    runs = [1, 2, 2, 2]
     for k in range(4):
-        starts = _spy_starts(monkeypatch)
+        calls = _spy_runs(monkeypatch)
         sweep = S.sweep_s(be, k, s_list, S.TraceSpec(), count=24)
         monkeypatch.undo()
+        starts = _first_starts(calls)
         # the first window's runs start cold, every later one warm
         assert len(starts) == runs[k] * len(s_list), k
         assert all(x is None for x in starts[:runs[k]])
@@ -829,9 +842,9 @@ def test_a_start_blind_to_a_wanted_eigenvector_is_caught_by_the_certificate(monk
     A = sp.diags(diag[perm], format="csr")
     start = np.cos(np.arange(diag.size) + 0.25)
     start[np.flatnonzero(perm == 2)] = 0.0
-    runs = _spy(monkeypatch, "_lanczos")
+    runs = _spy_runs(monkeypatch)
     rep = S.eigensolve(A, np.ones(diag.size), count=6, start=start)
-    assert [len(run) for run in runs] == [5, 6]
+    assert [run["V"] is None for run in runs] == [True, False]
     assert np.abs(np.asarray(rep.eigenvalues) - diag[:6]).max() <= 1e-12 * diag.max()
     assert rep.kernel_dim == 1
 
@@ -845,8 +858,9 @@ def test_a_zero_start_falls_back_to_the_fixed_vector(monkeypatch):
     start = np.zeros(90)
     assert S.eigensolve(A, mass, count=24, start=start).eigenvalues == cold.eigenvalues
     start[rows[1]] = cold.ritz_sum[rows[1]]
-    starts = _spy_starts(monkeypatch)
+    runs = _spy_runs(monkeypatch)
     warm = S.eigensolve(A, mass, count=24, start=start)
+    starts = _first_starts(runs)
     assert starts[0] is None and np.array_equal(starts[1], start[rows[1]])
     assert np.abs(np.asarray(warm.eigenvalues) - cold.eigenvalues).max() \
         <= 64 * np.finfo(float).eps * cold.operator_norm + 2 * max(cold.residual_norms)
@@ -864,10 +878,10 @@ def test_a_split_window_without_a_miss_takes_two_factors_per_block(window, monke
     else:
         be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
         solve = partial(S.delta_spectrum, be, 1, s=16.0, count=24)
-    runs = _spy(monkeypatch, "_lanczos")
+    runs = _spy_runs(monkeypatch)
     factors = _spy(monkeypatch, "_factor")
     rep = solve()
-    assert [len(run) for run in runs] == [5, 5]
+    assert [run["V"] is None for run in runs] == [True, True]
     assert len(factors) == 4
     kernel_shift = np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
     assert [shift for _, shift in factors[:2]] == [kernel_shift] * 2
@@ -972,9 +986,9 @@ def _spy_partner(monkeypatch):
     taken, real = [], S._through_partner
 
     def spy(*args):
-        block = real(*args)
-        taken.append(block is not None)
-        return block
+        held = real(*args)
+        taken.append(held is not None)
+        return held
     monkeypatch.setattr(S, "_through_partner", spy)
     return taken
 
@@ -1020,18 +1034,31 @@ def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
             assert rep.kernel_dim == np.count_nonzero(w[:count] <= S.KERNEL_TAU_ABS * norm)
 
 
+def _dropping_a_lifted_pair(monkeypatch, then=lambda: None):
+    """spectral._solve, with the lowest lifted pair of S_k, its column 2
+    after the sphere's two kernel pairs, dropped once the kernel is found
+    beside the lifted pairs; then then() is called."""
+    real = S._solve
+
+    def solve(b, *args):
+        real(b, *args)
+        if not b.name:  # S_k itself, not a partner block
+            b.w, b.V, b.resid = (np.delete(x, 2, axis=-1) for x in (b.w, b.V, b.resid))
+            then()
+    monkeypatch.setattr(S, "_solve", solve)
+
+
 def test_a_mapped_pair_that_goes_missing_is_found_by_the_certificate(sphere, monkeypatch):
-    """The lowest mapped pair of the first partner block is dropped before
-    the merge (columns 0 and 1 are the sphere's two kernel pairs): the
-    inertia at the merged cut then counts one more eigenvalue than the
-    window holds, and one extension on the complement finds it."""
+    """The lowest lifted pair of the window is dropped after S_k's solve:
+    the inertia at the merged cut then counts one more eigenvalue than
+    the window holds, and one extension on the complement finds it."""
     w, resid, norm = _dense_pairs(sphere, 2, 16.0)
-    real = S._ritz
-    monkeypatch.setattr(S, "_ritz", lambda A, V: real(A, np.delete(V, 2, axis=1)))
-    runs = _spy(monkeypatch, "_lanczos")
+    _dropping_a_lifted_pair(monkeypatch)
+    runs = _spy_runs(monkeypatch)
     rep = S.delta_spectrum(sphere, 2, s=16.0, count=24)
-    extensions = [run for run in runs if len(run) == 6]
-    assert len(extensions) == 1 and extensions[0][3] == extensions[0][5].shape[1] + 1
+    held = [run for run in runs if run["V"] is not None]
+    extensions = held[1:]  # held[0] is the kernel seek beside the lifted pairs
+    assert len(extensions) == 1 and extensions[0]["m"] == extensions[0]["V"].shape[1] + 1
     allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
     assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
     assert rep.kernel_dim == 2
@@ -1039,16 +1066,79 @@ def test_a_mapped_pair_that_goes_missing_is_found_by_the_certificate(sphere, mon
 
 def test_a_missing_mapped_pair_that_is_not_found_fails_the_certificate(sphere, monkeypatch):
     """As above, but the extension loses its pair too (_dropping_eigsh on
-    every run after the partner's): the certificate raises."""
-    real = S._ritz
-
-    def dropping(A, V):
-        monkeypatch.setattr(S.spla, "eigsh", _dropping_eigsh)
-        return real(A, np.delete(V, 2, axis=1))
-    monkeypatch.setattr(S, "_ritz", dropping)
+    every run after S_k's solve): the certificate raises."""
+    _dropping_a_lifted_pair(
+        monkeypatch, lambda: monkeypatch.setattr(S.spla, "eigsh", _dropping_eigsh))
     with pytest.raises(S.SolverError,
                        match=r"holds 23 eigenvalues below \S+, the inertia there is 24"):
         S.delta_spectrum(sphere, 2, s=16.0, count=24)
+
+
+def _spy_eigsh(monkeypatch):
+    """(dim, k) of every scipy eigsh call from here on."""
+    calls = []
+
+    def spy(A, k, **kwargs):
+        calls.append((A.shape[0], k))
+        return _EIGSH(A, k, **kwargs)
+    monkeypatch.setattr(S.spla, "eigsh", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dropped", [False, True], ids=["whole", "dropped"])
+def test_a_window_without_a_kernel_seeks_only_what_its_lifted_pairs_lack(
+        torus, dropped, monkeypatch):
+    """Degree 2 of the torus has no kernel (kappa_2 = 0), so the 24 lifted
+    pairs are the whole window and S_k takes no Lanczos run of its own.
+    With one lifted pair dropped, S_k's one run seeks exactly one pair, on
+    the complement of the 23 others.  Either way the window is the prefix
+    of dense eigh."""
+    if dropped:
+        real = S._through_partner
+        monkeypatch.setattr(S, "_through_partner",
+                            lambda *args: np.delete(real(*args), 0, axis=1))
+    taken, calls = _spy_partner(monkeypatch), _spy_eigsh(monkeypatch)
+    rep = S.delta_spectrum(torus, 2, s=16.0, count=24)
+    assert taken == [True] and len(calls) > 0
+    assert [k for dim, k in calls if dim == rep.dim] == ([1] if dropped else [])
+    w, resid, norm = _dense_pairs(torus, 2, 16.0)
+    allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
+    assert rep.kernel_dim == 0
+
+
+def test_a_window_solved_densely_builds_no_partner(monkeypatch):
+    """Degree 2 of the sphere at N = 64 has dimension 127.  A count of 70
+    is solved by dense eigh, which would drop lifted pairs, so no partner
+    is built, though its window of 70 - 2 + 0 = 68 pairs would split."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
+    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
+    rep = S.delta_spectrum(be, 2, s=4.0, count=70)
+    assert taken == [False] and not built
+    w, resid, norm = _dense_pairs(be, 2, 4.0)
+    allowed = 64 * np.finfo(float).eps * norm + resid[:70] + np.asarray(rep.residual_norms)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:70]) <= allowed)
+    assert rep.kernel_dim == 2
+
+
+def test_a_dense_block_that_misses_a_pair_is_completed_by_the_certificate(monkeypatch):
+    """One chain of 40 nodes and a count of 30, which dense eigh solves,
+    patched to skip the second-lowest pair: the block's own top then lies
+    above the missing eigenvalue.  The certificate at the cut of that top
+    counts it, and one extension on the complement finds it."""
+    A, mass, dense = _chains((40,), [1.0])
+
+    def skipping(a, **kwargs):
+        w, V = _EIGH(a, **kwargs)
+        return np.delete(w, 1), np.delete(V, 1, axis=1)
+    monkeypatch.setattr(S.sla, "eigh", skipping)
+    runs = _spy_runs(monkeypatch)
+    rep = S.eigensolve(A, mass, count=30)
+    assert [run["m"] - run["V"].shape[1] for run in runs] == [1]
+    reference = np.linalg.eigvalsh(dense)[:30]
+    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+    assert rep.kernel_dim == 1
 
 
 def test_an_all_kernel_window_takes_no_partner_solve(monkeypatch):
@@ -1058,11 +1148,12 @@ def test_an_all_kernel_window_takes_no_partner_solve(monkeypatch):
     _split needs, so nothing of degree 3 is built, factored or solved."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
     taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
-    factors, runs = _spy(monkeypatch, "_factor"), _spy(monkeypatch, "_lanczos")
+    factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
     rep = S.delta_spectrum(be, 2, s=16.0, count=2)
     assert taken == [False] and not built and rep.kernel_dim == 2
     assert factors and runs
-    assert all(call[0].matrix.shape[0] == rep.dim for call in factors + runs)
+    syms = [call[0] for call in factors] + [run["sym"] for run in runs]
+    assert all(sym.matrix.shape[0] == rep.dim for sym in syms)
 
 
 @pytest.mark.parametrize("case", ["sphere_height", "torus_height"])
