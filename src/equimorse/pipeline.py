@@ -155,8 +155,10 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
     the circle (no Morse function) only the Betti numbers and the Euler
     identity are checked.  The trace slacks reported under
     'slack_thm2' are those at the largest probe; per-probe values are
-    embedded under 'trace_slack_per_s'.
+    embedded under 'trace_slack_per_s'.  s_probes may be any iterable; it
+    is read once.
     """
+    s_probes = list(s_probes)
     be = build_backend(profile, f)
     if kmax < be.n:
         raise cartan.ConfigurationError(
@@ -175,7 +177,7 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
         trace_per_s = dict(zip(s_probes, reps))
         for rep in reps:
             status_parts.append(rep.passed)
-        largest = max(s_probes) if len(list(s_probes)) else 0.0
+        largest = max(s_probes, default=0.0)
         slack2 = trace_per_s[largest].slack if trace_per_s else []
     else:
         levels = []

@@ -47,17 +47,17 @@ From the top degree n on, each Laplacian has a partner one degree up:
 B = d_s^k + (t^-1 d_s^{k+1})* (cartan._cartan) gives Delta^k = B*B and
 Delta^{k+1} = BB*, since d_s^2 = 0, so S_k and S_{k+1} share their
 nonzero spectrum (Witten, J. Diff. Geom. 17, 1982).  A count window of
-delta_spectrum whose S_k is one block, and which S_k would not solve
-densely, takes its nonzero pairs from S_{k+1} when the partner's window
-of m - kappa_k + kappa_{k+1} pairs splits: on a surface, degrees 2, 4,
-... from the dtheta and dphi blocks of degrees 3, 5, ....  The partner
-is built only when that window holds at least 20 pairs, the least that
-splits.  The partner only lifts pairs: each pair (lambda, u) of it
-above tau becomes (lambda, B~^T u / sqrt(lambda)) (_through_partner).
-S_k is then the one block of its window, holding the lowest m - kappa_k
-lifted pairs; its kernel is sought beside them on its own kernel
-factor, and the window is certified on S_k like any other.  Windows
-sized by ceilings, and so every window of verify, never take it.
+delta_spectrum whose S_k is one block, which S_k would not solve
+densely, and whose partner window of m - kappa_k + kappa_{k+1} pairs
+holds at least 20, the least that splits, is solved on the partner, not
+lifted from it: on a surface, degrees 2, 4, ... take their nonzero pairs
+from the dtheta and dphi blocks of degrees 3, 5, ....  The partner
+window is an ordinary window of eigensolve, split and certified on its
+own blocks, and S_k adds only its kernel: the count of its kernel
+factor, and a kernel window when that is not 0.  Each such window
+checks the pairing it relies on: B*B and BB* against the two
+Laplacians, and the index of B against the two kernels.  Windows sized
+by ceilings, and so every window of verify, never take it.
 
 A Lanczos run starts from a fixed vector, or from a given start.  The
 frame M^{1/2} of S depends only on the backend and the degree, so
@@ -135,10 +135,11 @@ class SpectrumReport:
     is); separation is gap over the largest kernel eigenvalue (infinite
     without a gap or a kernel).
     residual_norms hold ||S v - lambda v||, in the mass-orthonormal frame,
-    for every returned pair.  ritz_sum is the sum of the window's unit
-    vectors v in that frame, M^{1/2}, which depends only on the backend
-    and the degree: a Lanczos start for the window of a nearby s
-    (sweep_s).
+    for every returned pair; a window solved on its partner (delta_spectrum)
+    holds the partner's, ||S_{k+1} u - lambda u||, for its nonzero pairs.
+    ritz_sum is the sum of the window's unit vectors v in that frame,
+    M^{1/2}, which depends only on the backend and the degree: a Lanczos
+    start for the window of a nearby s (sweep_s).
     """
 
     k: int
@@ -296,27 +297,25 @@ def _rayleigh(S, V, bound: float = math.inf):
 
 
 def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
-             start=None, narrow: bool = False):
+             start=None):
     """The lowest m eigenpairs by shift-invert Lanczos with lu as (S - tau I)^{-1}.
 
     Each eigenvalue is the Rayleigh quotient of its vector, and a pair is
     kept only when its residual is within bound (_rayleigh).  Orthonormal
-    columns V, pairs already held, are checked so first, and each run
-    seeks the pairs still missing on the complement of the kept pairs.
-    A run starts from start, by default the fixed cos(i + 1/4), so
-    repeated runs are bit-identical, projected on that complement.  A run
-    for k pairs builds scipy's basis of max(2k + 1, 20) vectors, or a
-    narrow one of 2k + 1, at most dim either way.  Held pairs that are
-    all kept make no run.  A run after which at least as many pairs are
-    missing as it sought raises SolverError, and so does any ARPACK
-    error.  No pair is certified here: eigensolve checks them against
-    the inertia.
+    columns V, the pairs a block holds when a certificate extends it, are
+    checked so first, and each run seeks the pairs still missing on the
+    complement of the kept pairs.  A run starts from start, by default
+    the fixed cos(i + 1/4), so repeated runs are bit-identical, projected
+    on that complement.  A run for k pairs builds scipy's basis of
+    max(2k + 1, 20) vectors, at most dim.  A run after which at least as
+    many pairs are missing as it sought raises SolverError, and so does
+    any ARPACK error.  No pair is certified here: eigensolve checks them
+    against the inertia.
     """
     S = sym.matrix
     dim = S.shape[0]
     start = np.cos(np.arange(dim) + 0.25) if start is None else start
-    w, V, resid = ((np.zeros(0), np.zeros((dim, 0)), np.zeros(0)) if V is None
-                   else _rayleigh(S, V, bound))
+    w, V, resid = _rayleigh(S, np.zeros((dim, 0)) if V is None else V, bound)
     sought = math.inf
 
     def complement(x):  # (S - tau I)^{-1} on the complement of the kept pairs
@@ -330,11 +329,10 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
             raise SolverError(f"{missing} eigenpairs exceed the residual bound "
                               f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
         sought = missing
-        if V.shape[1]:
-            start = start - V @ (V.T @ start)
+        start = start - V @ (V.T @ start)
         try:
             _, U = spla.eigsh(S, k=missing, sigma=tau, which="LM", v0=start,
-                              ncv=max(2 * missing + 1, 0 if narrow else 20),
+                              ncv=max(2 * missing + 1, 20),
                               maxiter=5000, tol=0,
                               OPinv=spla.LinearOperator(
                                   (dim, dim), matvec=complement if V.shape[1] else lu.solve,
@@ -357,14 +355,15 @@ def _cut(top: float) -> float:
 _MIN_SHARE = 10
 
 
-def _split(sym: _Symmetric, m: int):
-    """The rows of each connected block of S, in the order of their first
-    row, when every block's share of a window of m pairs, m dim_c / dim,
-    is at least _MIN_SHARE pairs; else None, one block."""
-    dim = sym.matrix.shape[0]
+def _split(matrix, m: int):
+    """The rows of each connected block of a square sparse matrix, in the
+    order of their first row, when every block's share of a window of m
+    pairs, m dim_c / dim, is at least _MIN_SHARE pairs; else None, one
+    block.  A mass-symmetric operator and its S have the same blocks."""
+    dim = matrix.shape[0]
     if m < 2 * _MIN_SHARE:  # two shares of _MIN_SHARE make the smallest split
         return None
-    n, labels = csgraph.connected_components(sym.matrix, directed=False)
+    n, labels = csgraph.connected_components(matrix, directed=False)
     sizes = np.bincount(labels, minlength=n)
     if n < 2 or m * sizes.min() < _MIN_SHARE * dim:
         return None
@@ -375,11 +374,11 @@ def _split(sym: _Symmetric, m: int):
 class _Block:
     """One connected block of S in a window: its matrix, its kernel factor
     and count, the prefix that names it in errors (empty for the whole of
-    S), its rows in S, and its pairs, ascending: before its solve, only
-    the pairs it is given to hold (_solve).  complete_below is a value
-    below which the block's pairs hold every eigenvalue it has (-inf
-    until a certificate shows one); sought is the number of pairs its
-    last extension sought (infinite before one)."""
+    S), its rows in S, and its pairs, ascending (none before its solve,
+    _solve).  complete_below is a value below which the block's pairs
+    hold every eigenvalue it has (-inf until a certificate shows one);
+    sought is the number of pairs its last extension sought (infinite
+    before one)."""
 
     sym: _Symmetric
     lu: object
@@ -398,21 +397,22 @@ class _Block:
 
 
 def _kernel_block(sym: _Symmetric, tau: float, name: str = "",
-                  rows=slice(None), held=None) -> _Block:
+                  rows=slice(None)) -> _Block:
     """S as a block with its kernel factor, one float above tau, so that it
-    counts #{lambda <= tau}, holding the orthonormal vectors held."""
-    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name, rows, V=held)
+    counts #{lambda <= tau}."""
+    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name, rows)
 
 
 @contextlib.contextmanager
-def _naming(block: _Block):
-    """A SolverError raised on a block of a split window names the block."""
+def _naming(name: str):
+    """A SolverError raised inside names where it was raised: a block of a
+    split window, or a partner window (delta_spectrum)."""
     try:
         yield
     except SolverError as exc:
-        if not block.name:
+        if not name:
             raise
-        raise SolverError(block.name + str(exc)) from exc
+        raise SolverError(name + str(exc)) from exc
 
 
 def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
@@ -424,7 +424,7 @@ def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
     window; an extension after which at least as many are missing as it
     sought found none of them, and raises SolverError, as does an
     inertia below the pairs held."""
-    with _naming(block):
+    with _naming(block.name):
         found = int(np.count_nonzero(block.w < cut))
         below = _factor(block.sym, cut)[1]
         missing = below - found
@@ -443,87 +443,34 @@ def _solve(b: _Block, size: int, tau: float, bound: float, start) -> None:
     """A block's first size pairs: by dense eigh when 2 size > dim_c or its
     norm is 0, else by shift-invert Lanczos on its kernel factor
     (_lanczos), started from start[rows] unless that part is zero or no
-    start is given.  Pairs the block holds are kept if their residuals
-    allow, and the run seeks only the rest, the kernel: far below the
-    rest of the spectrum on their complement, so a narrow basis finds
-    it."""
-    with _naming(b):
+    start is given.  Either way the pairs are only kept, not certified:
+    eigensolve certifies every block at the merged cut (_certify)."""
+    with _naming(b.name):
         if 2 * size > b.dim or b.sym.norm == 0:
             S = b.sym.matrix
             b.w, b.V, b.resid = _rayleigh(
                 S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
         else:
             part = None if start is None or not start[b.rows].any() else start[b.rows]
-            b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, b.V, part,
-                                         narrow=b.V is not None)
+            b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, start=part)
 
 
-def _blocks(sym: _Symmetric, parts, tau: float, m: int, prefix: str = ""):
+def _blocks(sym: _Symmetric, parts, tau: float, m: int):
     """The connected blocks of S with the rows in parts, each with its
-    kernel factor and named in errors "{prefix}block 2 of 2 (dim 8192): ",
+    kernel factor and named in errors "block 2 of 2 (dim 8192): ",
     and each one's share of a window of m pairs, m dim_c / dim rounded up,
     and one more."""
     dim = sym.matrix.shape[0]
     blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
-                            f"{prefix}block {i + 1} of {len(parts)} (dim {rows.size}): ",
+                            f"block {i + 1} of {len(parts)} (dim {rows.size}): ",
                             rows)
               for i, rows in enumerate(parts)]
     return blocks, [-(-m * b.dim // dim) + 1 for b in blocks]
 
 
-def _through_partner(sym: _Symmetric, partner, mass: np.ndarray, m: int, tau: float,
-                     bound: float, start):
-    """The vectors of the m - kappa_k nonzero pairs of S_k's one-block
-    window of m pairs, ascending, lifted from its partner S_{k+1} when the
-    partner's window splits; None, with nothing built or solved, when it
-    does not.
-
-    partner is (dim_{k+1}, build), where build() gives (B, Delta^{k+1},
-    its mass), with Delta^k = B*B and Delta^{k+1} = BB* (cartan._cartan),
-    so S_k = B~^T B~ and S_{k+1} = B~ B~^T for B~ = M_{k+1}^{1/2} B
-    M_k^{-1/2}.  The two share their nonzero spectrum, and the index of B
-    gives kappa_{k+1} = kappa_k + dim_{k+1} - dim_k, so the m - kappa_k
-    nonzero pairs of the window are those of the partner window of
-    m - kappa_k + kappa_{k+1} pairs.  A partner window of fewer than
-    2 _MIN_SHARE pairs splits on no S (_split), and a window that S_k
-    solves densely (2m > dim_k) would drop the lifted pairs (_solve):
-    then nothing is built.  Each connected block of S_{k+1} is solved
-    from its share (_solve), with start mapped by B~, and each pair
-    (lambda, u) with lambda > tau is lifted to B~^T u / sqrt(lambda); the
-    lowest m - kappa_k are kept, with kappa_{k+1} counted by the partner
-    blocks' kernel factors.  Nothing of S_k is factored here, so no
-    partner factor is held beside its own.
-    """
-    pdim, build = partner
-    dim = sym.matrix.shape[0]
-    pm = m + pdim - dim  # m - kappa_k + kappa_{k+1}
-    if pm < 2 * _MIN_SHARE or 2 * m > dim:
-        return None
-    B, operator, pmass = build()
-    psym = _symmetrized(operator, pmass)
-    parts = _split(psym, pm)
-    if parts is None:
-        return None
-    Bt = _scale(B, np.sqrt(pmass), 1.0 / np.sqrt(mass))
-    del B, operator  # only their frame copies Bt and psym are used below
-    pending, sizes = _blocks(psym, parts, tau, pm, "partner ")
-    pstart = None if start is None else Bt @ start
-    w, vectors, kernel = [], [], 0
-    for size in sizes:  # each partner factor is dropped once its block is lifted
-        pb = pending.pop(0)
-        _solve(pb, size, tau, bound, pstart)
-        up = pb.w > tau
-        w.append(pb.w[up])
-        vectors.append(Bt[pb.rows].T @ (pb.V[:, up] / np.sqrt(pb.w[up])))
-        kernel += pb.kernel
-    del pb, psym, Bt
-    lowest = np.argsort(np.concatenate(w), kind="stable")[:pm - kernel]
-    return np.hstack(vectors)[:, lowest]
-
-
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
                k: int = 0, s: float = 0.0, ceiling: float = 0.0,
-               start=None, partner=None) -> SpectrumReport:
+               start=None) -> SpectrumReport:
     """The lowest eigenpairs of a mass-symmetric operator: one certified window.
 
     operator may be an EqOperator or a sparse/dense matrix, of dimension
@@ -549,34 +496,18 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     kernel factor as the inverse (_lanczos), started from start[rows],
     the block's part of start (dim floats in the frame of S, as
     SpectrumReport.ritz_sum gives them), or from the fixed vector when
-    that part is zero or no start is given.  A block that holds pairs
-    before its solve keeps those within the residual bound and seeks
-    only the rest (_solve).  The window is the lowest m of the merged
-    pairs, and it is certified once, at the merged cut (_cut of its
-    top): every block, dense or Lanczos, must hold every eigenvalue its
-    inertia counts below the cut, and what one lacks is sought on the
-    complement of its pairs (_certify) until none lacks any.  An unsplit
-    window is the one-block case, certified at the cut of its own top.
+    that part is zero or no start is given (_solve).  The window is the
+    lowest m of the merged pairs, and it is certified once, at the
+    merged cut (_cut of its top): every block, dense or Lanczos, must
+    hold every eigenvalue its inertia counts below the cut, and what one
+    lacks is sought on the complement of its pairs (_certify) until none
+    lacks any.  An unsplit window is the one-block case, certified at the
+    cut of its own top.
     On every block, kernel_dim must equal the kernel factor's count, or
     the pairs it holds if fewer (SolverError), and every returned pair
     must have a residual within RESIDUAL_BOUND x max(|A|, 1), with |A|
     the whole operator's, else SolverError.  A SolverError on a split
     window names the block: "block 2 of 2 (dim 8192): ...".
-
-    partner, which only delta_spectrum gives, for a count window of a
-    degree k >= n, is (dim_{k+1}, build): build() takes no arguments and
-    builds (B, Delta^{k+1}, the mass of degree k+1) with Delta^k = B*B
-    and Delta^{k+1} = BB* (cartan._cartan).  It is called only when S is
-    one block, 2m <= dim, and the partner's window of m - kappa_k +
-    kappa_{k+1} = m + dim_{k+1} - dim pairs is at least 2 _MIN_SHARE =
-    20, the least that _split splits.  When that window splits, the
-    partner only lifts pairs: its blocks are solved from B~ start, and
-    their nonzero pairs lifted to S (_through_partner, whose errors name
-    "partner block 1 of 2 (dim 8192): ...").  S is then the one block of
-    the window, holding the lowest m - kappa lifted pairs, and its
-    kappa kernel pairs are sought beside them, with no run at all when
-    kappa = 0; the window is certified on S as above.  verify sizes
-    every window by a ceiling and never takes this path.
     """
     sym = _symmetrized(operator, mass)
     dim, opnorm = sym.matrix.shape[0], sym.norm
@@ -588,22 +519,16 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
             raise ValueError(f"a start of shape {start.shape} for dimension {dim}")
     tau = KERNEL_TAU_ABS * opnorm
     bound = RESIDUAL_BOUND * max(opnorm, 1.0)
-    parts = None if count is None else _split(sym, count)
+    parts = None if count is None else _split(sym.matrix, count)
     if parts is None:
-        held = (None if count is None or partner is None
-                else _through_partner(sym, partner, mass, count, tau, bound, start))
-        blocks = [_kernel_block(sym, tau, held=held)]
-        del held  # the block holds the only reference
-        if count is not None:
-            m = count
-        elif ceiling <= tau:
-            m = min(blocks[0].kernel + 1, dim)
-        else:
-            m = min(_factor(sym, ceiling)[1] + 1, dim)
-        sizes = [m]
+        blocks = [_kernel_block(sym, tau)]
+        if count is None:
+            below = blocks[0].kernel if ceiling <= tau else _factor(sym, ceiling)[1]
+            count = min(below + 1, dim)
+        sizes = [count]
     else:
-        m = count
-        blocks, sizes = _blocks(sym, parts, tau, m)
+        blocks, sizes = _blocks(sym, parts, tau, count)
+    m = count
 
     for b, size in zip(blocks, sizes):
         _solve(b, size, tau, bound, start)
@@ -655,30 +580,76 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     eigenvalue below ceiling and one more, by default the kernel and gap.
     start, dim floats in the frame M^{1/2} of degree k, is the Lanczos
     start (eigensolve): that frame does not depend on s, so the
-    ritz_sum of a window at a nearby s is a good one.  A count window of
-    a degree k >= n is given its partner, B = d_s^k + (t^-1 d_s^{k+1})*
-    and Delta^{k+1} (cartan._cartan, from the d_s^k pair built here),
-    which only lifts the window's nonzero pairs to Delta^k when the
-    partner's window splits: degrees 2, 4, ... of a surface.  eigensolve
-    seeks the kernel beside the lifted pairs and certifies the window on
-    Delta^k.  The partner is built only when Delta^k is one block, its
-    window is not solved densely, and the partner's window could split
-    (eigensolve).  Windows without a count, and so every window of
-    verify, never take it.
+    ritz_sum of a window at a nearby s is a good one.
+
+    From the top degree n on, B = d_s^k + (t^-1 d_s^{k+1})* (cartan._cartan)
+    gives Delta^k = B*B and Delta^{k+1} = BB*, since d_s^2 = 0, so S_k and
+    S_{k+1} share their nonzero spectrum and kappa_{k+1} = kappa_k +
+    dim_{k+1} - dim_k, the index of B (Witten, J. Diff. Geom. 17, 1982).
+    A count window of such a degree whose S_k is one block (_split), which
+    S_k would not solve densely (2m <= dim_k), and whose partner window of
+    m + dim_{k+1} - dim_k pairs holds at least 2 _MIN_SHARE = 20, the
+    least that splits, is solved on the partner: degrees 2, 4, ... of a
+    surface from the dtheta and dphi blocks of degrees 3, 5, ....  The
+    partner window, eigensolve of Delta^{k+1} started from B~ start with
+    B~ = M_{k+1}^{1/2} B M_k^{-1/2}, is split and certified like any
+    count window; its errors name it, "partner block 1 of 2 (dim 8192):
+    ...".  Its lowest m - kappa_k nonzero pairs are the window's, with
+    their residuals on S_{k+1}.  S_k adds only kappa_k, counted by its
+    own kernel factor, and a kernel window eigensolve(Delta^k,
+    count=kappa_k) when kappa_k > 0.  What the window relies on is
+    checked, else SolverError: B*B and BB* within a relative defect of
+    64 eps of Delta^k and Delta^{k+1}, kappa_{k+1} the index of B away
+    from kappa_k, and kappa_k the window's kernel dimension at S_k's tau.
+    The report keeps S_k's dim and |A|, and its ritz_sum is the kernel
+    window's plus B~^T times the partner's, in S_k's frame.  Windows
+    without a count, and so every window of verify, never take it.
     """
     d, d_star, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
-    partner = None
-    if count is not None and k >= backend.n:
-        mid = d, d_star
-
-        def build():
-            B, _, above = cartan._cartan(backend, s, k, mid)
-            return B.matrix, above, cartan.mass_vector(backend, above.domain)
-        partner = cartan.degree_space(backend, k + 1).dim, build
+    dim, pdim = delta.domain.dim, cartan.degree_space(backend, k + 1).dim
+    if (count is None or k < backend.n or 2 * count > dim
+            or count + pdim - dim < 2 * _MIN_SHARE
+            or _split(delta.matrix, count) is not None):
+        del d, d_star
+        return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling,
+                          start=start)
+    B, _, above = cartan._cartan(backend, s, k, (d, d_star))
     del d, d_star
-    return eigensolve(delta, mass, count=count, k=k, s=s, ceiling=ceiling, start=start,
-                      partner=partner)
+    B_star = cartan.adjoint(backend, B).matrix
+    for name, product, laplacian, degree in (("B*B", B_star @ B.matrix, delta, k),
+                                             ("BB*", B.matrix @ B_star, above, k + 1)):
+        defect = _relative_defect(product, laplacian.matrix)
+        if not defect <= 64 * np.finfo(float).eps:
+            raise SolverError(f"partner: {name} misses the degree-{degree} Laplacian by "
+                              f"a relative defect of {defect:.3e} > 64 eps")
+    pmass = cartan.mass_vector(backend, above.domain)
+    Bt = _scale(B.matrix, np.sqrt(pmass), 1.0 / np.sqrt(mass))
+    del B, B_star
+    with _naming("partner "):
+        partner = eigensolve(above, pmass, count=count + pdim - dim, k=k + 1, s=s,
+                             start=None if start is None else Bt @ start)
+    del above
+    sym = _symmetrized(delta, mass)
+    tau = KERNEL_TAU_ABS * sym.norm
+    kappa = min(_factor(sym, np.nextafter(tau, math.inf))[1], count)
+    if partner.kernel_dim != kappa + pdim - dim:
+        raise SolverError(f"partner: kernel dimensions {kappa} of degree {k} and "
+                          f"{partner.kernel_dim} of degree {k + 1} break the index of B")
+    nonzero = slice(partner.kernel_dim, partner.kernel_dim + count - kappa)
+    w, resid = partner.eigenvalues[nonzero], partner.residual_norms[nonzero]
+    ritz_sum = Bt.T @ partner.ritz_sum
+    if kappa:
+        kernel = eigensolve(delta, mass, count=kappa, k=k, s=s, start=start)
+        w, resid = kernel.eigenvalues + w, kernel.residual_norms + resid
+        ritz_sum += kernel.ritz_sum
+    kd, gap, separation = _kernel_split(np.asarray(w), tau)
+    if kd != kappa:
+        raise SolverError(f"partner: {kd} window eigenvalues are at most tau = "
+                          f"{tau:.3e}, the kernel factor counts {kappa}")
+    return SpectrumReport(k=k, s=s, eigenvalues=w, kernel_dim=kd, gap=gap,
+                          residual_norms=resid, dim=dim, operator_norm=sym.norm,
+                          separation=separation, ritz_sum=ritz_sum)
 
 
 def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:

@@ -228,6 +228,22 @@ def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--case", "sphere_height", "--n-grid", "64", "--s", "-1"],
+     "error: s values must be nonnegative\n"),
+    (["sweep", "--case", "sphere_height", "--n-grid", "64", "--s", "4,-2"],
+     "error: s values must be nonnegative\n"),
+    (["verify", "--case", "sphere_height", "--n-grid", "64", "--param", "R"],
+     "error: --param needs key=value, got 'R'\n"),
+], ids=["verify-negative-s", "sweep-negative-s", "verify-param-without-value"])
+def test_a_negative_s_or_a_bare_param_exits_2_with_its_message(argv, message, tmp_path,
+                                                                capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_an_arpack_error_is_a_one_line_error(tmp_path, capsys, monkeypatch):
     def no_shifts(*args, **kwargs):
         raise spla.ArpackError(3, {3: "No shifts could be applied"})

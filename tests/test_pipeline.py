@@ -237,6 +237,17 @@ def test_run_case_report_schema(sphere_setup):
     assert report["N"] == 128
 
 
+def test_run_case_reads_its_probes_once():
+    """A one-shot iterable of probes gives the report of the same list:
+    every probe and its slacks, not an empty list beside a PASS."""
+    profile, f = B.catalog("sphere_height", n_grid=64)
+    probes = [0.0, 4.0, 16.0]
+    listed = P.run_case(profile, f, probes, 4, S.TraceSpec())
+    assert P.run_case(profile, f, (sv for sv in probes), 4, S.TraceSpec()) == listed
+    assert listed["s_probes"] == probes and len(listed["trace_slack_per_s"]) == 3
+    assert listed["slack_thm2"] == listed["trace_slack_per_s"]["16"]
+
+
 def test_circle_profile_has_no_morse_analysis():
     profile, _ = B.catalog("circle_trivial")
     const = B.InvariantMorseFunction(

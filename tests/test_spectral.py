@@ -1,7 +1,10 @@
 """Eigensolver, kernel detection, traces and sweeps."""
 
+import dataclasses
 import inspect
+import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -673,8 +676,7 @@ def _spy(monkeypatch, name):
 def _spy_runs(monkeypatch):
     """The arguments, by name, of every call to spectral._lanczos from here
     on.  A first run holds no pairs (V is None); an extension holds the
-    block's pairs, and the kernel seek of a window taken through its
-    partner holds the lifted pairs."""
+    block's pairs."""
     runs, real = [], S._lanczos
     signature = inspect.signature(real)
 
@@ -802,12 +804,12 @@ def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
     on the assembled Delta^k, with no partner: every eigenvalue within
     64 eps |A| plus both residuals, the same kernel dimension, and count
     pairs.  A window makes one first Lanczos run per block: 1 on degree
-    0, 2 on the odd degrees, and on degree 2, taken through degree 3, 2
-    partner blocks; its kernel is sought beside the lifted pairs, by a
-    run that holds them."""
+    0, 2 on the odd degrees, and on degree 2, solved on degree 3, 2
+    partner blocks, and on the sphere (kappa_2 = 2) 1 more for the
+    kernel window of Delta^2; the torus has no degree-2 kernel."""
     be = B.build_backend(*B.catalog(case, n_grid=256))
     s_list = [4.0, 8.0, 16.0, 32.0, 64.0]
-    runs = [1, 2, 2, 2]
+    runs = [1, 2, 3 if case == "sphere_height" else 2, 2]
     for k in range(4):
         calls = _spy_runs(monkeypatch)
         sweep = S.sweep_s(be, k, s_list, S.TraceSpec(), count=24)
@@ -854,7 +856,7 @@ def test_a_zero_start_falls_back_to_the_fixed_vector(monkeypatch):
     fixed vector: bitwise the window of no start at all."""
     A, mass, _ = _chains((40, 50), [1.0, 2.0])
     cold = S.eigensolve(A, mass, count=24)
-    rows = S._split(S._symmetrized(A, mass), 24)
+    rows = S._split(A, 24)
     start = np.zeros(90)
     assert S.eigensolve(A, mass, count=24, start=start).eigenvalues == cold.eigenvalues
     start[rows[1]] = cold.ritz_sum[rows[1]]
@@ -981,18 +983,6 @@ def _dense_pairs(be, k, s):
     return w, np.linalg.norm(A @ V - V * w, axis=0), sym.norm
 
 
-def _spy_partner(monkeypatch):
-    """Whether each call of spectral._through_partner took the partner path."""
-    taken, real = [], S._through_partner
-
-    def spy(*args):
-        held = real(*args)
-        taken.append(held is not None)
-        return held
-    monkeypatch.setattr(S, "_through_partner", spy)
-    return taken
-
-
 def _spy_cartan(monkeypatch):
     """The degree of every partner that cartan._cartan builds."""
     built, real = [], C._cartan
@@ -1014,19 +1004,18 @@ def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
         case, params, k, n_grid, monkeypatch):
     """Delta^k = B*B and Delta^{k+1} = BB* for k >= n.  A count of 24
     leaves the partner window of degree k+1 a share of 11 or 12 pairs in
-    each of its dtheta and dphi blocks, so the window is taken through
-    them; a count of 6 leaves too few, and S_k is solved itself.  Either
-    way the window is the prefix of dense eigh: every eigenvalue within
+    each of its dtheta and dphi blocks, so the window is solved on them;
+    a count of 6 leaves too few, and S_k is solved itself.  Either way
+    the window is the prefix of dense eigh: every eigenvalue within
     64 eps |A| plus both residuals, and the same kernel dimension."""
     be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
-    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
+    built = _spy_cartan(monkeypatch)
     for s in (0.0, 4.0, 64.0):
         w, resid, norm = _dense_pairs(be, k, s)
         for count in (24, 6):
-            taken.clear()
             built.clear()
             rep = S.delta_spectrum(be, k, s=s, count=count)
-            assert taken == [count == 24] and len(built) == taken.count(True), (s, count)
+            assert built == ([k] if count == 24 else []), (s, count)
             allowed = (64 * np.finfo(float).eps * norm + resid[:count]
                        + np.asarray(rep.residual_norms))
             assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:count]) <= allowed), \
@@ -1034,44 +1023,67 @@ def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
             assert rep.kernel_dim == np.count_nonzero(w[:count] <= S.KERNEL_TAU_ABS * norm)
 
 
-def _dropping_a_lifted_pair(monkeypatch, then=lambda: None):
-    """spectral._solve, with the lowest lifted pair of S_k, its column 2
-    after the sphere's two kernel pairs, dropped once the kernel is found
-    beside the lifted pairs; then then() is called."""
+@pytest.mark.parametrize("case,params", [("sphere_height", {}), ("torus_height", {"R": 2.8})],
+                         ids=["sphere", "torus"])
+def test_a_window_solved_on_its_partner_has_small_residuals(case, params, monkeypatch):
+    """The nonzero pairs of a window solved on its partner are the
+    partner's own, with their residuals on S_{k+1}, and the kernel pairs
+    come from S_k's kernel window: every residual of degrees 2 and 4 at
+    N = 1024 is within 64 eps |A|, with |A| that of S_k."""
+    be = B.build_backend(*B.catalog(case, params, n_grid=1024))
+    built = _spy_cartan(monkeypatch)
+    for k in (2, 4):
+        for s in (4.0, 64.0):
+            rep = S.delta_spectrum(be, k, s=s, count=24)
+            assert len(rep.residual_norms) == 24
+            assert max(rep.residual_norms) <= 64 * np.finfo(float).eps * rep.operator_norm, \
+                (k, s)
+    assert built == [2, 2, 4, 4]
+
+
+def _dropping_a_partner_pair(monkeypatch, block, then=lambda: None):
+    """spectral._solve, with the lowest pair of the partner block named
+    block dropped after its first solve; then then() is called."""
     real = S._solve
 
     def solve(b, *args):
         real(b, *args)
-        if not b.name:  # S_k itself, not a partner block
-            b.w, b.V, b.resid = (np.delete(x, 2, axis=-1) for x in (b.w, b.V, b.resid))
+        if b.name.startswith(block):
+            b.w, b.V, b.resid = (np.delete(x, 0, axis=-1) for x in (b.w, b.V, b.resid))
             then()
     monkeypatch.setattr(S, "_solve", solve)
 
 
 def test_a_mapped_pair_that_goes_missing_is_found_by_the_certificate(sphere, monkeypatch):
-    """The lowest lifted pair of the window is dropped after S_k's solve:
-    the inertia at the merged cut then counts one more eigenvalue than
-    the window holds, and one extension on the complement finds it."""
+    """The lowest pair of the first partner block of degree 3, a nonzero
+    pair of the degree-2 window, is dropped after its solve: the
+    partner's inertia at its merged cut then counts one more eigenvalue
+    than that block holds, and one extension on its complement finds it,
+    as on any split window."""
     w, resid, norm = _dense_pairs(sphere, 2, 16.0)
-    _dropping_a_lifted_pair(monkeypatch)
+    _dropping_a_partner_pair(monkeypatch, "block 1 of 2")
     runs = _spy_runs(monkeypatch)
     rep = S.delta_spectrum(sphere, 2, s=16.0, count=24)
-    held = [run for run in runs if run["V"] is not None]
-    extensions = held[1:]  # held[0] is the kernel seek beside the lifted pairs
+    extensions = [run for run in runs if run["V"] is not None]
     assert len(extensions) == 1 and extensions[0]["m"] == extensions[0]["V"].shape[1] + 1
+    assert extensions[0]["sym"].matrix.shape[0] < rep.dim  # a partner block
     allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
     assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
     assert rep.kernel_dim == 2
 
 
 def test_a_missing_mapped_pair_that_is_not_found_fails_the_certificate(sphere, monkeypatch):
-    """As above, but the extension loses its pair too (_dropping_eigsh on
-    every run after S_k's solve): the certificate raises."""
-    _dropping_a_lifted_pair(
-        monkeypatch, lambda: monkeypatch.setattr(S.spla, "eigsh", _dropping_eigsh))
+    """As above, on the last partner block, and the extension loses its
+    pair too (_dropping_eigsh on every run after that block's solve): the
+    partner's certificate raises, and the error names the partner block."""
+    _dropping_a_partner_pair(monkeypatch, "block 2 of 2", lambda: monkeypatch.setattr(
+        S.spla, "eigsh", _dropping_eigsh))
     with pytest.raises(S.SolverError,
-                       match=r"holds 23 eigenvalues below \S+, the inertia there is 24"):
+                       match=r"^partner block 2 of 2 \(dim \d+\): the window holds (\d+) "
+                       r"eigenvalues below \S+, the inertia there is (\d+)$") as info:
         S.delta_spectrum(sphere, 2, s=16.0, count=24)
+    held, below = map(int, re.search(r"holds (\d+) .* is (\d+)$", str(info.value)).groups())
+    assert below == held + 1
 
 
 def _spy_eigsh(monkeypatch):
@@ -1086,21 +1098,22 @@ def _spy_eigsh(monkeypatch):
 
 
 @pytest.mark.parametrize("dropped", [False, True], ids=["whole", "dropped"])
-def test_a_window_without_a_kernel_seeks_only_what_its_lifted_pairs_lack(
-        torus, dropped, monkeypatch):
-    """Degree 2 of the torus has no kernel (kappa_2 = 0), so the 24 lifted
-    pairs are the whole window and S_k takes no Lanczos run of its own.
-    With one lifted pair dropped, S_k's one run seeks exactly one pair, on
-    the complement of the 23 others.  Either way the window is the prefix
-    of dense eigh."""
+def test_a_window_without_a_kernel_solves_only_its_partner(torus, dropped, monkeypatch):
+    """Degree 2 of the torus has no kernel (kappa_2 = 0), and the index of
+    B is 0, so its window of 24 is the degree-3 window of 24, bitwise,
+    and nothing of degree 2 is solved: its one factor counts the kernel.
+    With a partner pair dropped, the one extension seeks exactly that
+    pair, on a partner block.  Either way the window is the prefix of
+    dense eigh."""
     if dropped:
-        real = S._through_partner
-        monkeypatch.setattr(S, "_through_partner",
-                            lambda *args: np.delete(real(*args), 0, axis=1))
-    taken, calls = _spy_partner(monkeypatch), _spy_eigsh(monkeypatch)
+        _dropping_a_partner_pair(monkeypatch, "block 1 of 2")
+    calls, factors = _spy_eigsh(monkeypatch), _spy(monkeypatch, "_factor")
     rep = S.delta_spectrum(torus, 2, s=16.0, count=24)
-    assert taken == [True] and len(calls) > 0
-    assert [k for dim, k in calls if dim == rep.dim] == ([1] if dropped else [])
+    assert calls and all(dim < rep.dim for dim, _ in calls)
+    assert [call[0].matrix.shape[0] for call in factors].count(rep.dim) == 1
+    assert [k for _, k in calls][2:] == ([1] if dropped else [])
+    if not dropped:
+        assert rep.eigenvalues == S.delta_spectrum(torus, 3, s=16.0, count=24).eigenvalues
     w, resid, norm = _dense_pairs(torus, 2, 16.0)
     allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
     assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
@@ -1109,18 +1122,16 @@ def test_a_window_without_a_kernel_seeks_only_what_its_lifted_pairs_lack(
 
 def test_a_window_solved_densely_builds_no_partner(monkeypatch):
     """Degree 2 of the sphere at N = 64 has dimension 127.  A count of 70
-    is solved by dense eigh, which would drop lifted pairs, so no partner
-    is built, though its window of 70 - 2 + 0 = 68 pairs would split."""
+    is solved by dense eigh of S_k, so no partner is built, though its
+    window of 70 - 2 + 0 = 68 pairs would split."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
-    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
+    built = _spy_cartan(monkeypatch)
     rep = S.delta_spectrum(be, 2, s=4.0, count=70)
-    assert taken == [False] and not built
+    assert not built
     w, resid, norm = _dense_pairs(be, 2, 4.0)
     allowed = 64 * np.finfo(float).eps * norm + resid[:70] + np.asarray(rep.residual_norms)
     assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:70]) <= allowed)
     assert rep.kernel_dim == 2
-
-
 def test_a_dense_block_that_misses_a_pair_is_completed_by_the_certificate(monkeypatch):
     """One chain of 40 nodes and a count of 30, which dense eigh solves,
     patched to skip the second-lowest pair: the block's own top then lies
@@ -1147,10 +1158,10 @@ def test_an_all_kernel_window_takes_no_partner_solve(monkeypatch):
     window, of 2 - kappa_k + kappa_{k+1} = 0 pairs, is below the 20 that
     _split needs, so nothing of degree 3 is built, factored or solved."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
+    built = _spy_cartan(monkeypatch)
     factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
     rep = S.delta_spectrum(be, 2, s=16.0, count=2)
-    assert taken == [False] and not built and rep.kernel_dim == 2
+    assert not built and rep.kernel_dim == 2
     assert factors and runs
     syms = [call[0] for call in factors] + [run["sym"] for run in runs]
     assert all(sym.matrix.shape[0] == rep.dim for sym in syms)
@@ -1163,14 +1174,83 @@ def test_an_odd_window_builds_no_partner(case, monkeypatch):
     is below the 2 _MIN_SHARE = 20 that _split needs, so it is refused
     before anything of degree 4 is built."""
     be = B.build_backend(*B.catalog(case, n_grid=256))
-    taken, built = _spy_partner(monkeypatch), _spy_cartan(monkeypatch)
+    built = _spy_cartan(monkeypatch)
     for count in (24, 6):
         S.delta_spectrum(be, 3, s=16.0, count=count)
-    assert taken == [False] and not built
+    assert not built
 
 
 def test_a_failure_on_a_partner_block_names_it(sphere, monkeypatch):
     monkeypatch.setattr(S.spla, "eigsh", _no_shifts)
     with pytest.raises(S.SolverError,
                        match=r"^partner block 1 of 2 \(dim \d+\): eigenvalue iteration"):
+        S.delta_spectrum(sphere, 2, s=16.0, count=24)
+
+
+def _with_a_pairing_fault(be):
+    """A copy of a surface backend whose i_v on 2-forms also maps one
+    2-form into the dphi rows of the 1-forms, so that d_s^3 d_s^2 != 0
+    and Delta^2 and Delta^3 no longer share their nonzero spectrum."""
+    iv2, rows = be.iv[2].tolil(), be.dims[2]
+    iv2[rows + 10, 10] = iv2[10, 10]
+    return dataclasses.replace(be, iv=[*be.iv[:2], sp.csr_matrix(iv2)])
+
+
+def test_a_planted_pairing_fault_never_gives_the_partner_spectrum():
+    """With the pairing broken, the degree-2 window of 24 must be dense
+    eigh's window of the faulty Delta^2 or a SolverError that names the
+    partner; here both the defect of B*B against Delta^2 and the index
+    of B see the fault.  The partner's nonzero spectrum is no longer
+    Delta^2's, so a window read off it would be wrong."""
+    be = _with_a_pairing_fault(B.build_backend(*B.catalog("sphere_height", n_grid=64)))
+    w, resid, norm = _dense_pairs(be, 2, 4.0)
+    above = _dense_pairs(be, 3, 4.0)[0]
+    assert np.abs(above[:22] - w[2:24]).max() > 1e6 * 64 * np.finfo(float).eps * norm
+    try:
+        rep = S.delta_spectrum(be, 2, s=4.0, count=24)
+    except S.SolverError as exc:
+        assert str(exc).startswith("partner: ")
+    else:
+        assert len(rep.eigenvalues) == 24
+        allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
+        assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
+
+
+def test_spectrum_with_a_planted_pairing_fault_never_writes_the_partner_window(
+        tmp_path, capsys, monkeypatch):
+    """spectrum --k 2 --count 24 follows the same rule: it exits 2 with the
+    partner's error, or writes dense eigh's window of the faulty Delta^2."""
+    real = B.build_backend
+    monkeypatch.setattr(cli.backend_mod, "build_backend",
+                        lambda *args: _with_a_pairing_fault(real(*args)))
+    out = tmp_path / "s.json"
+    code = cli.main(["spectrum", "--case", "sphere_height", "--n-grid", "64", "--k", "2",
+                     "--s", "4", "--count", "24", "--out", str(out)])
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: partner: ")
+        assert not out.exists()
+    else:
+        assert code == 0
+        rep = json.loads(out.read_text())
+        assert len(rep["eigenvalues"]) == 24
+        be = _with_a_pairing_fault(real(*B.catalog("sphere_height", n_grid=64)))
+        w, resid, norm = _dense_pairs(be, 2, 4.0)
+        allowed = (64 * np.finfo(float).eps * norm + resid[:24]
+                   + np.asarray(rep["residual_norms"]))
+        assert np.all(np.abs(np.asarray(rep["eigenvalues"]) - w[:24]) <= allowed)
+
+
+def test_a_window_whose_kernels_break_the_index_of_b_fails(sphere, monkeypatch):
+    """kappa_{k+1} - kappa_k must be dim_{k+1} - dim_k, the index of B: a
+    kernel factor of S_2 that counts one kernel eigenvalue too many
+    breaks it, and the window raises rather than seek a kernel pair.
+    Only that factor is taken at a shift in (0, 1), one float above tau."""
+    dim = C.degree_space(sphere, 2).dim
+
+    def overcounting(sym, shift):
+        lu, negatives = _FACTOR(sym, shift)
+        return lu, negatives + (sym.matrix.shape[0] == dim and 0 < shift < 1.0)
+    monkeypatch.setattr(S, "_factor", overcounting)
+    with pytest.raises(S.SolverError, match=r"^partner: kernel dimensions 3 of degree 2 "
+                       r"and 0 of degree 3 break the index of B$"):
         S.delta_spectrum(sphere, 2, s=16.0, count=24)
