@@ -68,8 +68,9 @@ HESSIAN_TOL = 1e-8  # x the largest |f''| on the scan grid and the ends
 SQRT_FLOAT_MAX = math.sqrt(np.finfo(float).max)
 # The largest n_grid whose operators SuperLU can factor.  SuperLU counts
 # the nonzeros of its factors in 32-bit ints, and the factor of a
-# Laplacian holds at most 20 per theta node (degree 2 of the periodic
-# torus; 12 on a sphere), so 32 per node stays within that range.
+# Laplacian (spectral._factor) holds at most 21 per theta node (degree 2
+# of the periodic torus; 12 on a sphere), so 32 per node stays within
+# that range.
 MAX_N_GRID = (2**31 - 1) // 32
 
 

@@ -16,10 +16,11 @@ as local_models.near_zero_counts asks at s/10 and s/2, with no solve.
 
 An eigenvalue belongs to the kernel when it is at most tau =
 KERNEL_TAU_ABS x |A|, with |A| the infinity norm of S.  Every factor is
-one LDL^T of S - sigma I with one symmetric ordering, at the largest
-shift at or below sigma whose factor is regular.  The one just above
-tau counts the kernel, by Sylvester's law, and serves as the inverse of
-a shift-invert Lanczos iteration for the window.  A pair is kept only
+one LDL^T of S - sigma I, in SuperLU's symmetric mode with a minimum
+degree ordering of S^T + S, at the largest shift at or below sigma
+whose factor is regular.  The one just above tau counts the kernel, by
+Sylvester's law, and serves as the inverse of a shift-invert Lanczos
+iteration for the window.  A pair is kept only
 within the residual bound.  A window wider than half the dimension and
 the zero operator's come from dense eigh of S.  Either way the window
 is certified once: a second factor just below its top must count
@@ -53,8 +54,9 @@ holds at least 20, the least that splits, is solved on the partner, not
 lifted from it: on a surface, degrees 2, 4, ... take their nonzero pairs
 from the dtheta and dphi blocks of degrees 3, 5, ....  The partner
 window is an ordinary window of eigensolve, split and certified on its
-own blocks, and S_k adds only its kernel: the count of its kernel
-factor, and a kernel window when that is not 0.  Each such window
+own blocks, and S_k adds only its kernel: its one kernel factor counts
+kappa_k and, when that is not 0, is the inverse of the Lanczos run for
+the kappa_k kernel pairs, which that count certifies.  Each such window
 checks the pairing it relies on: B*B and BB* against the two
 Laplacians, and the index of B against the two kernels.  Windows sized
 by ceilings, and so every window of verify, never take it.
@@ -136,7 +138,8 @@ class SpectrumReport:
     without a gap or a kernel).
     residual_norms hold ||S v - lambda v||, in the mass-orthonormal frame,
     for every returned pair; a window solved on its partner (delta_spectrum)
-    holds the partner's, ||S_{k+1} u - lambda u||, for its nonzero pairs.
+    holds the partner's, ||S_{k+1} u - lambda u||, for its nonzero pairs,
+    and S_k's for its kernel pairs, from S_k's kernel factor.
     ritz_sum is the sum of the window's unit vectors v in that frame,
     M^{1/2}, which depends only on the backend and the degree: a Lanczos
     start for the window of a nearby s (sweep_s).
@@ -241,17 +244,21 @@ def _factor(sym: _Symmetric, sigma: float):
     largest shift at or below sigma whose factor is regular.
 
     The shift is subtracted from a copy of the diagonal slots of S.
-    SuperLU with diagonal pivots in symmetric mode orders rows and columns
-    alike (perm_r == perm_c), so U = D L^T and, by Sylvester's law of
-    inertia, the negative pivots count the eigenvalues below the shift
-    (Golub & Van Loan, Matrix Computations, 8.4).  A zero pivot, which
-    SuperLU reports as exactly singular or steps over by leaving the
-    diagonal, moves the shift down: one ulp of max(|sigma|, |S|), since a
-    smaller step can vanish in the diagonal, doubling until a factor is
-    regular, since rounding can spread the copies of a repeated
-    eigenvalue over neighbouring floats.  Within 64 steps the shift falls
-    below -|S|, where S - shift I is diagonally dominant; a sigma that is
-    not a number raises SolverError.
+    SuperLU takes diagonal pivots in symmetric mode with a minimum degree
+    ordering of S^T + S, the pairing of X. S. Li, ACM TOMS 31 (2005), and
+    no relaxed supernodes (relax=1, panel_size=1): on these banded and
+    cyclic operators that factors faster than COLAMD with scipy's
+    supernode defaults, at the same fill or one more a node.  It orders
+    rows and columns alike (perm_r == perm_c), so U = D L^T and, by
+    Sylvester's law of inertia, the negative pivots count the eigenvalues
+    below the shift (Golub & Van Loan, Matrix Computations, 8.4).  A zero
+    pivot, which SuperLU reports as exactly singular or steps over by
+    leaving the diagonal, moves the shift down: one ulp of max(|sigma|,
+    |S|), since a smaller step can vanish in the diagonal, doubling until
+    a factor is regular, since rounding can spread the copies of a
+    repeated eigenvalue over neighbouring floats.  Within 64 steps the
+    shift falls below -|S|, where S - shift I is diagonally dominant; a
+    sigma that is not a number raises SolverError.
     """
     S = sym.matrix
     shift, step = sigma, np.spacing(max(abs(sigma), sym.norm))
@@ -260,8 +267,8 @@ def _factor(sym: _Symmetric, sigma: float):
         data[sym.diag] -= shift
         shifted = sp.csc_matrix((data, S.indices, S.indptr), shape=S.shape)
         try:
-            lu = spla.splu(shifted, permc_spec="COLAMD", diag_pivot_thresh=0,
-                           options={"SymmetricMode": True})
+            lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                           relax=1, panel_size=1, options={"SymmetricMode": True})
         except RuntimeError:  # "Factor is exactly singular"
             pass
         else:
@@ -444,7 +451,8 @@ def _solve(b: _Block, size: int, tau: float, bound: float, start) -> None:
     norm is 0, else by shift-invert Lanczos on its kernel factor
     (_lanczos), started from start[rows] unless that part is zero or no
     start is given.  Either way the pairs are only kept, not certified:
-    eigensolve certifies every block at the merged cut (_certify)."""
+    eigensolve certifies every block at the merged cut (_certify), and
+    delta_spectrum its kernel pairs by the count of their kernel factor."""
     with _naming(b.name):
         if 2 * size > b.dim or b.sym.norm == 0:
             S = b.sym.matrix
@@ -528,13 +536,12 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         sizes = [count]
     else:
         blocks, sizes = _blocks(sym, parts, tau, count)
-    m = count
 
     for b, size in zip(blocks, sizes):
         _solve(b, size, tau, bound, start)
     while True:  # until every block holds all its eigenvalues below the merged cut
         merged = np.concatenate([b.w for b in blocks])
-        order = np.argsort(merged, kind="stable")[:m]
+        order = np.argsort(merged, kind="stable")[:count]
         cut = _cut(merged[order[-1]])
         pending = [b for b in blocks if b.complete_below < cut]
         if not pending:
@@ -596,13 +603,14 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     count window; its errors name it, "partner block 1 of 2 (dim 8192):
     ...".  Its lowest m - kappa_k nonzero pairs are the window's, with
     their residuals on S_{k+1}.  S_k adds only kappa_k, counted by its
-    own kernel factor, and a kernel window eigensolve(Delta^k,
-    count=kappa_k) when kappa_k > 0.  What the window relies on is
-    checked, else SolverError: B*B and BB* within a relative defect of
+    own kernel factor, and when kappa_k > 0 the kappa_k kernel pairs, by
+    shift-invert Lanczos on that factor (_solve) from start: that count
+    certifies them, so S_k is factored once.  What the window relies on
+    is checked, else SolverError: B*B and BB* within a relative defect of
     64 eps of Delta^k and Delta^{k+1}, kappa_{k+1} the index of B away
     from kappa_k, and kappa_k the window's kernel dimension at S_k's tau.
-    The report keeps S_k's dim and |A|, and its ritz_sum is the kernel
-    window's plus B~^T times the partner's, in S_k's frame.  Windows
+    The report keeps S_k's dim and |A|, and its ritz_sum is the sum of the
+    kernel vectors plus B~^T times the partner's, in S_k's frame.  Windows
     without a count, and so every window of verify, never take it.
     """
     d, d_star, delta = cartan.build_deformed(backend, s, k)
@@ -632,17 +640,18 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     del above
     sym = _symmetrized(delta, mass)
     tau = KERNEL_TAU_ABS * sym.norm
-    kappa = min(_factor(sym, np.nextafter(tau, math.inf))[1], count)
+    kernel = _kernel_block(sym, tau)
+    kappa = min(kernel.kernel, count)
     if partner.kernel_dim != kappa + pdim - dim:
         raise SolverError(f"partner: kernel dimensions {kappa} of degree {k} and "
                           f"{partner.kernel_dim} of degree {k + 1} break the index of B")
     nonzero = slice(partner.kernel_dim, partner.kernel_dim + count - kappa)
     w, resid = partner.eigenvalues[nonzero], partner.residual_norms[nonzero]
     ritz_sum = Bt.T @ partner.ritz_sum
-    if kappa:
-        kernel = eigensolve(delta, mass, count=kappa, k=k, s=s, start=start)
-        w, resid = kernel.eigenvalues + w, kernel.residual_norms + resid
-        ritz_sum += kernel.ritz_sum
+    if kappa:  # the kernel pairs, on the factor that counted them
+        _solve(kernel, kappa, tau, RESIDUAL_BOUND * max(sym.norm, 1.0), start)
+        w, resid = kernel.w.tolist() + w, kernel.resid.tolist() + resid
+        ritz_sum += kernel.V.sum(axis=1)
     kd, gap, separation = _kernel_split(np.asarray(w), tau)
     if kd != kappa:
         raise SolverError(f"partner: {kd} window eigenvalues are at most tau = "

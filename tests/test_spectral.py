@@ -806,7 +806,7 @@ def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
     pairs.  A window makes one first Lanczos run per block: 1 on degree
     0, 2 on the odd degrees, and on degree 2, solved on degree 3, 2
     partner blocks, and on the sphere (kappa_2 = 2) 1 more for the
-    kernel window of Delta^2; the torus has no degree-2 kernel."""
+    kernel pairs of Delta^2; the torus has no degree-2 kernel."""
     be = B.build_backend(*B.catalog(case, n_grid=256))
     s_list = [4.0, 8.0, 16.0, 32.0, 64.0]
     runs = [1, 2, 3 if case == "sphere_height" else 2, 2]
@@ -952,6 +952,46 @@ def test_inertia_matches_dense_counts(planted):
                 <= np.count_nonzero(reference < shift + slack))
 
 
+def _catalog_operators(n_grid):
+    """(case, s, k, Delta^k, mass) of every catalog case at n_grid, degrees
+    0..5, at s = 0 and 16; the circle has no function, so only s = 0."""
+    for case in B.CATALOG_CASES:
+        be = B.build_backend(*B.catalog(case, n_grid=n_grid))
+        for s in (0.0,) if case == "circle_trivial" else (0.0, 16.0):
+            for k in range(6):
+                delta = C.build_deformed(be, s, k)[2]
+                yield case, s, k, delta, C.mass_vector(be, delta.domain)
+
+
+def test_inertia_on_the_catalog_operators_matches_dense_counts():
+    """The rule of test_inertia_matches_dense_counts on the operators that
+    every run factors: at tau+ (the kernel factor's shift), midway
+    between neighbouring eigenvalues and at eigenvalues, throughout each
+    spectrum, every count lies within the dense counts at 1e-12 |S|."""
+    for case, s, k, delta, mass in _catalog_operators(128):
+        sym = S._symmetrized(delta, mass)
+        reference = np.linalg.eigvalsh(sym.matrix.toarray())
+        picks = np.unique(np.linspace(0, reference.size - 1, 9).astype(int))
+        above = np.append(reference[1:], reference[-1] + 2.0)
+        shifts = [np.nextafter(S.KERNEL_TAU_ABS * sym.norm, math.inf),
+                  *(0.5 * (reference[picks] + above[picks])), *reference[picks]]
+        slack = 1e-12 * max(np.abs(reference).max(), 1.0)
+        for count, shift in zip(S.inertia(delta, mass, shifts), shifts):
+            assert (np.count_nonzero(reference < shift - slack) <= count
+                    <= np.count_nonzero(reference < shift + slack)), (case, s, k, shift)
+
+
+def test_every_catalog_factor_fits_the_n_grid_bound():
+    """backend.MAX_N_GRID allows 32 nonzeros of L + U per theta node: the
+    kernel factor of every degree of every catalog case holds at most
+    that many, at most 21 on the torus (degree 2) and 12 on a sphere."""
+    assert 32 * B.MAX_N_GRID < 2**31
+    for case, s, k, delta, mass in _catalog_operators(1024):
+        sym = S._symmetrized(delta, mass)
+        lu, _ = S._factor(sym, np.nextafter(S.KERNEL_TAU_ABS * sym.norm, math.inf))
+        assert lu.L.nnz + lu.U.nnz <= 32 * 1024, (case, s, k)
+
+
 def test_a_ceiling_at_an_eigenvalue_keeps_the_window():
     """S - 3 I has exact zero pivots, so every count at 3 comes from one
     ulp below it: every eigenvalue below 3 and one more, not the whole
@@ -1028,7 +1068,7 @@ def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
 def test_a_window_solved_on_its_partner_has_small_residuals(case, params, monkeypatch):
     """The nonzero pairs of a window solved on its partner are the
     partner's own, with their residuals on S_{k+1}, and the kernel pairs
-    come from S_k's kernel window: every residual of degrees 2 and 4 at
+    come from S_k's kernel factor: every residual of degrees 2 and 4 at
     N = 1024 is within 64 eps |A|, with |A| that of S_k."""
     be = B.build_backend(*B.catalog(case, params, n_grid=1024))
     built = _spy_cartan(monkeypatch)
@@ -1118,6 +1158,45 @@ def test_a_window_without_a_kernel_solves_only_its_partner(torus, dropped, monke
     allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
     assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
     assert rep.kernel_dim == 0
+
+
+def test_a_partner_window_takes_its_kernel_from_the_one_kernel_factor(monkeypatch):
+    """Degree 2 of the sphere has kappa_2 = 2: the factor one float above
+    tau that counts them is S_2's only factor, and its Lanczos run gives
+    the two kernel pairs, which no certificate checks again.  Both are
+    within the residual bound and dense eigh's to 64 eps |A| plus both
+    residuals.  A kernel factor that counts one more still raises, and so
+    do kernel pairs whose eigenvalues lie above tau."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    dim = C.degree_space(be, 2).dim
+    factors, certified = _spy(monkeypatch, "_factor"), _spy(monkeypatch, "_certify")
+    rep = S.delta_spectrum(be, 2, s=16.0, count=24)
+    assert [call[0].matrix.shape[0] for call in factors].count(dim) == 1
+    assert certified and all(call[0].dim < dim for call in certified)
+    assert rep.dim == dim and rep.kernel_dim == 2
+    w, resid, norm = _dense_pairs(be, 2, 16.0)
+    kernel = np.asarray(rep.residual_norms[:2])
+    assert kernel.max() <= S.RESIDUAL_BOUND * max(norm, 1.0)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues[:2]) - w[:2])
+                  <= 64 * np.finfo(float).eps * norm + resid[:2] + kernel)
+    monkeypatch.undo()
+
+    def overcounting(sym, shift):
+        lu, negatives = _FACTOR(sym, shift)
+        return lu, negatives + (sym.matrix.shape[0] == dim and 0 < shift < 1.0)
+    monkeypatch.setattr(S, "_factor", overcounting)
+    with pytest.raises(S.SolverError, match="^partner: "):
+        S.delta_spectrum(be, 2, s=16.0, count=24)
+    monkeypatch.undo()
+    real = S._lanczos
+
+    def above_tau(sym, *args, **kwargs):
+        w, V, resid = real(sym, *args, **kwargs)
+        return w + (sym.matrix.shape[0] == dim), V, resid
+    monkeypatch.setattr(S, "_lanczos", above_tau)
+    with pytest.raises(S.SolverError, match=r"^partner: 0 window eigenvalues are at most "
+                       r"tau = \S+, the kernel factor counts 2$"):
+        S.delta_spectrum(be, 2, s=16.0, count=24)
 
 
 def test_a_window_solved_densely_builds_no_partner(monkeypatch):
