@@ -25,8 +25,11 @@ within the residual bound.  A window wider than half the dimension and
 the zero operator's come from dense eigh of S.  Either way the window
 is certified once: a second factor just below its top must count
 exactly the kept eigenvalues below it, and what is missing is sought
-again on the complement of the kept pairs.  Each eigenvalue is the
-Rayleigh quotient of its vector.  betti_numbers further requires the
+again on the complement of the kept pairs.  When the window holds two
+or more eigenvalues between that factor's shift and the top, the
+factor is taken as far above the top instead, so that the window
+holds the whole top cluster and keeps its lowest members.  Each
+eigenvalue is the Rayleigh quotient of its vector.  betti_numbers further requires the
 gap to be at least SEPARATION_FACTOR = 100 times the largest kernel
 eigenvalue.
 All solves are deterministic.
@@ -188,11 +191,9 @@ def _kernel_split(w: np.ndarray, tau: float):
     """Kernel dimension, gap and separation of the ascending window w."""
     kd = int(np.count_nonzero(w <= tau))
     gap = float(w[kd]) if kd < len(w) else math.inf
-    if kd > 0:
-        top_kernel = max(abs(float(w[kd - 1])), 1e-300)
-        separation = gap / top_kernel if math.isfinite(gap) else math.inf
-    else:
-        separation = math.inf
+    separation = math.inf
+    if kd > 0 and math.isfinite(gap):
+        separation = gap / max(abs(float(w[kd - 1])), 1e-300)
     return kd, gap, separation
 
 
@@ -314,10 +315,13 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
     complement of the kept pairs.  A run starts from start, by default
     the fixed cos(i + 1/4), so repeated runs are bit-identical, projected
     on that complement.  A run for k pairs builds scipy's basis of
-    max(2k + 1, 20) vectors, at most dim.  A run after which at least as
-    many pairs are missing as it sought raises SolverError, and so does
-    any ARPACK error.  No pair is certified here: eigensolve checks them
-    against the inertia.
+    max(2k + 1, 20) vectors, at most dim.  An ARPACK error, which an edge
+    of the k pairs inside a close cluster can cause by stalling the
+    restarts, repeats the run for 2k pairs, at most all but one of the
+    complement, and the lowest m pairs are kept; an error at that size
+    raises SolverError, and so does a run after which at least as many
+    pairs are missing as it sought.  No pair is certified here:
+    eigensolve checks them against the inertia.
     """
     S = sym.matrix
     dim = S.shape[0]
@@ -330,22 +334,24 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
         return y - V @ (V.T @ y)
     while True:
         missing = m - V.shape[1]
-        if not missing:
-            return w, V, resid
+        if missing <= 0:
+            return w[:m], V[:, :m], resid[:m]
         if missing >= sought:
             raise SolverError(f"{missing} eigenpairs exceed the residual bound "
                               f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
-        sought = missing
+        sought = k = missing
         start = start - V @ (V.T @ start)
-        try:
-            _, U = spla.eigsh(S, k=missing, sigma=tau, which="LM", v0=start,
-                              ncv=max(2 * missing + 1, 20),
-                              maxiter=5000, tol=0,
-                              OPinv=spla.LinearOperator(
-                                  (dim, dim), matvec=complement if V.shape[1] else lu.solve,
-                                  dtype=float))
-        except spla.ArpackError as exc:
-            raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
+        inverse = spla.LinearOperator((dim, dim), dtype=float,
+                                      matvec=complement if V.shape[1] else lu.solve)
+        while True:
+            try:
+                _, U = spla.eigsh(S, k=k, sigma=tau, which="LM", v0=start, OPinv=inverse,
+                                  ncv=max(2 * k + 1, 20), maxiter=5000, tol=0)
+                break
+            except spla.ArpackError as exc:  # the k-th pair may split a close cluster
+                k, tried = min(2 * k, dim - V.shape[1] - 1), k
+                if k <= tried:
+                    raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
         V = np.hstack([V, U])
         w, V, resid = _rayleigh(S, V, bound)
 
@@ -426,17 +432,18 @@ def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
     """Check a block's pairs at cut: the inertia there must count exactly
     the eigenvalues it holds below cut.  What it lacks is sought on the
     complement of its pairs, from the fixed start (_lanczos), and checked
-    again at the next cut.  A first certificate may find any number
-    missing, as a block of a split window starts from its share of the
-    window; an extension after which at least as many are missing as it
-    sought found none of them, and raises SolverError, as does an
-    inertia below the pairs held."""
+    again at the next cut.  A first certificate at a cut may find any
+    number missing, as a block of a split window starts from its share
+    of the window, and so may one at a higher cut, above a top cluster,
+    once the block was complete at a lower one; an extension after which
+    at least as many are missing as it sought found none of them, and
+    raises SolverError, as does an inertia below the pairs held."""
     with _naming(block.name):
         found = int(np.count_nonzero(block.w < cut))
         below = _factor(block.sym, cut)[1]
         missing = below - found
         if not missing:
-            block.complete_below = cut
+            block.complete_below, block.sought = cut, math.inf
             return
         if not 0 < missing < block.sought:
             raise SolverError(f"the window holds {found} eigenvalues below {cut:.6e}, "
@@ -506,11 +513,13 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     SpectrumReport.ritz_sum gives them), or from the fixed vector when
     that part is zero or no start is given (_solve).  The window is the
     lowest m of the merged pairs, and it is certified once, at the
-    merged cut (_cut of its top): every block, dense or Lanczos, must
-    hold every eigenvalue its inertia counts below the cut, and what one
-    lacks is sought on the complement of its pairs (_certify) until none
-    lacks any.  An unsplit window is the one-block case, certified at the
-    cut of its own top.
+    merged cut (_cut of its top), or as far above the top when two or
+    more of the m lie between the cut and the top, so that every member
+    of the top cluster is held and the lowest are kept: every block,
+    dense or Lanczos, must hold every eigenvalue its inertia counts below
+    the cut, and what one lacks is sought on the complement of its pairs
+    (_certify) until none lacks any.  An unsplit window is the one-block
+    case, certified at the cut of its own top.
     On every block, kernel_dim must equal the kernel factor's count, or
     the pairs it holds if fewer (SolverError), and every returned pair
     must have a residual within RESIDUAL_BOUND x max(|A|, 1), with |A|
@@ -542,7 +551,9 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     while True:  # until every block holds all its eigenvalues below the merged cut
         merged = np.concatenate([b.w for b in blocks])
         order = np.argsort(merged, kind="stable")[:count]
-        cut = _cut(merged[order[-1]])
+        top, cut = merged[order[-1]], _cut(merged[order[-1]])
+        if np.count_nonzero(merged[order] >= cut) > 1:  # hold the top cluster whole
+            cut = 2 * top - cut
         pending = [b for b in blocks if b.complete_below < cut]
         if not pending:
             break
@@ -761,13 +772,10 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
         start = rep.ritz_sum
         points.append(SweepPoint(s=sv, report=rep, mu=trace_phi(rep, trace_spec)))
     constant = len({p.report.kernel_dim for p in points}) <= 1
-    monotone_from = None
     gaps = [p.report.gap for p in points]
-    for first in range(len(gaps)):
-        tail = gaps[first:]
-        if all(b >= a * (1 - 1e-12) for a, b in zip(tail, tail[1:])):
-            monotone_from = s_values[first]
-            break
+    monotone_from = next((sv for i, sv in enumerate(s_values)
+                          if all(b >= a * (1 - 1e-12)
+                                 for a, b in zip(gaps[i:], gaps[i + 1:]))), None)
     return SweepResult(k=k, points=points, kernel_constant=constant,
                        gap_monotone_from=monotone_from)
 

@@ -890,12 +890,6 @@ def test_a_split_window_without_a_miss_takes_two_factors_per_block(window, monke
     assert factors[2][1] == factors[3][1] == S._cut(rep.eigenvalues[-1])
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a count that ends inside a cluster 1e-9 wide may return the "
-    "wrong members: here count 11 gives both copies of 1 + 1e-9 in place "
-    "of two copies of 1, and all of them lie above the certificate's cut "
-    "at the top, so the inertia never sees the miss")
 def test_a_count_inside_a_close_cluster_takes_its_lowest_members():
     """The draw that --hypothesis-seed=40 of test_window_matches_dense_eigh
     shrinks to: a 15-node path of weight 3 beside the cluster
@@ -922,6 +916,38 @@ def test_a_count_inside_a_close_cluster_takes_its_lowest_members():
     got = np.asarray(rep.eigenvalues)
     allowed = 1e-12 * rep.operator_norm + np.asarray(rep.residual_norms)
     assert np.all(np.abs(got[:-1] - reference[:10]) <= allowed[:-1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_window_edge_through_a_close_cluster_matches_dense_eigh(seed):
+    """An 11-node unit path beside the cluster [1, 1 + 1e-9, 1 + 2e-9,
+    1, 1 + 1e-9] x 2, permuted and mass-scaled as _planted_operators
+    does: every count from 1 to 10, and ceilings at and between the
+    cluster's three values, by the rule of test_window_matches_dense_eigh.
+    A count of 9 ends inside the copies of 1 + 1e-9, where ARPACK's
+    restarts stall (its error 3, or no convergence in 5000 steps), and
+    other counts there took copies of 1 + 1e-9 in place of copies of 1."""
+    cluster = [1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0, 1.0 + 1e-9] * 2
+    A, mass, dense = _mass_scaled([_path_laplacian(np.ones(10)), sp.diags(cluster)], seed)
+    for window in ([{"count": m} for m in range(1, 11)]
+                   + [{"ceiling": c} for c in (1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.0 + 5e-9)]):
+        _assert_dense_prefix(A, mass, dense, window)
+
+
+def test_a_complete_block_may_find_more_missing_at_a_higher_cut():
+    """A window whose top joins a cluster is certified again above it, and
+    that certificate may lack more pairs than the block's last extension
+    sought: on diag(1..40), pairs 1, 2 extended by one at 3.5 and complete
+    there still take 4, 5, 6 at 6.5."""
+    sym = S._symmetrized(sp.diags(np.arange(1.0, 41.0)), np.ones(40))
+    tau = S.KERNEL_TAU_ABS * sym.norm
+    bound = S.RESIDUAL_BOUND * sym.norm
+    b = S._kernel_block(sym, tau)
+    b.w, b.V, b.resid = S._lanczos(sym, b.lu, tau, 2, bound)
+    for cut in (3.5, 3.5, 6.5, 6.5):
+        S._certify(b, cut, tau, bound)
+    assert b.complete_below == 6.5
+    assert np.allclose(b.w, np.arange(1.0, 7.0), rtol=0, atol=1e-12)
 
 
 @st.composite
