@@ -20,16 +20,16 @@ one LDL^T of S - sigma I, in SuperLU's symmetric mode with a minimum
 degree ordering of S^T + S, at the largest shift at or below sigma
 whose factor is regular.  The one just above tau counts the kernel, by
 Sylvester's law, and serves as the inverse of a shift-invert Lanczos
-iteration for the window.  A pair is kept only
-within the residual bound.  A window wider than half the dimension and
-the zero operator's come from dense eigh of S.  Either way the window
-is certified once: a second factor just below its top must count
-exactly the kept eigenvalues below it, and what is missing is sought
-again on the complement of the kept pairs.  When the window holds two
-or more eigenvalues between that factor's shift and the top, the
-factor is taken as far above the top instead, so that the window
-holds the whole top cluster and keeps its lowest members.  Each
-eigenvalue is the Rayleigh quotient of its vector.  betti_numbers further requires the
+iteration for the window.  A pair is kept only within the residual
+bound.  A window wider than half the dimension and the zero operator's
+come from dense eigh of S.  Either way the window is certified once: a
+second factor just below its top must count exactly the kept
+eigenvalues below it, and what is missing is sought again on the
+complement of the kept pairs.  When the window holds two or more
+eigenvalues between that factor's shift and the top, the factor is
+taken as far above the top instead, so that the window holds the whole
+top cluster and keeps its lowest members.  Each eigenvalue is the
+Rayleigh quotient of its vector.  betti_numbers further requires the
 gap to be at least SEPARATION_FACTOR = 100 times the largest kernel
 eigenvalue.
 All solves are deterministic.
@@ -59,7 +59,10 @@ from the dtheta and dphi blocks of degrees 3, 5, ....  The partner
 window is an ordinary window of eigensolve, split and certified on its
 own blocks, and S_k adds only its kernel: its one kernel factor counts
 kappa_k and, when that is not 0, is the inverse of the Lanczos run for
-the kappa_k kernel pairs, which that count certifies.  Each such window
+the kappa_k kernel pairs.  That count certifies them: an eigenvalue in
+(tau, 2 tau) lies nearer the shift than the kernel and can take a
+kernel pair's place, so what the pairs lack at tau is sought on their
+complement, with no further factor.  Each such window
 checks the pairing it relies on: B*B and BB* against the two
 Laplacians, and the index of B against the two kernels.  Windows sized
 by ceilings, and so every window of verify, never take it.
@@ -191,9 +194,11 @@ def _kernel_split(w: np.ndarray, tau: float):
     """Kernel dimension, gap and separation of the ascending window w."""
     kd = int(np.count_nonzero(w <= tau))
     gap = float(w[kd]) if kd < len(w) else math.inf
-    separation = math.inf
-    if kd > 0 and math.isfinite(gap):
-        separation = gap / max(abs(float(w[kd - 1])), 1e-300)
+    if kd > 0:
+        top_kernel = max(abs(float(w[kd - 1])), 1e-300)
+        separation = gap / top_kernel if math.isfinite(gap) else math.inf
+    else:
+        separation = math.inf
     return kd, gap, separation
 
 
@@ -315,13 +320,13 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
     complement of the kept pairs.  A run starts from start, by default
     the fixed cos(i + 1/4), so repeated runs are bit-identical, projected
     on that complement.  A run for k pairs builds scipy's basis of
-    max(2k + 1, 20) vectors, at most dim.  An ARPACK error, which an edge
-    of the k pairs inside a close cluster can cause by stalling the
-    restarts, repeats the run for 2k pairs, at most all but one of the
-    complement, and the lowest m pairs are kept; an error at that size
-    raises SolverError, and so does a run after which at least as many
-    pairs are missing as it sought.  No pair is certified here:
-    eigensolve checks them against the inertia.
+    max(2k + 1, 20) vectors, at most dim.  An ARPACK failure, an error
+    or no convergence in 5000 restarts, which an edge of the k pairs
+    inside a close cluster can cause, repeats the run once for 2k pairs,
+    at most all but one of the complement, and the lowest m pairs are
+    kept; a second failure raises SolverError, and so does a run after
+    which at least as many pairs are missing as it sought.  No pair is
+    certified here: eigensolve checks them against the inertia.
     """
     S = sym.matrix
     dim = S.shape[0]
@@ -349,9 +354,10 @@ def _lanczos(sym: _Symmetric, lu, tau: float, m: int, bound: float, V=None,
                                   ncv=max(2 * k + 1, 20), maxiter=5000, tol=0)
                 break
             except spla.ArpackError as exc:  # the k-th pair may split a close cluster
-                k, tried = min(2 * k, dim - V.shape[1] - 1), k
-                if k <= tried:
+                retry = min(2 * missing, dim - V.shape[1] - 1)
+                if k >= retry:
                     raise SolverError(f"eigenvalue iteration failed: {exc}") from exc
+                k = retry
         V = np.hstack([V, U])
         w, V, resid = _rayleigh(S, V, bound)
 
@@ -428,9 +434,11 @@ def _naming(name: str):
         raise SolverError(name + str(exc)) from exc
 
 
-def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
-    """Check a block's pairs at cut: the inertia there must count exactly
-    the eigenvalues it holds below cut.  What it lacks is sought on the
+def _certify(block: _Block, cut: float, tau: float, bound: float,
+             below: int | None = None) -> None:
+    """Check a block's pairs at cut: the inertia there, below, which a
+    factor at cut counts unless it is given, must count exactly the
+    eigenvalues it holds below cut.  What it lacks is sought on the
     complement of its pairs, from the fixed start (_lanczos), and checked
     again at the next cut.  A first certificate at a cut may find any
     number missing, as a block of a split window starts from its share
@@ -440,7 +448,8 @@ def _certify(block: _Block, cut: float, tau: float, bound: float) -> None:
     raises SolverError, as does an inertia below the pairs held."""
     with _naming(block.name):
         found = int(np.count_nonzero(block.w < cut))
-        below = _factor(block.sym, cut)[1]
+        if below is None:
+            below = _factor(block.sym, cut)[1]
         missing = below - found
         if not missing:
             block.complete_below, block.sought = cut, math.inf
@@ -545,12 +554,13 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         sizes = [count]
     else:
         blocks, sizes = _blocks(sym, parts, tau, count)
+    m = count
 
     for b, size in zip(blocks, sizes):
         _solve(b, size, tau, bound, start)
     while True:  # until every block holds all its eigenvalues below the merged cut
         merged = np.concatenate([b.w for b in blocks])
-        order = np.argsort(merged, kind="stable")[:count]
+        order = np.argsort(merged, kind="stable")[:m]
         top, cut = merged[order[-1]], _cut(merged[order[-1]])
         if np.count_nonzero(merged[order] >= cut) > 1:  # hold the top cluster whole
             cut = 2 * top - cut
@@ -615,8 +625,11 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     ...".  Its lowest m - kappa_k nonzero pairs are the window's, with
     their residuals on S_{k+1}.  S_k adds only kappa_k, counted by its
     own kernel factor, and when kappa_k > 0 the kappa_k kernel pairs, by
-    shift-invert Lanczos on that factor (_solve) from start: that count
-    certifies them, so S_k is factored once.  What the window relies on
+    shift-invert Lanczos on that factor (_solve) from start.  That count
+    certifies them at tau (_certify, with no factor of its own): an
+    eigenvalue in (tau, 2 tau) is nearer the shift than the kernel, and
+    a kernel pair it displaced is sought on the complement of the pairs
+    held.  So S_k is factored once.  What the window relies on
     is checked, else SolverError: B*B and BB* within a relative defect of
     64 eps of Delta^k and Delta^{k+1}, kappa_{k+1} the index of B away
     from kappa_k, and kappa_k the window's kernel dimension at S_k's tau.
@@ -660,9 +673,13 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     w, resid = partner.eigenvalues[nonzero], partner.residual_norms[nonzero]
     ritz_sum = Bt.T @ partner.ritz_sum
     if kappa:  # the kernel pairs, on the factor that counted them
-        _solve(kernel, kappa, tau, RESIDUAL_BOUND * max(sym.norm, 1.0), start)
-        w, resid = kernel.w.tolist() + w, kernel.resid.tolist() + resid
-        ritz_sum += kernel.V.sum(axis=1)
+        bound = RESIDUAL_BOUND * max(sym.norm, 1.0)
+        _solve(kernel, kappa, tau, bound, start)
+        while kernel.complete_below <= tau:  # a pair in (tau, 2 tau) is nearer the shift
+            _certify(kernel, np.nextafter(tau, math.inf), tau, bound, kappa)
+        w = kernel.w[:kappa].tolist() + w
+        resid = kernel.resid[:kappa].tolist() + resid
+        ritz_sum += kernel.V[:, :kappa].sum(axis=1)
     kd, gap, separation = _kernel_split(np.asarray(w), tau)
     if kd != kappa:
         raise SolverError(f"partner: {kd} window eigenvalues are at most tau = "
@@ -772,10 +789,13 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
         start = rep.ritz_sum
         points.append(SweepPoint(s=sv, report=rep, mu=trace_phi(rep, trace_spec)))
     constant = len({p.report.kernel_dim for p in points}) <= 1
+    monotone_from = None
     gaps = [p.report.gap for p in points]
-    monotone_from = next((sv for i, sv in enumerate(s_values)
-                          if all(b >= a * (1 - 1e-12)
-                                 for a, b in zip(gaps[i:], gaps[i + 1:]))), None)
+    for first in range(len(gaps)):
+        tail = gaps[first:]
+        if all(b >= a * (1 - 1e-12) for a, b in zip(tail, tail[1:])):
+            monotone_from = s_values[first]
+            break
     return SweepResult(k=k, points=points, kernel_constant=constant,
                        gap_monotone_from=monotone_from)
 

@@ -950,6 +950,32 @@ def test_a_complete_block_may_find_more_missing_at_a_higher_cut():
     assert np.allclose(b.w, np.arange(1.0, 7.0), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("error", [
+    spla.ArpackError(3), spla.ArpackNoConvergence("No convergence", np.empty(0), None),
+], ids=["no-shifts", "no-convergence"])
+@pytest.mark.parametrize("dim,count,asked", [
+    (40, 6, [(6, 20), (12, 25)]),  # one repeat, for twice the pairs
+    (8, 4, [(4, 20), (7, 20)]),    # at most all but one of the complement
+    (8, 7, [(7, 20)]),             # no repeat that would seek no more
+])
+def test_a_failed_arpack_run_is_repeated_once_for_twice_the_pairs(
+        error, dim, count, asked, monkeypatch):
+    """An ARPACK run that fails, by an error or by not converging, is run
+    once more for 2k pairs, with scipy's basis of max(2k + 1, 20) vectors,
+    and a second failure raises SolverError: no run asks for more."""
+    calls = []
+
+    def failing(A, k, ncv, **kwargs):
+        calls.append((k, ncv))
+        raise error
+    monkeypatch.setattr(S.spla, "eigsh", failing)
+    sym = S._symmetrized(sp.diags(np.arange(1.0, dim + 1.0)), np.ones(dim))
+    b = S._kernel_block(sym, S.KERNEL_TAU_ABS * sym.norm)
+    with pytest.raises(S.SolverError, match="^eigenvalue iteration failed: ARPACK error"):
+        S._lanczos(sym, b.lu, S.KERNEL_TAU_ABS * sym.norm, count, np.inf)
+    assert calls == asked
+
+
 @st.composite
 def _planted_shifts(draw):
     """A planted operator and shifts at its dense eigenvalues and midway
@@ -1189,16 +1215,18 @@ def test_a_window_without_a_kernel_solves_only_its_partner(torus, dropped, monke
 def test_a_partner_window_takes_its_kernel_from_the_one_kernel_factor(monkeypatch):
     """Degree 2 of the sphere has kappa_2 = 2: the factor one float above
     tau that counts them is S_2's only factor, and its Lanczos run gives
-    the two kernel pairs, which no certificate checks again.  Both are
-    within the residual bound and dense eigh's to 64 eps |A| plus both
-    residuals.  A kernel factor that counts one more still raises, and so
-    do kernel pairs whose eigenvalues lie above tau."""
+    the two kernel pairs, which one certificate at tau checks against
+    that count, with no factor of its own.  Both are within the residual
+    bound and dense eigh's to 64 eps |A| plus both residuals.  A kernel
+    factor that counts one more still raises, and so do kernel pairs
+    whose eigenvalues lie above tau, and a partner pair at most tau."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
     dim = C.degree_space(be, 2).dim
     factors, certified = _spy(monkeypatch, "_factor"), _spy(monkeypatch, "_certify")
     rep = S.delta_spectrum(be, 2, s=16.0, count=24)
     assert [call[0].matrix.shape[0] for call in factors].count(dim) == 1
-    assert certified and all(call[0].dim < dim for call in certified)
+    on_s2 = [call for call in certified if call[0].dim == dim]
+    assert len(on_s2) == 1 and on_s2[0][4] == 2
     assert rep.dim == dim and rep.kernel_dim == 2
     w, resid, norm = _dense_pairs(be, 2, 16.0)
     kernel = np.asarray(rep.residual_norms[:2])
@@ -1220,9 +1248,59 @@ def test_a_partner_window_takes_its_kernel_from_the_one_kernel_factor(monkeypatc
         w, V, resid = real(sym, *args, **kwargs)
         return w + (sym.matrix.shape[0] == dim), V, resid
     monkeypatch.setattr(S, "_lanczos", above_tau)
-    with pytest.raises(S.SolverError, match=r"^partner: 0 window eigenvalues are at most "
+    with pytest.raises(S.SolverError, match=r"^the window holds 0 eigenvalues below \S+, "
+                       r"the inertia there is 2$"):
+        S.delta_spectrum(be, 2, s=16.0, count=24)
+    monkeypatch.undo()
+    solve = S.eigensolve
+
+    def partner_at_zero(operator, mass, **kwargs):  # its lowest nonzero pair moved to 0
+        rep = solve(operator, mass, **kwargs)
+        rep.eigenvalues[rep.kernel_dim] = 0.0
+        return rep
+    monkeypatch.setattr(S, "eigensolve", partner_at_zero)
+    with pytest.raises(S.SolverError, match=r"^partner: 3 window eigenvalues are at most "
                        r"tau = \S+, the kernel factor counts 2$"):
         S.delta_spectrum(be, 2, s=16.0, count=24)
+
+
+def test_a_pair_just_above_tau_does_not_displace_a_partner_windows_kernel(monkeypatch):
+    """Shift-invert about tau puts an eigenvalue in (tau, 2 tau) nearer the
+    shift than the kernel at 0.  Planted in S_2 of the sphere, in place
+    of its lowest nonzero eigenvalue, it takes one of the two places of
+    the first kernel run; the certificate at tau finds one kernel pair
+    missing against the kernel factor's count of 2 and seeks it on the
+    complement, with no further factor.  Both kernel pairs then match
+    dense eigh of the planted S_2."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    dim = C.degree_space(be, 2).dim
+    real = S._symmetrized
+    planted = {}
+
+    def with_a_pair_above_tau(operator, mass):
+        sym = real(operator, mass)
+        if sym.matrix.shape[0] != dim:
+            return sym
+        A = sym.matrix.toarray()
+        w, V = np.linalg.eigh(A)
+        A += (1.5 * S.KERNEL_TAU_ABS * sym.norm - w[2]) * np.outer(V[:, 2], V[:, 2])
+        planted["sym"] = S._stored(sp.csr_matrix(0.5 * (A + A.T)))
+        return planted["sym"]
+    monkeypatch.setattr(S, "_symmetrized", with_a_pair_above_tau)
+    factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
+    rep = S.delta_spectrum(be, 2, s=16.0, count=24)
+    A = planted["sym"].matrix.toarray()
+    norm, tau = planted["sym"].norm, S.KERNEL_TAU_ABS * planted["sym"].norm
+    w, V = np.linalg.eigh(A)
+    assert w[1] <= tau < w[2] < 2 * tau
+    assert [call[0].matrix.shape[0] for call in factors].count(dim) == 1
+    assert [run["V"] is not None for run in runs if run["sym"] is planted["sym"]] == [
+        False, True]
+    assert rep.kernel_dim == 2
+    resid = np.asarray(rep.residual_norms[:2])
+    assert resid.max() <= S.RESIDUAL_BOUND * max(norm, 1.0)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues[:2]) - w[:2])
+                  <= 64 * np.finfo(float).eps * norm + resid)
 
 
 def test_a_window_solved_densely_builds_no_partner(monkeypatch):
