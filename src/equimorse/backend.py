@@ -235,7 +235,8 @@ def _relative_defect(a: sp.spmatrix, b: sp.spmatrix) -> float:
     """max|a - b| over max(max|a|, max|b|), entry by entry on the sparse
     matrices: 0.0 only when both are zero."""
     def largest(mat):
-        return float(np.abs(sp.csr_matrix(mat).data).max(initial=0.0))
+        data = sp.csr_matrix(mat).data
+        return float(max(data.max(initial=0.0), -data.min(initial=0.0)))
 
     scale = max(largest(a), largest(b))
     return largest(a - b) / scale if scale else 0.0
@@ -449,11 +450,12 @@ def validate_backend(backend: BackendMatrices) -> dict:
     with its degree, as in 'cartan[0]'.  A residual is the largest entry
     of the composed map over the product of the largest entries of the
     two families (each at least 1).  They hold exactly by construction;
-    any residual beyond 1e-12, or a mass that is not positive, raises
-    BackendError naming it.
+    any residual beyond 1e-12 or NaN, or a mass that is not positive or
+    NaN, raises BackendError naming it.
     """
+    # Each check is written so that a NaN fails it.
     for j, mvec in enumerate(backend.mass):
-        if mvec.min() <= 0.0:
+        if not mvec.min() > 0.0:
             raise BackendError(f"mass matrix of degree {j} is not positive")
 
     d, iv, df = backend.d, backend.iv, backend.dfwedge or []
@@ -484,7 +486,7 @@ def validate_backend(backend: BackendMatrices) -> dict:
                 report[f"{name}[{j}]"] = float(np.abs(residual.data).max(initial=0.0)) / scale
 
     for name, value in report.items():
-        if value > 1e-12:
+        if not value <= 1e-12:
             raise BackendError(f"identity {name!r} violated: residual {value:.3e}")
     return report
 

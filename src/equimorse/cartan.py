@@ -18,11 +18,21 @@ block t^{i-1} (x) v* wedge --- the i = 0 lowering block must be absent,
 which the tests assert.
 
 The deformation d_eq,s = d_eq + s (df wedge) gives one complex per s.
-Each deformed derivative is one bmat whose form-raising blocks are
-d_j + s (df wedge)_j.  build_laplacians composes each derivative and its
-adjoint once per s and shares it between the two Laplacians it enters;
-for k >= n+2 it returns Delta^k as the operator Delta^{k-2} itself,
-which the t-shift conjugates into it bitwise.
+Each deformed derivative is one grid of CSR blocks whose form-raising
+blocks are d_j + s (df wedge)_j.  build_laplacians composes each
+derivative and its adjoint once per s and shares it between the two
+Laplacians it enters; for k >= n+2 it returns Delta^k as the operator
+Delta^{k-2} itself, which the t-shift conjugates into it bitwise.
+
+Every block operator --- a derivative, the block diagonal of
+expansion_residual's right-hand side, the de Rham operator and the pair
+of Laplacians it squares to --- is assembled by _csr_grid, which fills
+each zero block with an empty CSR block of its size.  A grid of CSR
+blocks alone keeps bmat on scipy's compressed path, which stacks the
+blocks' arrays as they are stored; one None or non-CSR block would send
+the whole grid through COO.  The right-hand side of the Witten expansion
+is summed once per form degree j of its space, s^2 |df|^2_j + s H_j,
+and added to Delta_eq as a single block diagonal.
 """
 
 from __future__ import annotations
@@ -106,21 +116,34 @@ def mass_vector(backend: BackendMatrices, space: EqDegreeSpace) -> np.ndarray:
     return np.concatenate([backend.mass[j] for (_, j) in space.blocks])
 
 
+def _csr_grid(heights, widths, blocks: dict) -> sp.csr_matrix:
+    """The CSR matrix whose block (r, c) is blocks[r, c], a CSR matrix of
+    shape (heights[r], widths[c]); every block not given is zero.
+
+    A zero block is an empty CSR block of its size, never None: with CSR
+    blocks only, bmat(format="csr") stacks the blocks' compressed arrays
+    and keeps each block's entries in their stored order, where a single
+    None or COO block would send the whole grid through COO.
+    """
+    grid = [[blocks[r, c] if (r, c) in blocks else sp.csr_matrix((rows, cols))
+             for c, cols in enumerate(widths)]
+            for r, rows in enumerate(heights)]
+    return sp.bmat(grid, format="csr")
+
+
 def _assemble_blocks(dom: EqDegreeSpace, cod: EqDegreeSpace, entries) -> EqOperator:
     """Place per-(i,j) block matrices into the (codomain x domain) grid.
 
     entries: iterable of (target (i,j), source (i,j), matrix); every other
     block is zero.
     """
-    grid = [[sp.csr_matrix((rows, cols)) for cols in dom.block_dims]
-            for rows in cod.block_dims]
-    for tgt, src, mat in entries:
-        grid[cod.blocks.index(tgt)][dom.blocks.index(src)] = mat
-    return EqOperator(dom, cod, sp.csr_matrix(sp.bmat(grid, format="csr")))
+    blocks = {(cod.blocks.index(tgt), dom.blocks.index(src)): mat
+              for tgt, src, mat in entries}
+    return EqOperator(dom, cod, _csr_grid(cod.block_dims, dom.block_dims, blocks))
 
 
 def _derivative(backend: BackendMatrices, s: float, k: int) -> EqOperator:
-    """The deformed derivative d_eq,s from degree k to degree k+1, in one bmat.
+    """The deformed derivative d_eq,s from degree k to degree k+1, in one grid.
 
     Block (i, j) -> (i, j+1) is d_j + s (df wedge)_j, or d_j alone at
     s = 0, and block (i, j) -> (i+1, j-1) is the contraction i_v; all
@@ -160,7 +183,8 @@ def adjoint(backend: BackendMatrices, op: EqOperator) -> EqOperator:
     """Exact adjoint with respect to the blockwise mass inner products."""
     m_dom = mass_vector(backend, op.domain)
     m_cod = mass_vector(backend, op.codomain)
-    if m_dom.min() <= 0.0 or m_cod.min() <= 0.0:
+    # written so that a NaN mass fails the check
+    if not (m_dom.min() > 0.0 and m_cod.min() > 0.0):
         raise ConfigurationError("mass inner product is not positive")
     return EqOperator(op.codomain, op.domain, _adjoint(op.matrix, m_dom, m_cod))
 
@@ -227,7 +251,7 @@ def _laplacian(backend: BackendMatrices, s: float, k: int, up, lo) -> EqOperator
 def build_deformed(backend: BackendMatrices, s: float, k: int):
     """(d_eq,s, d_eq,s*, Delta_eq,s) at a finite deformation parameter s >= 0.
 
-    d_eq,s = d_eq + s (df wedge) is assembled in one bmat, with the
+    d_eq,s = d_eq + s (df wedge) is assembled in one grid, with the
     df-wedge term in its form-raising blocks only for s > 0, so at s = 0
     the undeformed operators come out bitwise and backends without a
     sampled function (the circle) still have a Laplacian.  The adjoint is
@@ -266,8 +290,10 @@ def build_laplacians(backend: BackendMatrices, s: float, kmax: int) -> list[EqOp
     return deltas
 
 
-def _block_diagonal_term(space: EqDegreeSpace, per_degree) -> sp.csr_matrix:
-    return sp.csr_matrix(sp.block_diag([per_degree[j] for (_, j) in space.blocks]))
+def _block_diagonal_term(mats) -> sp.csr_matrix:
+    """The block diagonal of the square CSR matrices mats, in one _csr_grid."""
+    dims = [mat.shape[0] for mat in mats]
+    return _csr_grid(dims, dims, {(b, b): mat for b, mat in enumerate(mats)})
 
 
 def expansion_residual(backend: BackendMatrices, s: float, k: int,
@@ -277,19 +303,20 @@ def expansion_residual(backend: BackendMatrices, s: float, k: int,
     Both sides are assembled independently: the left by composing the
     deformed derivative with its exact adjoint, the right from the
     undeformed Laplacian plus the backend's multiplication and Clifford
-    Hessian matrices.  The defect is the largest entry of their difference
-    over the largest entry of either side, taken entry by entry on the
-    sparse matrices, as in EquivariantDeRham.square_defect.  seed is
-    ignored.
+    Hessian matrices.  The right-hand side sums s^2 |df|^2_j + s H_j once
+    for each form degree j of the space and adds their block diagonal,
+    one _csr_grid, to Delta_eq.  The defect is the largest entry of the
+    difference over the largest entry of either side, taken entry by entry
+    on the sparse matrices, as in EquivariantDeRham.square_defect.  seed
+    is ignored.
     """
     if backend.mult_df2 is None:
         raise ConfigurationError("backend carries no |df|^2 data")
     _, _, delta_s = build_deformed(backend, s, k)
     delta0 = build_delta_eq(backend, k)
-    space = delta0.domain
-    rhs = delta0.matrix \
-        + s * s * _block_diagonal_term(space, backend.mult_df2) \
-        + s * _block_diagonal_term(space, backend.cliff_hess)
+    rhs = delta0.matrix + _block_diagonal_term(
+        [s * s * backend.mult_df2[j] + s * backend.cliff_hess[j]
+         for (_, j) in delta0.domain.blocks])
     return _relative_defect(delta_s.matrix, rhs)
 
 
@@ -319,7 +346,7 @@ class EquivariantDeRham:
 
     def square_defect(self) -> float:
         """Relative defect of operator^2 against the pair of Laplacians."""
-        pair = sp.block_diag([self.delta_n.matrix, self.delta_n1.matrix], format="csr")
+        pair = _block_diagonal_term([self.delta_n.matrix, self.delta_n1.matrix])
         return _relative_defect(self.operator @ self.operator, pair)
 
 
@@ -352,7 +379,8 @@ def build_equivariant_de_rham(backend: BackendMatrices) -> EquivariantDeRham:
     mid = _with_adjoint(backend, 0.0, n)
     B, (down, _), delta_n1 = _cartan(backend, 0.0, n, mid)
     B_star = sp.csr_matrix(mid[1].matrix + down.matrix)
-    op = sp.bmat([[None, B_star], [B.matrix, None]], format="csr")
-    return EquivariantDeRham(operator=sp.csr_matrix(op),
+    dims = (B.domain.dim, B.codomain.dim)
+    op = _csr_grid(dims, dims, {(0, 1): B_star, (1, 0): B.matrix})
+    return EquivariantDeRham(operator=op,
                              delta_n=_laplacian(backend, 0.0, n, mid, lo),
                              delta_n1=delta_n1, n=n)

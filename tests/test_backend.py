@@ -64,6 +64,27 @@ def test_corrupted_iv_matrix_is_reported():
         B.validate_backend(circle)
 
 
+def test_a_nan_map_is_reported_by_identity_and_degree():
+    """A NaN residual compares False with any bound, so the check is
+    written to fail on it, as a residual beyond 1e-12 does.  The NaN sits
+    in an interior entry of d_0, which d_0 i_v on degree 1 reaches."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
+    bad = be.d[0].copy()
+    bad.data[bad.nnz // 2] = math.nan
+    be.d[0] = bad
+    with pytest.raises(B.BackendError,
+                       match=r"identity 'cartan\[1\]' violated: residual nan"):
+        B.validate_backend(be)
+
+
+def test_a_nan_mass_is_not_positive():
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
+    be.mass[1] = be.mass[1].copy()
+    be.mass[1][5] = math.nan
+    with pytest.raises(B.BackendError, match="mass matrix of degree 1 is not positive"):
+        B.validate_backend(be)
+
+
 def _channel_df2_and_hessian(be):
     """|df|^2 and the Clifford Hessian from the channel formulas: df wedge
     acts only from u to g (P0c) and from h to w (P1c), d from u to g (D_u)

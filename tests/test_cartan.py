@@ -238,6 +238,14 @@ def test_adjoint_requires_positive_mass(sphere):
         C.build_deq_star(bad, 1)
 
 
+def test_adjoint_rejects_a_nan_mass():
+    bad = B.build_backend(*B.catalog("sphere_height", n_grid=64))
+    bad.mass[1] = bad.mass[1].copy()
+    bad.mass[1][5] = math.nan
+    with pytest.raises(C.ConfigurationError, match="mass inner product is not positive"):
+        C.adjoint(bad, C.build_deq(bad, 0))
+
+
 def test_circle_laplacian_values(circle):
     assert S.delta_spectrum(circle, 0).eigenvalues == pytest.approx([0.0], abs=1e-15)
     assert S.delta_spectrum(circle, 1).eigenvalues == pytest.approx([1.0])
@@ -508,3 +516,79 @@ def test_cartan_operator_factors_both_laplacians(case):
                 assert _bitwise_equal(sp.csr_matrix(dr.operator[dim:, :dim]), op.matrix)
                 assert B._relative_defect(dr.operator[:dim, dim:],
                                           C.adjoint(be, op).matrix) <= 4 * eps
+
+
+# ---------------------------------------------------------------------------
+# block grids on scipy's compressed path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", ["sphere_height", "torus_height", "sphere_bumpy"])
+@pytest.mark.parametrize("field", ["mult_df2", "cliff_hess"])
+def test_block_diagonal_term_is_the_block_diag_formula(case, field):
+    """The compressed grid holds block_diag's entries with the same values
+    and row pointers; the COO route of block_diag sorts each row by
+    column, while the grid keeps each block's stored order."""
+    be = B.build_backend(*B.catalog(case, n_grid=64))
+    per_degree = getattr(be, field)
+    for k in range(5):
+        space = C.degree_space(be, k)
+        mats = [per_degree[j] for (_, j) in space.blocks]
+        term = C._block_diagonal_term(mats)
+        formula = sp.block_diag(mats).tocsr()
+        assert type(term) is sp.csr_matrix
+        assert np.array_equal(term.indptr, formula.indptr)
+        assert _bitwise_equal(term.sorted_indices(), formula)
+        offsets = np.cumsum([0] + [m.shape[1] for m in mats[:-1]])
+        assert np.array_equal(term.indices, np.concatenate(
+            [m.indices + off for m, off in zip(mats, offsets)]))
+
+
+@pytest.mark.parametrize("case", B.CATALOG_CASES)
+def test_de_rham_operator_is_the_holed_bmat_formula(case):
+    be = B.build_backend(*B.catalog(case, n_grid=64))
+    n = be.n
+    mid = C._with_adjoint(be, 0.0, n)
+    op, (down, _), _ = C._cartan(be, 0.0, n, mid)
+    B_star = sp.csr_matrix(mid[1].matrix + down.matrix)
+    formula = sp.bmat([[None, B_star], [op.matrix, None]], format="csr")
+    assert _bitwise_equal(C.build_equivariant_de_rham(be).operator, formula)
+
+
+@pytest.mark.parametrize("case", ["sphere_height", "torus_height", "sphere_bumpy"])
+def test_expansion_residual_is_the_two_term_formula(case):
+    """Summing s^2 |df|^2_j + s H_j per form degree before adding it to
+    Delta_eq moves the defect by rounding only: within 4 eps of the
+    formula with two full-size block diagonals (0.61 eps measured), and
+    exactly 0.0 at s = 0, where both sides are Delta_eq bitwise."""
+    be = B.build_backend(*B.catalog(case, n_grid=64))
+    eps = np.finfo(float).eps
+    for k in range(4):
+        space = C.degree_space(be, k)
+        delta0 = C.build_delta_eq(be, k).matrix
+        mult, hess = ([per_degree[j] for (_, j) in space.blocks]
+                      for per_degree in (be.mult_df2, be.cliff_hess))
+        assert C.expansion_residual(be, 0.0, k) == 0.0
+        for s in (1.0, 8.0, 32.0):
+            rhs = delta0 + s * s * sp.csr_matrix(sp.block_diag(mult)) \
+                + s * sp.csr_matrix(sp.block_diag(hess))
+            formula = B._relative_defect(C.build_deformed(be, s, k)[2].matrix, rhs)
+            assert abs(C.expansion_residual(be, s, k) - formula) <= 4 * eps, (k, s)
+
+
+def test_identity_checks_make_no_coo_round_trip(monkeypatch):
+    """expansion_residual and square_defect assemble every block grid on
+    scipy's compressed path: no COO matrix is converted to CSR."""
+    backends = [B.build_backend(*B.catalog(case, n_grid=256))
+                for case in ("sphere_height", "torus_height")]
+    for be in backends:
+        be.mult_df2
+    conversions = []
+    for cls in (sp.coo_matrix, sp.coo_array):
+        tocsr = cls.tocsr
+        monkeypatch.setattr(cls, "tocsr", lambda self, *args, _tocsr=tocsr, **kw:
+                            conversions.append(self.shape) or _tocsr(self, *args, **kw))
+    for be in backends:
+        for k in range(4):
+            C.expansion_residual(be, 8.0, k)
+        C.build_equivariant_de_rham(be).square_defect()
+    assert conversions == []
