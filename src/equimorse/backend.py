@@ -450,13 +450,16 @@ def validate_backend(backend: BackendMatrices) -> dict:
     with its degree, as in 'cartan[0]'.  A residual is the largest entry
     of the composed map over the product of the largest entries of the
     two families (each at least 1).  They hold exactly by construction;
-    any residual beyond 1e-12 or NaN, or a mass that is not positive or
-    NaN, raises BackendError naming it.
+    any residual beyond 1e-12 or NaN, or a mass that is not positive and
+    finite, raises BackendError naming it.  An entry that no identity
+    reaches, such as one in a pole column, is checked on its own: an
+    infinite or NaN entry of d, i_v or df wedge raises BackendError naming
+    the map and its degree.
     """
     # Each check is written so that a NaN fails it.
     for j, mvec in enumerate(backend.mass):
-        if not mvec.min() > 0.0:
-            raise BackendError(f"mass matrix of degree {j} is not positive")
+        if not 0.0 < mvec.min() <= mvec.max() < np.inf:
+            raise BackendError(f"mass matrix of degree {j} is not positive and finite")
 
     d, iv, df = backend.d, backend.iv, backend.dfwedge or []
 
@@ -488,6 +491,10 @@ def validate_backend(backend: BackendMatrices) -> dict:
     for name, value in report.items():
         if not value <= 1e-12:
             raise BackendError(f"identity {name!r} violated: residual {value:.3e}")
+    for name, maps in (("d", d), ("iv", iv), ("dfwedge", df)):
+        for j, m in enumerate(maps):
+            if m is not None and not np.isfinite(m.data).all():
+                raise BackendError(f"map {name}[{j}] has a non-finite entry")
     return report
 
 

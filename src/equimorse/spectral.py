@@ -22,8 +22,14 @@ whose factor is regular.  The one just above tau counts the kernel, by
 Sylvester's law, and serves as the inverse of a shift-invert Lanczos
 iteration for the window.  A pair is kept only within the residual
 bound.  A window wider than half the dimension and the zero operator's
-come from dense eigh of S.  Either way the window is certified once: a
-second factor just below its top must count exactly the kept
+come from dense eigh of S.  Either way the window is certified once, by
+a rule that counts decide before any solve.  A window of no more pairs
+than the kernel factor counts is the kernel, and the kernel is its top
+cluster: that count certifies it at tau, with no second factor.  An
+eigenvalue in (tau, 2 tau) lies nearer the shift than the kernel and
+can take a kernel pair's place in a run, so a pair missing at tau is
+sought on the complement of the kept pairs.  Any other window takes a
+second factor just below its top, which must count exactly the kept
 eigenvalues below it, and what is missing is sought again on the
 complement of the kept pairs.  When the window holds two or more
 eigenvalues between that factor's shift and the top, the factor is
@@ -40,12 +46,14 @@ the rule above, on its own kernel factor, starting from its share and
 one more, and the window is the lowest m of the merged pairs.  The odd
 degrees of a surface split so, into their dtheta and dphi rows: d_s
 maps functions into the dtheta part only, and d and i_v on 1-forms
-read only the dphi part.  The certificate is taken at the merged top:
-each block, dense or Lanczos, must hold every eigenvalue its inertia
-counts below that cut, and what one lacks is sought on the complement
-of its pairs.  A window sized by a ceiling is counted on the whole of
-S, whose kernel factor then solves it too: like a window with a
-smaller share on some block, it is the one-block case.
+read only the dphi part.  The certificate is taken at the merged top,
+or at tau for a kernel window, whose blocks' kernel factors count at
+least m: each block, dense or Lanczos, must hold every eigenvalue its
+inertia counts below that cut, at most m of them in a kernel window,
+and what one lacks is sought on the complement of its pairs.  A window
+sized by a ceiling is counted on the whole of S, whose kernel factor
+then solves it too: like a window with a smaller share on some block,
+it is the one-block case.
 
 From the top degree n on, each Laplacian has a partner one degree up:
 B = d_s^k + (t^-1 d_s^{k+1})* (cartan._cartan) gives Delta^k = B*B and
@@ -57,13 +65,9 @@ holds at least 20, the least that splits, is solved on the partner, not
 lifted from it: on a surface, degrees 2, 4, ... take their nonzero pairs
 from the dtheta and dphi blocks of degrees 3, 5, ....  The partner
 window is an ordinary window of eigensolve, split and certified on its
-own blocks, and S_k adds only its kernel: its one kernel factor counts
-kappa_k and, when that is not 0, is the inverse of the Lanczos run for
-the kappa_k kernel pairs.  That count certifies them: an eigenvalue in
-(tau, 2 tau) lies nearer the shift than the kernel and can take a
-kernel pair's place, so what the pairs lack at tau is sought on their
-complement, with no further factor.  Each such window
-checks the pairing it relies on: B*B and BB* against the two
+own blocks, and S_k adds only its kernel: a window of kappa_k pairs on
+its one kernel factor, certified as every kernel window is.  Each such
+window checks the pairing it relies on: B*B and BB* against the two
 Laplacians, and the index of B against the two kernels.  Windows sized
 by ceilings, and so every window of verify, never take it.
 
@@ -437,15 +441,16 @@ def _naming(name: str):
 def _certify(block: _Block, cut: float, tau: float, bound: float,
              below: int | None = None) -> None:
     """Check a block's pairs at cut: the inertia there, below, which a
-    factor at cut counts unless it is given, must count exactly the
-    eigenvalues it holds below cut.  What it lacks is sought on the
-    complement of its pairs, from the fixed start (_lanczos), and checked
-    again at the next cut.  A first certificate at a cut may find any
-    number missing, as a block of a split window starts from its share
-    of the window, and so may one at a higher cut, above a top cluster,
-    once the block was complete at a lower one; an extension after which
-    at least as many are missing as it sought found none of them, and
-    raises SolverError, as does an inertia below the pairs held."""
+    factor at cut counts unless it is given, as a kernel window gives its
+    kernel factor's count (_spectral), must count exactly the eigenvalues
+    it holds below cut.  What it lacks is sought on the complement of its
+    pairs, from the fixed start (_lanczos), and checked again at the next
+    cut.  A first certificate at a cut may find any number missing, as a
+    block of a split window starts from its share of the window, and so
+    may one at a higher cut, above a top cluster, once the block was
+    complete at a lower one; an extension after which at least as many
+    are missing as it sought found none of them, and raises SolverError,
+    as does an inertia below the pairs held."""
     with _naming(block.name):
         found = int(np.count_nonzero(block.w < cut))
         if below is None:
@@ -463,15 +468,16 @@ def _certify(block: _Block, cut: float, tau: float, bound: float,
 
 
 def _solve(b: _Block, size: int, tau: float, bound: float, start) -> None:
-    """A block's first size pairs: by dense eigh when 2 size > dim_c or its
-    norm is 0, else by shift-invert Lanczos on its kernel factor
-    (_lanczos), started from start[rows] unless that part is zero or no
-    start is given.  Either way the pairs are only kept, not certified:
-    eigensolve certifies every block at the merged cut (_certify), and
-    delta_spectrum its kernel pairs by the count of their kernel factor."""
+    """A block's first size pairs: none for a size of 0, by dense eigh when
+    2 size > dim_c or its norm is 0, else by shift-invert Lanczos on its
+    kernel factor (_lanczos), started from start[rows] unless that part is
+    zero or no start is given.  Either way the pairs are only kept, not
+    certified: _spectral certifies every block (_certify)."""
     with _naming(b.name):
-        if 2 * size > b.dim or b.sym.norm == 0:
-            S = b.sym.matrix
+        S = b.sym.matrix
+        if not size:  # the kernel pairs of a partner window with kappa_k = 0
+            b.w, b.V, b.resid = _rayleigh(S, np.zeros((b.dim, 0)))
+        elif 2 * size > b.dim or b.sym.norm == 0:
             b.w, b.V, b.resid = _rayleigh(
                 S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
         else:
@@ -521,14 +527,12 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     the block's part of start (dim floats in the frame of S, as
     SpectrumReport.ritz_sum gives them), or from the fixed vector when
     that part is zero or no start is given (_solve).  The window is the
-    lowest m of the merged pairs, and it is certified once, at the
-    merged cut (_cut of its top), or as far above the top when two or
-    more of the m lie between the cut and the top, so that every member
-    of the top cluster is held and the lowest are kept: every block,
-    dense or Lanczos, must hold every eigenvalue its inertia counts below
-    the cut, and what one lacks is sought on the complement of its pairs
-    (_certify) until none lacks any.  An unsplit window is the one-block
-    case, certified at the cut of its own top.
+    lowest m of the merged pairs, certified once by the module's rule
+    (_spectral): at tau by the blocks' kernel factors when they count at
+    least m, else at the merged cut.  Every block, dense or Lanczos, must
+    hold every eigenvalue its inertia counts below the cut, and what one
+    lacks is sought on the complement of its pairs (_certify) until none
+    lacks any.  An unsplit window is the one-block case.
     On every block, kernel_dim must equal the kernel factor's count, or
     the pairs it holds if fewer (SolverError), and every returned pair
     must have a residual within RESIDUAL_BOUND x max(|A|, 1), with |A|
@@ -536,15 +540,14 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     window names the block: "block 2 of 2 (dim 8192): ...".
     """
     sym = _symmetrized(operator, mass)
-    dim, opnorm = sym.matrix.shape[0], sym.norm
+    dim = sym.matrix.shape[0]
     if count is not None and not 1 <= count <= dim:
         raise CountError(f"eigenvalue count {count} is outside 1..{dim}")
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (dim,):
             raise ValueError(f"a start of shape {start.shape} for dimension {dim}")
-    tau = KERNEL_TAU_ABS * opnorm
-    bound = RESIDUAL_BOUND * max(opnorm, 1.0)
+    tau = KERNEL_TAU_ABS * sym.norm
     parts = None if count is None else _split(sym.matrix, count)
     if parts is None:
         blocks = [_kernel_block(sym, tau)]
@@ -554,30 +557,57 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         sizes = [count]
     else:
         blocks, sizes = _blocks(sym, parts, tau, count)
-    m = count
+    return _spectral(sym, blocks, sizes, count, k, s, start)
 
+
+def _spectral(sym: _Symmetric, blocks: list[_Block], sizes, m: int, k: int, s: float,
+              start, ritz_sum=None) -> SpectrumReport:
+    """The window of the lowest m pairs of S over its blocks, each solved
+    from sizes[c] pairs (_solve), then certified and checked: the one
+    window loop of eigensolve and of delta_spectrum's kernel pairs.
+
+    The module's kernel rule is decided here, from counts: a window of at
+    most sum_c kappa_c pairs, the blocks' kernel counts, is the kernel,
+    and each block is certified one float above tau against min(kappa_c,
+    m), with no further factor.  Any other window is certified at _cut of
+    its top, or as far above the top when two or more of the m lie
+    between the cut and the top.  Either way what a block lacks is sought
+    on the complement of its pairs (_certify).  On every block, its
+    kernel eigenvalues in the window must number its kernel factor's
+    count, or its pairs in the window if fewer, and every pair must have
+    a residual within RESIDUAL_BOUND x max(|A|, 1), with |A| that of the
+    whole of S, else SolverError naming the block.  The report's ritz_sum
+    is the window's vectors added into ritz_sum, dim floats in the frame
+    of S, by default zeros.
+    """
+    tau = KERNEL_TAU_ABS * sym.norm
+    bound = RESIDUAL_BOUND * max(sym.norm, 1.0)
+    kernel = m <= sum(b.kernel for b in blocks)  # the window is the kernel
     for b, size in zip(blocks, sizes):
         _solve(b, size, tau, bound, start)
     while True:  # until every block holds all its eigenvalues below the merged cut
         merged = np.concatenate([b.w for b in blocks])
         order = np.argsort(merged, kind="stable")[:m]
-        top, cut = merged[order[-1]], _cut(merged[order[-1]])
-        if np.count_nonzero(merged[order] >= cut) > 1:  # hold the top cluster whole
-            cut = 2 * top - cut
+        if kernel:
+            cut = np.nextafter(tau, math.inf)
+        else:
+            top, cut = merged[order[-1]], _cut(merged[order[-1]])
+            if np.count_nonzero(merged[order] >= cut) > 1:  # hold the top cluster whole
+                cut = 2 * top - cut
         pending = [b for b in blocks if b.complete_below < cut]
         if not pending:
             break
-        _certify(pending[0], cut, tau, bound)
+        _certify(pending[0], cut, tau, bound, min(pending[0].kernel, m) if kernel else None)
 
     w = merged[order]
     resid = np.concatenate([b.resid for b in blocks])[order]
     owner = np.repeat(np.arange(len(blocks)), [b.w.size for b in blocks])[order]
     first = np.cumsum([0] + [b.w.size for b in blocks])
-    ritz_sum = np.zeros(dim)
+    ritz_sum = np.zeros(sym.matrix.shape[0]) if ritz_sum is None else ritz_sum
     kd, gap, separation = _kernel_split(w, tau)
     for i, b in enumerate(blocks):
         mine = owner == i
-        ritz_sum[b.rows] = b.V[:, order[mine] - first[i]].sum(axis=1)
+        ritz_sum[b.rows] += b.V[:, order[mine] - first[i]].sum(axis=1)
         kd_b = int(np.count_nonzero(w[mine] <= tau))
         if kd_b != min(b.kernel, int(np.count_nonzero(mine))):
             raise SolverError(f"{b.name}{kd_b} window eigenvalues are at most "
@@ -586,17 +616,9 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
         if bad:
             raise SolverError(f"{b.name}{bad} eigenpairs exceed the residual bound "
                               f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
-    return SpectrumReport(
-        k=k, s=s,
-        eigenvalues=[float(x) for x in w],
-        kernel_dim=kd,
-        gap=gap,
-        residual_norms=[float(r) for r in resid],
-        dim=dim,
-        operator_norm=opnorm,
-        separation=separation,
-        ritz_sum=ritz_sum,
-    )
+    return SpectrumReport(k=k, s=s, eigenvalues=w.tolist(), kernel_dim=kd, gap=gap,
+                          residual_norms=resid.tolist(), dim=sym.matrix.shape[0],
+                          operator_norm=sym.norm, separation=separation, ritz_sum=ritz_sum)
 
 
 def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
@@ -624,12 +646,9 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     count window; its errors name it, "partner block 1 of 2 (dim 8192):
     ...".  Its lowest m - kappa_k nonzero pairs are the window's, with
     their residuals on S_{k+1}.  S_k adds only kappa_k, counted by its
-    own kernel factor, and when kappa_k > 0 the kappa_k kernel pairs, by
-    shift-invert Lanczos on that factor (_solve) from start.  That count
-    certifies them at tau (_certify, with no factor of its own): an
-    eigenvalue in (tau, 2 tau) is nearer the shift than the kernel, and
-    a kernel pair it displaced is sought on the complement of the pairs
-    held.  So S_k is factored once.  What the window relies on
+    own kernel factor, and the kappa_k kernel pairs: a kernel window on
+    that factor from start, solved and certified as eigensolve's are
+    (_spectral).  So S_k is factored once.  What the window relies on
     is checked, else SolverError: B*B and BB* within a relative defect of
     64 eps of Delta^k and Delta^{k+1}, kappa_{k+1} the index of B away
     from kappa_k, and kappa_k the window's kernel dimension at S_k's tau.
@@ -669,24 +688,16 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     if partner.kernel_dim != kappa + pdim - dim:
         raise SolverError(f"partner: kernel dimensions {kappa} of degree {k} and "
                           f"{partner.kernel_dim} of degree {k + 1} break the index of B")
+    # the kernel pairs, whose vectors add to the partner's in S_k's frame
+    rep = _spectral(sym, [kernel], [kappa], kappa, k, s, start, Bt.T @ partner.ritz_sum)
     nonzero = slice(partner.kernel_dim, partner.kernel_dim + count - kappa)
-    w, resid = partner.eigenvalues[nonzero], partner.residual_norms[nonzero]
-    ritz_sum = Bt.T @ partner.ritz_sum
-    if kappa:  # the kernel pairs, on the factor that counted them
-        bound = RESIDUAL_BOUND * max(sym.norm, 1.0)
-        _solve(kernel, kappa, tau, bound, start)
-        while kernel.complete_below <= tau:  # a pair in (tau, 2 tau) is nearer the shift
-            _certify(kernel, np.nextafter(tau, math.inf), tau, bound, kappa)
-        w = kernel.w[:kappa].tolist() + w
-        resid = kernel.resid[:kappa].tolist() + resid
-        ritz_sum += kernel.V[:, :kappa].sum(axis=1)
-    kd, gap, separation = _kernel_split(np.asarray(w), tau)
-    if kd != kappa:
-        raise SolverError(f"partner: {kd} window eigenvalues are at most tau = "
+    rep.eigenvalues += partner.eigenvalues[nonzero]
+    rep.residual_norms += partner.residual_norms[nonzero]
+    rep.kernel_dim, rep.gap, rep.separation = _kernel_split(np.asarray(rep.eigenvalues), tau)
+    if rep.kernel_dim != kappa:
+        raise SolverError(f"partner: {rep.kernel_dim} window eigenvalues are at most tau = "
                           f"{tau:.3e}, the kernel factor counts {kappa}")
-    return SpectrumReport(k=k, s=s, eigenvalues=w, kernel_dim=kd, gap=gap,
-                          residual_norms=resid, dim=dim, operator_norm=sym.norm,
-                          separation=separation, ritz_sum=ritz_sum)
+    return rep
 
 
 def betti_numbers(backend: BackendMatrices, kmax: int) -> list[int]:

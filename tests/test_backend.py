@@ -85,6 +85,35 @@ def test_a_nan_mass_is_not_positive():
         B.validate_backend(be)
 
 
+def _with_pole_entry(be, name, value):
+    """be with the first stored entry of the pole column 0 of name[0]
+    set to value: d_1 d_0, i_v d_0 and d_0 i_v never multiply it, and
+    df wedge's products miss it the same way."""
+    maps = getattr(be, name)
+    bad = maps[0].tocsc()
+    bad.data[bad.indptr[0]] = value
+    maps[0] = bad.tocsr()
+    return be
+
+
+@pytest.mark.parametrize("name,value,why", [
+    ("d", math.nan, r"map d\[0\] has a non-finite entry"),
+    ("dfwedge", math.inf, r"map dfwedge\[0\] has a non-finite entry"),
+    ("mass", math.inf, "mass matrix of degree 1 is not positive and finite"),
+], ids=["nan-pole-d0", "inf-pole-dfwedge0", "inf-mass1"])
+def test_a_non_finite_entry_that_no_identity_reaches_is_reported(name, value, why):
+    """Every identity residual of these reads 0.0: the entry must still
+    raise, named by its map and degree."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
+    if name == "mass":
+        be.mass[1] = be.mass[1].copy()
+        be.mass[1][5] = value
+    else:
+        be = _with_pole_entry(be, name, value)
+    with pytest.raises(B.BackendError, match=why):
+        B.validate_backend(be)
+
+
 def _channel_df2_and_hessian(be):
     """|df|^2 and the Clifford Hessian from the channel formulas: df wedge
     acts only from u to g (P0c) and from h to w (P1c), d from u to g (D_u)

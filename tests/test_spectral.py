@@ -1264,16 +1264,10 @@ def test_a_partner_window_takes_its_kernel_from_the_one_kernel_factor(monkeypatc
         S.delta_spectrum(be, 2, s=16.0, count=24)
 
 
-def test_a_pair_just_above_tau_does_not_displace_a_partner_windows_kernel(monkeypatch):
-    """Shift-invert about tau puts an eigenvalue in (tau, 2 tau) nearer the
-    shift than the kernel at 0.  Planted in S_2 of the sphere, in place
-    of its lowest nonzero eigenvalue, it takes one of the two places of
-    the first kernel run; the certificate at tau finds one kernel pair
-    missing against the kernel factor's count of 2 and seeks it on the
-    complement, with no further factor.  Both kernel pairs then match
-    dense eigh of the planted S_2."""
-    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-    dim = C.degree_space(be, 2).dim
+def _planting_a_pair_above_tau(monkeypatch, dim):
+    """spectral._symmetrized, with 1.5 tau planted in every S of dimension
+    dim in place of its third eigenvalue, the lowest nonzero one of S_2 of
+    the sphere; the planted S is kept in the returned dict."""
     real = S._symmetrized
     planted = {}
 
@@ -1287,6 +1281,20 @@ def test_a_pair_just_above_tau_does_not_displace_a_partner_windows_kernel(monkey
         planted["sym"] = S._stored(sp.csr_matrix(0.5 * (A + A.T)))
         return planted["sym"]
     monkeypatch.setattr(S, "_symmetrized", with_a_pair_above_tau)
+    return planted
+
+
+def test_a_pair_just_above_tau_does_not_displace_a_partner_windows_kernel(monkeypatch):
+    """Shift-invert about tau puts an eigenvalue in (tau, 2 tau) nearer the
+    shift than the kernel at 0.  Planted in S_2 of the sphere, in place
+    of its lowest nonzero eigenvalue, it takes one of the two places of
+    the first kernel run; the certificate at tau finds one kernel pair
+    missing against the kernel factor's count of 2 and seeks it on the
+    complement, with no further factor.  Both kernel pairs then match
+    dense eigh of the planted S_2."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    dim = C.degree_space(be, 2).dim
+    planted = _planting_a_pair_above_tau(monkeypatch, dim)
     factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
     rep = S.delta_spectrum(be, 2, s=16.0, count=24)
     A = planted["sym"].matrix.toarray()
@@ -1300,6 +1308,73 @@ def test_a_pair_just_above_tau_does_not_displace_a_partner_windows_kernel(monkey
     resid = np.asarray(rep.residual_norms[:2])
     assert resid.max() <= S.RESIDUAL_BOUND * max(norm, 1.0)
     assert np.all(np.abs(np.asarray(rep.eigenvalues[:2]) - w[:2])
+                  <= 64 * np.finfo(float).eps * norm + resid)
+
+
+@pytest.mark.parametrize("s", [0.0, 16.0])
+@pytest.mark.parametrize("k,count", [(0, 1), (2, 1), (2, 2)])
+def test_a_kernel_window_takes_only_its_kernel_factor(k, count, s, monkeypatch):
+    """A window of at most kappa pairs is the kernel, its own top cluster:
+    the factor one float above tau counts it and certifies the window,
+    with no factor at a cut of its own.  The sphere at N = 256 has
+    kappa_0 = 1 and kappa_2 = 2."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    _, _, delta = C.build_deformed(be, s, k)
+    factors = _spy(monkeypatch, "_factor")
+    rep = S.eigensolve(delta, C.mass_vector(be, delta.domain), count=count, k=k, s=s)
+    kernel_shift = np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
+    assert [shift for _, shift in factors] == [kernel_shift]
+    assert rep.kernel_dim == len(rep.eigenvalues) == count
+
+
+@pytest.mark.parametrize("count", [24, 27])
+def test_a_split_kernel_window_takes_one_factor_per_block(count, monkeypatch):
+    """Two dense blocks of 40 and 50 rows with kernels of 15 and 12: a
+    count of 24 or 27 gives each block a share of at least 10, and the
+    kernels hold the whole window.  The first block starts from its share
+    and one more, 12 or 13 pairs, fewer than its kernel, so its
+    certificate at tau against min(15, count) extends it, on its kernel
+    factor only.  The window is dense eigh's prefix, all of it kernel."""
+    rng = np.random.default_rng(0)
+    blocks = []
+    for dim, kappa, scale in ((40, 15, 1.0), (50, 12, 2.0)):
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        A = (Q * np.r_[np.zeros(kappa), np.linspace(scale, 40 * scale, dim - kappa)]) @ Q.T
+        blocks.append(0.5 * (A + A.T))
+    A = sp.csr_matrix(sp.block_diag(blocks))
+    factors = _spy(monkeypatch, "_factor")
+    rep = S.eigensolve(A, np.ones(90), count=count)
+    assert S._split(A, count) is not None
+    kernel_shift = np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
+    assert [shift for _, shift in factors] == [kernel_shift] * 2
+    assert rep.kernel_dim == count
+    reference = np.linalg.eigvalsh(A.toarray())[:count]
+    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+
+
+def test_a_pair_just_above_tau_does_not_displace_a_kernel_window(monkeypatch):
+    """The plant of the partner test above, 1.5 tau in place of the lowest
+    nonzero eigenvalue of S_2 of the sphere, under a direct window of its
+    two kernel pairs: the first run holds the planted pair and one kernel
+    pair, and the certificate at tau against the kernel factor's count of
+    2 seeks the other on the complement.  The window takes that one
+    factor, and both pairs match dense eigh of the planted S_2 to 64 eps
+    |A| plus their residuals."""
+    be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
+    planted = _planting_a_pair_above_tau(monkeypatch, C.degree_space(be, 2).dim)
+    _, _, delta = C.build_deformed(be, 16.0, 2)
+    factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
+    rep = S.eigensolve(delta, C.mass_vector(be, delta.domain), count=2, k=2, s=16.0)
+    norm, tau = planted["sym"].norm, S.KERNEL_TAU_ABS * planted["sym"].norm
+    w = np.linalg.eigvalsh(planted["sym"].matrix.toarray())
+    assert w[1] <= tau < w[2] < 2 * tau
+    assert len(factors) == 1
+    assert [run["V"] is not None for run in runs] == [False, True]
+    assert rep.kernel_dim == 2
+    resid = np.asarray(rep.residual_norms)
+    assert resid.max() <= S.RESIDUAL_BOUND * max(norm, 1.0)
+    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:2])
                   <= 64 * np.finfo(float).eps * norm + resid)
 
 
