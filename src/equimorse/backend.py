@@ -117,15 +117,17 @@ class RevolutionProfile:
                 raise ProfileValidationError(f"unknown end kind {e!r}")
         if ("periodic" in self.ends) and self.ends != ("periodic", "periodic"):
             raise ProfileValidationError("periodic profiles must be periodic at both ends")
+        if not isinstance(self.n_grid, (int, np.integer)):
+            raise ProfileValidationError(f"n_grid must be an integer, got {self.n_grid!r}")
         if self.n_grid < 16:
             raise ProfileValidationError(f"n_grid = {self.n_grid} < 16")
         if self.n_grid > MAX_N_GRID:
             raise ProfileValidationError(
                 f"n_grid = {self.n_grid} > {MAX_N_GRID}, beyond the 32-bit index "
                 "range of the sparse factorizations")
-        if self.theta_max <= 0:
-            raise ProfileValidationError("theta_max must be positive")
-        if self.weight < 0 or int(self.weight) != self.weight:
+        if not 0.0 < self.theta_max < math.inf:
+            raise ProfileValidationError("theta_max must be positive and finite")
+        if not (self.weight >= 0 and float(self.weight).is_integer()):
             raise ProfileValidationError("weight must be a nonnegative integer")
 
     @property

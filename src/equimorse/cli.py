@@ -23,7 +23,7 @@ checks its range.  Recognized keys:
     [run]          case (a catalog case), n_grid, weight, kmax, out
     [geometry]     case parameters (e.g. c, R, r) as floats; the case
                    rejects the ones it does not take
-    [deformation]  s_list (comma-separated, nonnegative, ascending)
+    [deformation]  s_list (comma-separated, nonnegative, strictly ascending)
     [trace]        phi_kind (exp_decay | gaussian), phi_scale
     [local]        q (must be 1), s (> 0), m (>= 1), eps (+1 or -1)
 
@@ -107,7 +107,8 @@ KEYS = {
              "a case that `equimorse catalog` lists"),
     "n_grid": ("run", int), "weight": ("run", int), "kmax": ("run", int),
     "out": ("run", str),
-    "s_list": ("deformation", _parse_s_list, lambda v: v == sorted(v), "ascending"),
+    "s_list": ("deformation", _parse_s_list,
+               lambda v: all(a < b for a, b in zip(v, v[1:])), "strictly ascending"),
     "phi_kind": ("trace", str), "phi_scale": ("trace", float),
     "q": ("local", int, lambda v: v == 1, "1 (grid oracles cover one rotation plane)"),
     "s": ("local", float, lambda v: v > 0, "positive"),
@@ -416,7 +417,7 @@ def cmd_report(args) -> int:
 
 def _add_run_flags(p: argparse.ArgumentParser, *flags: str) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--s", dest="s_list", help="comma-separated ascending list")
+    p.add_argument("--s", dest="s_list", help="comma-separated strictly ascending list")
     p.add_argument("--param", action="append",
                    help="geometry parameter key=value (repeatable)")
     for flag in ("--case", "--n-grid", "--weight", "--out") + flags:

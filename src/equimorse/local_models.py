@@ -80,12 +80,12 @@ class LocalPointModel:
             raise ValueError("need one weight and one eps per rotation plane")
         if len(self.lambdas) != self.n - 2 * self.q:
             raise ValueError("need one lambda per fixed direction")
-        if any(m < 1 or int(m) != m for m in self.weights):
+        if any(not (m >= 1 and float(m).is_integer()) for m in self.weights):
             raise ValueError("rotation speeds must be positive integers")
         if any(e not in (-1, 1) for e in self.eps + self.lambdas):
             raise ValueError("eps and lambda entries must be +-1")
-        if self.s <= 0:
-            raise ValueError("deformation parameter must be positive")
+        if not 0.0 < self.s < math.inf:
+            raise ValueError("deformation parameter must be positive and finite")
 
     @property
     def index(self) -> int:
@@ -102,7 +102,7 @@ class LocalOrbitModel:
     transverse: LocalPointModel
 
     def __post_init__(self):
-        if self.speed < 1 or int(self.speed) != self.speed:
+        if not (self.speed >= 1 and float(self.speed).is_integer()):
             raise ValueError("orbit speed must be a positive integer")
 
     @property
@@ -128,15 +128,15 @@ def _lowest_tridiag(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray
 
 def ho_spectrum(a: float, count: int) -> list[float]:
     """Eigenvalues a(1+2p), p = 0..count-1, of -d^2/dx^2 + a^2 x^2."""
-    if a <= 0:
-        raise ValueError("oscillator frequency must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("oscillator frequency must be positive and finite")
     return [a * (1 + 2 * p) for p in range(count)]
 
 
 def ho_ground(a: float):
     """Unit-L^2-norm ground state x -> (a/pi)^{1/4} exp(-a x^2 / 2)."""
-    if a <= 0:
-        raise ValueError("oscillator frequency must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("oscillator frequency must be positive and finite")
     norm = (a / math.pi) ** 0.25
 
     def W(x):
@@ -148,6 +148,8 @@ def ho_ground(a: float):
 def ho_grid_spectrum(a: float, count: int) -> list[float]:
     """Finite-difference oracle for ho_spectrum on [-R, R], Dirichlet ends,
     R = sqrt(40/a)."""
+    if not 0.0 < a < math.inf:
+        raise ValueError("oscillator frequency must be positive and finite")
     R = math.sqrt(40.0 / a)
     n_grid = HO_GRID_POINTS
     h = 2.0 * R / (n_grid + 1)
@@ -170,8 +172,10 @@ def block_matrix_eigen(s: float, m: float, eps: int):
     into the pure t direction for eps = +1 and the pure eta direction for
     eps = -1.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
+    if not (0.0 < s < math.inf and 0.0 <= m < math.inf):
+        raise ValueError("need finite s > 0 and m >= 0")
+    if eps not in (-1, 1):
+        raise ValueError("eps must be +-1")
     r = math.hypot(s, m)
     if eps >= 0:
         v_plus = np.array([m, eps * s + r])
@@ -195,8 +199,8 @@ def ab_branch_spectra(s: float, m: float, eps: int, count: int):
     2s'(1+2p) -+ 2s'; the minus series starts at an exact zero for every
     eps, which carries the t-power tower of the kernel.
     """
-    if s <= 0 or m < 0:
-        raise ValueError("need s > 0 and m >= 0")
+    if not (0.0 < s < math.inf and 0.0 <= m < math.inf):
+        raise ValueError("need finite s > 0 and m >= 0")
     if eps not in (-1, 1):
         raise ValueError("eps must be +-1")
     a_vals = [2.0 * s * (1 + 2 * p) - 2.0 * eps * s for p in range(count)]
@@ -363,10 +367,18 @@ def near_zero_counts(be, s: float, kmax: int) -> list[int]:
     return counts
 
 
+def _model_extent(s: float) -> float:
+    """sqrt(80/s), the radius or half-width of a flat model at deformation s;
+    ValueError unless s is positive and finite."""
+    if not 0.0 < s < math.inf:
+        raise ValueError("deformation parameter must be positive and finite")
+    return math.sqrt(80.0 / s)
+
+
 def point_model_counts(weight: int, eps: int, s: float, kmax: int,
                        n_grid: int = 256) -> list[int]:
     """Near-zero counts of the assembled plane model around a fixed point."""
-    radius = math.sqrt(80.0 / s)
+    radius = _model_extent(s)
     profile, f = _backend.flat_point_profile(weight, eps, radius, n_grid)
     be = _backend.build_backend(profile, f)
     return near_zero_counts(be, s, kmax)
@@ -380,7 +392,9 @@ def orbit_model_counts(weight: int, lam: int, s: float, kmax: int,
     speed, which is the floor of the dpsi and t sectors, scales like s and
     clears the counting band at every s.
     """
-    half_width = math.sqrt(80.0 / s)
+    if not weight >= 1:
+        raise ValueError("orbit speed must be a positive integer")
+    half_width = _model_extent(s)
     orbit_radius = math.sqrt(s) / weight
     profile, f = _backend.flat_orbit_profile(weight, lam, half_width, n_grid,
                                              orbit_radius=orbit_radius)

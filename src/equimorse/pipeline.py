@@ -123,19 +123,19 @@ def verify_trace_inequalities(backend: BackendMatrices, s: float, kmax: int,
     return SlackReport(slack=slack, passed=passed)
 
 
-def euler_characteristic_check(backend: BackendMatrices, counts: MorseCounts | None,
+def euler_characteristic_check(backend: BackendMatrices, counts: MorseCounts,
                                betti) -> dict:
     """The Euler identity beta^n - beta^{n+1} = (-1)^n chi tying kernels to
     fixed points.
 
     lhs is the kernel side, rhs the count side with chi the signed
-    fixed-point count (orbits contribute zero; 0 without counts, as for
-    the circle), and pass is lhs == rhs.  de_rham_index is the same
-    kernel difference, dim ker Delta^n - dim ker Delta^{n+1}, solved
+    fixed-point count (orbits contribute zero; empty counts, as for the
+    circle, give chi = 0), and pass is lhs == rhs.  de_rham_index is the
+    same kernel difference, dim ker Delta^n - dim ker Delta^{n+1}, solved
     afresh.
     """
     n = backend.n
-    chi = sum((-1) ** k * c for k, c in enumerate(counts.c)) if counts is not None else 0
+    chi = sum((-1) ** k * c for k, c in enumerate(counts.c))
     lhs = betti[n] - betti[n + 1]
     rhs = (-1) ** n * chi
     return {
@@ -151,56 +151,46 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
              s_probes, kmax: int, trace_spec: spectral.TraceSpec) -> dict:
     """Full verification of one catalog case; returns the report payload.
 
-    kmax must be at least the dimension n, else ConfigurationError.  For
-    the circle (no Morse function) only the Betti numbers and the Euler
-    identity are checked.  The trace slacks reported under
-    'slack_thm2' are those at the largest probe; per-probe values are
-    embedded under 'trace_slack_per_s'.  s_probes may be any iterable; it
-    is read once.
+    kmax must be at least the dimension n, and the probes distinct, else
+    ConfigurationError before anything is solved.  s_probes may be any
+    iterable in any order; it is read once.  The circle (f None, no
+    invariant Morse function) is the case with no critical levels, empty
+    counts and no probes: its counting check is empty, so its Betti
+    numbers and Euler identity decide its status.  The trace slacks
+    reported under 'slack_thm2' are those at the largest probe; per-probe
+    values are embedded under 'trace_slack_per_s'.
     """
     s_probes = list(s_probes)
+    if len(set(s_probes)) < len(s_probes):
+        raise cartan.ConfigurationError(f"s probes must be distinct, got {s_probes}")
     be = build_backend(profile, f)
     if kmax < be.n:
         raise cartan.ConfigurationError(
             f"kmax = {kmax} is below the dimension n = {be.n} that the Euler check needs")
     betti = spectral.betti_numbers(be, kmax + 1)
-    status_parts = []
-
-    if f is not None:
+    if f is None:
+        levels, counts, s_probes = [], MorseCounts(c=[], d=[], tilde_c=[]), []
+    else:
         levels = find_critical_levels(profile, f)
         counts = morse_counts(levels, kmax)
-        counting = verify_counting_inequalities(counts, betti[:kmax + 1])
-        status_parts.append(counting.passed)
-        reps = [verify_trace_inequalities(be, sv, min(kmax, be.n + 1), trace_spec,
-                                          betti=betti)
-                for sv in s_probes]
-        trace_per_s = dict(zip(s_probes, reps))
-        for rep in reps:
-            status_parts.append(rep.passed)
-        largest = max(s_probes, default=0.0)
-        slack2 = trace_per_s[largest].slack if trace_per_s else []
-    else:
-        levels = []
-        counts = None
-        counting = None
-        trace_per_s = {}
-        slack2 = []
-
+    counting = verify_counting_inequalities(counts, betti[:kmax + 1])
+    trace = {sv: verify_trace_inequalities(be, sv, min(kmax, be.n + 1), trace_spec,
+                                           betti=betti)
+             for sv in s_probes}
     euler = euler_characteristic_check(be, counts, betti)
-    status_parts.append(euler["pass"])
-
-    report = {
+    return {
         "case": profile.name,
         "N": profile.n_grid,
-        "s_probes": [float(sv) for sv in s_probes] if f is not None else [],
+        "s_probes": [float(sv) for sv in s_probes],
         "betti": [int(b) for b in betti],
-        "c": counts.c if counts else [],
-        "d": counts.d if counts else [],
-        "tilde_c": counts.tilde_c if counts else [],
-        "slack_thm1": [float(x) for x in counting.slack] if counting else [],
-        "slack_thm2": [float(x) for x in slack2],
+        "c": counts.c,
+        "d": counts.d,
+        "tilde_c": counts.tilde_c,
+        "slack_thm1": [float(x) for x in counting.slack],
+        "slack_thm2": [float(x) for x in trace[max(s_probes)].slack] if trace else [],
         "euler": {"lhs": euler["lhs"], "rhs": euler["rhs"], "pass": euler["pass"]},
-        "status": "PASS" if all(status_parts) else "FAIL",
+        "status": "PASS" if all([counting.passed, euler["pass"],
+                                 *(rep.passed for rep in trace.values())]) else "FAIL",
         "levels": [
             {"kind": lv.kind, "theta": lv.theta, "index": lv.index,
              "value": lv.value}
@@ -208,7 +198,6 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
         ],
         "trace_slack_per_s": {
             format(float(sv), "g"): [float(x) for x in rep.slack]
-            for sv, rep in trace_per_s.items()
+            for sv, rep in trace.items()
         },
     }
-    return report

@@ -177,8 +177,9 @@ class TraceSpec:
     def __post_init__(self):
         if self.phi_kind not in ("exp_decay", "gaussian"):
             raise ValueError(f"unknown phi kind {self.phi_kind!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.ceiling() < math.inf:
+            raise ValueError("scale must be positive and finite, with a finite ceiling "
+                             f"Lambda, got {self.scale!r}")
 
     def ceiling(self) -> float:
         """The Lambda with phi(Lambda) = eps: each eigenvalue above it adds
@@ -791,8 +792,8 @@ def sweep_s(backend: BackendMatrices, k: int, s_list, trace_spec: TraceSpec,
     s_values = list(s_list)
     if any(sv < 0 for sv in s_values):
         raise ValueError("deformation parameters must be nonnegative")
-    if sorted(s_values) != s_values:
-        raise ValueError("s_list must be ascending")
+    if any(a >= b for a, b in zip(s_values, s_values[1:])):
+        raise ValueError("s_list must be strictly ascending")
     points, start = [], None
     for sv in s_values:
         rep = delta_spectrum(backend, k, s=sv, count=count,

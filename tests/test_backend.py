@@ -1,5 +1,6 @@
 """Structural identities and validation of the discretized calculus."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -192,6 +193,27 @@ def test_cone_singularity_rejected():
         weight=1, n_grid=64)
     with pytest.raises(B.ProfileValidationError, match="pole"):
         B.build_backend(profile, None)
+
+
+def _sphere_with(**changes):
+    profile, f = B.catalog("sphere_height", n_grid=32)
+    return B.build_backend(dataclasses.replace(profile, **changes), f)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _sphere_with(theta_max=math.nan),
+    lambda: _sphere_with(theta_max=math.inf),
+    lambda: B.build_backend(*B.flat_point_profile(1, -1, math.nan, 64)),
+    lambda: _sphere_with(n_grid=32.0),
+    lambda: _sphere_with(weight=math.nan),
+    lambda: _sphere_with(weight=math.inf),
+], ids=["nan-theta-max", "inf-theta-max", "nan-flat-radius", "float-n-grid",
+        "nan-weight", "inf-weight"])
+def test_a_nan_infinite_or_float_profile_input_is_rejected(build):
+    """NaN fails every range check, as in validate_backend: no NaN masses,
+    TypeError or bare ValueError from int()."""
+    with pytest.raises(B.ProfileValidationError):
+        build()
 
 
 def test_small_grid_rejected():

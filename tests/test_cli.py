@@ -197,6 +197,9 @@ def test_verify_matches_golden_report(case, tmp_path):
     # a spectrum is solved at one s
     ["spectrum", "--case", "sphere_height", "--n-grid", "64", "--s", "1,2"],
     ["sweep", "--case", "sphere_height", "--n-grid", "64", "--s", "4,0"],
+    # a repeated s is solved twice and reported once
+    ["verify", "--case", "sphere_height", "--n-grid", "32", "--s", "4,4"],
+    ["sweep", "--case", "sphere_height", "--n-grid", "64", "--s", "4,4,8"],
     # geometry and action the catalog rejects
     ["verify", "--case", "torus_height", "--n-grid", "64", "--param", "R=0.5"],
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--param", "R=-1"],
@@ -217,7 +220,8 @@ def test_verify_matches_golden_report(case, tmp_path):
         "spectrum-malformed-k", "sweep-malformed-count", "local-malformed-s",
         "local-malformed-weight", "local-eps-2", "verify-huge-int-n-grid",
         "local-huge-int-weight", "verify-unknown-case",
-        "spectrum-two-s", "sweep-descending-s", "verify-torus-R-below-r",
+        "spectrum-two-s", "sweep-descending-s", "verify-repeated-s", "sweep-repeated-s",
+        "verify-torus-R-below-r",
         "verify-negative-sphere-R", "verify-unused-param", "verify-negative-weight",
         "verify-circle-unused-param"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):

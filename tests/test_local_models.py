@@ -277,6 +277,31 @@ def test_model_validation():
         L.LocalOrbitModel(speed=0, transverse=_point(0, [], [1]))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: L.ho_spectrum(math.nan, 3),
+    lambda: L.ho_spectrum(math.inf, 3),
+    lambda: L.ho_ground(math.nan),
+    lambda: L.block_matrix_eigen(math.nan, 1.0, +1),
+    lambda: L.block_matrix_eigen(1.0, math.nan, +1),
+    lambda: L.ab_branch_spectra(math.nan, 1.0, +1, 3),
+    lambda: L.ab_branch_spectra(1.0, math.nan, +1, 3),
+    lambda: L.LocalPointModel(q=1, weights=(1,), eps=(1,), lambdas=(), n=2, s=math.nan),
+    lambda: L.LocalPointModel(q=1, weights=(math.inf,), eps=(1,), lambdas=(), n=2),
+    lambda: L.LocalOrbitModel(speed=math.inf, transverse=_point(0, [], [1])),
+    lambda: L.ho_grid_spectrum(0.0, 3),
+    lambda: L.point_model_counts(1, -1, 0.0, 4, n_grid=64),
+    lambda: L.orbit_model_counts(0, 1, 64.0, 4, n_grid=64),
+], ids=["ho-spectrum-nan", "ho-spectrum-inf", "ho-ground-nan", "block-nan-s",
+        "block-nan-m", "ab-nan-s", "ab-nan-m", "point-model-nan-s", "point-model-inf-weight",
+        "orbit-model-inf-speed", "ho-grid-zero", "point-counts-zero-s",
+        "orbit-counts-zero-weight"])
+def test_a_nan_infinite_or_zero_argument_is_rejected(call):
+    """Each range check fails NaN (not 0 < x < inf): no NaN spectrum and no
+    ZeroDivisionError."""
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # assembled flat models as count oracles (moderate grids; the acceptance
 # suite re-runs these at the production resolution)

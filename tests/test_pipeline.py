@@ -1,7 +1,9 @@
 """Critical levels, count sequences, both inequality families, Euler."""
 
 import collections
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -203,7 +205,7 @@ def test_euler_identity_circle():
     profile, f = B.catalog("circle_trivial")
     be = B.build_backend(profile, f)
     betti = S.betti_numbers(be, be.n + 1)
-    result = P.euler_characteristic_check(be, None, betti)
+    result = P.euler_characteristic_check(be, P.MorseCounts(c=[], d=[], tilde_c=[]), betti)
     assert result["pass"]
     assert result["lhs"] == 0
 
@@ -246,6 +248,57 @@ def test_run_case_reads_its_probes_once():
     assert P.run_case(profile, f, (sv for sv in probes), 4, S.TraceSpec()) == listed
     assert listed["s_probes"] == probes and len(listed["trace_slack_per_s"]) == 3
     assert listed["slack_thm2"] == listed["trace_slack_per_s"]["16"]
+
+
+def _counting_eigensolves(monkeypatch):
+    """The list that each later spectral.eigensolve call appends to."""
+    calls = []
+    eigensolve = S.eigensolve
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return eigensolve(*args, **kwargs)
+
+    monkeypatch.setattr(S, "eigensolve", counted)
+    return calls
+
+
+def test_the_circle_is_a_case_with_no_levels_counts_or_probes(monkeypatch):
+    """The circle runs the one path: empty counting check, no trace probe,
+    and its Betti numbers and Euler identity decide the status."""
+    golden = json.loads((pathlib.Path(__file__).parent / "golden"
+                         / "verify_circle_trivial_n256.json").read_text())
+    calls = _counting_eigensolves(monkeypatch)
+    report = P.run_case(*B.catalog("circle_trivial", weight=0), [1.0, 2.0], 3, S.TraceSpec())
+    assert list(report) == [key for key in golden if key != "config"]
+    assert report["s_probes"] == [] and report["trace_slack_per_s"] == {}
+    assert report["betti"] == [1, 1, 1, 1, 1]
+    for key in ("c", "d", "tilde_c", "slack_thm1", "slack_thm2", "levels"):
+        assert report[key] == [], key
+    assert report["euler"] == {"lhs": 0, "rhs": 0, "pass": True}
+    assert report["status"] == "PASS"
+    assert len(calls) == 7  # 5 Betti windows and 2 de Rham windows
+    calls.clear()
+    P.run_case(*B.catalog("circle_trivial", weight=1), [0.0], 4, S.TraceSpec())
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("case", ["sphere_height", "circle_trivial"])
+def test_a_repeated_probe_is_refused_before_any_solve(case, monkeypatch):
+    """A repeated s was solved twice and reported under one key."""
+    calls = _counting_eigensolves(monkeypatch)
+    with pytest.raises(C.ConfigurationError, match="distinct"):
+        P.run_case(*B.catalog(case, n_grid=32), [4.0, 4.0], 4, S.TraceSpec())
+    assert calls == []
+
+
+def test_probes_may_come_in_any_order():
+    profile, f = B.catalog("sphere_height", n_grid=32)
+    ordered = P.run_case(profile, f, [0.0, 4.0], 4, S.TraceSpec())
+    reversed_ = P.run_case(profile, f, [4.0, 0.0], 4, S.TraceSpec())
+    assert reversed_["s_probes"] == [4.0, 0.0]
+    assert reversed_["slack_thm2"] == ordered["slack_thm2"]
+    assert reversed_["trace_slack_per_s"] == ordered["trace_slack_per_s"]
 
 
 def test_circle_profile_has_no_morse_analysis():

@@ -260,6 +260,18 @@ def test_sweep_rejects_unsorted():
     be = B.build_backend(profile, f)
     with pytest.raises(ValueError):
         S.sweep_s(be, 0, [4.0, 2.0], S.TraceSpec())
+    # a repeated s would be solved twice, its rows differing in the last digits
+    with pytest.raises(ValueError, match="strictly ascending"):
+        S.sweep_s(be, 0, [4.0, 4.0], S.TraceSpec())
+
+
+@pytest.mark.parametrize("kind", ["exp_decay", "gaussian"])
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 1e308])
+def test_trace_spec_rejects_a_scale_without_a_finite_ceiling(kind, scale):
+    """A NaN scale failed later as a SolverError at sigma = nan, and an
+    infinite ceiling made every trace window the whole spectrum."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        S.TraceSpec(kind, scale)
 
 
 def test_eigenpair_residuals_reported(sphere):
