@@ -276,7 +276,10 @@ def build_laplacians(backend: BackendMatrices, s: float, kmax: int) -> list[EqOp
     space onto degree k: a block (i, k-2i) of degree k >= n+2 has i >= 1,
     since i = 0 would need the form degree k > n, so it is the t-image of
     the block (i-1, k-2i) of degree k-2.  Entry k is bitwise
-    build_deformed(backend, s, k)[2].
+    build_deformed(backend, s, k)[2].  The Betti loop
+    (spectral.betti_numbers) and local_models.near_zero_counts read this
+    list; verify's trace windows come from spectral.sweep_s, one degree
+    at a time, through build_deformed.
     """
     deltas: list[EqOperator] = []
     lo = None

@@ -275,10 +275,9 @@ def cmd_verify(args) -> int:
     report["config"] = _config(values, "kmax", "phi_kind", "phi_scale")
     _write(out, _json_text(report))
     print(f"case {case}: betti {report['betti']}")
-    if report["tilde_c"]:
-        print(f"  counts c={report['c']} d={report['d']} tilde_c={report['tilde_c']}")
-        print(f"  counting slack {report['slack_thm1']}")
-        print(f"  trace slack at s={max(s_list):g}: {report['slack_thm2']}")
+    print(f"  counts c={report['c']} d={report['d']} tilde_c={report['tilde_c']}")
+    print(f"  counting slack {report['slack_thm1']}")
+    print(f"  trace slack at s={max(s_list):g}: {report['slack_thm2']}")
     print(f"  euler {report['euler']}")
     print(f"  status {report['status']}  -> {out}")
     return 0 if report["status"] == "PASS" else 1
@@ -407,10 +406,9 @@ def cmd_report(args) -> int:
     print(f"case {payload.get('case')}  N={payload.get('N')}  "
           f"status {payload.get('status')}")
     print(f"  betti     {payload.get('betti')}")
-    if payload.get("tilde_c"):
-        print(f"  tilde_c   {payload.get('tilde_c')}")
-        print(f"  slack(counting) {payload.get('slack_thm1')}")
-        print(f"  slack(trace)    {payload.get('slack_thm2')}")
+    print(f"  tilde_c   {payload.get('tilde_c')}")
+    print(f"  slack(counting) {payload.get('slack_thm1')}")
+    print(f"  slack(trace)    {payload.get('slack_thm2')}")
     print(f"  euler     {payload.get('euler')}")
     return 0 if payload.get("status") == "PASS" else 1
 
@@ -470,6 +468,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except (ConfigError,
+            backend_mod.BackendError,
             backend_mod.ProfileValidationError,
             backend_mod.DegenerateCriticalLevelError,
             spectral_mod.AmbiguousKernelError,

@@ -22,6 +22,7 @@ trace version converges to the counting version (localization).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import cartan, spectral
@@ -32,6 +33,7 @@ from .backend import (
     RevolutionProfile,
     build_backend,
     find_critical_levels,
+    validate_backend,
 )
 
 __all__ = [
@@ -102,25 +104,27 @@ def verify_counting_inequalities(counts: MorseCounts, betti) -> SlackReport:
     return SlackReport(slack=slack, passed=all(sv >= 0 for sv in slack))
 
 
-def verify_trace_inequalities(backend: BackendMatrices, s: float, kmax: int,
+def verify_trace_inequalities(backend: BackendMatrices, s_probes, kmax: int,
                               trace_spec: spectral.TraceSpec,
-                              betti) -> SlackReport:
-    """Slack of the trace inequalities at one deformation parameter.
+                              betti) -> dict[float, SlackReport]:
+    """Slacks of the trace inequalities at each deformation parameter.
 
     slack_k(s) = sum_{j<=k} (-1)^{k-j} (mu_j(s) - beta_j) with
     mu_j = tr phi(Delta_s^j) and betti the equivariant Betti numbers of
     degrees 0 to at least kmax; nonnegative for every s because the
     alternating sum telescopes to the trace of a nonnegative operator.
-    Numerical tolerance: -1e-8.
+    Numerical tolerance: -1e-8.  Each degree j <= kmax is one
+    spectral.sweep_s over the probes in ascending order, so each window
+    starts from the one before; the probes must be distinct and
+    nonnegative.  Returns {s: SlackReport}, in ascending s.
     """
-    mus = []
-    for k, delta in enumerate(cartan.build_laplacians(backend, s, kmax)):
-        rep = spectral.eigensolve(delta, cartan.mass_vector(backend, delta.domain),
-                                  k=k, s=s, ceiling=trace_spec.ceiling())
-        mus.append(spectral.trace_phi(rep, trace_spec))
-    slack = _alternating_slack(mus, betti, kmax)
-    passed = all(sv >= -1e-8 for sv in slack)
-    return SlackReport(slack=slack, passed=passed)
+    probes = sorted(s_probes)
+    sweeps = [spectral.sweep_s(backend, k, probes, trace_spec) for k in range(kmax + 1)]
+    reports = {}
+    for i, sv in enumerate(probes):
+        slack = _alternating_slack([sw.points[i].mu for sw in sweeps], betti, kmax)
+        reports[sv] = SlackReport(slack=slack, passed=all(x >= -1e-8 for x in slack))
+    return reports
 
 
 def euler_characteristic_check(backend: BackendMatrices, counts: MorseCounts,
@@ -151,19 +155,25 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
              s_probes, kmax: int, trace_spec: spectral.TraceSpec) -> dict:
     """Full verification of one catalog case; returns the report payload.
 
-    kmax must be at least the dimension n, and the probes distinct, else
-    ConfigurationError before anything is solved.  s_probes may be any
-    iterable in any order; it is read once.  The circle (f None, no
-    invariant Morse function) is the case with no critical levels, empty
-    counts and no probes: its counting check is empty, so its Betti
-    numbers and Euler identity decide its status.  The trace slacks
-    reported under 'slack_thm2' are those at the largest probe; per-probe
-    values are embedded under 'trace_slack_per_s'.
+    kmax must be at least the dimension n, and the probes distinct,
+    nonnegative and finite, else ConfigurationError before anything is
+    solved.  The backend passes validate_backend, else BackendError, also
+    before any solve.  s_probes may be any iterable in any order; it is
+    read once.  The trace probes are one verify_trace_inequalities call,
+    a warm-started sweep per degree; the report lists them in the
+    caller's order.  The circle (f None, no invariant Morse function) is
+    the case with no critical levels, empty counts and no probes: its
+    counting check is empty, so its Betti numbers and Euler identity
+    decide its status.  The trace slacks reported under 'slack_thm2' are
+    those at the largest probe; per-probe values are embedded under
+    'trace_slack_per_s'.
     """
     s_probes = list(s_probes)
-    if len(set(s_probes)) < len(s_probes):
-        raise cartan.ConfigurationError(f"s probes must be distinct, got {s_probes}")
+    if len(set(s_probes)) < len(s_probes) or not all(0 <= sv < math.inf for sv in s_probes):
+        raise cartan.ConfigurationError(
+            f"s probes must be distinct, nonnegative and finite, got {s_probes}")
     be = build_backend(profile, f)
+    validate_backend(be)
     if kmax < be.n:
         raise cartan.ConfigurationError(
             f"kmax = {kmax} is below the dimension n = {be.n} that the Euler check needs")
@@ -174,9 +184,7 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
         levels = find_critical_levels(profile, f)
         counts = morse_counts(levels, kmax)
     counting = verify_counting_inequalities(counts, betti[:kmax + 1])
-    trace = {sv: verify_trace_inequalities(be, sv, min(kmax, be.n + 1), trace_spec,
-                                           betti=betti)
-             for sv in s_probes}
+    trace = verify_trace_inequalities(be, s_probes, min(kmax, be.n + 1), trace_spec, betti)
     euler = euler_characteristic_check(be, counts, betti)
     return {
         "case": profile.name,
@@ -197,7 +205,7 @@ def run_case(profile: RevolutionProfile, f: InvariantMorseFunction | None,
             for lv in levels
         ],
         "trace_slack_per_s": {
-            format(float(sv), "g"): [float(x) for x in rep.slack]
-            for sv, rep in trace.items()
+            format(float(sv), "g"): [float(x) for x in trace[sv].slack]
+            for sv in s_probes
         },
     }

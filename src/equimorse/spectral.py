@@ -10,9 +10,10 @@ parameter.  So every solve is one window of the lowest m eigenpairs,
 with m fixed beforehand: a count, or every eigenvalue below the caller's
 ceiling and one more.  The ceilings are 0, the default, for
 betti_numbers and de_rham_index (the kernel and the gap), and
-TraceSpec.ceiling() for the traces and for sweep_s and spectrum without
-a count.  inertia answers how many eigenvalues lie below some shifts,
-as local_models.near_zero_counts asks at s/10 and s/2, with no solve.
+TraceSpec.ceiling() for sweep_s, whose windows are verify's traces too,
+and for spectrum without a count.  inertia answers how many eigenvalues
+lie below some shifts, as local_models.near_zero_counts asks at s/10
+and s/2, with no solve.
 
 An eigenvalue belongs to the kernel when it is at most tau =
 KERNEL_TAU_ABS x |A|, with |A| the infinity norm of S.  Every factor is
@@ -76,6 +77,9 @@ frame M^{1/2} of S depends only on the backend and the degree, so
 sweep_s starts each window from the sum of the previous s's window
 vectors (SpectrumReport.ritz_sum), which holds most of the new window
 already; the certificate finds whatever such a start misses.
+pipeline.verify_trace_inequalities runs verify's trace probes as one
+such sweep per degree, so each trace window after a degree's first
+starts warm; betti_numbers, de_rham_index and spectrum pass no start.
 
 This module only computes; cli formats and writes every output file.
 """

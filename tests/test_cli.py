@@ -630,6 +630,28 @@ def test_report_subcommand(tmp_path, capsys):
     assert "PASS" in printed
 
 
+def test_the_circle_prints_every_line_of_a_morse_case(tmp_path, capsys):
+    """verify and report print the counts and both slacks for every case,
+    empty for the circle, which has no invariant Morse function."""
+    out = tmp_path / "report.json"
+    assert run(["verify", "--case", "circle_trivial", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "case circle_trivial: betti [1, 0, 0, 0, 0, 0]\n"
+        "  counts c=[] d=[] tilde_c=[]\n"
+        "  counting slack []\n"
+        "  trace slack at s=64: []\n"
+        "  euler {'lhs': 0, 'rhs': 0, 'pass': True}\n"
+        f"  status PASS  -> {out}\n")
+    assert run(["report", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "case circle_trivial  N=256  status PASS\n"
+        "  betti     [1, 0, 0, 0, 0, 0]\n"
+        "  tilde_c   []\n"
+        "  slack(counting) []\n"
+        "  slack(trace)    []\n"
+        "  euler     {'lhs': 0, 'rhs': 0, 'pass': True}\n")
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from equimorse import backend as B
 from equimorse import cartan as C
+from equimorse import cli
 from equimorse import local_models as L
 from equimorse import pipeline as P
 from equimorse import spectral as S
@@ -140,8 +141,8 @@ def test_counting_slack_strictly_positive_someplace():
 @pytest.mark.parametrize("s", [0.0, 4.0, 16.0])
 def test_trace_slack_nonnegative(sphere_setup, s):
     _, _, be = sphere_setup
-    report = P.verify_trace_inequalities(be, s, 3, S.TraceSpec(),
-                                         betti=S.betti_numbers(be, 3))
+    report = P.verify_trace_inequalities(be, [s], 3, S.TraceSpec(),
+                                         betti=S.betti_numbers(be, 3))[s]
     assert report.passed
     assert all(sv >= -1e-8 for sv in report.slack)
 
@@ -152,7 +153,7 @@ def test_trace_slack_converges_to_counting_slack(sphere_setup):
     counts = P.morse_counts(P.find_critical_levels(profile, f), 3)
     betti = S.betti_numbers(be, 3)
     counting = P.verify_counting_inequalities(counts, betti)
-    trace = P.verify_trace_inequalities(be, 64.0, 3, S.TraceSpec(), betti=betti)
+    trace = P.verify_trace_inequalities(be, [64.0], 3, S.TraceSpec(), betti=betti)[64.0]
     for a, b in zip(trace.slack, counting.slack):
         assert abs(a - b) <= 0.1
 
@@ -170,7 +171,7 @@ def test_orbit_circle_sector_excess_is_quantitative():
     a_star = float(profile.a(np.array([orbit.theta]))[0])
     predicted = math.exp(-(be.profile.weight * a_star) ** 2)
     betti = S.betti_numbers(be, 4)
-    trace = P.verify_trace_inequalities(be, 64.0, 3, S.TraceSpec(), betti=betti)
+    trace = P.verify_trace_inequalities(be, [64.0], 3, S.TraceSpec(), betti=betti)[64.0]
     assert trace.slack[1] == pytest.approx(predicted, rel=0.02)
     # degree 2: the same mode appears once more through the t-grading and
     # cancels in the alternating sum
@@ -185,7 +186,7 @@ def test_orbit_circle_sector_excess_vanishes_at_higher_speed():
     betti = S.betti_numbers(be, 4)
     counts = P.morse_counts(P.find_critical_levels(profile, f), 3)
     counting = P.verify_counting_inequalities(counts, betti[:4])
-    trace = P.verify_trace_inequalities(be, 48.0, 3, S.TraceSpec(), betti=betti)
+    trace = P.verify_trace_inequalities(be, [48.0], 3, S.TraceSpec(), betti=betti)[48.0]
     assert counting.slack == [0.0, 0.0, 0.0, 0.0]
     assert max(abs(a - b) for a, b in zip(trace.slack, counting.slack)) <= 0.1
 
@@ -292,6 +293,44 @@ def test_a_repeated_probe_is_refused_before_any_solve(case, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("probes", [[0.0, -1.0], [0.0, math.nan], [math.inf]],
+                         ids=["negative", "nan", "inf"])
+def test_a_negative_or_non_finite_probe_is_refused_before_any_build(probes, monkeypatch):
+    """A negative probe surfaced as sweep_s's plain ValueError, after the
+    Betti windows were solved."""
+    calls = _counting_eigensolves(monkeypatch)
+    monkeypatch.setattr(P, "build_backend", lambda *args: calls.append("build"))
+    with pytest.raises(C.ConfigurationError, match="nonnegative and finite"):
+        P.run_case(*B.catalog("sphere_height", n_grid=32), probes, 4, S.TraceSpec())
+    assert calls == []
+
+
+def test_a_broken_complex_is_refused_before_any_solve(monkeypatch, tmp_path, capsys):
+    """One i_v entry of the wrong sign breaks d i_v + i_v d = 0 on 1-forms:
+    run_case raises BackendError naming it, and verify exits 2 with one
+    line."""
+    build = P.build_backend
+
+    def broken(*args):
+        be = build(*args)
+        bad = be.iv[1].copy()
+        bad.data[bad.nnz // 2] *= -1.0
+        be.iv[1] = bad
+        return be
+
+    monkeypatch.setattr(P, "build_backend", broken)
+    calls = _counting_eigensolves(monkeypatch)
+    with pytest.raises(B.BackendError, match=r"cartan\[1\]"):
+        P.run_case(*B.catalog("sphere_height", n_grid=64), [0.0], 4, S.TraceSpec())
+    assert calls == []
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--case", "sphere_height", "--n-grid", "64",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: identity 'cartan[1]' violated") and err.count("\n") == 1
+    assert calls == [] and not out.exists()
+
+
 def test_probes_may_come_in_any_order():
     profile, f = B.catalog("sphere_height", n_grid=32)
     ordered = P.run_case(profile, f, [0.0, 4.0], 4, S.TraceSpec())
@@ -310,38 +349,62 @@ def test_circle_profile_has_no_morse_analysis():
         P.find_critical_levels(profile, const)
 
 
-def test_each_loop_assembles_each_derivative_once(monkeypatch):
-    """The Betti loop and each trace probe of run_case compose every
-    d_s^j, j <= n+1, exactly once, whatever else the run assembles."""
-    phase = [None]
+def test_the_betti_loop_assembles_each_derivative_once(monkeypatch):
+    """The Betti loop of run_case composes every d_s^j, j <= n+1, exactly
+    once, whatever else the run assembles."""
+    in_betti = [False]
     built = collections.Counter()
     derivative = C._derivative
+    betti_numbers = S.betti_numbers
 
     def counted(backend, s, k):
-        built[phase[0], k] += 1
+        if in_betti[0]:
+            built[k] += 1
         return derivative(backend, s, k)
 
-    def in_phase(fn, name):
-        def run(*args, **kwargs):
-            phase[0] = name(args)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                phase[0] = None
-        return run
+    def betti(*args, **kwargs):
+        in_betti[0] = True
+        try:
+            return betti_numbers(*args, **kwargs)
+        finally:
+            in_betti[0] = False
 
     monkeypatch.setattr(C, "_derivative", counted)
-    monkeypatch.setattr(S, "betti_numbers",
-                        in_phase(S.betti_numbers, lambda args: "betti"))
-    monkeypatch.setattr(P, "verify_trace_inequalities",
-                        in_phase(P.verify_trace_inequalities,
-                                 lambda args: ("trace", args[1])))
+    monkeypatch.setattr(S, "betti_numbers", betti)
     profile, f = B.catalog("sphere_height", n_grid=48)
     P.run_case(profile, f, [0.0, 16.0], 4, S.TraceSpec())
-    degrees = range(2 + 2)  # n = 2: derivatives 0..n+1
-    for name in ("betti", ("trace", 0.0), ("trace", 16.0)):
-        assert {k: built[name, k] for k in degrees} == dict.fromkeys(degrees, 1)
-    assert sum(n for (name, _), n in built.items() if name is not None) == 3 * 4
+    assert built == dict.fromkeys(range(2 + 2), 1)  # n = 2: derivatives 0..n+1
+
+
+def _cold_trace_slacks(be, probes, kmax, spec, betti):
+    """Per probe, the trace slacks of one cold window per degree on the
+    Laplacians of cartan.build_laplacians: the loop that verify ran before
+    its probes became one warm-started sweep per degree."""
+    slacks = {}
+    for sv in probes:
+        mus = [S.trace_phi(S.eigensolve(delta, C.mass_vector(be, delta.domain), k=k, s=sv,
+                                        ceiling=spec.ceiling()), spec)
+               for k, delta in enumerate(C.build_laplacians(be, sv, kmax))]
+        slacks[format(sv, "g")] = [
+            sum((-1.0) ** (k - j) * (mus[j] - betti[j]) for j in range(k + 1))
+            for k in range(kmax + 1)]
+    return slacks
+
+
+@pytest.mark.parametrize("n_grid", [64, 256])
+@pytest.mark.parametrize("case", ["sphere_height", "sphere_bumpy", "torus_height"])
+def test_warm_started_sweeps_give_the_cold_trace_slacks(case, n_grid):
+    """Every default probe's slacks, each window started from the one at
+    the probe before, agree with cold windows to the golden floor."""
+    profile, f = B.catalog(case, n_grid=n_grid)
+    probes = cli.RUN_DEFAULTS["s_list"]
+    report = P.run_case(profile, f, probes, 4, S.TraceSpec())
+    cold = _cold_trace_slacks(B.build_backend(profile, f), probes, 3, S.TraceSpec(),
+                              report["betti"])
+    assert list(report["trace_slack_per_s"]) == list(cold)
+    for key, slack in cold.items():
+        assert report["trace_slack_per_s"][key] == pytest.approx(slack, rel=1e-12,
+                                                                 abs=1e-11), key
 
 
 def test_near_zero_counts_take_no_inertia_from_degree_n_plus_2(monkeypatch):
