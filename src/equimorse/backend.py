@@ -447,11 +447,13 @@ def validate_backend(backend: BackendMatrices) -> dict:
     """Check the structural identities on every degree and return the residuals.
 
     On each degree j = 0..n the identities d.d = 0, i_v.i_v = 0,
-    d i_v + i_v d = 0 (Cartan), df.df = 0 and df i_v + i_v df = 0 are
-    checked wherever their maps exist; the report names each residual
-    with its degree, as in 'cartan[0]'.  A residual is the largest entry
-    of the composed map over the product of the largest entries of the
-    two families (each at least 1).  They hold exactly by construction;
+    d i_v + i_v d = 0 (Cartan), d df + df d = 0, df.df = 0 and
+    df i_v + i_v df = 0 are checked wherever their maps exist, in that
+    order; the report names each residual with its degree, as in
+    'cartan[0]'.  The first, fourth and fifth make d_s = d + s df a
+    complex at every s: d_s^2 = d^2 + s (d df + df d) + s^2 df^2.  A
+    residual is the largest entry of the composed map over the product
+    of the largest entries of the two families (each at least 1).  They hold exactly by construction;
     any residual beyond 1e-12 or NaN, or a mass that is not positive and
     finite, raises BackendError naming it.  An entry that no identity
     reaches, such as one in a pole column, is checked on its own: an
@@ -481,6 +483,8 @@ def validate_backend(backend: BackendMatrices) -> dict:
                 ("iv_squared", [(at(iv, j - 1), at(iv, j))], s_iv * s_iv),
                 ("cartan", [(at(d, j - 1), at(iv, j)), (at(iv, j + 1), at(d, j))],
                  s_d * s_iv),
+                ("d_dfwedge", [(at(d, j + 1), at(df, j)), (at(df, j + 1), at(d, j))],
+                 s_d * s_df),
                 ("df_squared", [(at(df, j + 1), at(df, j))], s_df * s_df),
                 ("cartan_df", [(at(df, j - 1), at(iv, j)), (at(iv, j + 1), at(df, j))],
                  s_df * s_iv)):

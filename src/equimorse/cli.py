@@ -316,6 +316,8 @@ def cmd_sweep(args) -> int:
                           dict(RUN_DEFAULTS, out="sweep_out", k=2))
     spec, k, s_list, out = (_trace_spec(values), values["k"], values["s_list"],
                             values["out"])
+    if not s_list:
+        raise ConfigError("sweep needs at least one s value")
     profile, f = backend_mod.catalog(values["case"], values["params"],
                                      n_grid=values["n_grid"], weight=values["weight"])
     eig_path, mu_path, meta_path = (os.path.join(out, name) for name in

@@ -81,14 +81,20 @@ pipeline.verify_trace_inequalities runs verify's trace probes as one
 such sweep per degree, so each trace window after a degree's first
 starts warm; betti_numbers, de_rham_index and spectrum pass no start.
 
+Every window returns its certificate with its report
+(SpectrumReport.certificate): per block, in solve order, its name in
+errors, its dimension and kernel count, the shift of each factor taken,
+each (cut, inertia) at which its pairs were counted, and each Lanczos
+run's pairs held, pairs sought and whether it started warm.  It is
+deterministic, and no output file holds it.
+
 This module only computes; cli formats and writes every output file.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -101,6 +107,7 @@ from .backend import BackendMatrices, _relative_defect, _scale
 
 __all__ = [
     "SpectrumReport",
+    "BlockCertificate",
     "TraceSpec",
     "SolverError",
     "CountError",
@@ -141,6 +148,34 @@ class TailBoundError(ValueError):
 
 
 @dataclass
+class BlockCertificate:
+    """How one block of S was solved and certified, in the order of the work.
+
+    name is the prefix that names the block in errors: "" for the whole
+    of S, "block 2 of 2 (dim 8192): " for a block of a split window, and
+    either after "partner " on a window solved on its partner
+    (delta_spectrum).  dim is the block's dimension and kernel the count
+    of its kernel factor, #{lambda <= tau}.  factors holds the shift of
+    every factor taken on the block: the kernel factor's, one float above
+    tau, first, then a ceiling's count, then each cut's.  checks holds
+    each (cut, inertia) at which the block's pairs were counted, the
+    inertia being #{lambda < cut}; a kernel window is checked at its
+    kernel factor's shift.  runs holds each shift-invert Lanczos run as
+    (pairs held, pairs sought, warm start): a first run holds none and is
+    warm when it starts from the block's part of a given start, and an
+    extension starts from the fixed vector.  A block that dense eigh
+    solves makes no first run.
+    """
+
+    name: str
+    dim: int
+    kernel: int
+    factors: list[float]
+    checks: list[tuple[float, int]] = field(default_factory=list)
+    runs: list[tuple[int, int, bool]] = field(default_factory=list)
+
+
+@dataclass
 class SpectrumReport:
     """The lowest eigenvalues of one operator with kernel bookkeeping.
 
@@ -157,6 +192,10 @@ class SpectrumReport:
     ritz_sum is the sum of the window's unit vectors v in that frame,
     M^{1/2}, which depends only on the backend and the degree: a Lanczos
     start for the window of a nearby s (sweep_s).
+    certificate holds one BlockCertificate per block, in the order the
+    blocks were solved: a partner window's partner blocks, then S_k's
+    kernel block.  Like ritz_sum it is left out of comparisons and of
+    every output file.
     """
 
     k: int
@@ -169,6 +208,8 @@ class SpectrumReport:
     operator_norm: float = 0.0
     separation: float = math.inf
     ritz_sum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    certificate: list[BlockCertificate] = field(default_factory=list, repr=False,
+                                                compare=False)
 
 
 @dataclass(frozen=True)
@@ -400,107 +441,36 @@ def _split(matrix, m: int):
 
 @dataclass
 class _Block:
-    """One connected block of S in a window: its matrix, its kernel factor
-    and count, the prefix that names it in errors (empty for the whole of
-    S), its rows in S, and its pairs, ascending (none before its solve,
-    _solve).  complete_below is a value below which the block's pairs
-    hold every eigenvalue it has (-inf until a certificate shows one);
-    sought is the number of pairs its last extension sought (infinite
-    before one)."""
+    """One connected block of S in a window: its matrix, its kernel factor,
+    its rows in S, its certificate, and its pairs, ascending (none before
+    _spectral solves it).  complete_below is a value below which the
+    block's pairs hold every eigenvalue it has (-inf until a check shows
+    one); sought is the number of pairs its last extension sought
+    (infinite before one, and again once a check finds none missing)."""
 
     sym: _Symmetric
     lu: object
-    kernel: int
-    name: str
     rows: np.ndarray | slice
+    cert: BlockCertificate
     w: np.ndarray | None = None
     V: np.ndarray | None = None
     resid: np.ndarray | None = None
     complete_below: float = -math.inf
     sought: float = math.inf
 
-    @property
-    def dim(self) -> int:
-        return self.sym.matrix.shape[0]
+    def count(self, sigma: float) -> int:
+        """#{lambda < sigma} by a factor at sigma, recorded in the certificate."""
+        self.cert.factors.append(sigma)
+        return _factor(self.sym, sigma)[1]
 
 
 def _kernel_block(sym: _Symmetric, tau: float, name: str = "",
                   rows=slice(None)) -> _Block:
     """S as a block with its kernel factor, one float above tau, so that it
-    counts #{lambda <= tau}."""
-    return _Block(sym, *_factor(sym, np.nextafter(tau, math.inf)), name, rows)
-
-
-@contextlib.contextmanager
-def _naming(name: str):
-    """A SolverError raised inside names where it was raised: a block of a
-    split window, or a partner window (delta_spectrum)."""
-    try:
-        yield
-    except SolverError as exc:
-        if not name:
-            raise
-        raise SolverError(name + str(exc)) from exc
-
-
-def _certify(block: _Block, cut: float, tau: float, bound: float,
-             below: int | None = None) -> None:
-    """Check a block's pairs at cut: the inertia there, below, which a
-    factor at cut counts unless it is given, as a kernel window gives its
-    kernel factor's count (_spectral), must count exactly the eigenvalues
-    it holds below cut.  What it lacks is sought on the complement of its
-    pairs, from the fixed start (_lanczos), and checked again at the next
-    cut.  A first certificate at a cut may find any number missing, as a
-    block of a split window starts from its share of the window, and so
-    may one at a higher cut, above a top cluster, once the block was
-    complete at a lower one; an extension after which at least as many
-    are missing as it sought found none of them, and raises SolverError,
-    as does an inertia below the pairs held."""
-    with _naming(block.name):
-        found = int(np.count_nonzero(block.w < cut))
-        if below is None:
-            below = _factor(block.sym, cut)[1]
-        missing = below - found
-        if not missing:
-            block.complete_below, block.sought = cut, math.inf
-            return
-        if not 0 < missing < block.sought:
-            raise SolverError(f"the window holds {found} eigenvalues below {cut:.6e}, "
-                              f"the inertia there is {below}")
-        block.w, block.V, block.resid = _lanczos(block.sym, block.lu, tau,
-                                                 block.w.size + missing, bound, block.V)
-        block.sought = missing
-
-
-def _solve(b: _Block, size: int, tau: float, bound: float, start) -> None:
-    """A block's first size pairs: none for a size of 0, by dense eigh when
-    2 size > dim_c or its norm is 0, else by shift-invert Lanczos on its
-    kernel factor (_lanczos), started from start[rows] unless that part is
-    zero or no start is given.  Either way the pairs are only kept, not
-    certified: _spectral certifies every block (_certify)."""
-    with _naming(b.name):
-        S = b.sym.matrix
-        if not size:  # the kernel pairs of a partner window with kappa_k = 0
-            b.w, b.V, b.resid = _rayleigh(S, np.zeros((b.dim, 0)))
-        elif 2 * size > b.dim or b.sym.norm == 0:
-            b.w, b.V, b.resid = _rayleigh(
-                S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
-        else:
-            part = None if start is None or not start[b.rows].any() else start[b.rows]
-            b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, start=part)
-
-
-def _blocks(sym: _Symmetric, parts, tau: float, m: int):
-    """The connected blocks of S with the rows in parts, each with its
-    kernel factor and named in errors "block 2 of 2 (dim 8192): ",
-    and each one's share of a window of m pairs, m dim_c / dim rounded up,
-    and one more."""
-    dim = sym.matrix.shape[0]
-    blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
-                            f"block {i + 1} of {len(parts)} (dim {rows.size}): ",
-                            rows)
-              for i, rows in enumerate(parts)]
-    return blocks, [-(-m * b.dim // dim) + 1 for b in blocks]
+    counts #{lambda <= tau}: the first factor of its certificate."""
+    shift = np.nextafter(tau, math.inf)
+    lu, kernel = _factor(sym, shift)
+    return _Block(sym, lu, rows, BlockCertificate(name, sym.matrix.shape[0], kernel, [shift]))
 
 
 def eigensolve(operator, mass: np.ndarray, count: int | None = None,
@@ -531,13 +501,14 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     kernel factor as the inverse (_lanczos), started from start[rows],
     the block's part of start (dim floats in the frame of S, as
     SpectrumReport.ritz_sum gives them), or from the fixed vector when
-    that part is zero or no start is given (_solve).  The window is the
-    lowest m of the merged pairs, certified once by the module's rule
-    (_spectral): at tau by the blocks' kernel factors when they count at
-    least m, else at the merged cut.  Every block, dense or Lanczos, must
-    hold every eigenvalue its inertia counts below the cut, and what one
-    lacks is sought on the complement of its pairs (_certify) until none
-    lacks any.  An unsplit window is the one-block case.
+    that part is zero or no start is given.  The window is the lowest m
+    of the merged pairs, certified once by the module's rule (_spectral):
+    at tau by the blocks' kernel factors when they count at least m, else
+    at the merged cut.  Every block, dense or Lanczos, must hold every
+    eigenvalue its inertia counts below the cut, and what one lacks is
+    sought on the complement of its pairs until none lacks any.  An
+    unsplit window is the one-block case.  The report's certificate
+    records each block's factors, checks and Lanczos runs.
     On every block, kernel_dim must equal the kernel factor's count, or
     the pairs it holds if fewer (SolverError), and every returned pair
     must have a residual within RESIDUAL_BOUND x max(|A|, 1), with |A|
@@ -557,73 +528,118 @@ def eigensolve(operator, mass: np.ndarray, count: int | None = None,
     if parts is None:
         blocks = [_kernel_block(sym, tau)]
         if count is None:
-            below = blocks[0].kernel if ceiling <= tau else _factor(sym, ceiling)[1]
+            below = blocks[0].cert.kernel if ceiling <= tau else blocks[0].count(ceiling)
             count = min(below + 1, dim)
         sizes = [count]
-    else:
-        blocks, sizes = _blocks(sym, parts, tau, count)
+    else:  # each block starts from its share, rounded up, and one more
+        blocks = [_kernel_block(_stored(sp.csr_matrix(sym.matrix[rows][:, rows])), tau,
+                                f"block {i + 1} of {len(parts)} (dim {rows.size}): ", rows)
+                  for i, rows in enumerate(parts)]
+        sizes = [-(-count * rows.size // dim) + 1 for rows in parts]
     return _spectral(sym, blocks, sizes, count, k, s, start)
 
 
 def _spectral(sym: _Symmetric, blocks: list[_Block], sizes, m: int, k: int, s: float,
               start, ritz_sum=None) -> SpectrumReport:
-    """The window of the lowest m pairs of S over its blocks, each solved
-    from sizes[c] pairs (_solve), then certified and checked: the one
-    window loop of eigensolve and of delta_spectrum's kernel pairs.
+    """The window of the lowest m pairs of S over its blocks, and its
+    certificate: the one window loop of eigensolve and of delta_spectrum's
+    kernel pairs, which solves, extends and certifies every block.
 
-    The module's kernel rule is decided here, from counts: a window of at
+    Each block is first solved for sizes[c] pairs: none for a size of 0,
+    by dense eigh when 2 sizes[c] > dim_c or its norm is 0, else by
+    shift-invert Lanczos on its kernel factor (_lanczos), started from
+    its part of start unless that part is zero or no start is given.
+    The module's kernel rule is then decided from counts: a window of at
     most sum_c kappa_c pairs, the blocks' kernel counts, is the kernel,
-    and each block is certified one float above tau against min(kappa_c,
-    m), with no further factor.  Any other window is certified at _cut of
+    and each block is checked one float above tau against min(kappa_c,
+    m), with no further factor.  Any other window is checked at _cut of
     its top, or as far above the top when two or more of the m lie
-    between the cut and the top.  Either way what a block lacks is sought
-    on the complement of its pairs (_certify).  On every block, its
-    kernel eigenvalues in the window must number its kernel factor's
-    count, or its pairs in the window if fewer, and every pair must have
-    a residual within RESIDUAL_BOUND x max(|A|, 1), with |A| that of the
-    whole of S, else SolverError naming the block.  The report's ritz_sum
-    is the window's vectors added into ritz_sum, dim floats in the frame
-    of S, by default zeros.
+    between the cut and the top, by a factor there on each block.  A
+    block's check must count exactly the eigenvalues it holds below the
+    cut; what it lacks is sought on the complement of its pairs, from the
+    fixed start, and checked again at the next cut, until every block is
+    complete below the cut.  A first check at a cut may find any number
+    missing, as a block of a split window starts from its share, and so
+    may one at a higher cut once the block was complete at a lower one;
+    an extension after which at least as many are missing as it sought
+    found none of them and raises SolverError, as does an inertia below
+    the pairs held.  On every block, its kernel eigenvalues in the window
+    must number its kernel factor's count, or its pairs in the window if
+    fewer, and every pair must have a residual within RESIDUAL_BOUND x
+    max(|A|, 1), with |A| that of the whole of S, else SolverError.  A
+    SolverError raised on a named block carries its name.  The report's
+    ritz_sum is the window's vectors added into ritz_sum, dim floats in
+    the frame of S, by default zeros, and its certificate is the blocks'
+    BlockCertificates in order.
     """
     tau = KERNEL_TAU_ABS * sym.norm
     bound = RESIDUAL_BOUND * max(sym.norm, 1.0)
-    kernel = m <= sum(b.kernel for b in blocks)  # the window is the kernel
-    for b, size in zip(blocks, sizes):
-        _solve(b, size, tau, bound, start)
-    while True:  # until every block holds all its eigenvalues below the merged cut
-        merged = np.concatenate([b.w for b in blocks])
-        order = np.argsort(merged, kind="stable")[:m]
-        if kernel:
-            cut = np.nextafter(tau, math.inf)
-        else:
-            top, cut = merged[order[-1]], _cut(merged[order[-1]])
-            if np.count_nonzero(merged[order] >= cut) > 1:  # hold the top cluster whole
-                cut = 2 * top - cut
-        pending = [b for b in blocks if b.complete_below < cut]
-        if not pending:
-            break
-        _certify(pending[0], cut, tau, bound, min(pending[0].kernel, m) if kernel else None)
+    kernel = m <= sum(b.cert.kernel for b in blocks)  # the window is the kernel
+    try:
+        for b, size in zip(blocks, sizes):
+            S = b.sym.matrix
+            if not size:  # the kernel pairs of a partner window with kappa_k = 0
+                b.w, b.V, b.resid = _rayleigh(S, np.zeros((b.cert.dim, 0)))
+            elif 2 * size > b.cert.dim or b.sym.norm == 0:
+                b.w, b.V, b.resid = _rayleigh(
+                    S, sla.eigh(S.toarray(), driver="evd")[1][:, :size])
+            else:
+                part = None if start is None or not start[b.rows].any() else start[b.rows]
+                b.cert.runs.append((0, size, part is not None))
+                b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, size, bound, start=part)
+        while True:  # until every block holds all its eigenvalues below the merged cut
+            merged = np.concatenate([b.w for b in blocks])
+            order = np.argsort(merged, kind="stable")[:m]
+            if kernel:
+                cut = np.nextafter(tau, math.inf)
+            else:
+                top, cut = merged[order[-1]], _cut(merged[order[-1]])
+                if np.count_nonzero(merged[order] >= cut) > 1:  # hold the top cluster whole
+                    cut = 2 * top - cut
+            pending = [b for b in blocks if b.complete_below < cut]
+            if not pending:
+                break
+            b = pending[0]
+            inertia = b.cert.kernel if kernel else b.count(cut)
+            b.cert.checks.append((cut, inertia))
+            below = min(inertia, m) if kernel else inertia
+            found = int(np.count_nonzero(b.w < cut))
+            missing = below - found
+            if not missing:
+                b.complete_below, b.sought = cut, math.inf
+                continue
+            if not 0 < missing < b.sought:
+                raise SolverError(f"the window holds {found} eigenvalues below {cut:.6e}, "
+                                  f"the inertia there is {below}")
+            b.cert.runs.append((b.w.size, missing, False))
+            b.w, b.V, b.resid = _lanczos(b.sym, b.lu, tau, b.w.size + missing, bound, b.V)
+            b.sought = missing
 
-    w = merged[order]
-    resid = np.concatenate([b.resid for b in blocks])[order]
-    owner = np.repeat(np.arange(len(blocks)), [b.w.size for b in blocks])[order]
-    first = np.cumsum([0] + [b.w.size for b in blocks])
-    ritz_sum = np.zeros(sym.matrix.shape[0]) if ritz_sum is None else ritz_sum
+        w = merged[order]
+        resid = np.concatenate([b.resid for b in blocks])[order]
+        owner = np.repeat(np.arange(len(blocks)), [b.w.size for b in blocks])[order]
+        first = np.cumsum([0] + [b.w.size for b in blocks])
+        ritz_sum = np.zeros(sym.matrix.shape[0]) if ritz_sum is None else ritz_sum
+        for i, b in enumerate(blocks):
+            mine = owner == i
+            ritz_sum[b.rows] += b.V[:, order[mine] - first[i]].sum(axis=1)
+            kd_b = int(np.count_nonzero(w[mine] <= tau))
+            if kd_b != min(b.cert.kernel, int(np.count_nonzero(mine))):
+                raise SolverError(f"{kd_b} window eigenvalues are at most tau = {tau:.3e}, "
+                                  f"the inertia there is {b.cert.kernel}")
+            bad = int(np.count_nonzero(resid[mine] > bound))
+            if bad:
+                raise SolverError(f"{bad} eigenpairs exceed the residual bound "
+                                  f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
+    except SolverError as exc:  # named by the block it was raised on
+        if not b.cert.name:
+            raise
+        raise SolverError(b.cert.name + str(exc)) from exc
     kd, gap, separation = _kernel_split(w, tau)
-    for i, b in enumerate(blocks):
-        mine = owner == i
-        ritz_sum[b.rows] += b.V[:, order[mine] - first[i]].sum(axis=1)
-        kd_b = int(np.count_nonzero(w[mine] <= tau))
-        if kd_b != min(b.kernel, int(np.count_nonzero(mine))):
-            raise SolverError(f"{b.name}{kd_b} window eigenvalues are at most "
-                              f"tau = {tau:.3e}, the inertia there is {b.kernel}")
-        bad = int(np.count_nonzero(resid[mine] > bound))
-        if bad:
-            raise SolverError(f"{b.name}{bad} eigenpairs exceed the residual bound "
-                              f"{RESIDUAL_BOUND:.0e} x |A| = {bound:.3e}")
     return SpectrumReport(k=k, s=s, eigenvalues=w.tolist(), kernel_dim=kd, gap=gap,
                           residual_norms=resid.tolist(), dim=sym.matrix.shape[0],
-                          operator_norm=sym.norm, separation=separation, ritz_sum=ritz_sum)
+                          operator_norm=sym.norm, separation=separation, ritz_sum=ritz_sum,
+                          certificate=[b.cert for b in blocks])
 
 
 def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
@@ -658,8 +674,10 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     64 eps of Delta^k and Delta^{k+1}, kappa_{k+1} the index of B away
     from kappa_k, and kappa_k the window's kernel dimension at S_k's tau.
     The report keeps S_k's dim and |A|, and its ritz_sum is the sum of the
-    kernel vectors plus B~^T times the partner's, in S_k's frame.  Windows
-    without a count, and so every window of verify, never take it.
+    kernel vectors plus B~^T times the partner's, in S_k's frame.  Its
+    certificate is the partner's, each name after "partner ", then S_k's
+    kernel block.  Windows without a count, and so every window of
+    verify, never take it.
     """
     d, d_star, delta = cartan.build_deformed(backend, s, k)
     mass = cartan.mass_vector(backend, delta.domain)
@@ -682,19 +700,22 @@ def delta_spectrum(backend: BackendMatrices, k: int, s: float = 0.0,
     pmass = cartan.mass_vector(backend, above.domain)
     Bt = _scale(B.matrix, np.sqrt(pmass), 1.0 / np.sqrt(mass))
     del B, B_star
-    with _naming("partner "):
+    try:
         partner = eigensolve(above, pmass, count=count + pdim - dim, k=k + 1, s=s,
                              start=None if start is None else Bt @ start)
+    except SolverError as exc:
+        raise SolverError("partner " + str(exc)) from exc
     del above
     sym = _symmetrized(delta, mass)
     tau = KERNEL_TAU_ABS * sym.norm
     kernel = _kernel_block(sym, tau)
-    kappa = min(kernel.kernel, count)
+    kappa = min(kernel.cert.kernel, count)
     if partner.kernel_dim != kappa + pdim - dim:
         raise SolverError(f"partner: kernel dimensions {kappa} of degree {k} and "
                           f"{partner.kernel_dim} of degree {k + 1} break the index of B")
     # the kernel pairs, whose vectors add to the partner's in S_k's frame
     rep = _spectral(sym, [kernel], [kappa], kappa, k, s, start, Bt.T @ partner.ritz_sum)
+    rep.certificate[:0] = [replace(c, name="partner " + c.name) for c in partner.certificate]
     nonzero = slice(partner.kernel_dim, partner.kernel_dim + count - kappa)
     rep.eigenvalues += partner.eigenvalues[nonzero]
     rep.residual_norms += partner.residual_norms[nonzero]

@@ -44,7 +44,7 @@ def test_validate_backend_names_each_identity_per_degree(case):
         # one orbit: no d.d, i_v.i_v or df terms exist, only d i_v + i_v d
         expected = {"cartan[0]", "cartan[1]"}
     else:
-        expected = {"d_squared[0]", "iv_squared[2]", "df_squared[0]",
+        expected = {"d_squared[0]", "iv_squared[2]", "d_dfwedge[0]", "df_squared[0]",
                     *(f"{name}[{j}]" for name in ("cartan", "cartan_df") for j in range(3))}
     assert set(report) == expected
     assert all(type(v) is float and v <= 1e-12 for v in report.values())

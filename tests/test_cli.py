@@ -206,6 +206,8 @@ def test_verify_matches_golden_report(case, tmp_path):
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--param", "foo=1"],
     ["verify", "--case", "sphere_height", "--n-grid", "64", "--weight", "-1"],
     ["verify", "--case", "circle_trivial", "--param", "R=2", "--param", "bogus=1"],
+    # a sweep of no s would write empty files and call its kernel constant
+    ["sweep", "--case", "sphere_height", "--n-grid", "32", "--s", ""],
 ], ids=["verify-empty-s", "spectrum-negative-k", "sweep-negative-k",
         "sweep-tail-bound", "sweep-zero-count", "spectrum-negative-count",
         "spectrum-count-above-dim", "verify-nan-s", "verify-inf-s",
@@ -223,7 +225,7 @@ def test_verify_matches_golden_report(case, tmp_path):
         "spectrum-two-s", "sweep-descending-s", "verify-repeated-s", "sweep-repeated-s",
         "verify-torus-R-below-r",
         "verify-negative-sphere-R", "verify-unused-param", "verify-negative-weight",
-        "verify-circle-unused-param"])
+        "verify-circle-unused-param", "sweep-empty-s"])
 def test_bad_input_is_a_one_line_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
@@ -522,15 +524,6 @@ def test_csv_write_is_atomic(tmp_path, sphere, monkeypatch):
         cli._write_eigenvalues(target, [spectral.delta_spectrum(sphere, 0, count=4)])
     assert target.read_text() == "previous contents\n"
     assert os.listdir(tmp_path) == ["eigs.csv"]
-
-
-def test_sweep_empty_s_list_gives_header_only(tmp_path):
-    out = tmp_path / "sweep"
-    code = run(["sweep", "--case", "sphere_height", "--n-grid", "64",
-                "--k", "2", "--s", "", "--out", str(out)])
-    assert code == 0
-    rows = (out / "eigenvalues.csv").read_text().strip().splitlines()
-    assert rows == ["k,s,index,value"]
 
 
 def test_spectrum_subcommand(tmp_path):

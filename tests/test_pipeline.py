@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -305,30 +306,48 @@ def test_a_negative_or_non_finite_probe_is_refused_before_any_build(probes, monk
     assert calls == []
 
 
-def test_a_broken_complex_is_refused_before_any_solve(monkeypatch, tmp_path, capsys):
-    """One i_v entry of the wrong sign breaks d i_v + i_v d = 0 on 1-forms:
-    run_case raises BackendError naming it, and verify exits 2 with one
-    line."""
+def _refused_before_any_solve(monkeypatch, tmp_path, capsys, plant, identity):
+    """run_case on a catalog backend with plant(be) applied raises
+    BackendError naming the identity, and verify exits 2 with one line;
+    neither solves anything or writes the report."""
     build = P.build_backend
-
-    def broken(*args):
-        be = build(*args)
-        bad = be.iv[1].copy()
-        bad.data[bad.nnz // 2] *= -1.0
-        be.iv[1] = bad
-        return be
-
-    monkeypatch.setattr(P, "build_backend", broken)
+    monkeypatch.setattr(P, "build_backend", lambda *args: plant(build(*args)))
     calls = _counting_eigensolves(monkeypatch)
-    with pytest.raises(B.BackendError, match=r"cartan\[1\]"):
+    with pytest.raises(B.BackendError, match=rf"^identity '{re.escape(identity)}' violated"):
         P.run_case(*B.catalog("sphere_height", n_grid=64), [0.0], 4, S.TraceSpec())
-    assert calls == []
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--case", "sphere_height", "--n-grid", "64",
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: identity 'cartan[1]' violated") and err.count("\n") == 1
+    assert err.startswith(f"error: identity '{identity}' violated") and err.count("\n") == 1
     assert calls == [] and not out.exists()
+
+
+def _an_iv_entry_flipped(be):
+    be.iv[1] = be.iv[1].copy()
+    be.iv[1].data[be.iv[1].nnz // 2] *= -1.0
+    return be
+
+
+def test_a_broken_complex_is_refused_before_any_solve(monkeypatch, tmp_path, capsys):
+    """One i_v entry of the wrong sign breaks d i_v + i_v d = 0 on 1-forms."""
+    _refused_before_any_solve(monkeypatch, tmp_path, capsys, _an_iv_entry_flipped,
+                              "cartan[1]")
+
+
+def _a_dtheta_dfwedge_entry(be):
+    bad = be.dfwedge[1].tolil()
+    bad[5, 5] = 1.0  # the first be.dims[2] columns of 1-forms are the dtheta ones
+    be.dfwedge[1] = bad.tocsr()
+    return be
+
+
+def test_a_planted_mixed_term_is_named_before_df_squared(monkeypatch, tmp_path, capsys):
+    """One entry of df wedge on 1-forms planted in a dtheta column breaks
+    both d df + df d = 0 and df.df = 0 on functions, the s and s^2 terms
+    of d_s^2.  The mixed term is checked first, so it names the fault."""
+    _refused_before_any_solve(monkeypatch, tmp_path, capsys, _a_dtheta_dfwedge_entry,
+                              "d_dfwedge[0]")
 
 
 def test_probes_may_come_in_any_order():

@@ -1,16 +1,16 @@
 """Eigensolver, kernel detection, traces and sweeps."""
 
 import dataclasses
-import inspect
 import json
 import math
 import re
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -504,11 +504,10 @@ def test_an_arpack_error_is_a_solver_error(sphere, monkeypatch):
 def test_kernel_must_match_the_inertia_at_tau(sphere, monkeypatch):
     # the first factor is the kernel factor, one float above tau; one
     # negative pivot too many
-    factor = S._factor
     calls = []
 
     def overcounting(A, shift):
-        lu, negatives = factor(A, shift)
+        lu, negatives = _FACTOR(A, shift)
         calls.append(shift)
         return lu, negatives + (len(calls) == 1)
 
@@ -654,8 +653,8 @@ def test_window_matches_dense_eigh(planted):
 def _planted_blocks(draw):
     """Two or three connected path Laplacians of 30 to 80 nodes, some
     repeated bitwise, permuted and mass-scaled as _planted_operators does,
-    with a count that gives every block a share of at least
-    _MIN_SHARE pairs, so that the window is solved block by block."""
+    with a count that gives every block a share of at least 10 pairs,
+    so that the window is solved block by block."""
     blocks, size = [], draw(st.integers(2, 3))
     while len(blocks) < size:
         n = draw(st.integers(30, 80))
@@ -664,7 +663,7 @@ def _planted_blocks(draw):
                                                    min_size=n - 1, max_size=n - 1)))
         blocks += [_path_laplacian(weights)] * draw(st.integers(1, size - len(blocks)))
     dim, smallest = sum(b.shape[0] for b in blocks), min(b.shape[0] for b in blocks)
-    count = draw(st.integers(-(-S._MIN_SHARE * dim // smallest), dim))
+    count = draw(st.integers(-(-10 * dim // smallest), dim))
     return (*_mass_scaled(blocks, draw(st.integers(0, 2 ** 32 - 1))), {"count": count})
 
 
@@ -672,33 +671,6 @@ def _planted_blocks(draw):
 @given(_planted_blocks())
 def test_a_window_over_connected_blocks_matches_dense_eigh(planted):
     _assert_dense_prefix(*planted)
-
-
-def _spy(monkeypatch, name):
-    """The positional arguments of every call to spectral.<name> from here on."""
-    calls, real = [], getattr(S, name)
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(S, name, spy)
-    return calls
-
-
-def _spy_runs(monkeypatch):
-    """The arguments, by name, of every call to spectral._lanczos from here
-    on.  A first run holds no pairs (V is None); an extension holds the
-    block's pairs."""
-    runs, real = [], S._lanczos
-    signature = inspect.signature(real)
-
-    def spy(*args, **kwargs):
-        call = signature.bind(*args, **kwargs)
-        call.apply_defaults()
-        runs.append(call.arguments)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(S, "_lanczos", spy)
-    return runs
 
 
 def _chains(sizes, scales, seed=0):
@@ -709,41 +681,126 @@ def _chains(sizes, scales, seed=0):
                          for n, c in zip(sizes, scales)], seed)
 
 
+def _assert_prefix_of_eigvalsh(rep, dense, n=None):
+    """The lowest n pairs of rep's window, by default all, are the prefix of
+    dense eigvalsh: each eigenvalue within 64 eps |A| plus its residual norm."""
+    n = len(rep.eigenvalues) if n is None else n
+    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms[:n])
+    assert np.all(np.abs(np.asarray(rep.eigenvalues[:n]) - np.linalg.eigvalsh(dense)[:n])
+                  <= allowed)
+
+
+def _kernel_shift(rep):
+    """The shift of a window's kernel factors, one float above its tau."""
+    return np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
+
+
+@cache
+def _catalog_backend(case):
+    return B.build_backend(*B.catalog(case, n_grid=256))
+
+
+@st.composite
+def _certified_windows(draw):
+    """A window of _planted_blocks, or of delta_spectrum on a catalog case
+    at N = 256: degree 0..3, s = 0 or 16 (the circle only 0), a count of
+    1, 2, 6 or 24 (at most dim) or the ceiling 0 or Lambda.  Its start is
+    none or a random one, zero on the first connected block of S_k when
+    so drawn.  Returns the solve, the window, the start and the dense S_k
+    and S_{k+1} (None for a planted window)."""
+    if draw(st.booleans()):
+        A, mass, dense, window = draw(_planted_blocks())
+        solve, above = partial(S.eigensolve, A, mass), None
+    else:
+        case = draw(st.sampled_from(B.CATALOG_CASES))
+        be, k = _catalog_backend(case), draw(st.integers(0, 3))
+        s = 0.0 if case == "circle_trivial" else draw(st.sampled_from([0.0, 16.0]))
+        dense, above = (_symmetrized(delta, C.mass_vector(be, delta.domain))
+                        for delta in (C.build_deformed(be, s, j)[2] for j in (k, k + 1)))
+        window = draw(st.sampled_from(
+            [{"count": min(m, len(dense))} for m in (1, 2, 6, 24)]
+            + [{"ceiling": c} for c in (0.0, S.TraceSpec().ceiling())]))
+        solve = partial(S.delta_spectrum, be, k, s)
+    start = None
+    if draw(st.booleans()):
+        start = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(
+            len(dense))
+        start[_block_rows(dense)[0]] *= draw(st.sampled_from([0.0, 1.0]))
+    return partial(solve, start=start, **window), window, start, dense, above
+
+
+def _block_rows(S_):
+    """The rows of each connected block of S, dense or sparse, in the
+    order of their first row."""
+    _, labels = csgraph.connected_components(sp.csr_matrix(S_), directed=False)
+    return [np.flatnonzero(labels == c) for c in range(labels.max() + 1)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_certified_windows())
+def test_the_certificate_holds_each_blocks_counts_factors_and_runs(drawn):
+    """Each block's certificate, read against dense eigvalsh of its block
+    (of S_{k+1} on a partner window): the dims are the blocks', so they
+    add up to the operator's; every (cut, inertia) is the dense count
+    below the cut, to 1e-12 |S| as for inertia, and so is the kernel
+    count at the first factor, the kernel factor's, one float above tau;
+    a ceiling's count and one factor per cut that is not tau's follow; a
+    first run is warm exactly when its part of start is nonzero, and an
+    extension never is.  Two identical calls give equal certificates."""
+    solve, window, start, dense, above = drawn
+    rep = solve()
+    assert rep.certificate == solve().certificate
+    partner = [c for c in rep.certificate if c.name.startswith("partner ")]
+    own = rep.certificate[len(partner):]
+    tau = S.KERNEL_TAU_ABS * rep.operator_norm
+    assert own[0].factors[0] == _kernel_shift(rep)
+    # a window sized by a ceiling above tau counts it on its one block
+    counted = [window["ceiling"]] if window.get("ceiling", 0.0) > tau else []
+    for blocks, S_ in ((partner, above), (own, dense)):
+        rows = _block_rows(S_) if len(blocks) > 1 else [np.arange(len(S_)) for _ in blocks]
+        assert [c.dim for c in blocks] == [r.size for r in rows]
+        for block, r in zip(blocks, rows):
+            slack = 1e-12 * max(np.abs(S_).sum(axis=1).max(), 1.0)
+            lam = np.linalg.eigvalsh(S_[np.ix_(r, r)])
+            for cut, inertia in [*block.checks, (block.factors[0], block.kernel)]:
+                assert (np.count_nonzero(lam < cut - slack) <= inertia
+                        <= np.count_nonzero(lam < cut + slack)), (block.name, cut)
+            cuts = [cut for cut, _ in block.checks if cut != block.factors[0]]
+            assert block.factors[1:] == counted + cuts
+            warm = start is not None and (start if blocks is partner else start[r]).any()
+            assert [w for held, _, w in block.runs] == [
+                warm and not held for held, _, _ in block.runs], block.name
+
+
 @pytest.mark.parametrize("sizes,count", [
     ((40, 40), 20), ((45, 60), 24), ((60, 70, 80), 40),
 ])
-def test_a_count_window_is_solved_block_by_block(sizes, count, monkeypatch):
+def test_a_count_window_is_solved_block_by_block(sizes, count):
     """Every block's share, count x dim_c / dim, is at least 10 pairs: each
     block starts from its own Lanczos run, and the merged window is the
     dense prefix to 64 eps |A| plus its residuals, with one kernel vector
     per chain."""
     A, mass, dense = _chains(sizes, [1.0, 3.0, 0.5])
-    runs = _spy_runs(monkeypatch)
     rep = S.eigensolve(A, mass, count=count)
-    assert sorted(run["sym"].matrix.shape[0] for run in runs if run["V"] is None) \
-        == sorted(sizes)
-    reference = np.linalg.eigvalsh(dense)[:count]
-    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+    assert sorted(c.dim for c in rep.certificate) == sorted(sizes)
+    assert all(c.runs[0][0] == 0 for c in rep.certificate)  # each starts with a first run
+    _assert_prefix_of_eigvalsh(rep, dense)
     assert rep.kernel_dim == len(sizes)
     assert len(rep.residual_norms) == count
     assert max(rep.residual_norms) <= S.RESIDUAL_BOUND * max(rep.operator_norm, 1.0)
 
 
-def test_a_short_block_is_extended_on_the_complement_of_its_pairs(monkeypatch):
+def test_a_short_block_is_extended_on_the_complement_of_its_pairs():
     """Chains of 55 and 65 nodes at weight scales 1 and 9: the first holds
     about 17 of the lowest 24 eigenvalues but starts from its share and
     one more, 11 + 1.  Its top lies below the merged top, its inertia
     there counts more, and the missing pairs are sought with the 12 it
-    holds kept."""
+    holds kept; the other block is not extended."""
     A, mass, dense = _chains((55, 65), [1.0, 9.0])
-    runs = _spy_runs(monkeypatch)
     rep = S.eigensolve(A, mass, count=24)
-    extensions = [run for run in runs if run["V"] is not None]
-    assert extensions and extensions[0]["V"].shape[1] == 12
-    reference = np.linalg.eigvalsh(dense)[:24]
-    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+    extensions = [(c.dim, held) for c in rep.certificate for held, _, _ in c.runs if held]
+    assert extensions == [(55, 12)]
+    _assert_prefix_of_eigvalsh(rep, dense)
     assert rep.kernel_dim == 2
 
 
@@ -763,6 +820,16 @@ def _overcounting_factor(sym, shift):
     return lu, negatives + (shift < 1e-6)
 
 
+def _overcounting_on(dim):
+    """spectral._factor with one negative pivot too many at every factor
+    of an S of dimension dim at a shift in (0, 1): on S_2 of the sphere,
+    its kernel factor alone, one float above tau."""
+    def overcounting(sym, shift):
+        lu, negatives = _FACTOR(sym, shift)
+        return lu, negatives + (sym.matrix.shape[0] == dim and 0 < shift < 1.0)
+    return overcounting
+
+
 @pytest.mark.parametrize("target,patch,count,why", [
     ("spla.eigsh", _dropping_eigsh, 24, "the window holds .* the inertia there is"),
     ("spla.eigsh", _mixing_eigsh, 24, r"\d+ eigenpairs exceed the residual bound"),
@@ -780,37 +847,63 @@ def test_a_failure_on_a_split_window_names_its_block(target, patch, count, why,
         S.eigensolve(A, mass, count=count)
 
 
+def _eigsh_runs(monkeypatch, dropped=lambda i, dim: 0):
+    """(dim, k, start) of every scipy eigsh run from here on.  Run i,
+    counted from 0, on a matrix of dimension dim loses its lowest
+    dropped(i, dim) pairs, as _dropping_eigsh loses one."""
+    runs = []
+
+    def eigsh(A, k, **kwargs):
+        runs.append((A.shape[0], k, kwargs["v0"]))
+        lost = dropped(len(runs) - 1, A.shape[0])
+        w, V = _EIGSH(A, k + lost, **kwargs)
+        return w[lost:], V[:, lost:]
+    monkeypatch.setattr(S.spla, "eigsh", eigsh)
+    return runs
+
+
+def _returned_reports(monkeypatch):
+    """Every SpectrumReport that spectral.eigensolve returns from here on."""
+    reports, eigensolve = [], S.eigensolve
+
+    def spy(*args, **kwargs):
+        reports.append(eigensolve(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(S, "eigensolve", spy)
+    return reports
+
+
 def test_verify_solves_every_window_on_the_whole_operator(tmp_path, monkeypatch):
     """verify sizes its windows by ceilings, the kernel and gap or Lambda,
     so none is split: one Lanczos run per window, none an extension."""
-    windows = _spy(monkeypatch, "eigensolve")
-    runs = _spy_runs(monkeypatch)
+    reports = _returned_reports(monkeypatch)
     assert cli.main(["verify", "--case", "sphere_height", "--n-grid", "64",
                      "--out", str(tmp_path / "report")]) == 0
-    assert len(windows) == len(runs) > 0
-    assert all(run["V"] is None for run in runs)
+    assert reports
+    for rep in reports:
+        (block,) = rep.certificate
+        assert block.dim == rep.dim and [held for held, _, _ in block.runs] == [0]
 
 
-def test_an_odd_degree_count_window_solves_its_two_blocks(monkeypatch):
+def test_an_odd_degree_count_window_solves_its_two_blocks():
     """Degree 1 of the sphere at N = 256: the dtheta and the dphi rows do
     not couple, and a count of 24 gives each a share of about 12."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-    runs = _spy_runs(monkeypatch)
     rep = S.delta_spectrum(be, 1, s=16.0, count=24)
-    dims = [run["sym"].matrix.shape[0] for run in runs if run["V"] is None]
-    assert len(dims) == 2 and sum(dims) == rep.dim
+    dims = [c.dim for c in rep.certificate if c.runs[0][0] == 0]
+    assert len(dims) == len(rep.certificate) == 2 and sum(dims) == rep.dim
     reference, sym = _dense_spectrum(be, 1, 16.0)
     assert np.abs(np.asarray(rep.eigenvalues) - reference[:24]).max() \
         <= 64 * np.finfo(float).eps * sym.norm
 
 
-def _first_starts(runs):
-    """The start of every first run among runs (_spy_runs)."""
-    return [run["start"] for run in runs if run["V"] is None]
+def _first_runs_warm(rep):
+    """Whether each first Lanczos run of a window started warm, in solve order."""
+    return [warm for c in rep.certificate for held, _, warm in c.runs if not held]
 
 
 @pytest.mark.parametrize("case", ["sphere_height", "torus_height"])
-def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
+def test_a_sweep_window_is_the_cold_start_window(case):
     """Each sweep window after the first starts from the ritz_sum of the
     one before; it must still be the window that a cold start certifies
     on the assembled Delta^k, with no partner: every eigenvalue within
@@ -823,14 +916,10 @@ def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
     s_list = [4.0, 8.0, 16.0, 32.0, 64.0]
     runs = [1, 2, 3 if case == "sphere_height" else 2, 2]
     for k in range(4):
-        calls = _spy_runs(monkeypatch)
         sweep = S.sweep_s(be, k, s_list, S.TraceSpec(), count=24)
-        monkeypatch.undo()
-        starts = _first_starts(calls)
         # the first window's runs start cold, every later one warm
-        assert len(starts) == runs[k] * len(s_list), k
-        assert all(x is None for x in starts[:runs[k]])
-        assert all(x is not None and x.any() for x in starts[runs[k]:])
+        started = [_first_runs_warm(point.report) for point in sweep.points]
+        assert started == [[False] * runs[k]] + [[True] * runs[k]] * (len(s_list) - 1), k
         for point in sweep.points:
             warm = point.report
             _, _, delta = C.build_deformed(be, point.s, k)
@@ -844,7 +933,7 @@ def test_a_sweep_window_is_the_cold_start_window(case, monkeypatch):
             assert warm.kernel_dim == cold.kernel_dim, (k, point.s)
 
 
-def test_a_start_blind_to_a_wanted_eigenvector_is_caught_by_the_certificate(monkeypatch):
+def test_a_start_blind_to_a_wanted_eigenvector_is_caught_by_the_certificate():
     """S diagonal, in a permuted order, with a start that is exactly zero on
     the basis vector of its third eigenvalue: no Krylov vector of that
     start has a component there, so the first run misses the pair.  The
@@ -856,26 +945,28 @@ def test_a_start_blind_to_a_wanted_eigenvector_is_caught_by_the_certificate(monk
     A = sp.diags(diag[perm], format="csr")
     start = np.cos(np.arange(diag.size) + 0.25)
     start[np.flatnonzero(perm == 2)] = 0.0
-    runs = _spy_runs(monkeypatch)
     rep = S.eigensolve(A, np.ones(diag.size), count=6, start=start)
-    assert [run["V"] is None for run in runs] == [True, False]
+    # a warm first run, and one extension from the fixed vector
+    assert [(held == 0, warm) for held, _, warm in rep.certificate[0].runs] == [
+        (True, True), (False, False)]
     assert np.abs(np.asarray(rep.eigenvalues) - diag[:6]).max() <= 1e-12 * diag.max()
     assert rep.kernel_dim == 1
 
 
 def test_a_zero_start_falls_back_to_the_fixed_vector(monkeypatch):
     """A start that is zero on a block's rows starts that block from the
-    fixed vector: bitwise the window of no start at all."""
+    fixed vector: bitwise the window of no start at all.  The other
+    block starts from its rows of start, as they are."""
     A, mass, _ = _chains((40, 50), [1.0, 2.0])
     cold = S.eigensolve(A, mass, count=24)
-    rows = S._split(A, 24)
+    rows = _block_rows(A)[1]
     start = np.zeros(90)
     assert S.eigensolve(A, mass, count=24, start=start).eigenvalues == cold.eigenvalues
-    start[rows[1]] = cold.ritz_sum[rows[1]]
-    runs = _spy_runs(monkeypatch)
+    start[rows] = cold.ritz_sum[rows]
+    runs = _eigsh_runs(monkeypatch)
     warm = S.eigensolve(A, mass, count=24, start=start)
-    starts = _first_starts(runs)
-    assert starts[0] is None and np.array_equal(starts[1], start[rows[1]])
+    assert _first_runs_warm(warm) == [False, True]
+    assert np.array_equal(runs[1][2], start[rows])
     assert np.abs(np.asarray(warm.eigenvalues) - cold.eigenvalues).max() \
         <= 64 * np.finfo(float).eps * cold.operator_norm + 2 * max(cold.residual_norms)
     with pytest.raises(ValueError, match="shape"):
@@ -883,23 +974,23 @@ def test_a_zero_start_falls_back_to_the_fixed_vector(monkeypatch):
 
 
 @pytest.mark.parametrize("window", ["chains", "sphere"])
-def test_a_split_window_without_a_miss_takes_two_factors_per_block(window, monkeypatch):
+def test_a_split_window_without_a_miss_takes_two_factors_per_block(window):
     """Each block takes its kernel factor and one factor at the merged cut,
-    the same for every block; no block is extended."""
+    1e-8 max(|top|, 1) below the window's top, the same for every block;
+    each is checked there once, and no block is extended."""
     if window == "chains":
         A, mass, _ = _chains((40, 50), [1.0, 1.0])
-        solve = partial(S.eigensolve, A, mass, count=24)
+        rep = S.eigensolve(A, mass, count=24)
     else:
         be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-        solve = partial(S.delta_spectrum, be, 1, s=16.0, count=24)
-    runs = _spy_runs(monkeypatch)
-    factors = _spy(monkeypatch, "_factor")
-    rep = solve()
-    assert [run["V"] is None for run in runs] == [True, True]
-    assert len(factors) == 4
-    kernel_shift = np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
-    assert [shift for _, shift in factors[:2]] == [kernel_shift] * 2
-    assert factors[2][1] == factors[3][1] == S._cut(rep.eigenvalues[-1])
+        rep = S.delta_spectrum(be, 1, s=16.0, count=24)
+    top = rep.eigenvalues[-1]
+    cut = top - 1e-8 * max(abs(top), 1.0)
+    assert len(rep.certificate) == 2
+    for block in rep.certificate:
+        assert block.factors == [_kernel_shift(rep), cut]
+        assert [c for c, _ in block.checks] == [cut]
+        assert [held for held, _, _ in block.runs] == [0]
 
 
 def test_a_count_inside_a_close_cluster_takes_its_lowest_members():
@@ -946,20 +1037,23 @@ def test_every_window_edge_through_a_close_cluster_matches_dense_eigh(seed):
         _assert_dense_prefix(A, mass, dense, window)
 
 
-def test_a_complete_block_may_find_more_missing_at_a_higher_cut():
-    """A window whose top joins a cluster is certified again above it, and
-    that certificate may lack more pairs than the block's last extension
-    sought: on diag(1..40), pairs 1, 2 extended by one at 3.5 and complete
-    there still take 4, 5, 6 at 6.5."""
-    sym = S._symmetrized(sp.diags(np.arange(1.0, 41.0)), np.ones(40))
-    tau = S.KERNEL_TAU_ABS * sym.norm
-    bound = S.RESIDUAL_BOUND * sym.norm
-    b = S._kernel_block(sym, tau)
-    b.w, b.V, b.resid = S._lanczos(sym, b.lu, tau, 2, bound)
-    for cut in (3.5, 3.5, 6.5, 6.5):
-        S._certify(b, cut, tau, bound)
-    assert b.complete_below == 6.5
-    assert np.allclose(b.w, np.arange(1.0, 7.0), rtol=0, atol=1e-12)
+def test_a_complete_block_may_find_more_missing_at_a_higher_cut(monkeypatch):
+    """A block checked again at a higher cut once it was complete may lack
+    more pairs than its last extension sought.  The cuts are planted: the
+    first two are at 3.5 and every later one at 6.5.  On
+    diag(1..40), the window of pairs 1, 2 is extended by one at 3.5, is
+    complete there, and still takes 4, 5, 6 at 6.5."""
+    tops = []
+
+    def rising(top):
+        tops.append(top)
+        return 3.5 if len(tops) <= 2 else 6.5
+    monkeypatch.setattr(S, "_cut", rising)
+    rep = S.eigensolve(sp.diags(np.arange(1.0, 41.0), format="csr"), np.ones(40), count=2)
+    (block,) = rep.certificate
+    assert block.checks == [(3.5, 3), (3.5, 3), (6.5, 6), (6.5, 6)]
+    assert block.runs == [(0, 2, False), (2, 1, False), (3, 3, False)]
+    assert np.allclose(rep.eigenvalues, [1.0, 2.0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("error", [
@@ -1087,15 +1181,20 @@ def _dense_pairs(be, k, s):
     return w, np.linalg.norm(A @ V - V * w, axis=0), sym.norm
 
 
-def _spy_cartan(monkeypatch):
-    """The degree of every partner that cartan._cartan builds."""
-    built, real = [], C._cartan
+def _assert_dense_window(be, k, s, eigenvalues, residual_norms):
+    """A window of degree k at s is the prefix of dense eigh of S, every
+    eigenvalue within 64 eps |A| plus both residual norms; returns the
+    dense eigenvalues and |A|."""
+    w, resid, norm = _dense_pairs(be, k, s)
+    n = len(eigenvalues)
+    allowed = 64 * np.finfo(float).eps * norm + resid[:n] + np.asarray(residual_norms)
+    assert np.all(np.abs(np.asarray(eigenvalues) - w[:n]) <= allowed), (k, s)
+    return w, norm
 
-    def spy(be, s, k, mid):
-        built.append(k)
-        return real(be, s, k, mid)
-    monkeypatch.setattr(C, "_cartan", spy)
-    return built
+
+def _on_partner(rep):
+    """Whether a window was solved on its partner, as its certificate names it."""
+    return any(c.name.startswith("partner ") for c in rep.certificate)
 
 
 @pytest.mark.parametrize("n_grid", [64, 256])
@@ -1105,7 +1204,7 @@ def _spy_cartan(monkeypatch):
 ], ids=["sphere", "bumpy+0.6", "bumpy-0.6", "torus"])
 @pytest.mark.parametrize("k", [2, 4])
 def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
-        case, params, k, n_grid, monkeypatch):
+        case, params, k, n_grid):
     """Delta^k = B*B and Delta^{k+1} = BB* for k >= n.  A count of 24
     leaves the partner window of degree k+1 a share of 11 or 12 pairs in
     each of its dtheta and dphi blocks, so the window is solved on them;
@@ -1113,92 +1212,62 @@ def test_an_even_window_through_its_partner_is_a_prefix_of_dense_eigh(
     the window is the prefix of dense eigh: every eigenvalue within
     64 eps |A| plus both residuals, and the same kernel dimension."""
     be = B.build_backend(*B.catalog(case, params, n_grid=n_grid))
-    built = _spy_cartan(monkeypatch)
     for s in (0.0, 4.0, 64.0):
-        w, resid, norm = _dense_pairs(be, k, s)
         for count in (24, 6):
-            built.clear()
             rep = S.delta_spectrum(be, k, s=s, count=count)
-            assert built == ([k] if count == 24 else []), (s, count)
-            allowed = (64 * np.finfo(float).eps * norm + resid[:count]
-                       + np.asarray(rep.residual_norms))
-            assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:count]) <= allowed), \
-                (s, count)
+            assert _on_partner(rep) == (count == 24), (s, count)
+            w, norm = _assert_dense_window(be, k, s, rep.eigenvalues, rep.residual_norms)
             assert rep.kernel_dim == np.count_nonzero(w[:count] <= S.KERNEL_TAU_ABS * norm)
 
 
 @pytest.mark.parametrize("case,params", [("sphere_height", {}), ("torus_height", {"R": 2.8})],
                          ids=["sphere", "torus"])
-def test_a_window_solved_on_its_partner_has_small_residuals(case, params, monkeypatch):
+def test_a_window_solved_on_its_partner_has_small_residuals(case, params):
     """The nonzero pairs of a window solved on its partner are the
     partner's own, with their residuals on S_{k+1}, and the kernel pairs
     come from S_k's kernel factor: every residual of degrees 2 and 4 at
     N = 1024 is within 64 eps |A|, with |A| that of S_k."""
     be = B.build_backend(*B.catalog(case, params, n_grid=1024))
-    built = _spy_cartan(monkeypatch)
     for k in (2, 4):
         for s in (4.0, 64.0):
             rep = S.delta_spectrum(be, k, s=s, count=24)
+            assert _on_partner(rep), (k, s)
             assert len(rep.residual_norms) == 24
             assert max(rep.residual_norms) <= 64 * np.finfo(float).eps * rep.operator_norm, \
                 (k, s)
-    assert built == [2, 2, 4, 4]
 
 
-def _dropping_a_partner_pair(monkeypatch, block, then=lambda: None):
-    """spectral._solve, with the lowest pair of the partner block named
-    block dropped after its first solve; then then() is called."""
-    real = S._solve
-
-    def solve(b, *args):
-        real(b, *args)
-        if b.name.startswith(block):
-            b.w, b.V, b.resid = (np.delete(x, 0, axis=-1) for x in (b.w, b.V, b.resid))
-            then()
-    monkeypatch.setattr(S, "_solve", solve)
+def _extensions(rep):
+    """(block name, pairs sought) of every extension of a window."""
+    return [(c.name, sought) for c in rep.certificate for held, sought, _ in c.runs if held]
 
 
 def test_a_mapped_pair_that_goes_missing_is_found_by_the_certificate(sphere, monkeypatch):
-    """The lowest pair of the first partner block of degree 3, a nonzero
-    pair of the degree-2 window, is dropped after its solve: the
-    partner's inertia at its merged cut then counts one more eigenvalue
-    than that block holds, and one extension on its complement finds it,
-    as on any split window."""
-    w, resid, norm = _dense_pairs(sphere, 2, 16.0)
-    _dropping_a_partner_pair(monkeypatch, "block 1 of 2")
-    runs = _spy_runs(monkeypatch)
+    """The first run of the first partner block of degree 3, the first
+    run of the window, loses its lowest pair, a nonzero pair of the
+    degree-2 window: the partner's inertia at its merged cut then counts
+    one more eigenvalue than that block holds, and one extension on its
+    complement finds it, as on any split window."""
+    _eigsh_runs(monkeypatch, lambda i, _: i == 0)
     rep = S.delta_spectrum(sphere, 2, s=16.0, count=24)
-    extensions = [run for run in runs if run["V"] is not None]
-    assert len(extensions) == 1 and extensions[0]["m"] == extensions[0]["V"].shape[1] + 1
-    assert extensions[0]["sym"].matrix.shape[0] < rep.dim  # a partner block
-    allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
+    (extension,) = _extensions(rep)
+    assert extension[0].startswith("partner block 1 of 2 (dim ") and extension[1] == 1
+    _assert_dense_window(sphere, 2, 16.0, rep.eigenvalues, rep.residual_norms)
     assert rep.kernel_dim == 2
 
 
 def test_a_missing_mapped_pair_that_is_not_found_fails_the_certificate(sphere, monkeypatch):
-    """As above, on the last partner block, and the extension loses its
-    pair too (_dropping_eigsh on every run after that block's solve): the
-    partner's certificate raises, and the error names the partner block."""
-    _dropping_a_partner_pair(monkeypatch, "block 2 of 2", lambda: monkeypatch.setattr(
-        S.spla, "eigsh", _dropping_eigsh))
+    """As above, on the last partner block, whose first run is the
+    window's second, and the extension loses its pair too: every run
+    from that one on loses its lowest pair.  The partner's certificate
+    raises, and the error names the partner block."""
+    _eigsh_runs(monkeypatch, lambda i, _: i >= 1)
     with pytest.raises(S.SolverError,
                        match=r"^partner block 2 of 2 \(dim \d+\): the window holds (\d+) "
                        r"eigenvalues below \S+, the inertia there is (\d+)$") as info:
         S.delta_spectrum(sphere, 2, s=16.0, count=24)
     held, below = map(int, re.search(r"holds (\d+) .* is (\d+)$", str(info.value)).groups())
     assert below == held + 1
-
-
-def _spy_eigsh(monkeypatch):
-    """(dim, k) of every scipy eigsh call from here on."""
-    calls = []
-
-    def spy(A, k, **kwargs):
-        calls.append((A.shape[0], k))
-        return _EIGSH(A, k, **kwargs)
-    monkeypatch.setattr(S.spla, "eigsh", spy)
-    return calls
 
 
 @pytest.mark.parametrize("dropped", [False, True], ids=["whole", "dropped"])
@@ -1209,18 +1278,15 @@ def test_a_window_without_a_kernel_solves_only_its_partner(torus, dropped, monke
     With a partner pair dropped, the one extension seeks exactly that
     pair, on a partner block.  Either way the window is the prefix of
     dense eigh."""
-    if dropped:
-        _dropping_a_partner_pair(monkeypatch, "block 1 of 2")
-    calls, factors = _spy_eigsh(monkeypatch), _spy(monkeypatch, "_factor")
+    _eigsh_runs(monkeypatch, lambda i, _: dropped and i == 0)
     rep = S.delta_spectrum(torus, 2, s=16.0, count=24)
-    assert calls and all(dim < rep.dim for dim, _ in calls)
-    assert [call[0].matrix.shape[0] for call in factors].count(rep.dim) == 1
-    assert [k for _, k in calls][2:] == ([1] if dropped else [])
+    *partner, own = rep.certificate
+    assert len(partner) == 2 and all(c.dim < rep.dim and c.runs for c in partner)
+    assert (own.dim, own.factors, own.runs) == (rep.dim, [_kernel_shift(rep)], [])
+    assert [sought for _, sought in _extensions(rep)] == ([1] if dropped else [])
     if not dropped:
         assert rep.eigenvalues == S.delta_spectrum(torus, 3, s=16.0, count=24).eigenvalues
-    w, resid, norm = _dense_pairs(torus, 2, 16.0)
-    allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
+    _assert_dense_window(torus, 2, 16.0, rep.eigenvalues, rep.residual_norms)
     assert rep.kernel_dim == 0
 
 
@@ -1234,32 +1300,20 @@ def test_a_partner_window_takes_its_kernel_from_the_one_kernel_factor(monkeypatc
     whose eigenvalues lie above tau, and a partner pair at most tau."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
     dim = C.degree_space(be, 2).dim
-    factors, certified = _spy(monkeypatch, "_factor"), _spy(monkeypatch, "_certify")
     rep = S.delta_spectrum(be, 2, s=16.0, count=24)
-    assert [call[0].matrix.shape[0] for call in factors].count(dim) == 1
-    on_s2 = [call for call in certified if call[0].dim == dim]
-    assert len(on_s2) == 1 and on_s2[0][4] == 2
+    *partner, own = rep.certificate
+    assert all(c.name.startswith("partner ") and c.dim < dim for c in partner)
+    assert (own.name, own.dim, own.kernel) == ("", dim, 2)
+    assert own.factors == [_kernel_shift(rep)] and own.checks == [(_kernel_shift(rep), 2)]
     assert rep.dim == dim and rep.kernel_dim == 2
-    w, resid, norm = _dense_pairs(be, 2, 16.0)
-    kernel = np.asarray(rep.residual_norms[:2])
-    assert kernel.max() <= S.RESIDUAL_BOUND * max(norm, 1.0)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues[:2]) - w[:2])
-                  <= 64 * np.finfo(float).eps * norm + resid[:2] + kernel)
+    assert max(rep.residual_norms[:2]) <= S.RESIDUAL_BOUND * max(rep.operator_norm, 1.0)
+    _assert_dense_window(be, 2, 16.0, rep.eigenvalues[:2], rep.residual_norms[:2])
     monkeypatch.undo()
-
-    def overcounting(sym, shift):
-        lu, negatives = _FACTOR(sym, shift)
-        return lu, negatives + (sym.matrix.shape[0] == dim and 0 < shift < 1.0)
-    monkeypatch.setattr(S, "_factor", overcounting)
+    monkeypatch.setattr(S, "_factor", _overcounting_on(dim))
     with pytest.raises(S.SolverError, match="^partner: "):
         S.delta_spectrum(be, 2, s=16.0, count=24)
     monkeypatch.undo()
-    real = S._lanczos
-
-    def above_tau(sym, *args, **kwargs):
-        w, V, resid = real(sym, *args, **kwargs)
-        return w + (sym.matrix.shape[0] == dim), V, resid
-    monkeypatch.setattr(S, "_lanczos", above_tau)
+    _eigsh_runs(monkeypatch, lambda _, n: 2 * (n == dim))  # S_2's runs lose its kernel
     with pytest.raises(S.SolverError, match=r"^the window holds 0 eigenvalues below \S+, "
                        r"the inertia there is 2$"):
         S.delta_spectrum(be, 2, s=16.0, count=24)
@@ -1296,6 +1350,25 @@ def _planting_a_pair_above_tau(monkeypatch, dim):
     return planted
 
 
+def _assert_planted_kernel_pairs(rep, planted):
+    """The plant holds, an eigenvalue in (tau, 2 tau) beside a kernel of 2
+    in S_2 of the sphere, and the window took it as the module's rule
+    says: the last block, S_2's, takes its kernel factor alone, and a
+    first run for the two kernel pairs, of which the planted pair takes
+    one place, is extended by the missing one.  The two kernel pairs are
+    within the residual bound and match dense eigh of the planted S_2 to
+    64 eps |A| plus their residuals."""
+    A = planted["sym"].matrix.toarray()
+    w, tau = np.linalg.eigvalsh(A), S.KERNEL_TAU_ABS * rep.operator_norm
+    assert rep.operator_norm == planted["sym"].norm and w[1] <= tau < w[2] < 2 * tau
+    block = rep.certificate[-1]
+    assert block.dim == len(A) and len(block.factors) == 1
+    assert [(held, sought) for held, sought, _ in block.runs] == [(0, 2), (2, 1)]
+    assert rep.kernel_dim == 2
+    assert max(rep.residual_norms[:2]) <= S.RESIDUAL_BOUND * max(rep.operator_norm, 1.0)
+    _assert_prefix_of_eigvalsh(rep, A, 2)
+
+
 def test_a_pair_just_above_tau_does_not_displace_a_partner_windows_kernel(monkeypatch):
     """Shift-invert about tau puts an eigenvalue in (tau, 2 tau) nearer the
     shift than the kernel at 0.  Planted in S_2 of the sphere, in place
@@ -1305,42 +1378,28 @@ def test_a_pair_just_above_tau_does_not_displace_a_partner_windows_kernel(monkey
     complement, with no further factor.  Both kernel pairs then match
     dense eigh of the planted S_2."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-    dim = C.degree_space(be, 2).dim
-    planted = _planting_a_pair_above_tau(monkeypatch, dim)
-    factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
-    rep = S.delta_spectrum(be, 2, s=16.0, count=24)
-    A = planted["sym"].matrix.toarray()
-    norm, tau = planted["sym"].norm, S.KERNEL_TAU_ABS * planted["sym"].norm
-    w, V = np.linalg.eigh(A)
-    assert w[1] <= tau < w[2] < 2 * tau
-    assert [call[0].matrix.shape[0] for call in factors].count(dim) == 1
-    assert [run["V"] is not None for run in runs if run["sym"] is planted["sym"]] == [
-        False, True]
-    assert rep.kernel_dim == 2
-    resid = np.asarray(rep.residual_norms[:2])
-    assert resid.max() <= S.RESIDUAL_BOUND * max(norm, 1.0)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues[:2]) - w[:2])
-                  <= 64 * np.finfo(float).eps * norm + resid)
+    planted = _planting_a_pair_above_tau(monkeypatch, C.degree_space(be, 2).dim)
+    _assert_planted_kernel_pairs(S.delta_spectrum(be, 2, s=16.0, count=24), planted)
 
 
 @pytest.mark.parametrize("s", [0.0, 16.0])
 @pytest.mark.parametrize("k,count", [(0, 1), (2, 1), (2, 2)])
-def test_a_kernel_window_takes_only_its_kernel_factor(k, count, s, monkeypatch):
+def test_a_kernel_window_takes_only_its_kernel_factor(k, count, s):
     """A window of at most kappa pairs is the kernel, its own top cluster:
     the factor one float above tau counts it and certifies the window,
     with no factor at a cut of its own.  The sphere at N = 256 has
     kappa_0 = 1 and kappa_2 = 2."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
     _, _, delta = C.build_deformed(be, s, k)
-    factors = _spy(monkeypatch, "_factor")
     rep = S.eigensolve(delta, C.mass_vector(be, delta.domain), count=count, k=k, s=s)
-    kernel_shift = np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
-    assert [shift for _, shift in factors] == [kernel_shift]
+    (block,) = rep.certificate
+    assert block.factors == [_kernel_shift(rep)]
+    assert block.checks == [(_kernel_shift(rep), block.kernel)]
     assert rep.kernel_dim == len(rep.eigenvalues) == count
 
 
 @pytest.mark.parametrize("count", [24, 27])
-def test_a_split_kernel_window_takes_one_factor_per_block(count, monkeypatch):
+def test_a_split_kernel_window_takes_one_factor_per_block(count):
     """Two dense blocks of 40 and 50 rows with kernels of 15 and 12: a
     count of 24 or 27 gives each block a share of at least 10, and the
     kernels hold the whole window.  The first block starts from its share
@@ -1354,15 +1413,12 @@ def test_a_split_kernel_window_takes_one_factor_per_block(count, monkeypatch):
         A = (Q * np.r_[np.zeros(kappa), np.linspace(scale, 40 * scale, dim - kappa)]) @ Q.T
         blocks.append(0.5 * (A + A.T))
     A = sp.csr_matrix(sp.block_diag(blocks))
-    factors = _spy(monkeypatch, "_factor")
     rep = S.eigensolve(A, np.ones(90), count=count)
-    assert S._split(A, count) is not None
-    kernel_shift = np.nextafter(S.KERNEL_TAU_ABS * rep.operator_norm, math.inf)
-    assert [shift for _, shift in factors] == [kernel_shift] * 2
+    assert [(c.dim, c.kernel, c.factors) for c in rep.certificate] == [
+        (40, 15, [_kernel_shift(rep)]), (50, 12, [_kernel_shift(rep)])]
+    assert [held for held, _, _ in rep.certificate[0].runs] == [0, 12 + (count == 27)]
     assert rep.kernel_dim == count
-    reference = np.linalg.eigvalsh(A.toarray())[:count]
-    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+    _assert_prefix_of_eigvalsh(rep, A.toarray())
 
 
 def test_a_pair_just_above_tau_does_not_displace_a_kernel_window(monkeypatch):
@@ -1376,32 +1432,23 @@ def test_a_pair_just_above_tau_does_not_displace_a_kernel_window(monkeypatch):
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
     planted = _planting_a_pair_above_tau(monkeypatch, C.degree_space(be, 2).dim)
     _, _, delta = C.build_deformed(be, 16.0, 2)
-    factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
     rep = S.eigensolve(delta, C.mass_vector(be, delta.domain), count=2, k=2, s=16.0)
-    norm, tau = planted["sym"].norm, S.KERNEL_TAU_ABS * planted["sym"].norm
-    w = np.linalg.eigvalsh(planted["sym"].matrix.toarray())
-    assert w[1] <= tau < w[2] < 2 * tau
-    assert len(factors) == 1
-    assert [run["V"] is not None for run in runs] == [False, True]
-    assert rep.kernel_dim == 2
-    resid = np.asarray(rep.residual_norms)
-    assert resid.max() <= S.RESIDUAL_BOUND * max(norm, 1.0)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:2])
-                  <= 64 * np.finfo(float).eps * norm + resid)
+    assert len(rep.certificate) == 1
+    _assert_planted_kernel_pairs(rep, planted)
 
 
-def test_a_window_solved_densely_builds_no_partner(monkeypatch):
+def test_a_window_solved_densely_builds_no_partner():
     """Degree 2 of the sphere at N = 64 has dimension 127.  A count of 70
     is solved by dense eigh of S_k, so no partner is built, though its
     window of 70 - 2 + 0 = 68 pairs would split."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=64))
-    built = _spy_cartan(monkeypatch)
     rep = S.delta_spectrum(be, 2, s=4.0, count=70)
-    assert not built
-    w, resid, norm = _dense_pairs(be, 2, 4.0)
-    allowed = 64 * np.finfo(float).eps * norm + resid[:70] + np.asarray(rep.residual_norms)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:70]) <= allowed)
+    (block,) = rep.certificate
+    assert (block.name, block.dim, block.runs) == ("", rep.dim, [])
+    _assert_dense_window(be, 2, 4.0, rep.eigenvalues, rep.residual_norms)
     assert rep.kernel_dim == 2
+
+
 def test_a_dense_block_that_misses_a_pair_is_completed_by_the_certificate(monkeypatch):
     """One chain of 40 nodes and a count of 30, which dense eigh solves,
     patched to skip the second-lowest pair: the block's own top then lies
@@ -1413,41 +1460,33 @@ def test_a_dense_block_that_misses_a_pair_is_completed_by_the_certificate(monkey
         w, V = _EIGH(a, **kwargs)
         return np.delete(w, 1), np.delete(V, 1, axis=1)
     monkeypatch.setattr(S.sla, "eigh", skipping)
-    runs = _spy_runs(monkeypatch)
     rep = S.eigensolve(A, mass, count=30)
-    assert [run["m"] - run["V"].shape[1] for run in runs] == [1]
-    reference = np.linalg.eigvalsh(dense)[:30]
-    allowed = 64 * np.finfo(float).eps * rep.operator_norm + np.asarray(rep.residual_norms)
-    assert np.all(np.abs(np.asarray(rep.eigenvalues) - reference) <= allowed)
+    assert rep.certificate[0].runs == [(30, 1, False)]
+    _assert_prefix_of_eigvalsh(rep, dense)
     assert rep.kernel_dim == 1
 
 
-def test_an_all_kernel_window_takes_no_partner_solve(monkeypatch):
+def test_an_all_kernel_window_takes_no_partner_solve():
     """A count of kappa_k = 2 on degree 2 of the sphere: every pair is a
     kernel pair, which only S_k's own kernel factor gives.  The partner
     window, of 2 - kappa_k + kappa_{k+1} = 0 pairs, is below the 20 that
     _split needs, so nothing of degree 3 is built, factored or solved."""
     be = B.build_backend(*B.catalog("sphere_height", n_grid=256))
-    built = _spy_cartan(monkeypatch)
-    factors, runs = _spy(monkeypatch, "_factor"), _spy_runs(monkeypatch)
     rep = S.delta_spectrum(be, 2, s=16.0, count=2)
-    assert not built and rep.kernel_dim == 2
-    assert factors and runs
-    syms = [call[0] for call in factors] + [run["sym"] for run in runs]
-    assert all(sym.matrix.shape[0] == rep.dim for sym in syms)
+    assert rep.kernel_dim == 2
+    (block,) = rep.certificate
+    assert (block.name, block.dim) == ("", rep.dim) and block.factors and block.runs
 
 
 @pytest.mark.parametrize("case", ["sphere_height", "torus_height"])
-def test_an_odd_window_builds_no_partner(case, monkeypatch):
+def test_an_odd_window_builds_no_partner(case):
     """Degree 3 of a surface splits by itself at a count of 24.  At 6 it
     does not, and its degree-4 partner window of 6 + dim_4 - dim_3 pairs
     is below the 2 _MIN_SHARE = 20 that _split needs, so it is refused
     before anything of degree 4 is built."""
     be = B.build_backend(*B.catalog(case, n_grid=256))
-    built = _spy_cartan(monkeypatch)
     for count in (24, 6):
-        S.delta_spectrum(be, 3, s=16.0, count=count)
-    assert not built
+        assert not _on_partner(S.delta_spectrum(be, 3, s=16.0, count=count)), count
 
 
 def test_a_failure_on_a_partner_block_names_it(sphere, monkeypatch):
@@ -1473,7 +1512,7 @@ def test_a_planted_pairing_fault_never_gives_the_partner_spectrum():
     of B see the fault.  The partner's nonzero spectrum is no longer
     Delta^2's, so a window read off it would be wrong."""
     be = _with_a_pairing_fault(B.build_backend(*B.catalog("sphere_height", n_grid=64)))
-    w, resid, norm = _dense_pairs(be, 2, 4.0)
+    w, _, norm = _dense_pairs(be, 2, 4.0)
     above = _dense_pairs(be, 3, 4.0)[0]
     assert np.abs(above[:22] - w[2:24]).max() > 1e6 * 64 * np.finfo(float).eps * norm
     try:
@@ -1482,8 +1521,7 @@ def test_a_planted_pairing_fault_never_gives_the_partner_spectrum():
         assert str(exc).startswith("partner: ")
     else:
         assert len(rep.eigenvalues) == 24
-        allowed = 64 * np.finfo(float).eps * norm + resid[:24] + np.asarray(rep.residual_norms)
-        assert np.all(np.abs(np.asarray(rep.eigenvalues) - w[:24]) <= allowed)
+        _assert_dense_window(be, 2, 4.0, rep.eigenvalues, rep.residual_norms)
 
 
 def test_spectrum_with_a_planted_pairing_fault_never_writes_the_partner_window(
@@ -1504,10 +1542,7 @@ def test_spectrum_with_a_planted_pairing_fault_never_writes_the_partner_window(
         rep = json.loads(out.read_text())
         assert len(rep["eigenvalues"]) == 24
         be = _with_a_pairing_fault(real(*B.catalog("sphere_height", n_grid=64)))
-        w, resid, norm = _dense_pairs(be, 2, 4.0)
-        allowed = (64 * np.finfo(float).eps * norm + resid[:24]
-                   + np.asarray(rep["residual_norms"]))
-        assert np.all(np.abs(np.asarray(rep["eigenvalues"]) - w[:24]) <= allowed)
+        _assert_dense_window(be, 2, 4.0, rep["eigenvalues"], rep["residual_norms"])
 
 
 def test_a_window_whose_kernels_break_the_index_of_b_fails(sphere, monkeypatch):
@@ -1515,12 +1550,7 @@ def test_a_window_whose_kernels_break_the_index_of_b_fails(sphere, monkeypatch):
     kernel factor of S_2 that counts one kernel eigenvalue too many
     breaks it, and the window raises rather than seek a kernel pair.
     Only that factor is taken at a shift in (0, 1), one float above tau."""
-    dim = C.degree_space(sphere, 2).dim
-
-    def overcounting(sym, shift):
-        lu, negatives = _FACTOR(sym, shift)
-        return lu, negatives + (sym.matrix.shape[0] == dim and 0 < shift < 1.0)
-    monkeypatch.setattr(S, "_factor", overcounting)
+    monkeypatch.setattr(S, "_factor", _overcounting_on(C.degree_space(sphere, 2).dim))
     with pytest.raises(S.SolverError, match=r"^partner: kernel dimensions 3 of degree 2 "
                        r"and 0 of degree 3 break the index of B$"):
         S.delta_spectrum(sphere, 2, s=16.0, count=24)
